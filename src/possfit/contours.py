@@ -23,7 +23,12 @@ import numpy as np
 from scipy import special, stats
 
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
-from .models import Dataset, ModelSpec, log_relative_likelihood
+from .models import (
+    Dataset,
+    ModelSpec,
+    log_relative_likelihood,
+    observed_log_rel_lik,
+)
 
 __all__ = [
     "TIE_EPS",
@@ -161,21 +166,27 @@ def mc_contour(
     theta,
     m: int,
     rng: np.random.Generator,
+    observed: Optional[Callable[[np.ndarray], float]] = None,
 ) -> float:
     """Monte Carlo contour: share of m datasets simulated under theta whose
     relative likelihood at theta is <= the observed one (ties included).
 
-    Replicates whose refitting machinery fails count as included, and an
-    observed value that cannot be computed yields 1 — both choices push the
-    estimate upward, never below the exact contour.
+    ``observed`` is ``observed_log_rel_lik(model, data)``, passed by callers
+    that evaluate many points on the same data so its statistics are
+    computed once.  Off the domain (observed relative likelihood 0) the
+    contour is exactly 0, since data simulated under theta have a positive
+    likelihood there, and nothing is simulated.  Replicates whose refitting
+    machinery fails count as included, and an observed value that cannot be
+    computed yields 1 — both choices push the estimate upward, never below
+    the exact contour.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     try:
-        obs = log_relative_likelihood(model, data, theta)
+        obs = (observed or observed_log_rel_lik(model, data))(theta)
     except Exception:
         return 1.0
-    if np.isnan(obs):
-        return 1.0
+    if obs == -np.inf:
+        return 0.0
     m = int(m)
     if model.sim_log_rel_lik is not None:
         sim = np.asarray(model.sim_log_rel_lik(theta, data.n, m, rng), dtype=float)
@@ -194,12 +205,16 @@ def mc_contour(
 def make_mc_contour(
     model: ModelSpec, data: Dataset, m: int, seed: int
 ) -> PossibilityContour:
-    """Monte Carlo possibility contour with reproducible per-node streams."""
+    """Monte Carlo possibility contour with reproducible per-node streams.
+
+    The observed data's statistics are computed once, for all evaluations.
+    """
     dim = model.dim if model.dim is not None else data.n
+    observed = observed_log_rel_lik(model, data)
     return PossibilityContour(
         kind="monte-carlo",
         dim=dim,
-        evaluate=lambda th, rng: mc_contour(model, data, th, m, rng),
+        evaluate=lambda th, rng: mc_contour(model, data, th, m, rng, observed),
         seed=int(seed),
         meta={"model": model.name, "m": int(m)},
     )

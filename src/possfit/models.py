@@ -5,12 +5,17 @@ log-likelihood, sampler, maximum-likelihood estimator and observed
 information.  Models may additionally carry two fast paths used by the
 Monte Carlo contour engine:
 
-``log_rel_lik(data, theta)``
-    exact log relative likelihood of the observed data (shares the code
-    path of the simulated values, so ties at the MLE are exact), and
+``log_rel_lik_for(data)``
+    a function of ``theta`` giving the exact log relative likelihood of
+    the observed data, with what depends on the data alone (sufficient
+    statistics, the MLE) computed once; it shares the code path of the
+    simulated values, so ties at the MLE are exact, and
 ``sim_log_rel_lik(theta, n, m, rng)``
     the log relative likelihoods of ``m`` datasets of size ``n`` simulated
-    under ``theta``, computed in one vectorized sweep.  Without it the
+    under ``theta``, computed in one vectorized sweep.  A kernel only has
+    to match the distribution of ``log R(X, theta)`` for ``X`` drawn by
+    ``sample``; it may draw the sufficient statistics directly, so it need
+    not consume the random stream the way ``sample`` does.  Without it the
     engine falls back to a per-dataset loop through ``sample``/``mle``.
 
 Conventions: a parameter outside the domain makes ``log_lik`` return
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +43,7 @@ __all__ = [
     "SingularInformationError",
     "relative_likelihood",
     "log_relative_likelihood",
+    "observed_log_rel_lik",
     "mle_and_information",
     "finite_difference_information",
     "soft_threshold",
@@ -151,26 +158,53 @@ class ModelSpec:
     mle: Callable[[Dataset], np.ndarray]
     information: Callable[[Dataset], np.ndarray]
     boundary_mle: Optional[Callable[[Dataset], bool]] = None
-    log_rel_lik: Optional[Callable[[Dataset, np.ndarray], float]] = None
+    log_rel_lik_for: Optional[
+        Callable[[Dataset], Callable[[np.ndarray], float]]
+    ] = None
     sim_log_rel_lik: Optional[
         Callable[[np.ndarray, int, int, np.random.Generator], np.ndarray]
     ] = None
     meta: dict = field(default_factory=dict)
 
 
+def observed_log_rel_lik(
+    model: ModelSpec, data: Dataset
+) -> Callable[[np.ndarray], float]:
+    """theta -> log of L(theta)/L(thetahat) for fixed data; -inf off the domain.
+
+    What depends on the data alone is computed once, for every theta the
+    returned function sees.  Without a ``log_rel_lik_for`` hook the maximized
+    log-likelihood is computed on first use, and only for a theta on the
+    domain; a failing ``mle`` raises from every call that needs it.
+    """
+    if model.log_rel_lik_for is not None:
+        raw = model.log_rel_lik_for(data)
+    else:
+        ll_hat = functools.cache(
+            lambda: model.log_lik(data, np.asarray(model.mle(data), dtype=float))
+        )
+
+        def raw(theta):
+            ll = model.log_lik(data, theta)
+            if not np.isfinite(ll):
+                return -np.inf
+            return ll - ll_hat()
+
+    def log_rel(theta) -> float:
+        # far out, log-likelihoods overflow to -inf or inf - inf; both are
+        # read as a relative likelihood of 0 below
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = raw(np.asarray(theta, dtype=float).ravel())
+        if np.isnan(val):
+            return -np.inf
+        return min(float(val), 0.0)
+
+    return log_rel
+
+
 def log_relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
     """log of L(theta)/L(thetahat); -inf when theta is off the domain."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if model.log_rel_lik is not None:
-        val = model.log_rel_lik(data, theta)
-    else:
-        ll = model.log_lik(data, theta)
-        if not np.isfinite(ll):
-            return -np.inf
-        val = ll - model.log_lik(data, np.asarray(model.mle(data), dtype=float))
-    if np.isnan(val):
-        return -np.inf
-    return min(float(val), 0.0)
+    return observed_log_rel_lik(model, data)(theta)
 
 
 def relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
@@ -307,11 +341,16 @@ def binomial() -> ModelSpec:
         s = int(np.sum(data.responses))
         return s == 0 or s == data.n
 
-    def log_rel(data, theta):
-        t = float(theta[0])
-        if not 0.0 <= t <= 1.0:
-            return -np.inf
-        return float(_binom_log_rel(float(np.sum(data.responses)), data.n, t))
+    def log_rel_for(data):
+        s, n = float(np.sum(data.responses)), data.n
+
+        def log_rel(theta):
+            t = float(theta[0])
+            if not 0.0 <= t <= 1.0:
+                return -np.inf
+            return float(_binom_log_rel(s, n, t))
+
+        return log_rel
 
     def sim_log_rel(theta, n, m, rng):
         t = float(theta[0])
@@ -328,7 +367,7 @@ def binomial() -> ModelSpec:
         mle=mle,
         information=information,
         boundary_mle=boundary,
-        log_rel_lik=log_rel,
+        log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
     )
 
@@ -356,28 +395,46 @@ def _bvn_loglik_stats(a, b, n, rho):
     return np.where(one > 0.0, ll, -np.inf)
 
 
+def _bvn_score_roots(a, b, n):
+    """Real roots of the score cubic n r^3 - b r^2 + (a - n) r - b, as (m, 3).
+
+    Closed form on the depressed cubic t^3 + p t + q (r = t + b / 3n): the
+    trigonometric form when all three roots are real, otherwise Cardano's
+    formula for the one real root, repeated three times.  The triple root of
+    p = q = 0 (b = 0, a = n) is the trigonometric form's h = 0 case.
+    """
+    c2, c1 = -b / n, (a - n) / n  # monic coefficients; c0 = c2
+    p = c1 - c2 * c2 / 3.0
+    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
+    disc = q * q / 4.0 + p**3 / 27.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # three real roots (disc <= 0, hence p <= 0)
+        h = np.sqrt(np.maximum(-p / 3.0, 0.0))
+        phi = np.arccos(np.clip(np.where(h > 0.0, -q / (2.0 * h**3), 0.0), -1.0, 1.0))
+        three = 2.0 * h[:, None] * np.cos(
+            (phi[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0
+        )
+        # one real root (disc > 0, so u != 0); the sign choice keeps u free
+        # of cancellation
+        u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+        one = u - p / (3.0 * u)
+    t = np.where((disc <= 0.0)[:, None], three, one[:, None])
+    return t - (c2 / 3.0)[:, None]
+
+
 def _bvn_mle_from_stats(a, b, n):
     """Vectorized MLE of the correlation: argmax over real cubic roots.
 
     The score equation is n r^3 - b r^2 + (a - n) r - b = 0; the root in
     (-1, 1) maximizing the likelihood is the MLE (the likelihood decreases
-    into both endpoints, so an interior maximizer always exists).
+    into both endpoints, so an interior maximizer always exists).  One
+    function serves observed and simulated data, so ties at the MLE are exact.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    m = a.size
-    comp = np.zeros((m, 3, 3))
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 0, 2] = b / n          # -c0 with c0 = -b/n
-    comp[:, 1, 2] = -(a - n) / n   # -c1
-    comp[:, 2, 2] = b / n          # -c2 with c2 = -b/n
-    roots = np.linalg.eigvals(comp)  # (m, 3)
-    real = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))
-    cand = np.clip(roots.real, -1.0 + 1e-10, 1.0 - 1e-10)
+    cand = np.clip(_bvn_score_roots(a, b, n), -1.0 + 1e-10, 1.0 - 1e-10)
     ll = _bvn_loglik_stats(a[:, None], b[:, None], n, cand)
-    ll = np.where(real, ll, -np.inf)
-    return cand[np.arange(m), np.argmax(ll, axis=1)]
+    return cand[np.arange(a.size), np.argmax(ll, axis=1)]
 
 
 def bvn_correlation() -> ModelSpec:
@@ -409,23 +466,32 @@ def bvn_correlation() -> ModelSpec:
             # line, where the relative likelihood at theta is 1 (log 0); the
             # observed value is -inf, so the contour is exactly 0.
             return np.zeros(m)
-        z = rng.standard_normal((m, n, 2))
-        x1 = z[:, :, 0]
-        x2 = r * x1 + np.sqrt(1.0 - r * r) * z[:, :, 1]
-        a = np.sum(x1 * x1 + x2 * x2, axis=1)
-        b = np.sum(x1 * x2, axis=1)
+        # sum x x^T ~ Wishart_2(n, Sigma(r)), drawn by the Bartlett
+        # decomposition: sum x x^T = (L B)(L B)^T with L = chol Sigma(r) and
+        # B lower triangular, B11^2 ~ chi2_n, B22^2 ~ chi2_{n-1}, B21 ~ N(0, 1)
+        b11_sq = rng.chisquare(n, size=m)
+        b22_sq = 2.0 * rng.standard_gamma(0.5 * (n - 1), size=m)  # 0 at n = 1
+        b21 = rng.standard_normal(m)
+        s = np.sqrt(1.0 - r * r)
+        b11 = np.sqrt(b11_sq)
+        lb21 = r * b11 + s * b21
+        a = b11_sq + lb21 * lb21 + s * s * b22_sq
+        b = b11 * lb21
         rhat = _bvn_mle_from_stats(a, b, n)
         return _bvn_loglik_stats(a, b, n, r) - _bvn_loglik_stats(a, b, n, rhat)
 
-    def log_rel(data, theta):
-        r = float(theta[0])
-        if not -1.0 < r < 1.0:
-            return -np.inf
+    def log_rel_for(data):
+        n = data.n
         a, b = _bvn_stats(np.asarray(data.responses, dtype=float))
-        rhat = float(_bvn_mle_from_stats(a, b, data.n)[0])
-        return float(
-            _bvn_loglik_stats(a, b, data.n, r) - _bvn_loglik_stats(a, b, data.n, rhat)
-        )
+        ll_hat = _bvn_loglik_stats(a, b, n, float(_bvn_mle_from_stats(a, b, n)[0]))
+
+        def log_rel(theta):
+            r = float(theta[0])
+            if not -1.0 < r < 1.0:
+                return -np.inf
+            return float(_bvn_loglik_stats(a, b, n, r) - ll_hat)
+
+        return log_rel
 
     spec = ModelSpec(
         name="bvn-correlation",
@@ -434,7 +500,7 @@ def bvn_correlation() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
-        log_rel_lik=log_rel,
+        log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
     )
     return spec
@@ -607,11 +673,16 @@ def multinomial(k: int) -> ModelSpec:
     def _log_rel_counts(x, n, theta):
         return np.sum(special.xlogy(x, theta) - special.xlogy(x, x / n), axis=-1)
 
-    def log_rel(data, theta):
-        theta = np.asarray(theta, dtype=float)
-        if not _valid(theta):
-            return -np.inf
-        return float(_log_rel_counts(counts(data), data.n, theta))
+    def log_rel_for(data):
+        x, n = counts(data), data.n
+
+        def log_rel(theta):
+            theta = np.asarray(theta, dtype=float)
+            if not _valid(theta):
+                return -np.inf
+            return float(_log_rel_counts(x, n, theta))
+
+        return log_rel
 
     def sim_log_rel(theta, n, m, rng):
         theta = np.asarray(theta, dtype=float)
@@ -626,7 +697,7 @@ def multinomial(k: int) -> ModelSpec:
         mle=mle,
         information=information,
         boundary_mle=boundary,
-        log_rel_lik=log_rel,
+        log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
     )
 
@@ -818,9 +889,8 @@ def normal_means(sigma: float) -> ModelSpec:
         return np.eye(data.n) / sigma**2
 
     def sim_log_rel(theta, n, m, rng):
-        theta = np.asarray(theta, dtype=float)
-        x = rng.normal(theta[None, :], sigma, size=(m, n))
-        return -np.sum((x - theta[None, :]) ** 2, axis=1) / (2 * sigma**2)
+        # log R = -|x - theta|^2 / (2 sigma^2) = -chi2_n / 2 at every theta
+        return -0.5 * rng.chisquare(n, size=m)
 
     return ModelSpec(
         name="normal-means",
@@ -864,10 +934,14 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
     def information(data):
         return np.eye(data.n) / sigma**2
 
-    def log_rel(data, theta):
-        x = np.asarray(data.responses, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return float(_pen(x, theta, data.n) - _pen(x, mle(Dataset(responses=x)), data.n))
+    def log_rel_for(data):
+        x, n = np.asarray(data.responses, dtype=float), data.n
+        pen_hat = _pen(x, mle(Dataset(responses=x)), n)
+
+        def log_rel(theta):
+            return float(_pen(x, np.asarray(theta, dtype=float), n) - pen_hat)
+
+        return log_rel
 
     def sim_log_rel(theta, n, m, rng):
         theta = np.asarray(theta, dtype=float)
@@ -882,7 +956,7 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
-        log_rel_lik=log_rel,
+        log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
         meta={"sigma": sigma, "lam": lam},
     )
@@ -931,9 +1005,10 @@ def lognormal() -> ModelSpec:
 
     def sim_log_rel(theta, n, m, rng):
         mu0, v0 = float(theta[0]), float(theta[1])
-        w = rng.normal(mu0, np.sqrt(v0), size=(m, n))
-        muh = w.mean(axis=1)
-        vh = np.mean((w - muh[:, None]) ** 2, axis=1)
+        # the sufficient statistics of log Y are independent:
+        # muhat ~ N(mu0, v0 / n) and n vhat ~ v0 chi2_{n-1}
+        muh = rng.normal(mu0, np.sqrt(v0 / n), size=m)
+        vh = v0 * 2.0 * rng.standard_gamma(0.5 * (n - 1), size=m) / n
         ll0 = -0.5 * n * np.log(v0) - (n * vh + n * (muh - mu0) ** 2) / (2 * v0)
         llh = -0.5 * n * np.log(vh) - 0.5 * n
         return ll0 - llh
@@ -1072,6 +1147,8 @@ def lognormal_censored() -> ModelSpec:
         mle=mle,
         information=information,
         boundary_mle=boundary,
+        # the model's own sampler draws uncensored log-normal responses
+        sim_log_rel_lik=lognormal().sim_log_rel_lik,
     )
     return spec
 
@@ -1131,13 +1208,16 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         D = np.diag(d)
         return D @ np.atleast_2d(np.asarray(base.information(data), dtype=float)) @ D
 
-    log_rel = None
-    if base.log_rel_lik is not None:
-        def log_rel(data, eta):  # noqa: F811
-            theta = _to_theta(eta)
-            if theta is None:
-                return -np.inf
-            return base.log_rel_lik(data, theta)
+    log_rel_for = None
+    if base.log_rel_lik_for is not None:
+        def log_rel_for(data):  # noqa: F811
+            base_log_rel = base.log_rel_lik_for(data)
+
+            def log_rel(eta):
+                theta = _to_theta(eta)
+                return -np.inf if theta is None else base_log_rel(theta)
+
+            return log_rel
 
     sim = None
     if base.sim_log_rel_lik is not None:
@@ -1154,7 +1234,7 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
-        log_rel_lik=log_rel,
+        log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim,
         meta=dict(base.meta, reparam_base=base.name,
                   reparam_log_indices=[int(i) for i in np.where(logged)[0]]),

@@ -385,8 +385,12 @@ def empirical_risk_contour(
     rng: np.random.Generator,
     B: Optional[int] = None,
 ) -> float:
-    """Share of B bootstrap resamples whose risk ratio at theta is at most
-    the observed one (ties included)."""
+    """Share of B bootstrap resamples whose risk ratio is at most the
+    observed one at theta (ties included).
+
+    The observed minimizer is the truth of the bootstrap world, so each
+    resample's ratio is taken at theta_hat, not at theta.
+    """
     v = np.asarray(data.responses, dtype=float).ravel()
     n = v.size
     theta = float(np.asarray(theta, dtype=float).ravel()[0])
@@ -404,7 +408,7 @@ def empirical_risk_contour(
         raise RiskMinimizationError(
             "empirical-risk minimizer failed on a bootstrap resample"
         )
-    rho_t = np.mean(spec.loss(vb, theta), axis=-1)
+    rho_t = np.mean(spec.loss(vb, float(theta_hat)), axis=-1)
     rho_h = np.mean(spec.loss(vb, th_b[:, None]), axis=-1)
     sim = -(rho_t - rho_h)
     include = np.isnan(sim) | (sim <= obs + TIE_EPS)

@@ -55,6 +55,8 @@ from possfit.models import (
 from possfit.nuisance import CensoringEstimate, make_censored_contour
 from possfit.sa import fit_scalar, fit_vector, fit_vector_anchored
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = os.cpu_count() or 1
 
 

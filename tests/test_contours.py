@@ -6,6 +6,7 @@ of the package's own (log-space, vectorized) implementation.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from possfit.calibration import _REGISTRY, model_from_id
 from possfit.contours import (
     AxisSpec,
     PossibilityContour,
@@ -23,7 +25,7 @@ from possfit.contours import (
     make_mc_contour,
     mc_contour,
 )
-from possfit.models import Dataset, ModelSpec, binomial
+from possfit.models import Dataset, ModelSpec, binomial, gamma_shape_scale, log_reparam
 
 
 def _binom_data(s, n):
@@ -162,6 +164,59 @@ def test_mc_contour_counts_failed_replicates_as_ties():
     v = mc_contour(model, Dataset(responses=np.zeros(4)), np.array([0.0]), 50,
                    np.random.default_rng(1))
     assert v == 1.0  # every replicate fell back to the inclusive tie rule
+
+
+_N_FAR = 12
+_DESIGN = np.column_stack([np.ones(_N_FAR), np.linspace(-1.0, 1.0, _N_FAR)])
+_BIG = 1e300
+# registry id -> (model kwargs, truth, off-domain and huge-magnitude points)
+_FAR_POINTS = {
+    "binomial": ({}, [0.4], [[-0.5], [1.5], [np.inf], [_BIG], [-_BIG]]),
+    "bvn-correlation": ({}, [0.5], [[1.0], [-1.0], [1.5], [_BIG], [-_BIG]]),
+    "gamma": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0], [0.0, 0.0],
+                               [_BIG, 2.0], [3.0, _BIG]]),
+    "gamma-mean-shape": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0],
+                                          [_BIG, 2.0], [3.0, _BIG]]),
+    "lognormal": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0], [_BIG, 1.0],
+                                   [-_BIG, 1.0], [0.3, _BIG]]),
+    "lognormal-censored": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0], [_BIG, 1.0],
+                                            [-_BIG, 1.0], [0.3, _BIG]]),
+    "normal-means": ({}, [0.0] * _N_FAR, [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
+    "normal-means-lasso": ({}, [0.0] * _N_FAR, [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
+    "poisson-loglinear": ({}, [0.5, 0.0, 0.0], [[_BIG, 0.0, 0.0], [-_BIG, 0.0, 0.0],
+                                                [0.0, _BIG, 0.0]]),
+    "logistic": ({"design": _DESIGN.tolist()}, [0.2, 0.5],
+                 [[_BIG, 0.0], [-_BIG, 0.0], [0.0, _BIG]]),
+}
+
+
+def _assert_zero_quietly(contour, point):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = contour(np.asarray(point, dtype=float))
+    assert value == 0.0, f"contour {value} at {point}"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
+def test_mc_contour_is_zero_far_from_the_domain(model_id):
+    """Off the domain and at huge-magnitude points the contour is exactly 0,
+    with nothing raised and no floating-point warning."""
+    kwargs, truth, points = _FAR_POINTS[model_id]
+    model = model_from_id(model_id, _N_FAR, kwargs)
+    rng = np.random.default_rng(3)
+    data = model.sample(np.asarray(truth, dtype=float), _N_FAR, rng)
+    contour = make_mc_contour(model, data, m=200, seed=1)
+    for point in points:
+        _assert_zero_quietly(contour, point)
+
+
+def test_mc_contour_log_reparam_far_points():
+    base = gamma_shape_scale()
+    data = base.sample(np.array([3.0, 2.0]), 25, np.random.default_rng(0))
+    contour = make_mc_contour(log_reparam(base), data, m=200, seed=1)
+    for eta in ([691.0, 0.5], [689.0, 0.5], [0.5, 691.0], [-691.0, 0.5]):
+        _assert_zero_quietly(contour, eta)
 
 
 # ---------------------------------------------------------------------------

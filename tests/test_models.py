@@ -9,19 +9,25 @@ Oracle conventions used below:
     differences of the log-likelihood.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from possfit.models import (
     Dataset,
     DegenerateMLEError,
+    _bvn_loglik_stats,
+    _bvn_mle_from_stats,
     binomial,
     bvn_correlation,
     finite_difference_information,
     gamma_mean_shape,
     gamma_shape_scale,
+    log_relative_likelihood,
     log_reparam,
     logistic_regression,
     lognormal,
@@ -186,6 +192,74 @@ def test_bvn_correlation_mle_beats_grid():
     grid_best = max(model.log_lik(data, np.array([g])) for g in grid)
     assert model.log_lik(data, theta) >= grid_best - 1e-9
     assert info[0, 0] > 0
+
+
+def _bvn_mle_eigvals(a, b, n):
+    """Reference correlation MLE: cubic roots as companion-matrix eigenvalues."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    m = a.size
+    comp = np.zeros((m, 3, 3))
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 0, 2] = b / n
+    comp[:, 1, 2] = -(a - n) / n
+    comp[:, 2, 2] = b / n
+    roots = np.linalg.eigvals(comp)
+    real = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))
+    cand = np.clip(roots.real, -1.0 + 1e-10, 1.0 - 1e-10)
+    ll = np.where(real, _bvn_loglik_stats(a[:, None], b[:, None], n, cand), -np.inf)
+    return cand[np.arange(m), np.argmax(ll, axis=1)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 40, 100, 500])
+def test_bvn_closed_form_mle_matches_eigvals(n):
+    rng = np.random.default_rng(n)
+    for rho in (-0.999, -0.99, -0.8, -0.3, 0.0, 0.3, 0.8, 0.99, 0.999):
+        z = rng.standard_normal((400, n, 2))
+        x1 = z[..., 0]
+        x2 = rho * x1 + np.sqrt(1.0 - rho * rho) * z[..., 1]
+        a = np.sum(x1 * x1 + x2 * x2, axis=1)
+        b = np.sum(x1 * x2, axis=1)
+        got = _bvn_mle_from_stats(a, b, n)
+        assert np.max(np.abs(got - _bvn_mle_eigvals(a, b, n))) <= 1e-7
+
+
+@pytest.mark.parametrize("a,b,n", [
+    (5.0, 0.0, 5),      # q = p = 0: triple root at 0
+    (100.0, 0.0, 100),
+    (0.0, 0.0, 5),      # all-zero data: roots -1, 0, 1
+    (0.0, 0.0, 40),
+])
+def test_bvn_closed_form_mle_degenerate_stats(a, b, n):
+    got = _bvn_mle_from_stats(a, b, n)
+    assert np.all(np.isfinite(got))
+    assert got[0] == pytest.approx(_bvn_mle_eigvals(a, b, n)[0], abs=1e-12)
+
+
+def _fallback_log_rel(model, theta, n, m, rng):
+    """log R of m datasets through the per-dataset sample/refit loop."""
+    return np.array([
+        log_relative_likelihood(model, model.sample(theta, n, rng), theta)
+        for _ in range(m)
+    ])
+
+
+@pytest.mark.parametrize("factory,theta,n", [
+    (bvn_correlation, np.array([0.6]), 4),
+    (bvn_correlation, np.array([-0.95]), 30),
+    (lognormal, np.array([0.3, 0.5]), 8),
+    (lambda: normal_means(2.0), np.linspace(-1.0, 1.0, 6), 6),
+])
+def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
+    """Two-sample KS test of the vectorized kernel against the generic loop."""
+    model = factory()
+    slow = dataclasses.replace(model, sim_log_rel_lik=None)
+    m = 5000
+    fast = model.sim_log_rel_lik(theta, n, m, np.random.default_rng(11))
+    loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(12))
+    assert np.all(np.isfinite(fast)) and np.all(fast <= 1e-12)
+    assert stats.ks_2samp(fast, loop).pvalue > 0.01
 
 
 def test_poisson_loglinear_mle_and_information():

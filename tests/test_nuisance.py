@@ -605,6 +605,18 @@ def test_empirical_risk_contour_positive_near_first_quartile():
     assert far < val
 
 
+def test_empirical_risk_contour_is_peaked():
+    """A flat contour is trivially valid; this one must fall off within a
+    few standard errors of the estimate."""
+    rng = np.random.default_rng(123)
+    data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
+    spec = quantile_risk_spec(0.25, B=500)
+    fam = quantile_companion_family(data, 0.25)
+    for theta in (fam.theta_hat - 4.0 * fam.sd, fam.theta_hat + 4.0 * fam.sd):
+        rng = np.random.default_rng(7)
+        assert empirical_risk_contour(data, spec, theta, rng) < 0.05
+
+
 def test_empirical_risk_contour_object_deterministic():
     rng = np.random.default_rng(41)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=80))
