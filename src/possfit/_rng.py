@@ -14,7 +14,10 @@ import numpy as np
 # domain-separation tags (arbitrary distinct 32-bit constants)
 NODE_TAG = 0x6E6F6465   # per-grid-node contour evaluations
 THETA_TAG = 0x74686574  # per-theta pointwise contour evaluations
-SA_TAG = 0x73617069     # stochastic-approximation iterations
+# stochastic-approximation iteration t: key (t,) draws the family's points;
+# (t, 0) seeds one batch evaluation of all of them; (t, j + 1) point j, only
+# for contours without a batch evaluator
+SA_TAG = 0x73617069
 BOOT_TAG = 0x626F6F74   # bootstrap replicates
 CAL_TAG = 0x63616C69    # calibration replications
 CLI_TAG = 0x636C6970    # command-line front-end streams

@@ -796,6 +796,8 @@ def validity_study(
         start = perf_counter()
         contour, _ = _replicate_contour(scenario, model, data, child)
         value = float(contour(scenario.truth_eval))
+        if np.isnan(value):  # a Monte Carlo evaluation whose kernel raised
+            raise RuntimeError("contour evaluation at the truth failed")
         return value, perf_counter() - start
 
     rows = _run_replications(scenario.reps, threads, _guarded(rep))
@@ -885,6 +887,8 @@ def hypothesis_calibration(
                 family=family,
                 seed=_child_seed(scenario.seed, r, 4, k),
             )
+            if np.isnan(result.value):  # a Monte Carlo evaluation whose kernel raised
+                raise RuntimeError(f"possibility of hypothesis {k + 1} failed")
             vals[k] = min(max(result.value, 0.0), 1.0)
         return vals, perf_counter() - start
 

@@ -1,11 +1,15 @@
 """Possibility contours: exact enumeration, Monte Carlo, grids, alpha-cuts.
 
 The central object is :class:`PossibilityContour`, a thin wrapper around an
-``evaluate(theta, rng) -> float`` callable plus metadata.  Stochastic
-contours carry a seed; every evaluation derives its own Generator from that
-seed and either the grid-node index (:meth:`PossibilityContour.eval_at_node`)
-or the bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
-so values never depend on evaluation order or thread scheduling.
+``evaluate(theta, rng) -> float`` callable, an optional batch evaluator and
+metadata.  Stochastic contours carry a seed.  A point evaluated on its own
+derives its own Generator from that seed and either the grid-node index
+(:meth:`PossibilityContour.eval_at_node`) or the bit pattern of the point
+itself (:meth:`PossibilityContour.__call__`), so values never depend on
+evaluation order or thread scheduling.  A batch ``evaluate_batch(thetas,
+rng)`` evaluates its points in order on the one Generator its caller
+derives: the stochastic-approximation fits pass one stream per iteration,
+keyed ``(t, 0)`` (see :mod:`possfit.sa`).
 
 Ties in the Monte Carlo comparison ``R(X, theta) <= R(x, theta)`` are decided
 on the log scale with an absolute slack of ``TIE_EPS``, counting ties (and
@@ -59,8 +63,11 @@ class PossibilityContour:
     ``evaluate(theta, rng)`` does the work; ``rng`` is None for
     deterministic contours (seed None) and a derived Generator otherwise.
     ``evaluate_batch(thetas, rng)``, when present, evaluates an (N, dim)
-    array of points in one sweep; grids use it only for seedless
-    (deterministic) contours, where it cannot change the values.
+    array of points in one sweep, with ``rng`` as for ``evaluate``; the
+    points of a stochastic contour then share that one stream.  Grids and
+    pointwise inference use it only for seedless (deterministic) contours,
+    where it cannot change the values; the stochastic-approximation fits
+    use it for every contour that has one.
     """
 
     kind: str
@@ -160,17 +167,83 @@ def make_exact_binomial(data: Dataset) -> PossibilityContour:
 # ---------------------------------------------------------------------------
 
 
+# simulated datasets per kernel call: bounds the memory a batch holds at once
+_DATASETS_PER_CALL = 4096
+
+
+def _observed_rows(observed, thetas: np.ndarray) -> np.ndarray:
+    """Observed log relative likelihoods of the rows; NaN for a row whose
+    value cannot be computed, so each row's outcome is its own."""
+    try:
+        return observed(thetas)
+    except Exception:
+        if thetas.shape[0] == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_observed_rows(observed, th[None, :]) for th in thetas])
+
+
+def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """(k, m) simulated log relative likelihoods, one row per point."""
+    if model.sim_log_rel_lik is not None:
+        return np.asarray(model.sim_log_rel_lik(thetas, data.n, m, rng), dtype=float)
+    sim = np.empty((thetas.shape[0], m))
+    for i, theta in enumerate(thetas):
+        for j in range(m):
+            ds = model.sample(theta, data.n, rng)
+            try:
+                sim[i, j] = log_relative_likelihood(model, ds, theta)
+            except Exception:
+                sim[i, j] = np.nan
+    return sim
+
+
+def _mc_batch(
+    model: ModelSpec,
+    data: Dataset,
+    thetas: np.ndarray,
+    m: int,
+    rng: np.random.Generator,
+    observed: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Monte Carlo contour at each row of a (k, d) array, on one generator.
+
+    Rows off the domain are 0 and rows whose observed value fails are 1,
+    both without simulating.  The other rows are simulated in order, at
+    most ``_DATASETS_PER_CALL`` datasets per kernel call; the rows of a
+    call that raises come back NaN.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    obs = _observed_rows(observed, thetas)
+    vals = np.where(np.isnan(obs), 1.0, 0.0)
+    live = np.flatnonzero(np.isfinite(obs))
+    m = int(m)
+    step = max(1, _DATASETS_PER_CALL // m)
+    for start in range(0, live.size, step):
+        rows = live[start:start + step]
+        try:
+            sim = _simulate(model, data, thetas[rows], m, rng)
+        except Exception:
+            vals[rows] = np.nan
+            continue
+        include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
+        vals[rows] = np.mean(include, axis=1)
+    return vals
+
+
 def mc_contour(
     model: ModelSpec,
     data: Dataset,
     theta,
     m: int,
     rng: np.random.Generator,
-    observed: Optional[Callable[[np.ndarray], float]] = None,
+    observed: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> float:
     """Monte Carlo contour: share of m datasets simulated under theta whose
     relative likelihood at theta is <= the observed one (ties included).
 
+    This is a batch of one point of the contour that :func:`make_mc_contour`
+    builds, whose ``evaluate_batch`` runs the same code on many points.
     ``observed`` is ``observed_log_rel_lik(model, data)``, passed by callers
     that evaluate many points on the same data so its statistics are
     computed once.  Off the domain (observed relative likelihood 0) the
@@ -178,36 +251,22 @@ def mc_contour(
     likelihood there, and nothing is simulated.  Replicates whose refitting
     machinery fails count as included, and an observed value that cannot be
     computed yields 1 — both choices push the estimate upward, never below
-    the exact contour.
+    the exact contour.  When the simulation kernel itself raises, the value
+    is NaN, which callers count as a failed evaluation.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    try:
-        obs = (observed or observed_log_rel_lik(model, data))(theta)
-    except Exception:
-        return 1.0
-    if obs == -np.inf:
-        return 0.0
-    m = int(m)
-    if model.sim_log_rel_lik is not None:
-        sim = np.asarray(model.sim_log_rel_lik(theta, data.n, m, rng), dtype=float)
-    else:
-        sim = np.empty(m)
-        for j in range(m):
-            ds = model.sample(theta, data.n, rng)
-            try:
-                sim[j] = log_relative_likelihood(model, ds, theta)
-            except Exception:
-                sim[j] = np.nan
-    include = np.isnan(sim) | (sim <= obs + TIE_EPS)
-    return float(np.mean(include))
+    point = np.asarray(theta, dtype=float).ravel()[None, :]
+    obs = observed or observed_log_rel_lik(model, data)
+    return float(_mc_batch(model, data, point, m, rng, obs)[0])
 
 
 def make_mc_contour(
     model: ModelSpec, data: Dataset, m: int, seed: int
 ) -> PossibilityContour:
-    """Monte Carlo possibility contour with reproducible per-node streams.
+    """Monte Carlo possibility contour with reproducible seeded streams.
 
     The observed data's statistics are computed once, for all evaluations.
+    ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
+    one generator; ``evaluate`` is its batch of one.
     """
     dim = model.dim if model.dim is not None else data.n
     observed = observed_log_rel_lik(model, data)
@@ -215,6 +274,7 @@ def make_mc_contour(
         kind="monte-carlo",
         dim=dim,
         evaluate=lambda th, rng: mc_contour(model, data, th, m, rng, observed),
+        evaluate_batch=lambda thetas, rng: _mc_batch(model, data, thetas, m, rng, observed),
         seed=int(seed),
         meta={"model": model.name, "m": int(m)},
     )

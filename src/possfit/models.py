@@ -6,17 +6,24 @@ information.  Models may additionally carry two fast paths used by the
 Monte Carlo contour engine:
 
 ``log_rel_lik_for(data)``
-    a function of ``theta`` giving the exact log relative likelihood of
-    the observed data, with what depends on the data alone (sufficient
-    statistics, the MLE) computed once; it shares the code path of the
-    simulated values, so ties at the MLE are exact, and
-``sim_log_rel_lik(theta, n, m, rng)``
-    the log relative likelihoods of ``m`` datasets of size ``n`` simulated
-    under ``theta``, computed in one vectorized sweep.  A kernel only has
-    to match the distribution of ``log R(X, theta)`` for ``X`` drawn by
-    ``sample``; it may draw the sufficient statistics directly, so it need
-    not consume the random stream the way ``sample`` does.  Without it the
-    engine falls back to a per-dataset loop through ``sample``/``mle``.
+    a function mapping a ``(k, d)`` array of parameter points to the
+    ``(k,)`` exact log relative likelihoods of the observed data, with what
+    depends on the data alone (sufficient statistics, the MLE) computed
+    once; it shares the code path of the simulated values, so ties at the
+    MLE are exact, and
+``sim_log_rel_lik(thetas, n, m, rng)``
+    for each row of a ``(k, d)`` array of parameter points, the log
+    relative likelihoods of ``m`` datasets of size ``n`` simulated under
+    that row, as a ``(k, m)`` array.  A kernel only has to match, row by
+    row, the distribution of ``log R(X, theta)`` for ``X`` drawn by
+    ``sample``; it may draw the sufficient statistics directly (or, for a
+    discrete statistic, the counts of its support points), so it need not
+    consume the random stream the way ``sample`` does.  Kernels whose
+    statistics are small broadcast over the rows; kernels that simulate
+    whole datasets loop over the rows on the shared generator
+    (:func:`_rowwise`), so their memory stays that of one point.  Without
+    a kernel the engine falls back to a per-dataset loop through
+    ``sample``/``mle``.
 
 Conventions: a parameter outside the domain makes ``log_lik`` return
 ``-inf`` (so the relative likelihood is 0 there); ``mle`` returns the
@@ -159,7 +166,7 @@ class ModelSpec:
     information: Callable[[Dataset], np.ndarray]
     boundary_mle: Optional[Callable[[Dataset], bool]] = None
     log_rel_lik_for: Optional[
-        Callable[[Dataset], Callable[[np.ndarray], float]]
+        Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
     sim_log_rel_lik: Optional[
         Callable[[np.ndarray, int, int, np.random.Generator], np.ndarray]
@@ -169,13 +176,15 @@ class ModelSpec:
 
 def observed_log_rel_lik(
     model: ModelSpec, data: Dataset
-) -> Callable[[np.ndarray], float]:
-    """theta -> log of L(theta)/L(thetahat) for fixed data; -inf off the domain.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """(k, d) points -> (k,) log of L(theta)/L(thetahat) for fixed data;
+    -inf off the domain.
 
     What depends on the data alone is computed once, for every theta the
-    returned function sees.  Without a ``log_rel_lik_for`` hook the maximized
-    log-likelihood is computed on first use, and only for a theta on the
-    domain; a failing ``mle`` raises from every call that needs it.
+    returned function sees.  Without a ``log_rel_lik_for`` hook each row
+    goes through ``log_lik``, and the maximized log-likelihood is computed
+    on first use, and only for a theta on the domain; a failing ``mle``
+    raises from every call that needs it.
     """
     if model.log_rel_lik_for is not None:
         raw = model.log_rel_lik_for(data)
@@ -184,27 +193,28 @@ def observed_log_rel_lik(
             lambda: model.log_lik(data, np.asarray(model.mle(data), dtype=float))
         )
 
-        def raw(theta):
-            ll = model.log_lik(data, theta)
-            if not np.isfinite(ll):
-                return -np.inf
-            return ll - ll_hat()
+        def raw(thetas):
+            ll = np.array([model.log_lik(data, theta) for theta in thetas], dtype=float)
+            live = np.isfinite(ll)
+            if live.any():
+                ll[live] -= ll_hat()
+            return np.where(live, ll, -np.inf)
 
-    def log_rel(theta) -> float:
+    def log_rel(thetas) -> np.ndarray:
         # far out, log-likelihoods overflow to -inf or inf - inf; both are
         # read as a relative likelihood of 0 below
         with np.errstate(over="ignore", invalid="ignore"):
-            val = raw(np.asarray(theta, dtype=float).ravel())
-        if np.isnan(val):
-            return -np.inf
-        return min(float(val), 0.0)
+            val = np.asarray(raw(np.atleast_2d(np.asarray(thetas, dtype=float))),
+                             dtype=float)
+        return np.minimum(np.where(np.isnan(val), -np.inf, val), 0.0)
 
     return log_rel
 
 
 def log_relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
     """log of L(theta)/L(thetahat); -inf when theta is off the domain."""
-    return observed_log_rel_lik(model, data)(theta)
+    point = np.asarray(theta, dtype=float).ravel()[None, :]
+    return float(observed_log_rel_lik(model, data)(point)[0])
 
 
 def relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
@@ -303,6 +313,24 @@ def _simplex_fallback(loglik, x0):
     return res.x
 
 
+def _rowwise(kernel):
+    """Batch kernel from a one-point ``kernel(theta, n, m, rng) -> (m,)``.
+
+    The rows are simulated in order on the shared generator, so a batch
+    draws exactly what the same one-point calls made in sequence draw, and
+    only one point's datasets are held at a time.
+    """
+
+    def batch(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.empty((thetas.shape[0], int(m)))
+        for i, theta in enumerate(thetas):
+            out[i] = kernel(theta, n, m, rng)
+        return out
+
+    return batch
+
+
 # ---------------------------------------------------------------------------
 # binomial (success probability of n Bernoulli trials)
 # ---------------------------------------------------------------------------
@@ -344,20 +372,31 @@ def binomial() -> ModelSpec:
     def log_rel_for(data):
         s, n = float(np.sum(data.responses)), data.n
 
-        def log_rel(theta):
-            t = float(theta[0])
-            if not 0.0 <= t <= 1.0:
-                return -np.inf
-            return float(_binom_log_rel(s, n, t))
+        def log_rel(thetas):
+            t = thetas[:, 0]
+            valid = (t >= 0.0) & (t <= 1.0)
+            return np.where(valid, _binom_log_rel(s, n, np.where(valid, t, 0.5)), -np.inf)
 
         return log_rel
 
-    def sim_log_rel(theta, n, m, rng):
-        t = float(theta[0])
-        if not 0.0 <= t <= 1.0:
+    def sim_log_rel(thetas, n, m, rng):
+        t = np.asarray(thetas, dtype=float)[:, :1]
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("binomial: theta outside [0, 1]")
-        s = rng.binomial(n, t, size=m)
-        return _binom_log_rel(s, n, t)
+        # log R takes only the n + 1 values of the count, so draw how many of
+        # the m datasets land on each: the values are then exactly as
+        # distributed as m iid draws, listed in count order
+        s = np.arange(n + 1, dtype=float)
+        table = _binom_log_rel(s, n, t)
+        # P_t(S = s) = R(s; t) P_{s/n}(S = s)
+        log_peak = (
+            special.gammaln(n + 1.0) - special.gammaln(s + 1.0)
+            - special.gammaln(n - s + 1.0)
+            + special.xlogy(s, s / n) + special.xlogy(n - s, 1.0 - s / n)
+        )
+        pmf = np.exp(table + log_peak)
+        counts = rng.multinomial(int(m), pmf / pmf.sum(axis=1, keepdims=True))
+        return np.repeat(table.ravel(), counts.ravel()).reshape(t.shape[0], int(m))
 
     return ModelSpec(
         name="binomial",
@@ -459,37 +498,37 @@ def bvn_correlation() -> ModelSpec:
         rho = mle(data)
         return finite_difference_information(spec, data, rho)
 
-    def sim_log_rel(theta, n, m, rng):
-        r = float(theta[0])
-        if not -1.0 < r < 1.0:
-            # Degenerate boundary: replicates drawn there sit exactly on a
-            # line, where the relative likelihood at theta is 1 (log 0); the
-            # observed value is -inf, so the contour is exactly 0.
-            return np.zeros(m)
+    def sim_log_rel(thetas, n, m, rng):
+        r = np.asarray(thetas, dtype=float)[:, :1]
+        shape = (r.shape[0], int(m))
+        # Degenerate boundary |r| >= 1: replicates drawn there sit exactly on
+        # a line, where the relative likelihood at theta is 1 (log 0); the
+        # observed value is -inf, so the contour is exactly 0.
+        inside = np.abs(r) < 1.0
+        r = np.where(inside, r, 0.0)
         # sum x x^T ~ Wishart_2(n, Sigma(r)), drawn by the Bartlett
         # decomposition: sum x x^T = (L B)(L B)^T with L = chol Sigma(r) and
         # B lower triangular, B11^2 ~ chi2_n, B22^2 ~ chi2_{n-1}, B21 ~ N(0, 1)
-        b11_sq = rng.chisquare(n, size=m)
-        b22_sq = 2.0 * rng.standard_gamma(0.5 * (n - 1), size=m)  # 0 at n = 1
-        b21 = rng.standard_normal(m)
+        b11_sq = rng.chisquare(n, size=shape)
+        b22_sq = 2.0 * rng.standard_gamma(0.5 * (n - 1), size=shape)  # 0 at n = 1
+        b21 = rng.standard_normal(shape)
         s = np.sqrt(1.0 - r * r)
         b11 = np.sqrt(b11_sq)
         lb21 = r * b11 + s * b21
         a = b11_sq + lb21 * lb21 + s * s * b22_sq
         b = b11 * lb21
-        rhat = _bvn_mle_from_stats(a, b, n)
-        return _bvn_loglik_stats(a, b, n, r) - _bvn_loglik_stats(a, b, n, rhat)
+        rhat = _bvn_mle_from_stats(a.ravel(), b.ravel(), n).reshape(shape)
+        out = _bvn_loglik_stats(a, b, n, r) - _bvn_loglik_stats(a, b, n, rhat)
+        return np.where(inside, out, 0.0)
 
     def log_rel_for(data):
         n = data.n
         a, b = _bvn_stats(np.asarray(data.responses, dtype=float))
         ll_hat = _bvn_loglik_stats(a, b, n, float(_bvn_mle_from_stats(a, b, n)[0]))
 
-        def log_rel(theta):
-            r = float(theta[0])
-            if not -1.0 < r < 1.0:
-                return -np.inf
-            return float(_bvn_loglik_stats(a, b, n, r) - ll_hat)
+        def log_rel(thetas):
+            # -inf for |r| >= 1 (and NaN), from the log-likelihood itself
+            return _bvn_loglik_stats(a, b, n, thetas[:, 0]) - ll_hat
 
         return log_rel
 
@@ -605,8 +644,8 @@ def _make_glm(design, kind):
             w = p * (1.0 - p)
         return (design.T * w) @ design
 
+    @_rowwise
     def sim_log_rel(theta, n, m, rng):
-        theta = np.asarray(theta, dtype=float)
         eta = design @ theta
         if kind == "poisson":
             Y = rng.poisson(np.exp(eta), size=(m, n)).astype(float)
@@ -649,7 +688,9 @@ def multinomial(k: int) -> ModelSpec:
         return np.bincount(np.asarray(data.responses, dtype=int), minlength=k).astype(float)
 
     def _valid(theta):
-        return theta.min() >= 0.0 and abs(theta.sum() - 1.0) <= 1e-8
+        return (np.min(theta, axis=-1) >= 0.0) & (
+            np.abs(np.sum(theta, axis=-1) - 1.0) <= 1e-8
+        )
 
     def log_lik(data, theta):
         theta = np.asarray(theta, dtype=float)
@@ -676,16 +717,15 @@ def multinomial(k: int) -> ModelSpec:
     def log_rel_for(data):
         x, n = counts(data), data.n
 
-        def log_rel(theta):
-            theta = np.asarray(theta, dtype=float)
-            if not _valid(theta):
-                return -np.inf
-            return float(_log_rel_counts(x, n, theta))
+        def log_rel(thetas):
+            valid = _valid(thetas)
+            safe = np.where(valid[:, None], thetas, 1.0 / k)
+            return np.where(valid, _log_rel_counts(x, n, safe), -np.inf)
 
         return log_rel
 
+    @_rowwise
     def sim_log_rel(theta, n, m, rng):
-        theta = np.asarray(theta, dtype=float)
         x = rng.multinomial(n, theta, size=m).astype(float)
         return _log_rel_counts(x, n, theta)
 
@@ -764,6 +804,7 @@ def gamma_shape_scale() -> ModelSpec:
     def boundary(data):
         return _c(data) < 1e-12  # all observations (numerically) equal
 
+    @_rowwise
     def sim_log_rel(theta, n, m, rng):
         a0, b0 = float(theta[0]), float(theta[1])
         x = rng.gamma(a0, b0, size=(m, n))
@@ -832,6 +873,7 @@ def gamma_mean_shape() -> ModelSpec:
         x = np.asarray(data.responses, dtype=float)
         return float(np.log(np.mean(x)) - np.mean(np.log(x))) < 1e-12
 
+    @_rowwise
     def sim_log_rel(theta, n, m, rng):
         a0, phi0 = float(theta[0]), float(theta[1])
         x = rng.gamma(a0, phi0 / a0, size=(m, n))
@@ -888,9 +930,9 @@ def normal_means(sigma: float) -> ModelSpec:
     def information(data):
         return np.eye(data.n) / sigma**2
 
-    def sim_log_rel(theta, n, m, rng):
+    def sim_log_rel(thetas, n, m, rng):
         # log R = -|x - theta|^2 / (2 sigma^2) = -chi2_n / 2 at every theta
-        return -0.5 * rng.chisquare(n, size=m)
+        return -0.5 * rng.chisquare(n, size=(np.shape(thetas)[0], int(m)))
 
     return ModelSpec(
         name="normal-means",
@@ -938,13 +980,13 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         x, n = np.asarray(data.responses, dtype=float), data.n
         pen_hat = _pen(x, mle(Dataset(responses=x)), n)
 
-        def log_rel(theta):
-            return float(_pen(x, np.asarray(theta, dtype=float), n) - pen_hat)
+        def log_rel(thetas):
+            return _pen(x, thetas, n) - pen_hat
 
         return log_rel
 
+    @_rowwise
     def sim_log_rel(theta, n, m, rng):
-        theta = np.asarray(theta, dtype=float)
         x = rng.normal(theta[None, :], sigma, size=(m, n))
         th_hat = soft_threshold(x, lam * sigma**2)
         return _pen(x, theta[None, :], n) - _pen(x, th_hat, n)
@@ -1003,12 +1045,14 @@ def lognormal() -> ModelSpec:
             ]
         )
 
-    def sim_log_rel(theta, n, m, rng):
-        mu0, v0 = float(theta[0]), float(theta[1])
+    def sim_log_rel(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        mu0, v0 = thetas[:, :1], thetas[:, 1:2]
+        shape = (thetas.shape[0], int(m))
         # the sufficient statistics of log Y are independent:
         # muhat ~ N(mu0, v0 / n) and n vhat ~ v0 chi2_{n-1}
-        muh = rng.normal(mu0, np.sqrt(v0 / n), size=m)
-        vh = v0 * 2.0 * rng.standard_gamma(0.5 * (n - 1), size=m) / n
+        muh = rng.normal(mu0, np.sqrt(v0 / n), size=shape)
+        vh = v0 * 2.0 * rng.standard_gamma(0.5 * (n - 1), size=shape) / n
         ll0 = -0.5 * n * np.log(v0) - (n * vh + n * (muh - mu0) ** 2) / (2 * v0)
         llh = -0.5 * n * np.log(vh) - 0.5 * n
         return ll0 - llh
@@ -1173,12 +1217,14 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
     logged[list(range(base.dim)) if indices is None else list(indices)] = True
 
     def _to_theta(eta):
+        """theta for points eta of shape (..., d), and which points are far
+        out: beyond 690 on a logged coordinate, exp overflows or underflows
+        to 0, so the likelihood is read as 0 there."""
         eta = np.asarray(eta, dtype=float)
-        if np.max(np.abs(eta[logged]), initial=0.0) > 690.0:
-            return None
+        far = np.max(np.abs(eta[..., logged]), axis=-1, initial=0.0) > 690.0
         theta = eta.copy()
-        theta[logged] = np.exp(eta[logged])
-        return theta
+        theta[..., logged] = np.exp(np.clip(eta[..., logged], -690.0, 690.0))
+        return theta, far
 
     def _to_eta(theta):
         theta = np.asarray(theta, dtype=float).copy()
@@ -1190,13 +1236,13 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         return theta
 
     def log_lik(data, eta):
-        theta = _to_theta(eta)
-        if theta is None:
-            return -np.inf
-        return base.log_lik(data, theta)
+        theta, far = _to_theta(eta)
+        return -np.inf if far else base.log_lik(data, theta)
 
     def sample(eta, n, rng):
-        theta = _to_theta(np.asarray(eta, dtype=float))
+        theta, far = _to_theta(eta)
+        if far:
+            raise ValueError("log_reparam: cannot sample beyond |eta| = 690")
         return base.sample(theta, n, rng)
 
     def mle(data):
@@ -1213,19 +1259,21 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         def log_rel_for(data):  # noqa: F811
             base_log_rel = base.log_rel_lik_for(data)
 
-            def log_rel(eta):
-                theta = _to_theta(eta)
-                return -np.inf if theta is None else base_log_rel(theta)
+            def log_rel(etas):
+                thetas, far = _to_theta(etas)
+                return np.where(far, -np.inf, base_log_rel(thetas))
 
             return log_rel
 
     sim = None
     if base.sim_log_rel_lik is not None:
-        def sim(eta, n, m, rng):  # noqa: F811
-            theta = _to_theta(np.asarray(eta, dtype=float))
-            if theta is None:
-                return np.full(m, -np.inf)
-            return base.sim_log_rel_lik(theta, n, m, rng)
+        def sim(etas, n, m, rng):  # noqa: F811
+            # the base kernel gets the whole batch of points on the domain
+            thetas, far = _to_theta(etas)
+            out = np.full((thetas.shape[0], int(m)), -np.inf)
+            if not far.all():
+                out[~far] = base.sim_log_rel_lik(thetas[~far], n, m, rng)
+            return out
 
     return dataclasses.replace(
         base,

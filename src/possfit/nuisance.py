@@ -35,6 +35,7 @@ from .models import (
     _cens_normal_mle_batch,
     _gamma_ms_loglik_stats,
     _gamma_shape_root,
+    _rowwise,
 )
 from .sa import SAConfig, _fit_credal, fit_scalar_anchored
 
@@ -644,6 +645,7 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
     sim = None
     if model.name == "lognormal-censored":
 
+        @_rowwise
         def sim(theta, n, m, rng):  # noqa: F811
             mu, v = float(theta[0]), float(theta[1])
             if not np.isfinite(mu) or not v > 0.0:

@@ -17,6 +17,15 @@ implemented:
 `sign` encodes the direction in which the criterion moves with xi so the same
 driver serves families whose spread grows with xi (Gaussian) and families
 whose spread shrinks with it (Dirichlet precision, quantile companions).
+
+Random streams of iteration t, all derived from ``config.seed``: key
+``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
+seeds one batch evaluation of all of the iteration's points (its k draws or
+its 2d boundary points) for a seeded contour with a batch evaluator, such as
+the Monte Carlo contour.  A contour without one is evaluated point by point,
+point j on key ``(SA_TAG, t, j + 1)``.  An evaluation that fails, by raising
+or by returning NaN, counts as outside the cut and is tallied in
+``FitTrace.failures``.
 """
 
 from __future__ import annotations
@@ -165,6 +174,34 @@ def robbins_monro(
     return FitTrace(ts=ts, xis=xis, objectives=objs, xi_final=xi.copy(), reason=reason)
 
 
+def _evaluate(
+    contour: PossibilityContour,
+    points: np.ndarray,
+    stream: Callable[[int], np.random.Generator],
+    failure_count: Optional[list] = None,
+) -> np.ndarray:
+    """Contour values at the rows of ``points``; NaN where one failed.
+
+    A contour with a batch evaluator gets all rows in one call, on
+    ``stream(0)`` when it is seeded; otherwise row j is evaluated on its own
+    with ``stream(j + 1)``.  Failures are tallied into ``failure_count[0]``
+    when a one-element list is supplied.
+    """
+    if contour.evaluate_batch is not None:
+        rng = None if contour.seed is None else stream(0)
+        vals = np.asarray(contour.evaluate_batch(points, rng), dtype=float).ravel()
+    else:
+        vals = np.empty(len(points))
+        for j, theta in enumerate(points):
+            try:
+                vals[j] = contour.evaluate(theta, stream(j + 1))
+            except Exception:
+                vals[j] = np.nan
+    if failure_count is not None:
+        failure_count[0] += int(np.sum(np.isnan(vals)))
+    return vals
+
+
 def f_hat(
     family,
     contour: PossibilityContour,
@@ -177,26 +214,17 @@ def f_hat(
     """Monte-Carlo credal-mass criterion at the current family.
 
     Draws k parameters from the family and returns
-    mean(contour > alpha) - (1 - alpha).  A draw whose contour evaluation
-    fails counts as *outside* the cut, which can only push the fitted spread
-    up (conservative); failures are tallied into ``failure_count[0]`` when a
-    one-element list is supplied.
+    mean(contour > alpha) - (1 - alpha).  ``eval_rng(key)`` gives the
+    contour's streams: key 0 for one batch evaluation of all draws, key
+    j + 1 for draw j when evaluated on its own (see the module docstring);
+    without it every evaluation continues on ``rng``.  A draw whose contour
+    evaluation fails counts as *outside* the cut, which can only push the
+    fitted spread up (conservative); failures are tallied into
+    ``failure_count[0]`` when a one-element list is supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))
-    if contour.evaluate_batch is not None and contour.seed is None:
-        vals = np.asarray(contour.evaluate_batch(draws, None), dtype=float)
-    else:
-        vals = np.empty(k)
-        for j in range(k):
-            r = eval_rng(j) if eval_rng is not None else rng
-            try:
-                vals[j] = contour.evaluate(draws[j], r)
-            except Exception:
-                vals[j] = -np.inf
-                if failure_count is not None:
-                    failure_count[0] += 1
-    inside = np.where(np.isnan(vals), False, vals > alpha)
-    return float(np.mean(inside) - (1.0 - alpha))
+    vals = _evaluate(contour, draws, eval_rng or (lambda key: rng), failure_count)
+    return float(np.mean(vals > alpha) - (1.0 - alpha))  # NaN is never > alpha
 
 
 def _default_contour(
@@ -217,7 +245,7 @@ def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
             config.alpha,
             config.k_outer,
             draw_rng,
-            eval_rng=lambda j: derive_rng(config.seed, SA_TAG, t, j + 1),
+            eval_rng=lambda key: derive_rng(config.seed, SA_TAG, t, key),
             failure_count=failures,
         )
 
@@ -267,17 +295,9 @@ def _fit_boundary(base, contour: PossibilityContour, config: SAConfig):
     def objective(xi: np.ndarray, t: int) -> np.ndarray:
         fam = base.with_xi(xi)
         pts = boundary_points(fam, config.alpha).reshape(2 * d, d)
-        if contour.evaluate_batch is not None and contour.seed is None:
-            vals = np.asarray(contour.evaluate_batch(pts, None), dtype=float)
-        else:
-            vals = np.empty(2 * d)
-            for j in range(2 * d):
-                r = derive_rng(config.seed, SA_TAG, t, j + 1)
-                try:
-                    vals[j] = contour.evaluate(pts[j], r)
-                except Exception:
-                    vals[j] = 0.0
-                    failures[0] += 1
+        vals = _evaluate(
+            contour, pts, lambda key: derive_rng(config.seed, SA_TAG, t, key), failures
+        )
         vals = np.where(np.isnan(vals), 0.0, vals)
         pair = vals.reshape(d, 2)
         return np.max(pair, axis=1) - config.alpha

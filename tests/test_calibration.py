@@ -21,6 +21,7 @@ from scipy import stats
 
 from possfit import (
     AxisSpec,
+    calibration,
     CalibrationReport,
     Dataset,
     Hypothesis,
@@ -244,6 +245,44 @@ def test_validity_thread_count_invariant():
     assert np.array_equal(r1.values, r4.values)
     assert np.array_equal(r1.cdf, r4.cdf)
     assert r1.failures == r4.failures
+
+
+@pytest.mark.parametrize("method,model_id,truth,n", [
+    ("variational-scalar", "bvn-correlation", (0.5,), 40),
+    ("variational-vector", "gamma", (3.0, 2.0), 25),
+])
+def test_variational_mc_target_thread_count_invariant(method, model_id, truth, n):
+    """Fits against Monte Carlo targets evaluate each SA iteration as one
+    batch on one stream; the values still depend on the seed alone."""
+    scn = Scenario(model_id=model_id, truth=truth, n=n, reps=6, method=method,
+                   seed=23, sa=_sa(k_outer=40, m_inner=100, max_iter=6))
+    r1 = validity_study(scn, threads=1)
+    r2 = validity_study(scn, threads=2)
+    again = validity_study(scn, threads=1)
+    assert r1.failures == ()
+    assert np.array_equal(r1.values, r2.values)
+    assert np.array_equal(r1.values, again.values)
+
+
+@pytest.mark.parametrize("study", ["validity", "hypothesis"])
+def test_studies_record_failed_mc_evaluations(monkeypatch, study):
+    """A Monte Carlo evaluation whose kernel raises is NaN, which a study
+    records as a failed replication rather than as a value."""
+
+    def broken(thetas, n, m, rng):
+        raise FloatingPointError("synthetic kernel failure")
+
+    build = calibration.build_model
+    monkeypatch.setattr(calibration, "build_model",
+                        lambda scn: replace(build(scn), sim_log_rel_lik=broken))
+    scn = Scenario(model_id="lognormal", truth=(0.3, 0.5), n=20, reps=4,
+                   method="naive", seed=3, m=50)
+    with pytest.raises(StudyError) as err:
+        if study == "validity":
+            validity_study(scn)
+        else:
+            hypothesis_calibration(scn, [Hypothesis.half_space(np.array([1.0, 0.0]), 0.0)])
+    assert len(err.value.failures) == 4
 
 
 def test_validity_records_nonfatal_failures():

@@ -5,6 +5,7 @@ scipy.stats.binom and the textbook relative-likelihood formula, independently
 of the package's own (log-space, vectorized) implementation.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -25,7 +26,21 @@ from possfit.contours import (
     make_mc_contour,
     mc_contour,
 )
-from possfit.models import Dataset, ModelSpec, binomial, gamma_shape_scale, log_reparam
+from possfit.models import (
+    Dataset,
+    ModelSpec,
+    binomial,
+    gamma_mean_shape,
+    gamma_shape_scale,
+    log_reparam,
+    logistic_regression,
+    lognormal_censored,
+    multinomial,
+    normal_means_lasso,
+    observed_log_rel_lik,
+    poisson_loglinear,
+)
+from possfit.nuisance import censored_model, kaplan_meier_swapped
 
 
 def _binom_data(s, n):
@@ -217,6 +232,122 @@ def test_mc_contour_log_reparam_far_points():
     contour = make_mc_contour(log_reparam(base), data, m=200, seed=1)
     for eta in ([691.0, 0.5], [689.0, 0.5], [0.5, 691.0], [-691.0, 0.5]):
         _assert_zero_quietly(contour, eta)
+
+
+@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
+def test_mc_batch_is_zero_far_from_the_domain(model_id):
+    """In a batch mixing live and far points, the far rows are exactly 0
+    with no floating-point warning.  Rows off the domain (observed relative
+    likelihood 0) consume no randomness: dropping them leaves every other
+    row's value unchanged."""
+    kwargs, truth, points = _FAR_POINTS[model_id]
+    model = model_from_id(model_id, _N_FAR, kwargs)
+    data = model.sample(np.asarray(truth, dtype=float), _N_FAR, np.random.default_rng(3))
+    contour = make_mc_contour(model, data, m=200, seed=1)
+    live = [np.asarray(model.mle(data), dtype=float), np.asarray(truth, dtype=float)]
+    mixed = np.array([live[0], *points[:2], live[1], *points[2:]], dtype=float)
+    far_rows = [1, 2, *range(4, len(mixed))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = contour.evaluate_batch(mixed, np.random.default_rng(7))
+        on_domain = np.flatnonzero(observed_log_rel_lik(model, data)(mixed) > -np.inf)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.all(values[far_rows] == 0.0)
+    assert values[0] > 0.5  # the MLE row was simulated
+    kept = contour.evaluate_batch(mixed[on_domain], np.random.default_rng(7))
+    assert np.array_equal(values[on_domain], kept)
+
+
+def test_count_kernel_contour_tracks_exact():
+    """The binomial kernel draws the counts of the n + 1 support points;
+    its contour stays within 4 standard errors of the enumeration."""
+    data = _binom_data(6, 15)
+    thetas = np.linspace(0.05, 0.95, 20)[:, None]
+    m = 10_000
+    contour = make_mc_contour(binomial(), data, m=m, seed=3)
+    values = contour.evaluate_batch(thetas, np.random.default_rng(4))
+    exact = exact_binomial_contour(15, 6, thetas[:, 0])
+    se = np.sqrt(exact * (1.0 - exact) / m)
+    assert np.all(np.abs(values - exact) <= 4.0 * se + 1e-12)
+
+
+def _censored_case():
+    rng = np.random.default_rng(17)
+    y = np.exp(rng.normal(0.3, 0.7, size=40))
+    data = Dataset(responses=np.maximum(y, 1.2), censor=(y >= 1.2).astype(int))
+    model = censored_model(lognormal_censored(), kaplan_meier_swapped(data))
+    return model, data, [[0.3, 0.49], [0.1, 0.3], [0.5, 0.8]]
+
+
+def _sampled_case(model, truth, n, points):
+    data = model.sample(np.asarray(truth, dtype=float), n, np.random.default_rng(5))
+    return model, data, points
+
+
+_ROW_LOOPED = {
+    "poisson-loglinear": lambda: _sampled_case(
+        poisson_loglinear(_DESIGN), [0.5, 0.2], _N_FAR, [[0.5, 0.2], [0.3, 0.0], [0.7, 0.4]]),
+    "logistic": lambda: _sampled_case(
+        logistic_regression(_DESIGN), [0.2, 0.5], _N_FAR, [[0.2, 0.5], [0.0, 1.0], [0.4, 0.0]]),
+    "multinomial": lambda: (
+        multinomial(3), Dataset(responses=np.repeat(np.arange(3), [8, 10, 7])),
+        [[0.3, 0.4, 0.3], [0.2, 0.5, 0.3], [0.5, 0.25, 0.25]]),
+    "gamma": lambda: _sampled_case(
+        gamma_shape_scale(), [3.0, 2.0], 25, [[3.0, 2.0], [2.0, 3.0], [4.0, 1.5]]),
+    "gamma-mean-shape": lambda: _sampled_case(
+        gamma_mean_shape(), [3.0, 6.0], 25, [[3.0, 6.0], [2.0, 5.0], [4.0, 7.0]]),
+    "normal-means-lasso": lambda: _sampled_case(
+        normal_means_lasso(1.0, 0.5), [2.0, 0.0, 0.0], 3,
+        [[2.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.5, 0.0, 1.0]]),
+    "gamma-log": lambda: _sampled_case(
+        log_reparam(gamma_shape_scale()), [1.1, 0.7], 25,
+        [[1.1, 0.7], [0.8, 1.0], [1.4, 0.4]]),
+    "censored-plugin": _censored_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_LOOPED))
+def test_row_looped_kernel_batch_equals_sequential_points(case):
+    """Kernels that simulate whole datasets loop over the rows on the shared
+    generator: a batch is bit-identical to one-point calls in sequence."""
+    model, data, points = _ROW_LOOPED[case]()
+    points = np.asarray(points, dtype=float)
+    contour = make_mc_contour(model, data, m=120, seed=1)
+    batch = contour.evaluate_batch(points, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    assert batch.tolist() == [contour.evaluate(p, rng) for p in points]
+
+
+def test_mc_batch_failures_are_per_row():
+    """A row whose kernel call raises is NaN; a row whose observed value
+    cannot be computed is 1; neither changes the other rows."""
+    base = binomial()
+
+    def kernel(thetas, n, m, rng):
+        if np.any(thetas[:, 0] > 0.5):
+            raise RuntimeError("synthetic kernel failure")
+        return base.sim_log_rel_lik(thetas, n, m, rng)
+
+    def observed_for(data):
+        log_rel = base.log_rel_lik_for(data)
+
+        def checked(thetas):
+            if np.any(thetas[:, 0] < 0.2):
+                raise RuntimeError("synthetic observed failure")
+            return log_rel(thetas)
+
+        return checked
+
+    model = dataclasses.replace(base, sim_log_rel_lik=kernel, log_rel_lik_for=observed_for)
+    data = _binom_data(6, 15)
+    m = 5000  # one point per kernel call
+    thetas = np.array([[0.3], [0.6], [0.1], [0.4]])
+    values = make_mc_contour(model, data, m=m, seed=2).evaluate_batch(
+        thetas, np.random.default_rng(6))
+    assert np.isnan(values[1]) and values[2] == 1.0
+    healthy = make_mc_contour(base, data, m=m, seed=2).evaluate_batch(
+        thetas[[0, 3]], np.random.default_rng(6))
+    assert np.array_equal(values[[0, 3]], healthy)
 
 
 # ---------------------------------------------------------------------------

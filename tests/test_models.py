@@ -246,17 +246,19 @@ def _fallback_log_rel(model, theta, n, m, rng):
 
 
 @pytest.mark.parametrize("factory,theta,n", [
+    (binomial, np.array([0.3]), 15),
     (bvn_correlation, np.array([0.6]), 4),
     (bvn_correlation, np.array([-0.95]), 30),
     (lognormal, np.array([0.3, 0.5]), 8),
     (lambda: normal_means(2.0), np.linspace(-1.0, 1.0, 6), 6),
 ])
 def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
-    """Two-sample KS test of the vectorized kernel against the generic loop."""
+    """Two-sample KS test of the vectorized kernel against the generic loop;
+    the binomial kernel draws counts of the support points, not datasets."""
     model = factory()
     slow = dataclasses.replace(model, sim_log_rel_lik=None)
     m = 5000
-    fast = model.sim_log_rel_lik(theta, n, m, np.random.default_rng(11))
+    fast = model.sim_log_rel_lik(theta[None, :], n, m, np.random.default_rng(11))[0]
     loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(12))
     assert np.all(np.isfinite(fast)) and np.all(fast <= 1e-12)
     assert stats.ks_2samp(fast, loop).pvalue > 0.01

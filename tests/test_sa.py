@@ -17,6 +17,7 @@ from possfit.families import (
     boundary_points,
     gaussian_contour,
     gaussian_contour_object,
+    sample,
 )
 from possfit.models import Dataset, DegenerateMLEError, binomial, multinomial
 from possfit.sa import (
@@ -196,6 +197,52 @@ def test_f_hat_failure_counts_as_outside():
     assert failures[0] > 100  # about half the draws fail
     # failed draws count as outside the cut: value well below alpha
     assert v < 0.0
+
+
+def _nan_batch_contour(seed, value, failing, dim=1):
+    """A contour whose batch evaluator returns NaN on the rows ``failing``
+    selects, as a Monte Carlo batch does for a kernel call that raised."""
+
+    def batch(thetas, rng):
+        assert (rng is None) == (seed is None)
+        thetas = np.atleast_2d(thetas)
+        return np.where(failing(thetas), np.nan, value(thetas))
+
+    return PossibilityContour(
+        kind="monte-carlo", dim=dim, seed=seed,
+        evaluate=lambda th, rng: float(batch(th, rng)[0]), evaluate_batch=batch,
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_f_hat_counts_nan_batch_rows_as_failures(seed):
+    fam = GaussianScalarFamily(theta_hat=np.array([0.4]), info=np.array([[62.5]]),
+                               xi=1.0)
+    contour = _nan_batch_contour(seed, lambda th: np.ones(len(th)),
+                                 lambda th: th[:, 0] > 0.4)
+    failures = [0]
+    v = f_hat(fam, contour, 0.1, 400, np.random.default_rng(5),
+              failure_count=failures)
+    failed = int(np.sum(sample(fam, 400, np.random.default_rng(5))[:, 0] > 0.4))
+    assert 100 < failed < 300
+    assert failures[0] == failed
+    # failed draws count as outside the cut
+    assert v == pytest.approx((400 - failed) / 400 - 0.9, abs=1e-12)
+
+
+def test_fit_vector_counts_nan_batch_rows_as_failures():
+    """Boundary matching on a target that fails on the + side of the first
+    axis: each iteration tallies one failure, read as a contour value of 0,
+    and the - side alone still holds the fit at its fixed point."""
+    J = np.diag([4.0, 1.0])
+    own = gaussian_contour_object(
+        GaussianVectorFamily(theta_hat=np.zeros(2), info=J, xi=np.ones(2))
+    )
+    target = _nan_batch_contour(7, lambda th: own.evaluate_batch(th, None),
+                                lambda th: th[:, 0] > 1e-9, dim=2)
+    fam, trace = fit_vector_anchored(np.zeros(2), J, target, _config())
+    assert trace.failures == len(trace.ts)
+    assert np.allclose(fam.xi, 1.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
