@@ -246,11 +246,11 @@ def _fallback_log_rel(model, theta, n, m, rng):
 
 
 @pytest.mark.parametrize("factory,theta,n", [
-    (binomial, np.array([0.3]), 15),
     (bvn_correlation, np.array([0.6]), 4),
     (bvn_correlation, np.array([-0.95]), 30),
     (lognormal, np.array([0.3, 0.5]), 8),
     (lambda: normal_means(2.0), np.linspace(-1.0, 1.0, 6), 6),
+    (binomial, np.array([0.3]), 15),
 ])
 def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
     """Two-sample KS test of the vectorized kernel against the generic loop;
