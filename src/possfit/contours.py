@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
 from .models import (
     Dataset,
     ModelSpec,
+    _binom_log_pmf,
+    _binom_log_rel,
     log_relative_likelihood,
     observed_log_rel_lik,
 )
@@ -126,22 +127,13 @@ def exact_binomial_contour(n: int, s_obs: int, theta):
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     valid = (th >= 0.0) & (th <= 1.0)
     tv = np.where(valid, th, 0.5)  # placeholder to keep the math NaN-free
-    # probabilities within ~1e-300 of an endpoint overflow scipy's pmf
-    # internals; the exact endpoint is the correct limit there anyway
-    tv = np.where(tv < 1e-300, 0.0, tv)
-    tv = np.where(1.0 - tv < 1e-300, 1.0, tv)
 
-    s = np.arange(n + 1, dtype=float)
-    # log R(s; theta) = log L(theta; s) - log L(shat; s), columns over theta
-    mle_term = special.xlogy(s, s / n) + special.xlogy(n - s, 1.0 - s / n)
-    logrel = (
-        special.xlogy(s[:, None], tv[None, :])
-        + special.xlogy(n - s[:, None], 1.0 - tv[None, :])
-        - mle_term[:, None]
-    )
+    s = np.arange(n + 1, dtype=float)[:, None]
+    # log R(s; theta), rows over s, columns over theta
+    logrel = _binom_log_rel(s, n, tv[None, :])
     cutoff = logrel[s_obs]
     include = logrel <= cutoff[None, :] + TIE_EPS
-    pmf = stats.binom.pmf(np.arange(n + 1)[:, None], n, tv[None, :])
+    pmf = np.exp(_binom_log_pmf(s, n, logrel))
     vals = np.sum(pmf * include, axis=0)
     vals = np.where(valid, np.minimum(vals, 1.0), 0.0)
     return float(vals[0]) if scalar else vals

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .contours import TIE_EPS, PossibilityContour
 from .models import SingularInformationError
@@ -31,6 +31,8 @@ from .models import SingularInformationError
 __all__ = [
     "GaussianScalarFamily",
     "GaussianVectorFamily",
+    "chi2_sf",
+    "chi2_ppf",
     "DirichletFamily",
     "sample",
     "gaussian_contour",
@@ -44,6 +46,20 @@ __all__ = [
     "family_to_json",
     "family_from_json",
 ]
+
+
+def chi2_sf(q, d):
+    """ChiSq(d) survival function, 1 - G_d(q); 1 for q <= 0.
+
+    ``chdtrc`` is NaN below 0, where a quadratic form can land by rounding
+    (e.g. -1e-17), so q is clamped at 0 first.
+    """
+    return special.chdtrc(d, np.maximum(q, 0.0))
+
+
+def chi2_ppf(p, d):
+    """ChiSq(d) quantile G_d^{-1}(p)."""
+    return 2.0 * special.gammaincinv(d / 2.0, p)
 
 
 def _check_anchor(theta_hat, info):
@@ -232,7 +248,7 @@ def gaussian_contour(family: GaussianFamily, theta) -> float:
     theta = np.asarray(theta, dtype=float).ravel()
     diff = theta - family.theta_hat
     q = float(diff @ gaussian_info_matrix(family) @ diff)
-    return float(stats.chi2.sf(q, family.dim))
+    return float(chi2_sf(q, family.dim))
 
 
 def _gaussian_contour_batch(family: GaussianFamily, thetas) -> np.ndarray:
@@ -240,7 +256,7 @@ def _gaussian_contour_batch(family: GaussianFamily, thetas) -> np.ndarray:
     diff = thetas - family.theta_hat[None, :]
     Jxi = gaussian_info_matrix(family)
     q = np.einsum("ki,ij,kj->k", diff, Jxi, diff)
-    return stats.chi2.sf(q, family.dim)
+    return chi2_sf(q, family.dim)
 
 
 def credible_ellipsoid_membership(family: GaussianFamily, alpha: float, theta) -> bool:
@@ -248,7 +264,7 @@ def credible_ellipsoid_membership(family: GaussianFamily, alpha: float, theta) -
     theta = np.asarray(theta, dtype=float).ravel()
     diff = theta - family.theta_hat
     q = float(diff @ gaussian_info_matrix(family) @ diff)
-    return bool(q <= stats.chi2.ppf(1.0 - alpha, family.dim))
+    return bool(q <= chi2_ppf(1.0 - alpha, family.dim))
 
 
 def boundary_points(family: GaussianVectorFamily, alpha: float) -> np.ndarray:
@@ -263,7 +279,7 @@ def boundary_points(family: GaussianVectorFamily, alpha: float) -> np.ndarray:
     psi = _positive_eigs(family)
     xi = np.asarray(family.xi, dtype=float)
     d = family.dim
-    c = stats.chi2.ppf(1.0 - alpha, d)
+    c = chi2_ppf(1.0 - alpha, d)
     offsets = xi * np.sqrt(c / psi)  # (d,)
     pts = np.empty((d, 2, d))
     for s in range(d):

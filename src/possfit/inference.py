@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
-from scipy.stats import chi2
 
 from .contours import AxisSpec, ContourGrid, PossibilityContour
 from .families import (
     GaussianScalarFamily,
     GaussianVectorFamily,
+    chi2_sf,
     family_from_json,
     gaussian_cov_matrix,
     gaussian_info_matrix,
@@ -220,12 +219,17 @@ def _qf_min_box(J: np.ndarray, center: np.ndarray, bounds: np.ndarray) -> float:
     lo, hi = bounds[:, 0], bounds[:, 1]
     if np.all((center >= lo) & (center <= hi)):
         return 0.0
+    x0 = np.clip(center, lo, hi)
+    if center.size == 1:
+        # in one dimension the projection onto the interval is the minimizer
+        e = x0 - center
+        return float(e @ J @ e)
+    from scipy.optimize import Bounds, minimize
 
     def fun(th):
         e = th - center
         return float(e @ J @ e), 2.0 * (J @ e)
 
-    x0 = np.clip(center, lo, hi)
     res = minimize(
         fun,
         x0,
@@ -247,10 +251,10 @@ def _exact_gaussian_upper(family, hypothesis: Hypothesis) -> ProbabilityResult:
         a, b = hypothesis.a, hypothesis.b
         gap = b - float(a @ center)
         q = 0.0 if gap <= 0 else gap**2 / float(a @ Sigma @ a)
-        return ProbabilityResult(float(chi2.sf(q, d)), "exact-half-space")
+        return ProbabilityResult(float(chi2_sf(q, d)), "exact-half-space")
     if hypothesis.kind == "box":
         q = _qf_min_box(J, center, hypothesis.bounds)
-        return ProbabilityResult(float(chi2.sf(q, d)), "exact-box")
+        return ProbabilityResult(float(chi2_sf(q, d)), "exact-box")
     # box-complement
     lo, hi = hypothesis.bounds[:, 0], hypothesis.bounds[:, 1]
     if not np.all((center >= lo) & (center <= hi)):
@@ -263,7 +267,7 @@ def _exact_gaussian_upper(family, hypothesis: Hypothesis) -> ProbabilityResult:
     if not qs:
         return ProbabilityResult(0.0, "exact-box-complement",
                                  flags=("empty-hypothesis",))
-    return ProbabilityResult(float(chi2.sf(min(qs), d)), "exact-box-complement")
+    return ProbabilityResult(float(chi2_sf(min(qs), d)), "exact-box-complement")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +303,8 @@ def _nm_refine(score, x0: np.ndarray, feasible, maxiter: int,
     """Nelder-Mead ascent of ``score`` inside the feasible region, started at
     a feasible point; infeasible proposals score -inf.  When some coordinates
     are pinned (degenerate box axes) the search runs over the free ones."""
+    from scipy.optimize import minimize
+
     x0 = np.asarray(x0, dtype=float)
     if fixed_mask is not None and fixed_mask.any():
         free = ~fixed_mask
@@ -485,7 +491,7 @@ def marginal_contour(
     if a is not None and _is_closed_form_gaussian(contour, fam):
         center = float(a @ _family_center(fam))
         v = float(a @ gaussian_cov_matrix(fam) @ a)
-        values = chi2.sf((phis - center) ** 2 / v, 1)
+        values = chi2_sf((phis - center) ** 2 / v, 1)
         return ContourGrid(
             axes=(axis,),
             values=values,
@@ -498,6 +504,8 @@ def marginal_contour(
             "marginal_contour over a general fiber needs a proposal family: "
             "pass family=..."
         )
+    from scipy.optimize import minimize
+
     gf = (lambda th: float(th @ a)) if a is not None else (
         lambda th: float(g(np.asarray(th, dtype=float)))
     )

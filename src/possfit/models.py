@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "Dataset",
@@ -305,6 +305,8 @@ def _damped_newton(loglik, grad, hess, x0, max_iter=80, tol=1e-9, max_norm=1e4):
 
 
 def _simplex_fallback(loglik, x0):
+    from scipy import optimize
+
     res = optimize.minimize(lambda t: -loglik(t), x0, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12,
                                      "maxiter": 4000})
@@ -345,6 +347,20 @@ def _binom_log_rel(s, n, theta):
         - special.xlogy(s, s / n)
         - special.xlogy(n - s, 1.0 - s / n)
     )
+
+
+def _binom_log_pmf(s, n, log_rel):
+    """log P_theta(S = s) for S ~ binomial(n, theta), from log R(s; theta).
+
+    The pmf is R(s; theta) P_{s/n}(S = s): the relative likelihood times the
+    pmf at the count's own MLE, which depends on s alone.
+    """
+    log_peak = (
+        special.gammaln(n + 1.0) - special.gammaln(s + 1.0)
+        - special.gammaln(n - s + 1.0)
+        + special.xlogy(s, s / n) + special.xlogy(n - s, 1.0 - s / n)
+    )
+    return log_rel + log_peak
 
 
 def binomial() -> ModelSpec:
@@ -388,13 +404,7 @@ def binomial() -> ModelSpec:
         # distributed as m iid draws, listed in count order
         s = np.arange(n + 1, dtype=float)
         table = _binom_log_rel(s, n, t)
-        # P_t(S = s) = R(s; t) P_{s/n}(S = s)
-        log_peak = (
-            special.gammaln(n + 1.0) - special.gammaln(s + 1.0)
-            - special.gammaln(n - s + 1.0)
-            + special.xlogy(s, s / n) + special.xlogy(n - s, 1.0 - s / n)
-        )
-        pmf = np.exp(table + log_peak)
+        pmf = np.exp(_binom_log_pmf(s, n, table))
         counts = rng.multinomial(int(m), pmf / pmf.sum(axis=1, keepdims=True))
         return np.repeat(table.ravel(), counts.ravel()).reshape(t.shape[0], int(m))
 

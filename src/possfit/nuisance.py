@@ -18,7 +18,7 @@ from dataclasses import field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .contours import (
     TIE_EPS,
@@ -27,7 +27,7 @@ from .contours import (
     make_mc_contour,
     mc_contour,
 )
-from .families import GaussianScalarFamily
+from .families import GaussianScalarFamily, chi2_sf
 from .models import (
     Dataset,
     ModelSpec,
@@ -495,7 +495,7 @@ class QuantileCompanionFamily:
 def quantile_companion_contour(family: QuantileCompanionFamily, theta):
     """Closed-form contour 1 - G_1(((theta - theta_hat)/sd)^2)."""
     q = ((np.asarray(theta, dtype=float) - family.theta_hat) / family.sd) ** 2
-    out = stats.chi2.sf(q, 1)
+    out = chi2_sf(q, 1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -19,8 +19,11 @@ for the single timestamp header line.
 """
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,3 +544,50 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# import graph
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # scipy.stats is never imported; scipy.optimize loads on first use, which
+    # a one-dimensional box hypothesis on a Gaussian contour never makes
+    script = textwrap.dedent(
+        """
+        import json
+        import sys
+
+        import numpy as np
+
+        import possfit.cli
+        from possfit.families import GaussianScalarFamily, gaussian_contour_object
+        from possfit.inference import Hypothesis, upper_probability
+
+        heavy = ("scipy.stats", "scipy.optimize")
+        after_import = [m for m in heavy if m in sys.modules]
+        fam = GaussianScalarFamily(
+            theta_hat=np.array([0.4]), info=np.array([[120.0]]), xi=1.0
+        )
+        res = upper_probability(
+            gaussian_contour_object(fam), Hypothesis.box([[0.5, 0.9]])
+        )
+        print(json.dumps({
+            "after_import": after_import,
+            "method": res.method,
+            "after_box": [m for m in heavy if m in sys.modules],
+        }))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["after_import"] == []
+    assert doc["method"] == "exact-box"
+    assert doc["after_box"] == []

@@ -17,6 +17,8 @@ from possfit.families import (
     GaussianScalarFamily,
     GaussianVectorFamily,
     boundary_points,
+    chi2_ppf,
+    chi2_sf,
     credible_ellipsoid_membership,
     dirichlet_contour,
     dirichlet_contour_object,
@@ -109,6 +111,34 @@ def test_gaussian_info_matrix_vector_xi():
     # for a diagonal J the eigenvectors are the axes, so J(xi) is diagonal
     want = np.diag([4.0 / 1.3**2, 1.0 / 0.7**2])
     assert np.allclose(gaussian_info_matrix(fam), want, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# chi-square helpers (scipy.stats stays as the oracle)
+# ---------------------------------------------------------------------------
+
+CHI2_DIMS = (1, 2, 3, 5, 10, 50, 100)
+
+
+@pytest.mark.parametrize("d", CHI2_DIMS)
+def test_chi2_sf_bit_identical_to_scipy_stats(d):
+    rng = np.random.default_rng(41)
+    edges = [-1e-17, -1.0, 0.0, 1e-300, np.inf, np.nan]
+    q = np.concatenate([edges, rng.exponential(d, 100_000)])
+    np.testing.assert_array_equal(chi2_sf(q, d), stats.chi2.sf(q, d))
+    # the scalar path, as gaussian_contour calls it with a Python float
+    for v in edges:
+        np.testing.assert_array_equal(chi2_sf(v, d), stats.chi2.sf(v, d))
+
+
+@pytest.mark.parametrize("d", CHI2_DIMS)
+def test_chi2_ppf_bit_identical_to_scipy_stats(d):
+    alphas = np.array([0.0, 1e-12, 0.05, 0.1, 0.5, 1.0])
+    np.testing.assert_array_equal(
+        chi2_ppf(1.0 - alphas, d), stats.chi2.ppf(1.0 - alphas, d)
+    )
+    for a in alphas:
+        assert chi2_ppf(1.0 - a, d) == stats.chi2.ppf(1.0 - a, d)
 
 
 # ---------------------------------------------------------------------------

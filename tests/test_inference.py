@@ -24,6 +24,7 @@ from possfit.inference import (
     Hypothesis,
     NoComplementError,
     SearchBudget,
+    _qf_min_box,
     choquet_upper_expectation,
     lower_probability,
     marginal_contour,
@@ -130,6 +131,38 @@ def test_box_projection_corner_active():
     contour, _ = _vector_contour(np.array([[2.0, 0.6], [0.6, 1.0]]), [1.0, 1.0])
     res = upper_probability(contour, Hypothesis.box([[1.0, 2.0], [1.0, 2.0]]))
     assert res.value == pytest.approx(np.exp(-2.1), rel=1e-9)
+
+
+def test_box_projection_d1_matches_lbfgsb():
+    # in one dimension the clipped center is the exact minimizer; it must
+    # agree with the bounded quasi-Newton search it replaces
+    from scipy.optimize import Bounds, minimize
+
+    def lbfgsb(J, center, lo, hi):
+        res = minimize(
+            lambda th: (float((th - center) @ J @ (th - center)),
+                        2.0 * (J @ (th - center))),
+            np.clip(center, lo, hi),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=Bounds(lo, hi),
+            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        e = res.x - center
+        return float(e @ J @ e)
+
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        center = rng.normal(0.0, 2.0, 1)
+        J = np.array([[rng.uniform(1e-3, 300.0)]])
+        side = rng.choice([-1.0, 1.0])
+        near = center[0] + side * rng.exponential(1.0)
+        far = near + side * rng.exponential(2.0) if rng.random() < 0.7 else side * np.inf
+        lo, hi = sorted((near, far))
+        bounds = np.array([[lo, hi]])
+        got = _qf_min_box(J, center, bounds)
+        assert got > 0.0
+        assert got == lbfgsb(J, center, bounds[:, 0], bounds[:, 1])
 
 
 def test_box_containing_center_gives_one():

@@ -20,6 +20,8 @@ from scipy import stats
 from possfit.models import (
     Dataset,
     DegenerateMLEError,
+    _binom_log_pmf,
+    _binom_log_rel,
     _bvn_loglik_stats,
     _bvn_mle_from_stats,
     binomial,
@@ -94,6 +96,15 @@ def test_relative_likelihood_bounded(s, theta):
 # ---------------------------------------------------------------------------
 # MLE + observed information
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 15, 30, 200])
+def test_binomial_log_pmf_matches_scipy_stats(n):
+    s = np.arange(n + 1, dtype=float)
+    for theta in (0.0, 1e-310, 1e-3, 0.5, 1.0 - 1e-16, 1.0):
+        pmf = np.exp(_binom_log_pmf(s, n, _binom_log_rel(s, n, theta)))
+        want = stats.binom.pmf(np.arange(n + 1), n, theta)
+        np.testing.assert_allclose(pmf, want, rtol=0, atol=1e-12)
 
 
 def test_binomial_mle_and_information():
