@@ -25,6 +25,11 @@ Monte Carlo contour engine:
     a kernel the engine falls back to a per-dataset loop through
     ``sample``/``mle``.
 
+A model may also declare ``censored_sim(ghat)``, which maps an estimated
+censoring distribution to a kernel of the same contract for data pushed
+through left censoring at levels drawn from ``ghat``;
+``nuisance.censored_model`` installs it in place of the uncensored kernel.
+
 Conventions: a parameter outside the domain makes ``log_lik`` return
 ``-inf`` (so the relative likelihood is 0 there); ``mle`` returns the
 likelihood-supremum point even when it sits on the domain boundary, and
@@ -170,6 +175,10 @@ class ModelSpec:
     ] = None
     sim_log_rel_lik: Optional[
         Callable[[np.ndarray, int, int, np.random.Generator], np.ndarray]
+    ] = None
+    censored_sim: Optional[
+        Callable[[object], Callable[[np.ndarray, int, int, np.random.Generator],
+                                    np.ndarray]]
     ] = None
     meta: dict = field(default_factory=dict)
 
@@ -1078,73 +1087,180 @@ def lognormal() -> ModelSpec:
     )
 
 
-def _cens_normal_loglik(W, T, mu, v):
-    """Left-censored normal log-likelihood on the log scale (no Jacobian).
+@dataclass(frozen=True)
+class _CensStats:
+    """Per-row sufficient statistics of left-censored normal samples.
 
-    W: observations (log scale), T: 1 = exact, 0 = censored at W.
-    Broadcasts over leading axes of W/T against mu/v of matching shape.
+    For m rows: the count, mean and centred sum of squares of the exactly
+    observed values, and an (m, K) matrix counting the censored slots at
+    each of the K distinct censoring bounds (a row without exact
+    observations has mean and sum of squares 0).
     """
-    sd = np.sqrt(v)
-    z = (W - mu) / sd
-    dens = -0.5 * np.log(2 * np.pi * v) - 0.5 * z * z
-    cens = special.log_ndtr(z)
-    return np.sum(np.where(T == 1, dens, cens), axis=-1)
+
+    n_exact: np.ndarray  # (m,) ints
+    mean: np.ndarray  # (m,)
+    ss: np.ndarray  # (m,)
+    counts: np.ndarray  # (m, K) ints
+    bounds: np.ndarray  # (K,)
+
+    @classmethod
+    def build(cls, W, exact, idx, bounds):
+        """Statistics of (m, n) values ``W``; slot (i, j) is exact where
+        ``exact`` holds and censored at ``bounds[idx[i, j]]`` elsewhere."""
+        m = W.shape[0]
+        k = bounds.size
+        n_exact = exact.sum(axis=1)
+        mean = np.where(exact, W, 0.0).sum(axis=1) / np.maximum(n_exact, 1)
+        ss = np.where(exact, (W - mean[:, None]) ** 2, 0.0).sum(axis=1)
+        slots = (np.arange(m)[:, None] * k + idx)[~exact]
+        counts = np.bincount(slots, minlength=m * k).reshape(m, k)
+        return cls(n_exact, mean, ss, counts, bounds)
+
+    @classmethod
+    def from_slots(cls, W, T):
+        """Statistics of (m, n) log-scale values with flags T (1 = exact,
+        0 = censored at the value); the bounds are the distinct censored
+        values."""
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        exact = np.broadcast_to(np.atleast_2d(T), W.shape) == 1
+        bounds, inv = np.unique(W[~exact], return_inverse=True)
+        idx = np.zeros(W.shape, dtype=np.intp)
+        idx[~exact] = inv
+        return cls.build(W, exact, idx, bounds)
+
+    @classmethod
+    def stack(cls, parts):
+        """The rows of several statistics over the same bounds, in order."""
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("n_exact", "mean", "ss", "counts")),
+                   parts[0].bounds)
+
+    def take(self, rows):
+        return _CensStats(self.n_exact[rows], self.mean[rows], self.ss[rows],
+                          self.counts[rows], self.bounds)
+
+    def censored_sum(self, x):
+        """(m,) sums over the censored slots of x, an (m, K) array of
+        per-bound values; bounds a row does not use contribute nothing."""
+        return np.where(self.counts > 0, self.counts * x, 0.0).sum(axis=1)
+
+    def mills(self, mu, sd):
+        """Standardized bounds alpha and the inverse Mills ratio phi/Phi at
+        them, both (m, K), for rows at (mu, sd) of shape (m,)."""
+        alpha = (self.bounds - mu[:, None]) / sd[:, None]
+        # stable in the deep lower tail
+        r = np.exp(-0.5 * alpha * alpha - 0.5 * np.log(2 * np.pi)
+                   - special.log_ndtr(alpha))
+        return alpha, r
 
 
-def _cens_normal_score(W, T, mu, v):
-    """Analytic score of the censored normal loglik wrt (mu, v)."""
-    sd = np.sqrt(v)
-    z = (W - mu) / sd
-    # inverse Mills ratio phi/Phi, computed stably
-    r = np.exp(-0.5 * z * z - 0.5 * np.log(2 * np.pi) - special.log_ndtr(z))
-    obs = T == 1
-    dmu = np.sum(np.where(obs, z / sd, -r / sd), axis=-1)
-    dv = np.sum(np.where(obs, (z * z - 1.0) / (2 * v), -z * r / (2 * v)), axis=-1)
-    return dmu, dv
+def _cens_normal_loglik(st: _CensStats, mu, v):
+    """(m,) left-censored normal log-likelihoods (log scale, no Jacobian)
+    of the rows of ``st`` at (mu, v), scalars or (m,) arrays."""
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), st.mean.shape)
+    v = np.broadcast_to(np.asarray(v, dtype=float), st.mean.shape)
+    z = (st.bounds - mu[:, None]) / np.sqrt(v)[:, None]
+    dens = (-0.5 * st.n_exact * np.log(2 * np.pi * v)
+            - (st.ss + st.n_exact * (st.mean - mu) ** 2) / (2 * v))
+    return dens + st.censored_sum(special.log_ndtr(z))
 
 
-def _cens_normal_mle_batch(W, T, max_iter=600):
-    """Batched EM for the censored normal MLE.
+def _cens_normal_mle(st: _CensStats, max_iter=600):
+    """(m, 2) censored normal MLEs (mu, v) of the rows of ``st`` by EM.
 
     The E-step fills each censored slot with the first two moments of the
     normal truncated above at its bound; the M-step is the complete-data
-    sample mean and variance.  EM is monotone in the likelihood, so it is
-    robust to heavy censoring where a Newton iteration stalls.  Rows whose
-    analytic score is not near zero at the end come back NaN.
+    mean and variance.  EM is monotone in the likelihood, so it is robust
+    to heavy censoring where a Newton iteration stalls.  A row leaves the
+    iteration as soon as its own update is below the tolerance, so its MLE
+    does not depend on the other rows.  Rows whose analytic score is not
+    near zero at the end come back NaN.
     """
-    W = np.atleast_2d(W)
-    T = np.broadcast_to(np.atleast_2d(T), W.shape)
-    m, n = W.shape
-    obs = T == 1
-    n_obs = obs.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        obs_mean = np.where(obs, W, np.nan)
-        mu = np.where(n_obs > 0, np.nanmean(np.where(obs, W, np.nan), axis=1), np.nan)
-        v = np.where(n_obs > 0, np.nanvar(obs_mean, axis=1), np.nan)
-    bad_start = ~np.isfinite(mu) | ~np.isfinite(v)
-    mu = np.where(bad_start, np.mean(W, axis=1), mu)
-    v = np.where(bad_start | (v <= 1e-12), np.maximum(np.var(W, axis=1), 1e-4), v)
+    ne = st.n_exact
+    n = ne + st.counts.sum(axis=1)
+    # start from the exact observations' mean and variance; where those
+    # are undefined, from the mean and variance of all slots
+    has = ne > 0
+    v_exact = np.divide(st.ss, ne, out=np.full(ne.shape, np.nan), where=has)
+    mean_all = (ne * st.mean + st.censored_sum(st.bounds)) / n
+    var_all = (st.ss + ne * (st.mean - mean_all) ** 2
+               + st.censored_sum((st.bounds - mean_all[:, None]) ** 2)) / n
+    bad = ~has | ~np.isfinite(st.mean) | ~np.isfinite(v_exact)
+    mu = np.where(bad, mean_all, st.mean)
+    v = np.where(bad | (v_exact <= 1e-12), np.maximum(var_all, 1e-4), v_exact)
 
+    act = np.arange(ne.size)  # rows still iterating, and their statistics
+    s, n_a, mu_a, v_a = st, n, mu.copy(), v.copy()
     for _ in range(max_iter):
-        sd = np.sqrt(v)[:, None]
-        alpha = (W - mu[:, None]) / sd
-        # inverse Mills ratio phi/Phi, stable in the deep tail
-        r = np.exp(-0.5 * alpha * alpha - 0.5 * np.log(2 * np.pi) - special.log_ndtr(alpha))
-        ew = np.where(obs, W, mu[:, None] - sd * r)
-        var_trunc = v[:, None] * (1.0 - alpha * r - r * r)
-        ew2 = np.where(obs, W * W, np.maximum(var_trunc, 0.0) + ew * ew)
-        mu_new = np.mean(ew, axis=1)
-        v_new = np.maximum(np.mean(ew2, axis=1) - mu_new**2, 1e-12)
-        done = (np.abs(mu_new - mu) < 1e-11 * (1.0 + np.abs(mu))) & (
-            np.abs(v_new - v) < 1e-11 * (1.0 + v)
-        )
-        mu, v = mu_new, v_new
-        if np.all(done):
+        if act.size == 0:
             break
-    g1, g2 = _cens_normal_score(W, T, mu[:, None], v[:, None])
+        sd = np.sqrt(v_a)
+        alpha, r = s.mills(mu_a, sd)
+        ew = mu_a[:, None] - sd[:, None] * r
+        var_trunc = np.maximum(v_a[:, None] * (1.0 - alpha * r - r * r), 0.0)
+        mu_new = (s.n_exact * s.mean + s.censored_sum(ew)) / n_a
+        v_new = np.maximum(
+            (s.ss + s.n_exact * (s.mean - mu_new) ** 2
+             + s.censored_sum(var_trunc + (ew - mu_new[:, None]) ** 2)) / n_a,
+            1e-12,
+        )
+        done = (np.abs(mu_new - mu_a) < 1e-11 * (1.0 + np.abs(mu_a))) & (
+            np.abs(v_new - v_a) < 1e-11 * (1.0 + v_a)
+        )
+        mu[act], v[act] = mu_new, v_new
+        keep = ~done
+        act, mu_a, v_a = act[keep], mu_new[keep], v_new[keep]
+        if not keep.all():
+            s, n_a = s.take(keep), n_a[keep]
+
+    sd = np.sqrt(v)
+    alpha, r = st.mills(mu, sd)
+    d = st.mean - mu
+    g1 = ne * d / v - st.censored_sum(r) / sd
+    g2 = (st.ss + ne * d * d - ne * v) / (2 * v * v) - st.censored_sum(alpha * r) / (2 * v)
     ok = (np.abs(g1) < 1e-4 * n) & (np.abs(g2) < 1e-4 * n) & np.isfinite(mu) & (v > 1e-12)
-    mu = np.where(ok, mu, np.nan)
-    return np.column_stack([mu, np.where(ok, v, np.nan)])
+    return np.column_stack([np.where(ok, mu, np.nan), np.where(ok, v, np.nan)])
+
+
+def _lognormal_censored_sim(ghat):
+    """Batch kernel of the left-censored log-normal for data pushed through
+    Z = max(Y, C), T = 1(Y >= C), with censoring levels C drawn from ghat
+    (``support`` and ``sampling_probs``, as a ``nuisance.CensoringEstimate``).
+
+    Each row draws its latent log responses and then the censoring level
+    indices, the stream ``ghat.sample`` draws, and every replicate is
+    refitted from its sufficient statistics.  An EM iteration evaluates the
+    special functions once per replicate and censoring level, so at most
+    m n times when the levels are the data's distinct censored values.  A
+    fully censored replicate has likelihood supremum exactly 1 (every CDF
+    factor tends to 1 as the location drops), so its log relative
+    likelihood needs no refit.  An estimate with no mass raises when the
+    kernel runs.
+    """
+
+    def sim(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        n, m = int(n), int(m)
+        probs = ghat.sampling_probs
+        bounds = np.log(ghat.support)
+        parts = []  # only one row's (m, n) draws are held at a time
+        for mu, v in thetas[:, :2]:
+            if not np.isfinite(mu) or not v > 0.0:
+                raise ValueError("invalid log-normal parameter")
+            w = rng.normal(mu, np.sqrt(v), size=(m, n))
+            idx = rng.choice(bounds.size, size=(m, n), p=probs)
+            parts.append(_CensStats.build(w, w >= bounds[idx], idx, bounds))
+        st = _CensStats.stack(parts)
+        ll = _cens_normal_loglik(st, np.repeat(thetas[:, 0], m),
+                                 np.repeat(thetas[:, 1], m))
+        fit = np.nonzero(st.n_exact > 0)[0]
+        if fit.size:
+            sub = st.take(fit)
+            hat = _cens_normal_mle(sub)
+            ll[fit] -= _cens_normal_loglik(sub, hat[:, 0], hat[:, 1])
+        return ll.reshape(thetas.shape[0], m)
+
+    return sim
 
 
 def lognormal_censored() -> ModelSpec:
@@ -1152,7 +1268,7 @@ def lognormal_censored() -> ModelSpec:
 
     The model's own sampler draws uncensored responses (flag identically 1);
     censoring is injected by the caller, which owns the censoring
-    distribution.
+    distribution, through the ``censored_sim`` hook.
     """
 
     def _parts(data):
@@ -1168,7 +1284,7 @@ def lognormal_censored() -> ModelSpec:
             return -np.inf
         w, t = _parts(data)
         jac = -float(np.sum(w[t == 1]))  # d log y for exact observations only
-        return float(_cens_normal_loglik(w, t, mu, v)) + jac
+        return float(_cens_normal_loglik(_CensStats.from_slots(w, t), mu, v)[0]) + jac
 
     def sample(theta, n, rng):
         mu, v = float(theta[0]), float(theta[1])
@@ -1177,10 +1293,11 @@ def lognormal_censored() -> ModelSpec:
 
     def mle(data):
         w, t = _parts(data)
-        th = _cens_normal_mle_batch(w[None, :], t[None, :])[0]
+        st = _CensStats.from_slots(w, t)
+        th = _cens_normal_mle(st)[0]
         if np.isnan(th).any():
             th = _simplex_fallback(
-                lambda p: float(_cens_normal_loglik(w, t, p[0], np.exp(p[1]))),
+                lambda p: float(_cens_normal_loglik(st, p[0], np.exp(p[1]))[0]),
                 np.array([np.mean(w), np.log(np.var(w) + 1e-4)]),
             )
             th = np.array([th[0], np.exp(th[1])])
@@ -1203,6 +1320,7 @@ def lognormal_censored() -> ModelSpec:
         boundary_mle=boundary,
         # the model's own sampler draws uncensored log-normal responses
         sim_log_rel_lik=lognormal().sim_log_rel_lik,
+        censored_sim=_lognormal_censored_sim,
     )
     return spec
 
@@ -1275,15 +1393,24 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
 
             return log_rel
 
-    sim = None
-    if base.sim_log_rel_lik is not None:
-        def sim(etas, n, m, rng):  # noqa: F811
+    def on_domain(kernel):
+        def sim(etas, n, m, rng):
             # the base kernel gets the whole batch of points on the domain
             thetas, far = _to_theta(etas)
             out = np.full((thetas.shape[0], int(m)), -np.inf)
             if not far.all():
-                out[~far] = base.sim_log_rel_lik(thetas[~far], n, m, rng)
+                out[~far] = kernel(thetas[~far], n, m, rng)
             return out
+
+        return sim
+
+    sim = None
+    if base.sim_log_rel_lik is not None:
+        sim = on_domain(base.sim_log_rel_lik)
+    censored_sim = None
+    if base.censored_sim is not None:
+        def censored_sim(ghat):  # noqa: F811
+            return on_domain(base.censored_sim(ghat))
 
     return dataclasses.replace(
         base,
@@ -1294,6 +1421,7 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         information=information,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim,
+        censored_sim=censored_sim,
         meta=dict(base.meta, reparam_base=base.name,
                   reparam_log_indices=[int(i) for i in np.where(logged)[0]]),
     )

@@ -31,11 +31,8 @@ from .families import GaussianScalarFamily, chi2_sf
 from .models import (
     Dataset,
     ModelSpec,
-    _cens_normal_loglik,
-    _cens_normal_mle_batch,
     _gamma_ms_loglik_stats,
     _gamma_shape_root,
-    _rowwise,
 )
 from .sa import SAConfig, _fit_credal, fit_scalar_anchored
 
@@ -629,8 +626,9 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
     Z = max(Y, C), T = 1(Y >= C) with C drawn from ghat.
 
     Any uncensored simulation shortcut on the base model is dropped (it
-    would skip the censoring); for the left-censored log-normal a vectorized
-    replacement is installed that refits every replicate in one batch.
+    would skip the censoring); a model that declares a ``censored_sim``
+    hook gets that hook's kernel for ghat instead, and models without one
+    fall back to the per-dataset loop.
     """
     base_sample = model.sample
 
@@ -642,35 +640,12 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
             responses=np.maximum(y, c), censor=(y >= c).astype(int)
         )
 
-    sim = None
-    if model.name == "lognormal-censored":
-
-        @_rowwise
-        def sim(theta, n, m, rng):  # noqa: F811
-            mu, v = float(theta[0]), float(theta[1])
-            if not np.isfinite(mu) or not v > 0.0:
-                raise ValueError("invalid log-normal parameter")
-            w_latent = rng.normal(mu, np.sqrt(v), size=(int(m), int(n)))
-            logc = np.log(ghat.sample((int(m), int(n)), rng))
-            w = np.maximum(w_latent, logc)
-            t = (w_latent >= logc).astype(int)
-            ll_theta = _cens_normal_loglik(w, t, mu, v)
-            # a fully censored replicate has likelihood supremum exactly 1
-            # (every CDF factor tends to 1 as the location drops), so its
-            # log relative likelihood needs no refit
-            exact_any = np.any(t == 1, axis=1)
-            ll_hat = np.zeros(w.shape[0])
-            if np.any(exact_any):
-                hat = _cens_normal_mle_batch(w[exact_any], t[exact_any])
-                ll_hat[exact_any] = _cens_normal_loglik(
-                    w[exact_any], t[exact_any], hat[:, :1], hat[:, 1:2]
-                )
-            return ll_theta - ll_hat
-
+    sim = None if model.censored_sim is None else model.censored_sim(ghat)
     return dataclasses.replace(
         model,
         sample=sample,
         sim_log_rel_lik=sim,
+        censored_sim=None,  # its sampler already applies this censoring
         meta=dict(model.meta, censoring="product-limit-plugin"),
     )
 

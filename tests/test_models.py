@@ -10,20 +10,24 @@ Oracle conventions used below:
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from possfit.models import (
     Dataset,
     DegenerateMLEError,
+    _CensStats,
     _binom_log_pmf,
     _binom_log_rel,
     _bvn_loglik_stats,
     _bvn_mle_from_stats,
+    _cens_normal_loglik,
+    _cens_normal_mle,
     binomial,
     bvn_correlation,
     finite_difference_information,
@@ -33,6 +37,7 @@ from possfit.models import (
     log_reparam,
     logistic_regression,
     lognormal,
+    lognormal_censored,
     mle_and_information,
     multinomial,
     normal_means,
@@ -273,6 +278,159 @@ def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
     loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(12))
     assert np.all(np.isfinite(fast)) and np.all(fast <= 1e-12)
     assert stats.ks_2samp(fast, loop).pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# left-censored normal on sufficient statistics
+# ---------------------------------------------------------------------------
+# The slot-wise likelihood, score and batch EM below are the former
+# implementation, kept as the oracle: they evaluate every (m, n) slot and
+# iterate every row until the slowest one converges.
+
+
+def _slot_loglik(W, T, mu, v):
+    sd = np.sqrt(v)
+    z = (W - mu) / sd
+    dens = -0.5 * np.log(2 * np.pi * v) - 0.5 * z * z
+    cens = special.log_ndtr(z)
+    return np.sum(np.where(T == 1, dens, cens), axis=-1)
+
+
+def _slot_score(W, T, mu, v):
+    sd = np.sqrt(v)
+    z = (W - mu) / sd
+    r = np.exp(-0.5 * z * z - 0.5 * np.log(2 * np.pi) - special.log_ndtr(z))
+    obs = T == 1
+    dmu = np.sum(np.where(obs, z / sd, -r / sd), axis=-1)
+    dv = np.sum(np.where(obs, (z * z - 1.0) / (2 * v), -z * r / (2 * v)), axis=-1)
+    return dmu, dv
+
+
+def _slot_mle_batch(W, T, max_iter=600):
+    W = np.atleast_2d(W)
+    T = np.broadcast_to(np.atleast_2d(T), W.shape)
+    m, n = W.shape
+    obs = T == 1
+    n_obs = obs.sum(axis=1)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        # nanmean/nanvar warn on an all-censored row
+        warnings.simplefilter("ignore", RuntimeWarning)
+        obs_mean = np.where(obs, W, np.nan)
+        mu = np.where(n_obs > 0, np.nanmean(np.where(obs, W, np.nan), axis=1), np.nan)
+        v = np.where(n_obs > 0, np.nanvar(obs_mean, axis=1), np.nan)
+    bad_start = ~np.isfinite(mu) | ~np.isfinite(v)
+    mu = np.where(bad_start, np.mean(W, axis=1), mu)
+    v = np.where(bad_start | (v <= 1e-12), np.maximum(np.var(W, axis=1), 1e-4), v)
+
+    for _ in range(max_iter):
+        sd = np.sqrt(v)[:, None]
+        alpha = (W - mu[:, None]) / sd
+        r = np.exp(-0.5 * alpha * alpha - 0.5 * np.log(2 * np.pi) - special.log_ndtr(alpha))
+        ew = np.where(obs, W, mu[:, None] - sd * r)
+        var_trunc = v[:, None] * (1.0 - alpha * r - r * r)
+        ew2 = np.where(obs, W * W, np.maximum(var_trunc, 0.0) + ew * ew)
+        mu_new = np.mean(ew, axis=1)
+        v_new = np.maximum(np.mean(ew2, axis=1) - mu_new**2, 1e-12)
+        done = (np.abs(mu_new - mu) < 1e-11 * (1.0 + np.abs(mu))) & (
+            np.abs(v_new - v) < 1e-11 * (1.0 + v)
+        )
+        mu, v = mu_new, v_new
+        if np.all(done):
+            break
+    g1, g2 = _slot_score(W, T, mu[:, None], v[:, None])
+    ok = (np.abs(g1) < 1e-4 * n) & (np.abs(g2) < 1e-4 * n) & np.isfinite(mu) & (v > 1e-12)
+    mu = np.where(ok, mu, np.nan)
+    return np.column_stack([mu, np.where(ok, v, np.nan)])
+
+
+def _censored_slots(seed, m, n, limits, p=None, mu=0.3, sd=0.7):
+    """(W, T): m rows of n log-scale values, left-censored at limits drawn
+    per slot with probabilities p."""
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(mu, sd, size=(m, n))
+    bound = np.log(np.asarray(limits, dtype=float))[rng.choice(len(limits), (m, n), p=p)]
+    return np.maximum(latent, bound), (latent >= bound).astype(int)
+
+
+def _censored_edge_rows():
+    """Rows with nothing exact, rows with exactly one exact observation, and
+    ordinary rows, censored at one limit."""
+    W, T = _censored_slots(5, 60, 12, [1.4])
+    b = np.log(1.4)
+    W[:10], T[:10] = b, 0
+    W[10:20], T[10:20] = b, 0
+    W[10:20, 3], T[10:20, 3] = np.linspace(0.4, 1.5, 10), 1
+    return W, T
+
+
+_CENSORED_ROWS = {
+    "one-limit": lambda: _censored_slots(1, 60, 60, [0.8]),
+    "three-limits": lambda: _censored_slots(2, 60, 60, [0.7, 1.0, 1.4], p=[0.3, 0.3, 0.4]),
+    "random-limits": lambda: _censored_slots(
+        3, 60, 60, np.sort(np.random.default_rng(9).uniform(0.3, 2.5, 22))),
+    "heavy-87pct": lambda: _censored_slots(4, 60, 60, [2.6], mu=0.2),
+    "edge-rows": _censored_edge_rows,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CENSORED_ROWS))
+def test_censored_stats_em_matches_slotwise_oracle(case):
+    W, T = _CENSORED_ROWS[case]()
+    st = _CensStats.from_slots(W, T)
+    assert st.counts.sum() == np.sum(T == 0) and st.bounds.size <= W.shape[1]
+    hat = _cens_normal_mle(st)
+    ref = _slot_mle_batch(W, T)
+    nan = np.isnan(ref[:, 0])
+    assert np.array_equal(np.isnan(hat), np.isnan(ref))
+    assert np.all(np.abs(hat[~nan] - ref[~nan]) <= 1e-9)
+    # each row run through the oracle on its own stops after the same EM
+    # step, so only the rounding of the regrouped sums separates the two
+    solo = np.vstack([_slot_mle_batch(W[i:i + 1], T[i:i + 1]) for i in range(W.shape[0])])
+    assert np.array_equal(np.isnan(hat), np.isnan(solo))
+    assert np.all(np.abs(hat[~nan] - solo[~nan]) <= 1e-13 * (1.0 + np.abs(solo[~nan])))
+
+    # log R at a fixed point, with a fully censored row's supremum 0
+    mu0, v0 = 0.3, 0.49
+    ll_hat = np.zeros(W.shape[0])
+    exact = T.any(axis=1)
+    ll_hat[exact] = _cens_normal_loglik(st.take(exact), hat[exact, 0], hat[exact, 1])
+    ll_ref = np.zeros(W.shape[0])
+    ll_ref[exact] = _slot_loglik(W[exact], T[exact], ref[exact, :1], ref[exact, 1:])
+    got = _cens_normal_loglik(st, mu0, v0) - ll_hat
+    want = _slot_loglik(W, T, mu0, v0) - ll_ref
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    live = ~np.isnan(want)
+    assert np.all(np.abs(got[live] - want[live]) <= 1e-12)
+
+
+def test_censored_em_row_is_independent_of_its_batch():
+    W, T = _censored_slots(6, 2000, 60, [0.7, 1.0, 1.4], p=[0.3, 0.3, 0.4])
+    st = _CensStats.from_slots(W, T)
+    batch = _cens_normal_mle(st)
+    solo = np.vstack([_cens_normal_mle(st.take([i])) for i in range(W.shape[0])])
+    assert np.array_equal(batch, solo, equal_nan=True)
+
+
+def test_censored_em_all_censored_row_is_nan_without_warning():
+    W = np.log(np.array([[0.8] * 10, [0.9, 1.4] * 5]))
+    T = np.zeros(W.shape, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hat = _cens_normal_mle(_CensStats.from_slots(W, T))
+    assert np.isnan(hat).all()
+
+
+def test_censored_loglik_one_path_for_data_and_simulation():
+    """``log_lik`` on one dataset equals the slot-wise likelihood plus the
+    Jacobian of its exact observations, and ``mle`` is the EM's fit."""
+    W, T = _censored_slots(7, 1, 40, [0.7, 1.0, 1.4])
+    model = lognormal_censored()
+    data = Dataset(responses=np.exp(W[0]), censor=T[0])
+    for theta in ([0.1, 0.3], [0.5, 0.8], [0.3, 0.49]):
+        want = float(_slot_loglik(W[0], T[0], theta[0], theta[1])) - np.sum(W[0][T[0] == 1])
+        assert model.log_lik(data, np.array(theta)) == pytest.approx(want, abs=1e-12)
+    w = np.log(data.responses)
+    assert np.array_equal(model.mle(data), _cens_normal_mle(_CensStats.from_slots(w, T[0]))[0])
 
 
 def test_poisson_loglinear_mle_and_information():

@@ -10,6 +10,7 @@ the implementation.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,41 @@ def test_censored_contour_no_censoring_reduces_to_plain_mc():
         pbar = min(max((a + b) / 2, 1.0 / m), 1 - 1.0 / m)
         tol = 3.0 * np.sqrt(2.0 * pbar * (1 - pbar) / m)
         assert abs(a - b) <= tol
+
+
+def test_censored_sim_hook_survives_log_reparam():
+    """``log_reparam`` wraps the censored kernel: at eta it draws exactly
+    what the base kernel draws at theta = exp(eta), and far rows are -inf."""
+    data = _censored_data()
+    ghat = kaplan_meier_swapped(data)
+    eta_sim = censored_model(log_reparam(lognormal_censored()), ghat).sim_log_rel_lik
+    base_sim = censored_model(lognormal_censored(), ghat).sim_log_rel_lik
+    assert eta_sim is not None
+    etas = np.array([[np.log(0.3), np.log(0.49)], [0.0, 800.0], [np.log(0.6), np.log(0.3)]])
+    got = eta_sim(etas, data.n, 300, np.random.default_rng(41))
+    want = base_sim(np.exp(etas[[0, 2]]), data.n, 300, np.random.default_rng(41))
+    assert np.array_equal(got[[0, 2]], want)
+    assert np.all(got[1] == -np.inf)
+
+
+def test_censored_sim_without_mass_fails_when_run():
+    ghat = CensoringEstimate(support=np.array([1.0]), masses=np.array([0.0]), residual=0.0)
+    plugged = censored_model(lognormal_censored(), ghat)
+    with pytest.raises(ValueError, match="no mass"):
+        plugged.sim_log_rel_lik(np.array([[0.3, 0.49]]), 10, 20, np.random.default_rng(1))
+
+
+def test_censored_sim_fully_censored_replicates_without_warning():
+    """A censoring level far above the data censors every slot; each
+    replicate's log relative likelihood is then its log-likelihood at theta
+    (supremum 0), with no refit and no warning."""
+    ghat = CensoringEstimate(support=np.array([30.0]), masses=np.array([1.0]))
+    sim = censored_model(lognormal_censored(), ghat).sim_log_rel_lik
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = sim(np.array([[0.3, 0.49]]), 8, 50, np.random.default_rng(2))
+    expected = 8 * special.log_ndtr((np.log(30.0) - 0.3) / 0.7)
+    assert np.allclose(vals, expected, rtol=0, atol=1e-12)
 
 
 def test_make_censored_contour_deterministic():
