@@ -50,6 +50,7 @@ from .contours import (  # noqa: F401
     exact_binomial_contour,
     grid_eval,
     make_exact_binomial,
+    make_exact_contour,
     make_mc_contour,
     mc_contour,
 )
@@ -103,6 +104,7 @@ from .calibration import (  # noqa: F401
     ScenarioError,
     StudyError,
     TimingAccuracyResult,
+    build_contour,
     build_model,
     empirical_cdf,
     hypothesis_calibration,

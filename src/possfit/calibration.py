@@ -30,20 +30,20 @@ methods sequentially in the same process so the ratio is meaningful.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._render import csv_text, json_text, write_text
 from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
     grid_eval,
-    make_exact_binomial,
+    make_exact_contour,
     make_mc_contour,
 )
 from .families import (
@@ -78,6 +78,7 @@ __all__ = [
     "HypothesisCalibrationResult",
     "TimingAccuracyResult",
     "build_model",
+    "build_contour",
     "model_from_id",
     "empirical_cdf",
     "poisson_study_design",
@@ -300,11 +301,7 @@ class Scenario:
                 raise ScenarioError("grid must be a sequence of AxisSpec")
             object.__setattr__(self, "grid", axes)
 
-        if self.model_id not in _REGISTRY:
-            raise ScenarioError(
-                f"unknown model id {self.model_id!r}; "
-                f"expected one of {sorted(_REGISTRY)}"
-            )
+        _check_model_id(self.model_id)
         if self.method not in METHODS:
             raise ScenarioError(
                 f"unknown contour method {self.method!r}; "
@@ -392,10 +389,7 @@ class Scenario:
             }
         grid = None
         if self.grid is not None:
-            grid = [
-                {"lo": a.lo, "hi": a.hi, "count": a.count, "name": a.name}
-                for a in self.grid
-            ]
+            grid = [asdict(a) for a in self.grid]
         return {
             "model": self.model_id,
             "truth": list(self.truth),
@@ -418,30 +412,15 @@ class Scenario:
         for key in ("model", "truth", "n", "reps", "method", "seed"):
             if key not in config:
                 raise ScenarioError(f"run config missing required key {key!r}")
-        sa_doc = config.get("sa")
         sa = None
-        if sa_doc is not None:
-            sa = SAConfig(
-                seed=int(sa_doc.get("seed", 0)),
-                alpha=float(sa_doc.get("alpha", 0.1)),
-                k_outer=int(sa_doc.get("k_outer", 200)),
-                m_inner=int(sa_doc.get("m_inner", 500)),
-                epsilon=float(sa_doc.get("epsilon", 0.005)),
-                min_iter=int(sa_doc.get("min_iter", 5)),
-                max_iter=int(sa_doc.get("max_iter", 500)),
-            )
-        grid_doc = config.get("grid")
+        if config.get("sa") is not None:
+            try:
+                sa = SAConfig.from_dict(config["sa"])
+            except ValueError as exc:
+                raise ScenarioError(f"invalid sa block: {exc}") from None
         grid = None
-        if grid_doc is not None:
-            grid = tuple(
-                AxisSpec(
-                    lo=float(g["lo"]),
-                    hi=float(g["hi"]),
-                    count=int(g["count"]),
-                    name=g.get("name"),
-                )
-                for g in grid_doc
-            )
+        if config.get("grid") is not None:
+            grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
         return cls(
             model_id=config["model"],
             truth=tuple(config["truth"]),
@@ -466,6 +445,14 @@ class _ModelEnv:
         self.model_kwargs = model_kwargs
 
 
+def _check_model_id(model_id) -> None:
+    if not isinstance(model_id, str) or model_id not in _REGISTRY:
+        raise ScenarioError(
+            f"unknown model id {model_id!r}; "
+            f"expected one of {sorted(_REGISTRY)}"
+        )
+
+
 def model_from_id(
     model_id: str,
     n: Optional[int] = None,
@@ -473,11 +460,7 @@ def model_from_id(
     log_params: bool = False,
 ) -> ModelSpec:
     """Instantiate a registered model outside of any scenario."""
-    if model_id not in _REGISTRY:
-        raise ScenarioError(
-            f"unknown model id {model_id!r}; "
-            f"expected one of {sorted(_REGISTRY)}"
-        )
+    _check_model_id(model_id)
     env = _ModelEnv(
         None if n is None else int(n), dict(model_kwargs or {})
     )
@@ -571,17 +554,16 @@ class CalibrationReport:
             doc["l1"] = _json_floats(self.l1)
         return doc
 
+    def csv_text(self, header=()) -> str:
+        """alpha,cdf rows after the ``header`` comment lines."""
+        rows = [f"{float(a)!r},{float(c)!r}" for a, c in zip(self.alphas, self.cdf)]
+        return csv_text(header, ["alpha", "cdf"], rows)
+
     def write_json(self, path, include_timings: bool = True) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(include_timings), fh, indent=2)
-            fh.write("\n")
+        write_text(path, json_text(self.to_json_dict(include_timings)))
 
     def write_csv(self, path) -> None:
-        lines = ["alpha,cdf"]
-        for a, c in zip(self.alphas, self.cdf):
-            lines.append(f"{float(a)!r},{float(c)!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, self.csv_text())
 
 
 @dataclass
@@ -627,20 +609,21 @@ class HypothesisCalibrationResult:
             doc["timings"] = _json_floats(self.timings)
         return doc
 
+    def csv_text(self, header=()) -> str:
+        """One row per level: alpha, then each hypothesis's CDF value,
+        after the ``header`` comment lines."""
+        columns = ["alpha", *(f"cdf_{j + 1}" for j in range(len(self.hypotheses)))]
+        rows = [
+            ",".join(repr(float(v)) for v in (a, *col))
+            for a, col in zip(self.alphas, self.curves.T)
+        ]
+        return csv_text(header, columns, rows)
+
     def write_json(self, path, include_timings: bool = True) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(include_timings), fh, indent=2)
-            fh.write("\n")
+        write_text(path, json_text(self.to_json_dict(include_timings)))
 
     def write_csv(self, path) -> None:
-        k = len(self.hypotheses)
-        lines = ["alpha," + ",".join(f"cdf_{j + 1}" for j in range(k))]
-        for i, a in enumerate(self.alphas):
-            cells = [repr(float(a))]
-            cells += [repr(float(self.curves[j, i])) for j in range(k)]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, self.csv_text())
 
 
 @dataclass
@@ -676,9 +659,7 @@ class TimingAccuracyResult:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_text(path, json_text(self.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -710,30 +691,59 @@ def _simulate(scenario: Scenario, model: ModelSpec,
     return model.sample(theta, scenario.n, rng)
 
 
-def _replicate_contour(scenario: Scenario, model: ModelSpec, data: Dataset,
-                       child: int):
-    """This replication's contour object (and fitted family, if any)."""
-    method = scenario.method
+def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
+                  m: int, sa: Optional[SAConfig] = None, tau=None, B: int = 500):
+    """The contour ``method`` names for one dataset, and the family a
+    variational fit produced (None for the other methods).
+
+    What the model declares decides the construction: ``exact`` needs an
+    ``exact_contour_for`` hook, and ``naive`` uses that hook when present,
+    since Monte Carlo would only add noise around it; otherwise ``naive``
+    is the Monte Carlo contour of size ``m``.  ``censored`` needs a
+    ``censored_sim`` hook, ``bootstrap`` a quantile level ``tau`` (with
+    ``B`` resamples), and the variational methods an ``sa`` config.
+    ``seed`` seeds the contour's streams or the fit.  A method the model
+    cannot serve raises :class:`ScenarioError`.
+    """
+    if method in ("exact", "naive") and model.exact_contour_for is not None:
+        return make_exact_contour(model, data), None
+    if method == "exact":
+        raise ScenarioError(
+            f"the exact contour is not available for the {model.name} model"
+        )
     if method == "naive":
-        if scenario.model_id == "binomial":
-            # the enumeration contour is this model's exact IM contour;
-            # Monte Carlo would only add noise around it
-            return make_exact_binomial(data), None
-        return make_mc_contour(model, data, scenario.m, seed=child), None
+        return make_mc_contour(model, data, m, seed=seed), None
     if method in ("variational-scalar", "variational-vector"):
-        config = replace(scenario.sa, seed=child)
+        if sa is None:
+            raise ScenarioError(f"method {method!r} requires an SAConfig")
         fit = fit_scalar if method == "variational-scalar" else fit_vector
-        family, _ = fit(model, data, config)
+        family, _ = fit(model, data, replace(sa, seed=seed))
         return gaussian_contour_object(family), family
     if method == "bootstrap":
-        kw = scenario.model_kwargs
-        spec = quantile_risk_spec(float(kw["tau"]), int(kw.get("B", 500)))
-        return make_empirical_risk_contour(data, spec, seed=child), None
-    ghat = kaplan_meier_swapped(data)
-    return (
-        make_censored_contour(model, data, ghat, scenario.m, seed=child),
-        None,
+        if tau is None:
+            raise ScenarioError("the bootstrap method needs a quantile level tau")
+        spec = quantile_risk_spec(float(tau), int(B))
+        return make_empirical_risk_contour(data, spec, seed=seed), None
+    if method == "censored":
+        if model.censored_sim is None:
+            raise ScenarioError(
+                f"the censored method needs a censored simulator, which the "
+                f"{model.name} model does not declare"
+            )
+        ghat = kaplan_meier_swapped(data)
+        return make_censored_contour(model, data, ghat, m, seed=seed), None
+    raise ScenarioError(
+        f"unknown contour method {method!r}; expected exact, naive, "
+        "variational-scalar, variational-vector, bootstrap, or censored"
     )
+
+
+def _scenario_contour(scenario: Scenario, model: ModelSpec, data: Dataset,
+                      child: int):
+    """:func:`build_contour` with the scenario's method and settings."""
+    kw = scenario.model_kwargs
+    return build_contour(scenario.method, model, data, child, m=scenario.m,
+                         sa=scenario.sa, tau=kw.get("tau"), B=kw.get("B", 500))
 
 
 def _run_replications(reps: int, threads: int, fn):
@@ -794,7 +804,7 @@ def validity_study(
         )
         child = _child_seed(scenario.seed, r, 2)
         start = perf_counter()
-        contour, _ = _replicate_contour(scenario, model, data, child)
+        contour, _ = _scenario_contour(scenario, model, data, child)
         value = float(contour(scenario.truth_eval))
         if np.isnan(value):  # a Monte Carlo evaluation whose kernel raised
             raise RuntimeError("contour evaluation at the truth failed")
@@ -876,7 +886,7 @@ def hypothesis_calibration(
         )
         child = _child_seed(scenario.seed, r, 2)
         start = perf_counter()
-        contour, family = _replicate_contour(scenario, model, data, child)
+        contour, family = _scenario_contour(scenario, model, data, child)
         if family is None:
             family = _proposal_family(model, data)
         vals = np.empty(len(hyps))

@@ -40,18 +40,20 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ._render import csv_text, json_text, write_text
 from ._rng import CLI_TAG, derive_rng
 from .calibration import (
     Scenario,
     ScenarioError,
     StudyError,
     _proposal_family,
+    build_contour,
     hypothesis_calibration,
     model_from_id,
     validity_study,
 )
-from .contours import AxisSpec, grid_eval, make_exact_binomial, make_mc_contour
-from .families import gaussian_contour_object, family_to_json
+from .contours import AxisSpec, grid_eval
+from .families import family_to_json
 from .inference import (
     ChoquetSpec,
     Hypothesis,
@@ -68,14 +70,7 @@ from .models import (
     SingularInformationError,
     read_dataset_csv,
 )
-from .nuisance import (
-    FiberOptimizationError,
-    RiskMinimizationError,
-    kaplan_meier_swapped,
-    make_censored_contour,
-    make_empirical_risk_contour,
-    quantile_risk_spec,
-)
+from .nuisance import FiberOptimizationError, RiskMinimizationError
 from .sa import SAConfig, fit_scalar, fit_vector
 
 __all__ = ["main", "ConfigError"]
@@ -148,11 +143,13 @@ def _header_comments(command: str, cfg_hash: str, seed: int) -> list:
 
 def _json_header(command: str, cfg_hash: str, seed: int) -> dict:
     return {
-        "tool": "possfit",
-        "command": command,
-        "config_sha256": cfg_hash,
-        "seed": seed,
-        "generated": _now_iso(),
+        "header": {
+            "tool": "possfit",
+            "command": command,
+            "config_sha256": cfg_hash,
+            "seed": seed,
+            "generated": _now_iso(),
+        }
     }
 
 
@@ -172,20 +169,9 @@ def _parse_output(config: dict) -> dict:
 def _write_outputs(texts: dict, paths: dict, verbose: bool) -> None:
     """texts/paths keyed by format; all writes atomic (temp + rename)."""
     for key, path in paths.items():
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(texts[key])
-        os.replace(tmp, path)
+        write_text(path, texts[key])
         if verbose:
             print(f"possfit: wrote {path}", file=sys.stderr)
-
-
-def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _render_csv(comments: list, header_row: str, rows: list) -> str:
-    return "\n".join(comments + [header_row] + rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +184,18 @@ def _parse_grid(config: dict):
     if not isinstance(doc, list) or not doc:
         raise ConfigError("grid must be a non-empty list of axis objects")
     try:
-        return tuple(
-            AxisSpec(
-                lo=float(g["lo"]),
-                hi=float(g["hi"]),
-                count=int(g["count"]),
-                name=g.get("name"),
-            )
-            for g in doc
-        )
+        return tuple(AxisSpec.from_dict(g) for g in doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid axis: {exc}")
 
 
-def _parse_sa(config: dict) -> SAConfig:
-    doc = config.get("sa")
-    if not isinstance(doc, dict):
-        raise ConfigError("this method requires an 'sa' block (SAConfig)")
+def _parse_sa(config: dict):
+    """The config's SAConfig, or None without an 'sa' block."""
+    if config.get("sa") is None:
+        return None
     try:
-        return SAConfig(
-            seed=int(doc.get("seed", 0)),
-            alpha=float(doc.get("alpha", 0.1)),
-            k_outer=int(doc.get("k_outer", 200)),
-            m_inner=int(doc.get("m_inner", 500)),
-            epsilon=float(doc.get("epsilon", 0.005)),
-            min_iter=int(doc.get("min_iter", 5)),
-            max_iter=int(doc.get("max_iter", 500)),
-        )
-    except (TypeError, ValueError) as exc:
+        return SAConfig.from_dict(config["sa"])
+    except ValueError as exc:
         raise ConfigError(f"invalid sa block: {exc}")
 
 
@@ -328,48 +298,20 @@ def _model_and_data(config: dict, seed: int):
     return model, data
 
 
-def _single_contour(config: dict, model, data, seed: int):
+def _contour_from_config(config: dict, model, data, seed: int):
     """(contour, fitted family or None) for single-dataset commands."""
-    method = config.get("method", "naive")
-    child = int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63))
-    m = int(config.get("m", 500))
-    if method == "exact":
-        if config.get("model") != "binomial":
-            raise ConfigError(
-                "the exact contour is only available for the binomial model"
-            )
-        return make_exact_binomial(data), None
-    if method == "naive":
-        if config.get("model") == "binomial":
-            # enumeration is this model's exact contour; MC would only add
-            # noise around it
-            return make_exact_binomial(data), None
-        return make_mc_contour(model, data, m, seed=child), None
-    if method in ("variational-scalar", "variational-vector"):
-        sa_config = replace(_parse_sa(config), seed=child)
-        fit = fit_scalar if method == "variational-scalar" else fit_vector
-        family, _ = fit(model, data, sa_config)
-        return gaussian_contour_object(family), family
-    if method == "bootstrap":
-        doc = config.get("bootstrap")
-        if not isinstance(doc, dict) or "tau" not in doc:
-            raise ConfigError(
-                "bootstrap method needs a 'bootstrap' block with 'tau'"
-            )
-        spec = quantile_risk_spec(
-            float(doc["tau"]), int(doc.get("B", 500))
-        )
-        return make_empirical_risk_contour(data, spec, seed=child), None
-    if method == "censored":
-        if config.get("model") != "lognormal-censored":
-            raise ConfigError(
-                "censored method requires the lognormal-censored model"
-            )
-        ghat = kaplan_meier_swapped(data)
-        return make_censored_contour(model, data, ghat, m, seed=child), None
-    raise ConfigError(
-        f"unknown contour method {method!r}; expected exact, naive, "
-        "variational-scalar, variational-vector, bootstrap, or censored"
+    boot = config.get("bootstrap") or {}
+    if not isinstance(boot, dict):
+        raise ConfigError("the 'bootstrap' block must be an object")
+    return build_contour(
+        config.get("method", "naive"),
+        model,
+        data,
+        int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63)),
+        m=int(config.get("m", 500)),
+        sa=_parse_sa(config),
+        tau=boot.get("tau"),
+        B=boot.get("B", 500),
     )
 
 
@@ -383,31 +325,10 @@ def _describe_config_hypothesis(doc: dict) -> str:
 
 
 def _grid_texts(grid, command, cfg_hash, seed):
-    names = [
-        a.name if a.name else f"theta_{i + 1}"
-        for i, a in enumerate(grid.axes)
-    ]
-    coords = [a.points() for a in grid.axes]
-    rows = []
-    for idx in np.ndindex(grid.values.shape):
-        cells = [repr(float(coords[d][idx[d]])) for d in range(len(idx))]
-        cells.append(repr(float(grid.values[idx])))
-        rows.append(",".join(cells))
-    csv_text = _render_csv(
-        _header_comments(command, cfg_hash, seed),
-        ",".join(names + ["value"]),
-        rows,
-    )
-    doc = {
-        "header": _json_header(command, cfg_hash, seed),
-        "axes": [
-            {"lo": a.lo, "hi": a.hi, "count": a.count, "name": a.name}
-            for a in grid.axes
-        ],
-        "shape": list(grid.values.shape),
-        "values": [float(v) for v in grid.values.ravel()],
+    return {
+        "csv": grid.csv_text(_header_comments(command, cfg_hash, seed)),
+        "json": grid.json_text(_json_header(command, cfg_hash, seed)),
     }
-    return {"csv": csv_text, "json": _render_json(doc)}
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +340,7 @@ def _cmd_contour(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
     axes = _parse_grid(config)
     model, data = _model_and_data(config, seed)
-    contour, _ = _single_contour(config, model, data, seed)
+    contour, _ = _contour_from_config(config, model, data, seed)
     grid = grid_eval(contour, axes, parallelism=threads)
     texts = _grid_texts(grid, "contour", cfg_hash, seed)
     _write_outputs(texts, paths, verbose)
@@ -434,6 +355,8 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
             f"got {method!r}"
         )
     sa_config = _parse_sa(config)
+    if sa_config is None:
+        raise ConfigError("this method requires an 'sa' block (SAConfig)")
     model, data = _model_and_data(config, seed)
     child = int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63))
     fit = fit_scalar if method == "variational-scalar" else fit_vector
@@ -444,28 +367,9 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
     print(f"xi_hat: {xi_repr}")
     print(f"termination: {trace.reason}")
 
-    doc = {"header": _json_header("fit", cfg_hash, seed)}
-    doc.update(family_to_json(family))
-
-    xis = np.atleast_2d(np.asarray(trace.xis, dtype=float))
-    objs = np.atleast_2d(np.asarray(trace.objectives, dtype=float))
-    d = xis.shape[1]
-    header_row = ",".join(
-        ["t"]
-        + [f"xi_{j}" for j in range(d)]
-        + [f"objective_{j}" for j in range(d)]
-    )
-    rows = []
-    for i, t in enumerate(trace.ts):
-        cells = [str(int(t))]
-        cells += [repr(float(v)) for v in xis[i]]
-        cells += [repr(float(v)) for v in objs[i]]
-        rows.append(",".join(cells))
     texts = {
-        "json": _render_json(doc),
-        "csv": _render_csv(
-            _header_comments("fit", cfg_hash, seed), header_row, rows
-        ),
+        "json": json_text(family_to_json(family), _json_header("fit", cfg_hash, seed)),
+        "csv": trace.csv_text(_header_comments("fit", cfg_hash, seed)),
     }
     _write_outputs(texts, paths, verbose)
 
@@ -479,35 +383,14 @@ def _cmd_calibrate(config, seed, cfg_hash, threads, verbose):
         result = hypothesis_calibration(
             scenario, hyps, alphas=alphas, threads=threads
         )
-        body = result.to_json_dict(include_timings=False)
-        header_row = "alpha," + ",".join(
-            f"cdf_{j + 1}" for j in range(len(result.hypotheses))
-        )
-        rows = [
-            ",".join(
-                [repr(float(a))]
-                + [
-                    repr(float(result.curves[j, i]))
-                    for j in range(len(result.hypotheses))
-                ]
-            )
-            for i, a in enumerate(result.alphas)
-        ]
     else:
-        report = validity_study(scenario, alphas=alphas, threads=threads)
-        body = report.to_json_dict(include_timings=False)
-        header_row = "alpha,cdf"
-        rows = [
-            f"{float(a)!r},{float(c)!r}"
-            for a, c in zip(report.alphas, report.cdf)
-        ]
-    doc = {"header": _json_header("calibrate", cfg_hash, seed)}
-    doc.update(body)
+        result = validity_study(scenario, alphas=alphas, threads=threads)
     texts = {
-        "json": _render_json(doc),
-        "csv": _render_csv(
-            _header_comments("calibrate", cfg_hash, seed), header_row, rows
+        "json": json_text(
+            result.to_json_dict(include_timings=False),
+            _json_header("calibrate", cfg_hash, seed),
         ),
+        "csv": result.csv_text(_header_comments("calibrate", cfg_hash, seed)),
     }
     _write_outputs(texts, paths, verbose)
 
@@ -525,7 +408,7 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
             raise ConfigError(
                 f"hypothesis {k + 1} has dimension {h.dim}, expected {dim}"
             )
-    contour, family = _single_contour(config, model, data, seed)
+    contour, family = _contour_from_config(config, model, data, seed)
     if family is None:
         family = _proposal_family(model, data)
 
@@ -556,15 +439,13 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
         rows.append(f"{k + 1},{upper!r},{lower!r}")
         print(f"H{k + 1}: upper={upper:.6f} lower={lower:.6f}")
 
-    doc = {
-        "header": _json_header("hypothesis", cfg_hash, seed),
-        "hypotheses": entries,
-    }
     texts = {
-        "json": _render_json(doc),
-        "csv": _render_csv(
+        "json": json_text(
+            {"hypotheses": entries}, _json_header("hypothesis", cfg_hash, seed)
+        ),
+        "csv": csv_text(
             _header_comments("hypothesis", cfg_hash, seed),
-            "hypothesis,upper,lower",
+            ["hypothesis", "upper", "lower"],
             rows,
         ),
     }
@@ -591,7 +472,7 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
             "marginal feature must be {'component': i} or {'linear': [...]}"
         )
     model, data = _model_and_data(config, seed)
-    contour, family = _single_contour(config, model, data, seed)
+    contour, family = _contour_from_config(config, model, data, seed)
     if family is None:
         family = _proposal_family(model, data)
     search_seed = int(derive_rng(seed, CLI_TAG, 3).integers(2 ** 63))
@@ -647,22 +528,18 @@ def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     loss = _parse_loss(doc["loss"])
     spec = ChoquetSpec(loss=loss, resolution=int(doc.get("resolution", 200)))
     model, data = _model_and_data(config, seed)
-    contour, family = _single_contour(config, model, data, seed)
+    contour, family = _contour_from_config(config, model, data, seed)
     if family is None:
         family = _proposal_family(model, data)
     child = int(derive_rng(seed, CLI_TAG, 4).integers(2 ** 63))
     result = choquet_upper_expectation(contour, spec, family=family, seed=child)
     print(f"choquet upper expectation: {float(result.value)!r}")
-    out = {
-        "header": _json_header("choquet", cfg_hash, seed),
-        "value": float(result.value),
-        "flags": list(result.flags),
-    }
+    out = {"value": float(result.value), "flags": list(result.flags)}
     texts = {
-        "json": _render_json(out),
-        "csv": _render_csv(
+        "json": json_text(out, _json_header("choquet", cfg_hash, seed)),
+        "csv": csv_text(
             _header_comments("choquet", cfg_hash, seed),
-            "value",
+            ["value"],
             [repr(float(result.value))],
         ),
     }

@@ -18,19 +18,20 @@ replicates whose refitting failed) as included — the conservative direction.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._render import csv_text, json_text, write_text
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
 from .models import (
+    TIE_EPS,
     Dataset,
     ModelSpec,
-    _binom_log_pmf,
-    _binom_log_rel,
+    binomial,
+    exact_binomial_contour,
     log_relative_likelihood,
     observed_log_rel_lik,
 )
@@ -42,15 +43,13 @@ __all__ = [
     "ContourGrid",
     "AlphaCut",
     "exact_binomial_contour",
+    "make_exact_contour",
     "make_exact_binomial",
     "mc_contour",
     "make_mc_contour",
     "grid_eval",
     "alpha_cut",
 ]
-
-TIE_EPS = 1e-9  # log-scale slack for the inclusive tie rule
-
 
 # ---------------------------------------------------------------------------
 # contour objects
@@ -109,49 +108,25 @@ class PossibilityContour:
 
 
 # ---------------------------------------------------------------------------
-# exact binomial contour by enumeration
+# exact contours a model declares
 # ---------------------------------------------------------------------------
 
 
-def exact_binomial_contour(n: int, s_obs: int, theta):
-    """P_theta{R(S, theta) <= R(s_obs, theta)} for S ~ binomial(n, theta).
-
-    Exact by enumeration of the n+1 support points, vectorized over theta.
-    Values of theta outside [0, 1] give 0.
-    """
-    n = int(n)
-    s_obs = int(s_obs)
-    if not 0 <= s_obs <= n:
-        raise ValueError("s_obs must lie in {0, ..., n}")
-    scalar = np.ndim(theta) == 0
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    valid = (th >= 0.0) & (th <= 1.0)
-    tv = np.where(valid, th, 0.5)  # placeholder to keep the math NaN-free
-
-    s = np.arange(n + 1, dtype=float)[:, None]
-    # log R(s; theta), rows over s, columns over theta
-    logrel = _binom_log_rel(s, n, tv[None, :])
-    cutoff = logrel[s_obs]
-    include = logrel <= cutoff[None, :] + TIE_EPS
-    pmf = np.exp(_binom_log_pmf(s, n, logrel))
-    vals = np.sum(pmf * include, axis=0)
-    vals = np.where(valid, np.minimum(vals, 1.0), 0.0)
-    return float(vals[0]) if scalar else vals
+def make_exact_contour(model: ModelSpec, data: Dataset) -> PossibilityContour:
+    """The exact contour the model declares through ``exact_contour_for``."""
+    exact = model.exact_contour_for(data)
+    return PossibilityContour(
+        kind="exact-discrete",
+        dim=model.dim,
+        evaluate=lambda th, rng: float(exact(th[None, :])[0]),
+        evaluate_batch=lambda thetas, rng: exact(np.asarray(thetas, dtype=float)),
+        meta={"model": model.name},
+    )
 
 
 def make_exact_binomial(data: Dataset) -> PossibilityContour:
     """Exact possibility contour for the binomial success probability."""
-    s_obs = int(np.sum(data.responses))
-    n = data.n
-    return PossibilityContour(
-        kind="exact-discrete",
-        dim=1,
-        evaluate=lambda th, rng: float(exact_binomial_contour(n, s_obs, th[0])),
-        evaluate_batch=lambda thetas, rng: exact_binomial_contour(
-            n, s_obs, np.asarray(thetas, dtype=float)[:, 0]
-        ),
-        meta={"model": "binomial", "n": n, "s_obs": s_obs},
-    )
+    return make_exact_contour(binomial(), data)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +267,13 @@ class AxisSpec:
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi < self.lo:
             raise ValueError("axis bounds must be finite with hi >= lo")
 
+    @classmethod
+    def from_dict(cls, doc) -> "AxisSpec":
+        """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
+        describes; the name is optional."""
+        return cls(lo=float(doc["lo"]), hi=float(doc["hi"]),
+                   count=int(doc["count"]), name=doc.get("name"))
+
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
@@ -319,35 +301,42 @@ class ContourGrid:
     def nodes(self) -> np.ndarray:
         return _product_nodes(self.axes)
 
-    def to_csv(self, path) -> None:
+    def csv_text(self, header=None) -> str:
+        """One column per axis and a value column, first axis slowest,
+        after the ``header`` comment lines (by default the grid's kind,
+        seed and axes)."""
         names = _axis_names(self.axes)
-        lines = ["# possibility contour grid", f"# kind={self.kind}"]
-        if self.seed is not None:
-            lines.append(f"# seed={self.seed}")
-        for name, a in zip(names, self.axes):
-            lines.append(f"# axis {name}: lo={a.lo!r} hi={a.hi!r} count={a.count}")
-        lines.append(",".join(names + ["value"]))
-        flat = self.values.ravel()
-        for node, v in zip(self.nodes(), flat):
-            lines.append(",".join([repr(float(c)) for c in node] + [repr(float(v))]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        if header is None:
+            header = ["# possibility contour grid", f"# kind={self.kind}"]
+            if self.seed is not None:
+                header.append(f"# seed={self.seed}")
+            header += [
+                f"# axis {name}: lo={a.lo!r} hi={a.hi!r} count={a.count}"
+                for name, a in zip(names, self.axes)
+            ]
+        rows = [
+            ",".join([repr(float(c)) for c in node] + [repr(float(v))])
+            for node, v in zip(self.nodes(), self.values.ravel())
+        ]
+        return csv_text(header, names + ["value"], rows)
+
+    def json_text(self, header=None) -> str:
+        """Axes, shape and C-order values after the ``header`` keys (by
+        default the grid's kind, seed and metadata)."""
+        if header is None:
+            header = {"kind": self.kind, "seed": self.seed, "meta": self.meta}
+        doc = {
+            "axes": [asdict(a) for a in self.axes],
+            "shape": list(self.values.shape),
+            "values": [float(v) for v in self.values.ravel()],
+        }
+        return json_text(doc, header)
+
+    def to_csv(self, path) -> None:
+        write_text(path, self.csv_text())
 
     def to_json(self, path) -> None:
-        names = _axis_names(self.axes)
-        doc = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "axes": [
-                {"name": name, "lo": a.lo, "hi": a.hi, "count": a.count}
-                for name, a in zip(names, self.axes)
-            ],
-            "values": [float(v) for v in self.values.ravel()],
-            "meta": self.meta,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_text(path, self.json_text())
 
 
 def grid_eval(

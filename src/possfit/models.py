@@ -30,6 +30,15 @@ censoring distribution to a kernel of the same contract for data pushed
 through left censoring at levels drawn from ``ghat``;
 ``nuisance.censored_model`` installs it in place of the uncensored kernel.
 
+A model whose contour has a closed form declares it:
+
+``exact_contour_for(data)``
+    a function mapping a ``(k, d)`` array of parameter points to the
+    ``(k,)`` exact contour values of the observed data, 0 off the domain.
+    The ``exact`` and ``naive`` contour methods use it in place of Monte
+    Carlo, which would only add noise around it (the binomial declares
+    its enumeration).
+
 Conventions: a parameter outside the domain makes ``log_lik`` return
 ``-inf`` (so the relative likelihood is 0 there); ``mle`` returns the
 likelihood-supremum point even when it sits on the domain boundary, and
@@ -59,6 +68,8 @@ __all__ = [
     "mle_and_information",
     "finite_difference_information",
     "soft_threshold",
+    "TIE_EPS",
+    "exact_binomial_contour",
     "binomial",
     "bvn_correlation",
     "logistic_regression",
@@ -73,6 +84,9 @@ __all__ = [
     "log_reparam",
     "read_dataset_csv",
 ]
+
+
+TIE_EPS = 1e-9  # log-scale slack for the inclusive tie rule
 
 
 class DegenerateMLEError(RuntimeError):
@@ -179,6 +193,9 @@ class ModelSpec:
     censored_sim: Optional[
         Callable[[object], Callable[[np.ndarray, int, int, np.random.Generator],
                                     np.ndarray]]
+    ] = None
+    exact_contour_for: Optional[
+        Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
     meta: dict = field(default_factory=dict)
 
@@ -372,6 +389,32 @@ def _binom_log_pmf(s, n, log_rel):
     return log_rel + log_peak
 
 
+def exact_binomial_contour(n: int, s_obs: int, theta):
+    """P_theta{R(S, theta) <= R(s_obs, theta)} for S ~ binomial(n, theta).
+
+    Exact by enumeration of the n+1 support points, vectorized over theta.
+    Values of theta outside [0, 1] give 0.
+    """
+    n = int(n)
+    s_obs = int(s_obs)
+    if not 0 <= s_obs <= n:
+        raise ValueError("s_obs must lie in {0, ..., n}")
+    scalar = np.ndim(theta) == 0
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    valid = (th >= 0.0) & (th <= 1.0)
+    tv = np.where(valid, th, 0.5)  # placeholder to keep the math NaN-free
+
+    s = np.arange(n + 1, dtype=float)[:, None]
+    # log R(s; theta), rows over s, columns over theta
+    logrel = _binom_log_rel(s, n, tv[None, :])
+    cutoff = logrel[s_obs]
+    include = logrel <= cutoff[None, :] + TIE_EPS
+    pmf = np.exp(_binom_log_pmf(s, n, logrel))
+    vals = np.sum(pmf * include, axis=0)
+    vals = np.where(valid, np.minimum(vals, 1.0), 0.0)
+    return float(vals[0]) if scalar else vals
+
+
 def binomial() -> ModelSpec:
     def log_lik(data, theta):
         t = float(theta[0])
@@ -417,6 +460,10 @@ def binomial() -> ModelSpec:
         counts = rng.multinomial(int(m), pmf / pmf.sum(axis=1, keepdims=True))
         return np.repeat(table.ravel(), counts.ravel()).reshape(t.shape[0], int(m))
 
+    def exact_for(data):
+        s, n = int(np.sum(data.responses)), data.n
+        return lambda thetas: exact_binomial_contour(n, s, thetas[:, 0])
+
     return ModelSpec(
         name="binomial",
         dim=1,
@@ -427,6 +474,7 @@ def binomial() -> ModelSpec:
         boundary_mle=boundary,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
+        exact_contour_for=exact_for,
     )
 
 
@@ -1335,7 +1383,7 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
     default) of a model whose corresponding parameters are positive.
 
     The likelihood is invariant under the reparametrization, so relative
-    likelihoods and simulated contour values carry over; the observed
+    likelihoods, simulated and exact contour values carry over; the observed
     information transforms as D J D with D diagonal, D_ii = theta_i on
     logged coordinates and 1 elsewhere.
     """
@@ -1382,16 +1430,22 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         D = np.diag(d)
         return D @ np.atleast_2d(np.asarray(base.information(data), dtype=float)) @ D
 
-    log_rel_for = None
-    if base.log_rel_lik_for is not None:
-        def log_rel_for(data):  # noqa: F811
-            base_log_rel = base.log_rel_lik_for(data)
+    def at_theta(hook, far_value):
+        """An observed-data hook of the base model, evaluated at exp(eta);
+        far rows give ``far_value``."""
+        if hook is None:
+            return None
 
-            def log_rel(etas):
+        def for_data(data):
+            base_values = hook(data)
+
+            def values(etas):
                 thetas, far = _to_theta(etas)
-                return np.where(far, -np.inf, base_log_rel(thetas))
+                return np.where(far, far_value, base_values(thetas))
 
-            return log_rel
+            return values
+
+        return for_data
 
     def on_domain(kernel):
         def sim(etas, n, m, rng):
@@ -1419,7 +1473,8 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
-        log_rel_lik_for=log_rel_for,
+        log_rel_lik_for=at_theta(base.log_rel_lik_for, -np.inf),
+        exact_contour_for=at_theta(base.exact_contour_for, 0.0),
         sim_log_rel_lik=sim,
         censored_sim=censored_sim,
         meta=dict(base.meta, reparam_base=base.name,

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._render import csv_text, write_text
 from ._rng import SA_TAG, derive_rng
 from .contours import PossibilityContour, make_mc_contour
 from .families import (
@@ -98,6 +99,26 @@ class SAConfig:
         if self.max_iter < self.min_iter:
             raise ValueError("max_iter must be at least min_iter")
 
+    @classmethod
+    def from_dict(cls, doc) -> "SAConfig":
+        """The config a run config's ``sa`` object describes; absent fields
+        take their defaults.  Raises ValueError for a non-object or a bad
+        field."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"the sa block must be an object, got {doc!r}")
+        try:
+            return cls(
+                seed=int(doc.get("seed", 0)),
+                alpha=float(doc.get("alpha", 0.1)),
+                k_outer=int(doc.get("k_outer", 200)),
+                m_inner=int(doc.get("m_inner", 500)),
+                epsilon=float(doc.get("epsilon", 0.005)),
+                min_iter=int(doc.get("min_iter", 5)),
+                max_iter=int(doc.get("max_iter", 500)),
+            )
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+
 
 @dataclass
 class FitTrace:
@@ -114,23 +135,22 @@ class FitTrace:
     reason: str  # "converged" | "max-iterations"
     failures: int = 0
 
-    def to_csv(self, path) -> None:
+    def csv_text(self, header=()) -> str:
+        """One row per iteration: t, the iterate, then the objective
+        estimate, after the ``header`` comment lines."""
         d = self.xi_final.size
         k = self.objectives[0].size if self.objectives else d
-        header = (
-            "t,"
-            + ",".join(f"xi_{j + 1}" for j in range(d))
-            + ","
-            + ",".join(f"obj_{j + 1}" for j in range(k))
-        )
-        lines = [header]
-        for t, xi, obj in zip(self.ts, self.xis, self.objectives):
-            cells = [str(t)]
-            cells += [repr(float(v)) for v in np.atleast_1d(xi)]
-            cells += [repr(float(v)) for v in np.atleast_1d(obj)]
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = ["t", *(f"xi_{j}" for j in range(d)),
+                   *(f"objective_{j}" for j in range(k))]
+        rows = [
+            ",".join([str(int(t)), *(repr(float(v)) for v in xi),
+                      *(repr(float(v)) for v in obj)])
+            for t, xi, obj in zip(self.ts, self.xis, self.objectives)
+        ]
+        return csv_text(header, columns, rows)
+
+    def to_csv(self, path) -> None:
+        write_text(path, self.csv_text())
 
 
 def robbins_monro(

@@ -238,6 +238,15 @@ def test_binomial_exact_validity_small():
     assert np.array_equal(report.cdf, again.cdf)
 
 
+def test_binomial_log_params_validity_matches_theta_scale():
+    # the exact contour is evaluated at exp(eta), not at eta itself
+    kw = dict(n=30, reps=20, seed=5)
+    on_log = validity_study(_binomial_scenario(log_params=True, **kw)).values
+    on_theta = validity_study(_binomial_scenario(**kw)).values
+    assert np.ptp(on_theta) > 0.5
+    assert np.allclose(on_log, on_theta, rtol=0.0, atol=1e-12)
+
+
 def test_validity_thread_count_invariant():
     scn = _binomial_scenario(reps=40, seed=11)
     r1 = validity_study(scn, threads=1)

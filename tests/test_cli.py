@@ -30,6 +30,7 @@ import pytest
 
 from possfit import (
     AxisSpec,
+    exact_binomial_contour,
     grid_eval,
     make_exact_binomial,
     make_mc_contour,
@@ -111,6 +112,21 @@ class TestContour:
         assert len(doc["header"]["config_sha256"]) == 64
         assert doc["axes"][0]["count"] == 200
         assert doc["values"] == [float(v) for v in grid.values]
+
+    @pytest.mark.parametrize("method", ["exact", "naive"])
+    def test_binomial_log_params_grid_is_exact_contour_at_exp_eta(
+            self, tmp_path, method):
+        cfg = contour_config(
+            tmp_path, method=method, log_params=True,
+            grid=[{"lo": -3.0, "hi": 0.5, "count": 40, "name": "eta"}],
+        )
+        assert run(write_config(tmp_path, cfg)) == 0
+        _, header, rows = csv_sections(tmp_path / "contour.csv")
+        assert header == "eta,value"
+        eta, got = np.array([r.split(",") for r in rows], dtype=float).T
+        assert got.max() > 0.9
+        expected = exact_binomial_contour(15, 6, np.exp(eta))
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_bvn_mc_matches_library_byte_for_byte(self, tmp_path):
         cfg = {
@@ -220,6 +236,52 @@ class TestConfigHandling:
     def test_unknown_model_exit2(self, tmp_path):
         cfg = contour_config(tmp_path, model="bogus")
         assert run(write_config(tmp_path, cfg)) == 2
+
+    def test_non_string_model_id_exit2(self, tmp_path, capsys):
+        cfg = contour_config(tmp_path, model={"id": "binomial"})
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "unknown model id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["contour", "fit", "calibrate"])
+    @pytest.mark.parametrize("sa", [{"alpha": 1.5}, []])
+    def test_bad_sa_block_exit2_without_outputs(self, tmp_path, capsys,
+                                                command, sa):
+        cfg = {
+            "contour": contour_config(tmp_path, method="variational-scalar"),
+            "fit": fit_config(tmp_path),
+            "calibrate": calibrate_config(tmp_path,
+                                          method="variational-scalar"),
+        }[command]
+        cfg["sa"] = sa
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "invalid sa block" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("method,model,theta", [
+        ("exact", "bvn-correlation", [0.5]),
+        ("censored", "lognormal", [0.3, 0.5]),
+    ])
+    def test_method_the_model_cannot_serve_exit2(self, tmp_path, capsys,
+                                                 method, model, theta):
+        cfg = contour_config(
+            tmp_path, model=model, method=method,
+            data={"simulate": {"theta": theta, "n": 20}},
+            grid=[{"lo": 0.1, "hi": 0.5, "count": 3}] * len(theta),
+        )
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{model} model" in err
+        assert not (tmp_path / "contour.csv").exists()
+
+    def test_readme_example_config_runs(self, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("Example config")[1].split("```json\n")[1]
+        cfg = json.loads(block.split("```")[0])
+        monkeypatch.chdir(tmp_path)
+        assert run(write_config(tmp_path, cfg)) == 0
+        assert (tmp_path / "contour.csv").exists()
+        assert (tmp_path / "contour.json").exists()
 
     def test_byte_identity_modulo_timestamp_and_threads(self, tmp_path):
         cfg = {
@@ -339,6 +401,24 @@ class TestFit:
 # ---------------------------------------------------------------------------
 # cmd_calibrate
 # ---------------------------------------------------------------------------
+
+
+def calibrate_config(tmp_path, **overrides):
+    doc = {
+        "command": "calibrate",
+        "model": "binomial",
+        "seed": 5,
+        "truth": [0.4],
+        "n": 15,
+        "reps": 10,
+        "method": "naive",
+        "output": {
+            "csv": str(tmp_path / "report.csv"),
+            "json": str(tmp_path / "report.json"),
+        },
+    }
+    doc.update(overrides)
+    return doc
 
 
 class TestCalibrate:

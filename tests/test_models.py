@@ -488,6 +488,18 @@ def test_log_reparam_wraps_gamma():
     assert r_w == pytest.approx(r_b, rel=1e-12)
 
 
+def test_log_reparam_wraps_exact_contour():
+    data = Dataset(responses=np.array([1] * 6 + [0] * 9))
+    base = binomial().exact_contour_for(data)
+    wrapped = log_reparam(binomial()).exact_contour_for(data)
+    etas = np.array([[np.log(0.2)], [np.log(0.4)], [0.5], [-700.0], [700.0]])
+    got = wrapped(etas)
+    assert np.array_equal(got[:3], base(np.exp(etas[:3])))
+    assert got[1] > 0.5 and got[2] == 0.0  # exp(0.5) > 1 lies off the domain
+    assert np.array_equal(got[3:], [0.0, 0.0])  # far rows
+    assert log_reparam(gamma_shape_scale()).exact_contour_for is None
+
+
 # ---------------------------------------------------------------------------
 # soft threshold / lasso model
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_fit_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,xi_1,xi_2,obj_1,obj_2"
+    assert lines[0] == "t,xi_0,xi_1,objective_0,objective_1"
     assert len(lines) == 1 + len(trace.ts)
     first = lines[1].split(",")
     assert int(first[0]) == 1
