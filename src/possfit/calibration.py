@@ -419,22 +419,27 @@ class Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"invalid sa block: {exc}") from None
         grid = None
-        if config.get("grid") is not None:
-            grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
-        return cls(
-            model_id=config["model"],
-            truth=tuple(config["truth"]),
-            n=int(config["n"]),
-            reps=int(config["reps"]),
-            method=config["method"],
-            seed=int(config["seed"]),
-            sa=sa,
-            grid=grid,
-            m=int(config.get("m", 500)),
-            log_params=bool(config.get("log_params", False)),
-            data_params=config.get("data_params"),
-            model_kwargs=dict(config.get("model_kwargs", {})),
-        )
+        try:
+            if config.get("grid") is not None:
+                grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
+            return cls(
+                model_id=config["model"],
+                truth=tuple(config["truth"]),
+                n=int(config["n"]),
+                reps=int(config["reps"]),
+                method=config["method"],
+                seed=int(config["seed"]),
+                sa=sa,
+                grid=grid,
+                m=int(config.get("m", 500)),
+                log_params=bool(config.get("log_params", False)),
+                data_params=config.get("data_params"),
+                model_kwargs=dict(config.get("model_kwargs", {})),
+            )
+        except ScenarioError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"invalid run config: {exc!r}") from None
 
 
 class _ModelEnv:

@@ -199,6 +199,15 @@ def _parse_sa(config: dict):
         raise ConfigError(f"invalid sa block: {exc}")
 
 
+def _integer(doc: dict, key: str, default=None) -> int:
+    """``doc[key]`` (or the default) as an int; a config error if it is not one."""
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
+
+
 def _bound(value, default: float) -> float:
     return default if value is None else float(value)
 
@@ -284,7 +293,7 @@ def _model_and_data(config: dict, seed: int):
         doc = spec["simulate"]
         if not isinstance(doc, dict) or "theta" not in doc or "n" not in doc:
             raise ConfigError("simulate data needs 'theta' and 'n'")
-        n = int(doc["n"])
+        n = _integer(doc, "n")
 
     model = model_from_id(
         model_id,
@@ -308,7 +317,7 @@ def _contour_from_config(config: dict, model, data, seed: int):
         model,
         data,
         int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63)),
-        m=int(config.get("m", 500)),
+        m=_integer(config, "m", 500),
         sa=_parse_sa(config),
         tau=boot.get("tau"),
         B=boot.get("B", 500),
@@ -464,7 +473,7 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
             "{'component': i} or {'linear': [...]}"
         )
     if "component" in doc:
-        g = int(doc["component"])
+        g = _integer(doc, "component")
     elif "linear" in doc:
         g = np.asarray(doc["linear"], dtype=float)
     else:
@@ -526,7 +535,7 @@ def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     if not isinstance(doc, dict) or "loss" not in doc:
         raise ConfigError("choquet command needs a 'choquet' block with 'loss'")
     loss = _parse_loss(doc["loss"])
-    spec = ChoquetSpec(loss=loss, resolution=int(doc.get("resolution", 200)))
+    spec = ChoquetSpec(loss=loss, resolution=_integer(doc, "resolution", 200))
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
     if family is None:

@@ -11,6 +11,15 @@ rng)`` evaluates its points in order on the one Generator its caller
 derives: the stochastic-approximation fits pass one stream per iteration,
 keyed ``(t, 0)`` (see :mod:`possfit.sa`).
 
+A Monte Carlo contour also carries a batch decision evaluator,
+``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
+indicator 1{pi(theta) > alpha}.  It simulates the datasets of the live
+points chunk by chunk and drops a point as soon as its indicator is settled
+(exact curtailment): once its count of included datasets exceeds the largest
+count whose share is still <= alpha, or once the datasets left can no longer
+take it there.  Each decision therefore equals ``value > alpha`` of the
+value the same draws give when all m datasets are simulated.
+
 Ties in the Monte Carlo comparison ``R(X, theta) <= R(x, theta)`` are decided
 on the log scale with an absolute slack of ``TIE_EPS``, counting ties (and
 replicates whose refitting failed) as included — the conservative direction.
@@ -68,6 +77,14 @@ class PossibilityContour:
     pointwise inference use it only for seedless (deterministic) contours,
     where it cannot change the values; the stochastic-approximation fits
     use it for every contour that has one.
+
+    ``exceeds_batch(thetas, alpha, rng)``, when present, returns for each
+    row 1.0 where the contour exceeds ``alpha``, 0.0 where it does not and
+    NaN where the evaluation failed.  Each decision is exactly
+    ``evaluate_batch(thetas, rng) > alpha`` for the same draws; the
+    evaluator may stop simulating a row once its decision is settled, so it
+    leaves ``rng`` in a different state.  The credal-mass criterion of the
+    stochastic-approximation fits uses it for every contour that has one.
     """
 
     kind: str
@@ -78,6 +95,9 @@ class PossibilityContour:
     ] = None
     seed: Optional[int] = None
     meta: dict = field(default_factory=dict)
+    exceeds_batch: Optional[
+        Callable[[np.ndarray, float, Optional[np.random.Generator]], np.ndarray]
+    ] = None
 
     def _point(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float).ravel()
@@ -165,6 +185,24 @@ def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
     return sim
 
 
+def _decision_schedule(m: int) -> list:
+    """Dataset chunks of the decision loop: min(64, m) first, then each
+    chunk as large as all chunks before it, the last one cut at m."""
+    sizes = [min(64, m)]
+    done = sizes[0]
+    while done < m:
+        sizes.append(min(done, m - done))
+        done += sizes[-1]
+    return sizes
+
+
+def _decision_need(m: int, alpha: float) -> int:
+    """The largest count c with c / m <= alpha in float64 (-1 if none):
+    a row exceeds alpha exactly when its count of included datasets is
+    larger."""
+    return int(np.count_nonzero(np.arange(m + 1) / m <= alpha)) - 1
+
+
 def _mc_batch(
     model: ModelSpec,
     data: Dataset,
@@ -172,30 +210,60 @@ def _mc_batch(
     m: int,
     rng: np.random.Generator,
     observed: Callable[[np.ndarray], np.ndarray],
+    alpha: Optional[float] = None,
 ) -> np.ndarray:
     """Monte Carlo contour at each row of a (k, d) array, on one generator.
 
     Rows off the domain are 0 and rows whose observed value fails are 1,
-    both without simulating.  The other rows are simulated in order, at
-    most ``_DATASETS_PER_CALL`` datasets per kernel call; the rows of a
-    call that raises come back NaN.
+    both without simulating.  The other rows are simulated chunk by chunk
+    of datasets, the live rows of a chunk in order, at most
+    ``_DATASETS_PER_CALL`` datasets per kernel call; the rows of a call that
+    raises come back NaN and leave the live set.  Without ``alpha`` the one
+    chunk is all m datasets, and a row's value is its count of included
+    datasets over m.  With ``alpha`` the rows are decided instead (1.0 for
+    a value > alpha, 0.0 otherwise) on the chunks of
+    :func:`_decision_schedule`, and a row leaves the live set as soon as
+    its decision is settled.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     obs = _observed_rows(observed, thetas)
-    vals = np.where(np.isnan(obs), 1.0, 0.0)
+    out = np.where(np.isnan(obs), 1.0, 0.0)
     live = np.flatnonzero(np.isfinite(obs))
     m = int(m)
-    step = max(1, _DATASETS_PER_CALL // m)
-    for start in range(0, live.size, step):
-        rows = live[start:start + step]
-        try:
-            sim = _simulate(model, data, thetas[rows], m, rng)
-        except Exception:
-            vals[rows] = np.nan
+    if alpha is None:
+        schedule, need = [m], None
+    else:
+        schedule, need = _decision_schedule(m), _decision_need(m, alpha)
+        out = np.where(out > alpha, 1.0, 0.0)
+        out[live] = np.nan  # every live row is decided by the last chunk
+    counts = np.zeros(thetas.shape[0], dtype=np.int64)
+    done = 0
+    for chunk in schedule:
+        step = max(1, _DATASETS_PER_CALL // chunk)
+        ok = np.ones(live.size, dtype=bool)
+        for start in range(0, live.size, step):
+            rows = live[start:start + step]
+            try:
+                sim = _simulate(model, data, thetas[rows], chunk, rng)
+            except Exception:
+                out[rows] = np.nan
+                ok[start:start + step] = False
+                continue
+            include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
+            counts[rows] += np.count_nonzero(include, axis=1)
+        done += chunk
+        live = live[ok]
+        if need is None:
+            out[live] = counts[live] / m
             continue
-        include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
-        vals[rows] = np.mean(include, axis=1)
-    return vals
+        over = counts[live] > need
+        under = counts[live] + (m - done) <= need
+        out[live[over]] = 1.0
+        out[live[under]] = 0.0
+        live = live[~(over | under)]
+        if not live.size:
+            break
+    return out
 
 
 def mc_contour(
@@ -233,7 +301,9 @@ def make_mc_contour(
 
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
-    one generator; ``evaluate`` is its batch of one.
+    one generator; ``evaluate`` is its batch of one.  ``exceeds_batch(thetas,
+    alpha, rng)`` decides value > alpha at each point by exact curtailment
+    (see the module docstring).
     """
     dim = model.dim if model.dim is not None else data.n
     observed = observed_log_rel_lik(model, data)
@@ -244,6 +314,8 @@ def make_mc_contour(
         evaluate_batch=lambda thetas, rng: _mc_batch(model, data, thetas, m, rng, observed),
         seed=int(seed),
         meta={"model": model.name, "m": int(m)},
+        exceeds_batch=lambda thetas, alpha, rng: _mc_batch(
+            model, data, thetas, m, rng, observed, alpha),
     )
 
 

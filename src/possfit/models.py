@@ -814,10 +814,24 @@ def multinomial(k: int) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
+# above this c the shape root lies below 1e-6, where Newton's derivative
+# overflows; there 1/a = c - log a + digamma(1 + a) is a fast contraction
+_TINY_SHAPE_C = 1e6
+
+
 def _gamma_shape_root(c):
-    """Solve log(a) - digamma(a) = c (c > 0), vectorized Newton in log a."""
-    c = np.asarray(c, dtype=float)
-    c = np.maximum(c, 1e-12)
+    """Solve log(a) - digamma(a) = c (c > 0), vectorized Newton in log a;
+    by fixed-point iteration for c > _TINY_SHAPE_C."""
+    c = np.maximum(np.asarray(c, dtype=float), 1e-12)
+    tiny = c > _TINY_SHAPE_C
+    if tiny.any():
+        out = np.empty_like(c)
+        out[~tiny] = _gamma_shape_root(c[~tiny])
+        a = 1.0 / c[tiny]
+        for _ in range(4):  # contracts by a factor of about a per step
+            a = 1.0 / (c[tiny] - np.log(a) + special.digamma(1.0 + a))
+        out[tiny] = a
+        return out
     # standard closed-form starting value
     a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
     a = np.maximum(a, 1e-8)
@@ -828,13 +842,44 @@ def _gamma_shape_root(c):
         fp = 1.0 - special.polygamma(1, a) * a  # d/du of f(exp(u)); < 0
         du = fv / fp
         u = u - du
-        if np.max(np.abs(du)) < 1e-13:
+        if np.max(np.abs(du), initial=0.0) < 1e-13:
             break
     return np.exp(u)
 
 
 def _gamma_ss_loglik_stats(t1, s, n, a, b):
     return (a - 1.0) * t1 - s / b - n * a * np.log(b) - n * special.gammaln(a)
+
+
+def _gamma_sim_log_rel(a0, scale0, n, m, rng):
+    """log R at (shape a0, scale scale0) of m gamma samples of size n drawn
+    there, against each sample's MLE.
+
+    Shapes below 1 draw log x = log Y - E / a0 with Y ~ Gamma(a0 + 1) and
+    E ~ Exp(1) (Liu, Martin & Syring 2017), since a gamma draw at a tiny
+    shape underflows to 0; log(sum x) is then a logsumexp.  Shapes of 1 and
+    more draw x itself, as the ``sample`` hook does.  With the MLE scale
+    written on the log scale (s / b_hat = n a_hat, log b_hat = log(s/n) -
+    log a_hat) the sum-of-logs terms of the two log-likelihoods cancel
+    before they are formed, so log R stays finite at any positive shape.
+    """
+    if a0 >= 1.0:
+        x = rng.gamma(a0, scale0, size=(m, n))
+        t1 = np.sum(np.log(x), axis=1)
+        s = np.sum(x, axis=1)
+        log_mean = np.log(s / n)
+    else:
+        logx = (np.log(scale0) + np.log(rng.standard_gamma(a0 + 1.0, size=(m, n)))
+                - rng.standard_exponential(size=(m, n)) / a0)
+        t1 = np.sum(logx, axis=1)
+        log_mean = special.logsumexp(logx, axis=1) - np.log(n)
+        s = n * np.exp(log_mean)
+    ahat = _gamma_shape_root(log_mean - t1 / n)
+    return (
+        (a0 - ahat) * t1 - s / scale0 - n * a0 * np.log(scale0)
+        + n * ahat * (1.0 + log_mean - np.log(ahat))
+        - n * (special.gammaln(a0) - special.gammaln(ahat))
+    )
 
 
 def gamma_shape_scale() -> ModelSpec:
@@ -873,16 +918,7 @@ def gamma_shape_scale() -> ModelSpec:
 
     @_rowwise
     def sim_log_rel(theta, n, m, rng):
-        a0, b0 = float(theta[0]), float(theta[1])
-        x = rng.gamma(a0, b0, size=(m, n))
-        t1 = np.sum(np.log(x), axis=1)
-        s = np.sum(x, axis=1)
-        c = np.log(s / n) - t1 / n
-        ahat = _gamma_shape_root(c)
-        bhat = s / n / ahat
-        return _gamma_ss_loglik_stats(t1, s, n, a0, b0) - _gamma_ss_loglik_stats(
-            t1, s, n, ahat, bhat
-        )
+        return _gamma_sim_log_rel(float(theta[0]), float(theta[1]), n, m, rng)
 
     return ModelSpec(
         name="gamma",
@@ -943,14 +979,7 @@ def gamma_mean_shape() -> ModelSpec:
     @_rowwise
     def sim_log_rel(theta, n, m, rng):
         a0, phi0 = float(theta[0]), float(theta[1])
-        x = rng.gamma(a0, phi0 / a0, size=(m, n))
-        t1 = np.sum(np.log(x), axis=1)
-        s = np.sum(x, axis=1)
-        c = np.log(s / n) - t1 / n
-        ahat = _gamma_shape_root(c)
-        return _gamma_ms_loglik_stats(t1, s, n, a0, phi0) - _gamma_ms_loglik_stats(
-            t1, s, n, ahat, s / n
-        )
+        return _gamma_sim_log_rel(a0, phi0 / a0, n, m, rng)
 
     return ModelSpec(
         name="gamma-mean-shape",

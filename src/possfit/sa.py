@@ -18,14 +18,25 @@ implemented:
 driver serves families whose spread grows with xi (Gaussian) and families
 whose spread shrinks with it (Dirichlet precision, quantile companions).
 
+The credal-mass criterion reads only the indicator 1{pi(theta) > alpha}
+at each draw.  A contour with a decision evaluator (``exceeds_batch``, which
+the Monte Carlo contour has) decides it by exact curtailment: a draw stops
+simulating once its indicator is settled, and each indicator equals the one
+its full-m value gives on the same draws.  Other contours are read by value.
+The boundary-matching criterion always reads values.
+
 Random streams of iteration t, all derived from ``config.seed``: key
 ``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
 seeds one batch evaluation of all of the iteration's points (its k draws or
-its 2d boundary points) for a seeded contour with a batch evaluator, such as
-the Monte Carlo contour.  A contour without one is evaluated point by point,
-point j on key ``(SA_TAG, t, j + 1)``.  An evaluation that fails, by raising
-or by returning NaN, counts as outside the cut and is tallied in
-``FitTrace.failures``.
+its 2d boundary points) for a seeded contour with a batch or decision
+evaluator, such as the Monte Carlo contour.  The decision evaluator
+consumes that stream chunk by chunk of datasets, for the draws still
+undecided, so the credal-mass fits of a Monte Carlo contour draw different
+datasets than a full-m evaluation of each point would; their traces changed
+by design when curtailment came in.  A contour without a batch evaluator is
+evaluated point by point, point j on key ``(SA_TAG, t, j + 1)``.  An
+evaluation that fails, by raising or by returning NaN, counts as outside
+the cut and is tallied in ``FitTrace.failures``.
 """
 
 from __future__ import annotations
@@ -199,17 +210,23 @@ def _evaluate(
     points: np.ndarray,
     stream: Callable[[int], np.random.Generator],
     failure_count: Optional[list] = None,
+    alpha: Optional[float] = None,
 ) -> np.ndarray:
     """Contour values at the rows of ``points``; NaN where one failed.
 
-    A contour with a batch evaluator gets all rows in one call, on
-    ``stream(0)`` when it is seeded; otherwise row j is evaluated on its own
-    with ``stream(j + 1)``.  Failures are tallied into ``failure_count[0]``
-    when a one-element list is supplied.
+    Given ``alpha``, a contour with a decision evaluator returns its 1/0
+    decisions of value > alpha instead, which compare with ``alpha`` as the
+    values would.  A contour with a batch evaluator gets all rows in one
+    call, on ``stream(0)`` when it is seeded; otherwise row j is evaluated
+    on its own with ``stream(j + 1)``.  Failures are tallied into
+    ``failure_count[0]`` when a one-element list is supplied.
     """
-    if contour.evaluate_batch is not None:
+    decide = alpha is not None and contour.exceeds_batch is not None
+    if decide or contour.evaluate_batch is not None:
         rng = None if contour.seed is None else stream(0)
-        vals = np.asarray(contour.evaluate_batch(points, rng), dtype=float).ravel()
+        vals = (contour.exceeds_batch(points, alpha, rng) if decide
+                else contour.evaluate_batch(points, rng))
+        vals = np.asarray(vals, dtype=float).ravel()
     else:
         vals = np.empty(len(points))
         for j, theta in enumerate(points):
@@ -234,16 +251,22 @@ def f_hat(
     """Monte-Carlo credal-mass criterion at the current family.
 
     Draws k parameters from the family and returns
-    mean(contour > alpha) - (1 - alpha).  ``eval_rng(key)`` gives the
-    contour's streams: key 0 for one batch evaluation of all draws, key
-    j + 1 for draw j when evaluated on its own (see the module docstring);
-    without it every evaluation continues on ``rng``.  A draw whose contour
-    evaluation fails counts as *outside* the cut, which can only push the
-    fitted spread up (conservative); failures are tallied into
-    ``failure_count[0]`` when a one-element list is supplied.
+    mean(contour > alpha) - (1 - alpha).  A contour with a decision
+    evaluator (``exceeds_batch``) decides contour > alpha by exact
+    curtailment, which gives the indicators of its full-m values but stops
+    simulating each draw once its indicator is settled; it consumes the key-0
+    stream chunk by chunk, so these streams, and the draws and traces
+    that follow from them, changed by design when curtailment came in.
+    ``eval_rng(key)`` gives the contour's streams: key 0 for one batch
+    evaluation of all draws, key j + 1 for draw j when evaluated on its own
+    (see the module docstring); without it every evaluation continues on
+    ``rng``.  A draw whose contour evaluation fails counts as *outside* the
+    cut, which can only push the fitted spread up (conservative); failures
+    are tallied into ``failure_count[0]`` when a one-element list is
+    supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))
-    vals = _evaluate(contour, draws, eval_rng or (lambda key: rng), failure_count)
+    vals = _evaluate(contour, draws, eval_rng or (lambda key: rng), failure_count, alpha)
     return float(np.mean(vals > alpha) - (1.0 - alpha))  # NaN is never > alpha
 
 

@@ -273,6 +273,32 @@ def test_variational_mc_target_thread_count_invariant(method, model_id, truth, n
     assert np.array_equal(r1.values, again.values)
 
 
+def test_variational_scalar_study_decisions_are_thread_count_invariant(monkeypatch):
+    """The credal-mass fits of a variational-scalar study decide each
+    indicator on the decision path (chunked, curtailed simulation); the
+    study's values still depend on the seed alone."""
+    import possfit.contours as contours
+
+    alphas = []
+    batch = contours._mc_batch
+
+    def recording(*args):
+        alphas.append(args[6] if len(args) > 6 else None)
+        return batch(*args)
+
+    monkeypatch.setattr(contours, "_mc_batch", recording)
+    scn = Scenario(model_id="binomial", truth=(0.4,), n=30, reps=6,
+                   method="variational-scalar", seed=31,
+                   sa=_sa(k_outer=60, m_inner=500, max_iter=8))
+    r1 = validity_study(scn, threads=1)
+    r2 = validity_study(scn, threads=2)
+    again = validity_study(scn, threads=1)
+    assert set(alphas) == {0.1}
+    assert r1.failures == ()
+    assert np.array_equal(r1.values, r2.values)
+    assert np.array_equal(r1.values, again.values)
+
+
 @pytest.mark.parametrize("study", ["validity", "hypothesis"])
 def test_studies_record_failed_mc_evaluations(monkeypatch, study):
     """A Monte Carlo evaluation whose kernel raises is NaN, which a study

@@ -273,6 +273,32 @@ class TestConfigHandling:
         assert "config error" in err and f"{model} model" in err
         assert not (tmp_path / "contour.csv").exists()
 
+    @pytest.mark.parametrize("case", ["contour-m", "simulate-n", "calibrate-n",
+                                      "calibrate-axis", "marginal-component",
+                                      "choquet-resolution"])
+    def test_bad_scalar_field_exit2_without_outputs(self, tmp_path, capsys, case):
+        """A scalar field that is not a number, or a grid axis missing a key,
+        is a config error, not a traceback."""
+        cfg = {
+            "contour-m": lambda: contour_config(tmp_path, method="naive", m="many"),
+            "simulate-n": lambda: contour_config(
+                tmp_path, method="naive",
+                data={"simulate": {"theta": [0.4], "n": "lots"}}),
+            "calibrate-n": lambda: calibrate_config(tmp_path, n="fifteen"),
+            "calibrate-axis": lambda: calibrate_config(
+                tmp_path, method="variational-scalar", sa={"seed": 1},
+                grid=[{"lo": 0.1}]),
+            "marginal-component": lambda: contour_config(
+                tmp_path, command="marginal", marginal={"component": "first"}),
+            "choquet-resolution": lambda: contour_config(
+                tmp_path, command="choquet",
+                choquet={"loss": {"kind": "constant", "value": 1.0},
+                         "resolution": "fine"}),
+        }[case]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_readme_example_config_runs(self, tmp_path, monkeypatch):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")

@@ -26,6 +26,7 @@ from possfit.contours import (
     make_mc_contour,
     mc_contour,
 )
+from possfit.contours import _decision_schedule
 from possfit.models import (
     Dataset,
     ModelSpec,
@@ -348,6 +349,161 @@ def test_mc_batch_failures_are_per_row():
     healthy = make_mc_contour(base, data, m=m, seed=2).evaluate_batch(
         thetas[[0, 3]], np.random.default_rng(6))
     assert np.array_equal(values[[0, 3]], healthy)
+
+
+def _assert_small_quietly(contour, point, bound=0.01):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = contour(np.asarray(point, dtype=float))
+    assert 0.0 <= value <= bound, f"contour {value} at {point}"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("factory", [gamma_shape_scale, gamma_mean_shape])
+@pytest.mark.parametrize("shape", [1e-3, 1e-300])
+def test_gamma_contour_at_tiny_shapes(factory, shape):
+    """At in-domain shapes far below the data's, the contour is near 0: the
+    kernel draws log x directly, so no simulated sample underflows to 0 and
+    no refit turns NaN (which would count as included)."""
+    data = gamma_shape_scale().sample(np.array([7.0, 3.0]), 40, np.random.default_rng(0))
+    contour = make_mc_contour(factory(), data, m=200, seed=1)
+    _assert_small_quietly(contour, [shape, 2.0])
+
+
+@pytest.mark.parametrize("eta0", [np.log(1e-300), -689.0])
+def test_gamma_log_reparam_contour_at_tiny_shapes(eta0):
+    base = gamma_shape_scale()
+    data = base.sample(np.array([7.0, 3.0]), 40, np.random.default_rng(0))
+    contour = make_mc_contour(log_reparam(base), data, m=200, seed=1)
+    _assert_small_quietly(contour, [eta0, np.log(2.0)])
+
+
+def test_bvn_contour_approaching_the_boundary():
+    """On data drawn at rho = 0.97 the contour peaks near the MLE and falls
+    toward +-1; points within 1e-6 of the boundary, down to the last float
+    before 1, give values in [0, 1] with no floating-point warning."""
+    model = model_from_id("bvn-correlation", 60)
+    data = model.sample(np.array([0.97]), 60, np.random.default_rng(0))
+    rho_hat = float(model.mle(data)[0])
+    contour = make_mc_contour(model, data, m=2000, seed=1)
+    edge = [1.0 - 1e-6, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0))]
+    path = [rho_hat, 0.98, 0.99, *edge]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        up = [contour(np.array([r])) for r in path]
+        down = [contour(np.array([-r])) for r in edge]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert all(0.0 <= v <= 1.0 for v in up + down)
+    assert up[0] > 0.5
+    assert all(a >= b for a, b in zip(up, up[1:]))
+    assert max(up[3:] + down) <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# the decision evaluator (exact curtailment)
+# ---------------------------------------------------------------------------
+
+
+def test_decision_schedule():
+    assert _decision_schedule(500) == [64, 64, 128, 244]
+    assert _decision_schedule(64) == [64]
+    assert _decision_schedule(30) == [30]
+    assert _decision_schedule(1000) == [64, 64, 128, 256, 488]
+    assert all(sum(_decision_schedule(m)) == m for m in range(1, 700))
+
+
+def _need(m, alpha):
+    return max(c for c in range(m + 1) if c / m <= alpha)
+
+
+def _replay_model(counts, m, seed):
+    """A one-parameter stub whose kernel replays, for the point theta = j,
+    a fixed sequence of m simulated log relative likelihoods, continuing
+    where the previous call for that point stopped, however the datasets
+    are chunked and whichever rows are live.  Row j includes counts[j]
+    datasets: -2.0 or NaN (a failed refit) below the observed -1.0,
+    0.0 above it, at random places, all first or all last.  theta < 0 is
+    off the domain; theta = the number of sequences has an observed value
+    of NaN."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for c in counts:
+        seq = np.zeros(m)
+        where = rng.choice(m, size=c, replace=False)
+        seq[where] = np.where(rng.random(c) < 0.2, np.nan, -2.0)
+        seqs += [seq, np.r_[np.full(c, -2.0), np.zeros(m - c)],
+                 np.r_[np.zeros(m - c), np.full(c, -2.0)]]
+    pos = [0] * len(seqs)
+    sizes = []
+
+    def kernel(thetas, n, chunk, rng):
+        out = np.empty((thetas.shape[0], chunk))
+        for i, th in enumerate(thetas[:, 0].astype(int)):
+            out[i] = seqs[th][pos[th]:pos[th] + chunk]
+            pos[th] += chunk
+        sizes.append(thetas.shape[0] * chunk)
+        return out
+
+    def observed(thetas):
+        th = thetas[:, 0]
+        return np.where(th < 0, -np.inf, np.where(th == len(seqs), np.nan, -1.0))
+
+    model = ModelSpec(name="replay", dim=1, log_lik=None, sample=None, mle=None,
+                      information=None, sim_log_rel_lik=kernel)
+    return model, observed, len(seqs), sizes
+
+
+@pytest.mark.parametrize("alpha,m", [(0.1, 500), (0.29, 100), (0.07, 100),
+                                     (0.05, 64), (0.5, 7), (0.3, 1)])
+def test_decisions_equal_full_values_above_alpha(alpha, m):
+    """exceeds_batch's decisions are exactly value > alpha of the full-m
+    values on the same simulated datasets, including rows whose count is
+    exactly the largest count not above alpha (``need``) and one more,
+    rows with failed refits, off-domain rows and an observed-NaN row."""
+    from possfit.contours import _mc_batch
+
+    need = _need(m, alpha)
+    counts = sorted({max(0, min(m, c)) for c in (0, 1, need - 1, need, need + 1,
+                                                 need + 2, m // 2, m - 1, m)})
+    data = Dataset(responses=np.zeros(3))
+
+    def run(a):
+        model, observed, rows, sizes = _replay_model(counts, m, seed=4)
+        thetas = np.r_[np.arange(rows), -1.0, rows, -3.0][:, None]
+        return _mc_batch(model, data, thetas, m, None, observed, a), sizes
+
+    values, full = run(None)
+    decisions, curtailed = run(alpha)
+    assert np.all(np.isfinite(values))
+    assert decisions.tolist() == (values > alpha).astype(float).tolist()
+    assert sum(curtailed) <= sum(full)
+    assert {need, min(need + 1, m)} <= set(np.round(values * m).astype(int))
+
+
+def test_decisions_stop_early_on_a_real_model():
+    """On the binomial kernel the decisions match value > alpha of a full
+    evaluation in all but rare rows near alpha (the draws differ), and rows
+    above alpha stop before m."""
+    model = binomial()
+    data = _binom_data(6, 15)
+    contour = make_mc_contour(model, data, m=500, seed=2)
+    thetas = np.linspace(0.02, 0.98, 49)[:, None]
+    calls = []
+    kernel = model.sim_log_rel_lik
+
+    def counted(th, n, m, rng):
+        calls.append(th.shape[0] * m)
+        return kernel(th, n, m, rng)
+
+    counting = make_mc_contour(dataclasses.replace(model, sim_log_rel_lik=counted),
+                               data, m=500, seed=2)
+    decisions = counting.exceeds_batch(thetas, 0.1, np.random.default_rng(5))
+    exact = exact_binomial_contour(15, 6, thetas[:, 0])
+    clear = np.abs(exact - 0.1) > 0.05
+    assert set(np.unique(decisions)) <= {0.0, 1.0}
+    assert np.array_equal(decisions[clear], (exact[clear] > 0.1).astype(float))
+    assert sum(calls) < 0.8 * 500 * len(thetas)
+    assert np.array_equal(decisions, contour.exceeds_batch(thetas, 0.1, np.random.default_rng(5)))
 
 
 # ---------------------------------------------------------------------------

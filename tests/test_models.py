@@ -267,10 +267,13 @@ def _fallback_log_rel(model, theta, n, m, rng):
     (lognormal, np.array([0.3, 0.5]), 8),
     (lambda: normal_means(2.0), np.linspace(-1.0, 1.0, 6), 6),
     (binomial, np.array([0.3]), 15),
+    (gamma_shape_scale, np.array([0.5, 2.0]), 10),
+    (gamma_mean_shape, np.array([0.5, 3.0]), 10),
 ])
 def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
     """Two-sample KS test of the vectorized kernel against the generic loop;
-    the binomial kernel draws counts of the support points, not datasets."""
+    the binomial kernel draws counts of the support points, not datasets,
+    and the gamma kernels draw log x directly at shapes below 1."""
     model = factory()
     slow = dataclasses.replace(model, sim_log_rel_lik=None)
     m = 5000

@@ -6,6 +6,8 @@ exact_binomial_contour, itself oracle-tested), and exact fixed points of
 self-consistent synthetic targets.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from possfit.families import (
     gaussian_contour_object,
     sample,
 )
-from possfit.models import Dataset, DegenerateMLEError, binomial, multinomial
+from possfit.models import (
+    Dataset,
+    DegenerateMLEError,
+    binomial,
+    bvn_correlation,
+    multinomial,
+)
 from possfit.sa import (
     FitTrace,
     SAConfig,
@@ -352,6 +360,91 @@ def test_fit_dirichlet_credal_mass_matches():
     vals = np.array([contour(draws[i]) for i in range(300)])
     mass = float(np.mean(vals > cfg.alpha))
     assert abs(mass - 0.9) < 0.12
+
+
+def test_fit_dirichlet_trace_repeats():
+    data = Dataset(responses=np.repeat(np.arange(3), [8, 10, 7]))
+    cfg = _config(seed=7, m_inner=300, k_outer=100)
+    fam1, tr1 = fit_dirichlet(multinomial(3), data, cfg)
+    fam2, tr2 = fit_dirichlet(multinomial(3), data, cfg)
+    assert fam1.xi == fam2.xi and tr1.failures == tr2.failures == 0
+    assert tr1.ts == tr2.ts
+    assert all(np.array_equal(a, b) for a, b in zip(tr1.xis, tr2.xis))
+    assert all(np.array_equal(a, b) for a, b in zip(tr1.objectives, tr2.objectives))
+
+
+# ---------------------------------------------------------------------------
+# the credal-mass criterion on the decision path
+# ---------------------------------------------------------------------------
+
+
+def _bvn_data(rho=0.5, n=100, seed=1):
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    x2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
+    return Dataset(responses=np.column_stack([z[:, 0], x2]))
+
+
+def _counting(model, raise_if=None):
+    """The model with its kernel wrapped: ``log`` collects (rows, datasets,
+    raised) per call; a call raises when ``raise_if(thetas)`` holds."""
+    log = []
+    kernel = model.sim_log_rel_lik
+
+    def counted(thetas, n, m, rng):
+        failed = raise_if is not None and bool(raise_if(thetas))
+        log.append((thetas.shape[0], thetas.shape[0] * m, failed))
+        if failed:
+            raise RuntimeError("synthetic kernel failure")
+        return kernel(thetas, n, m, rng)
+
+    return dataclasses.replace(model, sim_log_rel_lik=counted), log
+
+
+def test_f_hat_reads_decisions_and_boundary_matching_reads_values():
+    """f_hat uses a contour's decision evaluator when it has one; the
+    boundary-matching fit never does."""
+    fam = GaussianScalarFamily(theta_hat=np.array([0.4]), info=np.array([[62.5]]),
+                               xi=1.0)
+    contour = PossibilityContour(
+        kind="monte-carlo", dim=1, seed=3,
+        evaluate=lambda th, rng: 0.0,
+        evaluate_batch=lambda thetas, rng: np.zeros(len(thetas)),
+        exceeds_batch=lambda thetas, alpha, rng: np.ones(len(thetas)),
+    )
+    assert f_hat(fam, contour, 0.1, 50, np.random.default_rng(1)) == pytest.approx(0.1)
+
+    def refuse(thetas, alpha, rng):
+        raise AssertionError("boundary matching asked for decisions")
+
+    J = np.diag([4.0, 1.0])
+    own = gaussian_contour_object(
+        GaussianVectorFamily(theta_hat=np.zeros(2), info=J, xi=np.ones(2)))
+    target = dataclasses.replace(own, exceeds_batch=refuse)
+    fam_v, _ = fit_vector_anchored(np.zeros(2), J, target, _config())
+    assert np.allclose(fam_v.xi, 1.0, atol=1e-10)
+
+
+def test_stock_bvn_fit_simulates_at_most_half_the_datasets():
+    """Exact curtailment: a stock scalar fit on the bvn correlation decides
+    its indicators with at most half of m = 500 datasets per evaluation."""
+    model, log = _counting(bvn_correlation())
+    config = SAConfig(seed=11)
+    _, trace = fit_scalar(model, _bvn_data(), config)
+    evaluations = len(trace.ts) * config.k_outer
+    assert trace.failures == 0
+    assert sum(datasets for _, datasets, _ in log) <= 0.5 * config.m_inner * evaluations
+
+
+def test_raising_kernel_adds_its_rows_to_the_failures():
+    """The rows of every kernel call that raises are failed evaluations:
+    each leaves the live set and is tallied once in FitTrace.failures."""
+    model, log = _counting(binomial(), raise_if=lambda th: np.any(th[:, 0] > 0.62))
+    data = _binom_data(6, 15)
+    config = _config(seed=5, k_outer=100, m_inner=200, max_iter=8)
+    _, trace = fit_scalar(model, data, config)
+    failed_rows = sum(rows for rows, _, failed in log if failed)
+    assert 0 < failed_rows < len(trace.ts) * config.k_outer
+    assert trace.failures == failed_rows
 
 
 def test_sa_config_validation():
