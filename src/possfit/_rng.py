@@ -15,12 +15,11 @@ import numpy as np
 NODE_TAG = 0x6E6F6465   # per-grid-node contour evaluations
 THETA_TAG = 0x74686574  # per-theta pointwise contour evaluations
 # stochastic-approximation iteration t: key (t,) draws the family's points;
-# (t, 0) seeds one batch evaluation of all of them; (t, j + 1) point j, only
-# for contours without a batch evaluator.  The credal-mass criterion's
-# decision loop reads (t, 0) chunk by chunk of datasets, for the points still
-# undecided, so its streams differ by design from a full-m batch evaluation
+# (t, 0) seeds one batch evaluation of all of them.  The credal-mass
+# criterion's decision loop reads (t, 0) chunk by chunk of datasets, for the
+# points still undecided, so its streams differ by design from a full-m
+# batch evaluation
 SA_TAG = 0x73617069
-BOOT_TAG = 0x626F6F74   # bootstrap replicates
 CAL_TAG = 0x63616C69    # calibration replications
 CLI_TAG = 0x636C6970    # command-line front-end streams
 

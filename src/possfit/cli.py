@@ -52,7 +52,7 @@ from .calibration import (
     model_from_id,
     validity_study,
 )
-from .contours import AxisSpec, grid_eval
+from .contours import AxisSpec, NonFiniteContourError, grid_eval
 from .families import family_to_json
 from .inference import (
     ChoquetSpec,
@@ -83,6 +83,7 @@ _NUMERICAL_ERRORS = (
     SingularInformationError,
     FiberOptimizationError,
     RiskMinimizationError,
+    NonFiniteContourError,
     StudyError,
     np.linalg.LinAlgError,
     FloatingPointError,
@@ -324,6 +325,19 @@ def _contour_from_config(config: dict, model, data, seed: int):
     )
 
 
+def _search_family(config: dict, model, data, contour, family):
+    """The fitted family, else the model's Gaussian proposal, for a search
+    over the contour; a config error when their dimensions differ."""
+    if family is None:
+        family = _proposal_family(model, data)
+    if family.dim != contour.dim:
+        raise ConfigError(
+            f"the {config.get('method', 'naive')} method has no proposal family "
+            f"of dimension {contour.dim} to search with"
+        )
+    return family
+
+
 def _describe_config_hypothesis(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
@@ -411,15 +425,13 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
         raise ConfigError("hypothesis command needs a non-empty 'hypotheses' list")
     hyps = [_parse_hypothesis(h) for h in specs]
     model, data = _model_and_data(config, seed)
-    dim = model.dim if model.dim is not None else len(data.responses)
-    for k, h in enumerate(hyps):
-        if h.dim != dim:
-            raise ConfigError(
-                f"hypothesis {k + 1} has dimension {h.dim}, expected {dim}"
-            )
     contour, family = _contour_from_config(config, model, data, seed)
-    if family is None:
-        family = _proposal_family(model, data)
+    for k, h in enumerate(hyps):
+        if h.dim != contour.dim:
+            raise ConfigError(
+                f"hypothesis {k + 1} has dimension {h.dim}, expected {contour.dim}"
+            )
+    family = _search_family(config, model, data, contour, family)
 
     entries = []
     rows = []
@@ -482,8 +494,7 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
         )
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
-    if family is None:
-        family = _proposal_family(model, data)
+    family = _search_family(config, model, data, contour, family)
     search_seed = int(derive_rng(seed, CLI_TAG, 3).integers(2 ** 63))
     grid = marginal_contour(
         contour,
@@ -538,8 +549,7 @@ def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     spec = ChoquetSpec(loss=loss, resolution=_integer(doc, "resolution", 200))
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
-    if family is None:
-        family = _proposal_family(model, data)
+    family = _search_family(config, model, data, contour, family)
     child = int(derive_rng(seed, CLI_TAG, 4).integers(2 ** 63))
     result = choquet_upper_expectation(contour, spec, family=family, seed=child)
     print(f"choquet upper expectation: {float(result.value)!r}")

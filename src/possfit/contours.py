@@ -1,15 +1,18 @@
 """Possibility contours: exact enumeration, Monte Carlo, grids, alpha-cuts.
 
-The central object is :class:`PossibilityContour`, a thin wrapper around an
-``evaluate(theta, rng) -> float`` callable, an optional batch evaluator and
-metadata.  Stochastic contours carry a seed.  A point evaluated on its own
-derives its own Generator from that seed and either the grid-node index
-(:meth:`PossibilityContour.eval_at_node`) or the bit pattern of the point
-itself (:meth:`PossibilityContour.__call__`), so values never depend on
-evaluation order or thread scheduling.  A batch ``evaluate_batch(thetas,
-rng)`` evaluates its points in order on the one Generator its caller
-derives: the stochastic-approximation fits pass one stream per iteration,
-keyed ``(t, 0)`` (see :mod:`possfit.sa`).
+The central object is :class:`PossibilityContour`, a thin wrapper around one
+batch evaluator ``evaluate_batch(thetas, rng) -> values`` and metadata; its
+point evaluator ``evaluate(theta, rng)`` is a batch of one.  A batch
+evaluates its points in order on the one Generator its caller derives and
+gives NaN for a point whose evaluation failed.  Stochastic contours carry a
+seed.  A point evaluated on its own derives its own Generator from that seed
+and either the grid-node index (:meth:`PossibilityContour.eval_at_node`) or
+the bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
+so values never depend on evaluation order or thread scheduling.  The
+stochastic-approximation fits evaluate all points of an iteration as one
+batch on one stream per iteration, keyed ``(t, 0)`` (see :mod:`possfit.sa`).
+Contours computed point by point (profile, bootstrap, Dirichlet) build
+their batch evaluator with :func:`_pointwise_batch`.
 
 A Monte Carlo contour also carries a batch decision evaluator,
 ``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
@@ -47,6 +50,7 @@ from .models import (
 
 __all__ = [
     "TIE_EPS",
+    "NonFiniteContourError",
     "PossibilityContour",
     "AxisSpec",
     "ContourGrid",
@@ -65,18 +69,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class NonFiniteContourError(ValueError):
+    """A contour value that is not finite: its evaluation failed."""
+
+
 @dataclass
 class PossibilityContour:
     """A possibility contour theta -> pi(theta) in [0, 1].
 
-    ``evaluate(theta, rng)`` does the work; ``rng`` is None for
-    deterministic contours (seed None) and a derived Generator otherwise.
-    ``evaluate_batch(thetas, rng)``, when present, evaluates an (N, dim)
-    array of points in one sweep, with ``rng`` as for ``evaluate``; the
-    points of a stochastic contour then share that one stream.  Grids and
-    pointwise inference use it only for seedless (deterministic) contours,
-    where it cannot change the values; the stochastic-approximation fits
-    use it for every contour that has one.
+    ``evaluate_batch(thetas, rng)`` does the work: it evaluates an (N, dim)
+    array of points in order on the one ``rng``, None for deterministic
+    contours (seed None) and a derived Generator otherwise, and gives NaN
+    for a point whose evaluation failed.  ``evaluate(theta, rng)`` is its
+    batch of one, set at construction.  Grids and pointwise inference
+    evaluate a deterministic contour as one batch and a stochastic one point
+    by point, each point on its own derived stream; the stochastic-
+    approximation fits pass every point of an iteration as one batch.
 
     ``exceeds_batch(thetas, alpha, rng)``, when present, returns for each
     row 1.0 where the contour exceeds ``alpha``, 0.0 where it does not and
@@ -89,15 +97,19 @@ class PossibilityContour:
 
     kind: str
     dim: int
-    evaluate: Callable[[np.ndarray, Optional[np.random.Generator]], float]
-    evaluate_batch: Optional[
-        Callable[[np.ndarray, Optional[np.random.Generator]], np.ndarray]
-    ] = None
+    evaluate_batch: Callable[[np.ndarray, Optional[np.random.Generator]], np.ndarray]
     seed: Optional[int] = None
     meta: dict = field(default_factory=dict)
     exceeds_batch: Optional[
         Callable[[np.ndarray, float, Optional[np.random.Generator]], np.ndarray]
     ] = None
+
+    def __post_init__(self):
+        # a closure over the constructor's function, not the attribute, so a
+        # wrapper later set on either evaluator sees each point once
+        batch = self.evaluate_batch
+        self.evaluate = lambda theta, rng: float(
+            batch(np.asarray(theta, dtype=float).reshape(1, -1), rng)[0])
 
     def _point(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float).ravel()
@@ -108,23 +120,37 @@ class PossibilityContour:
             )
         return th
 
+    def _on_stream(self, th: np.ndarray, *key: int) -> float:
+        rng = None if self.seed is None else derive_rng(self.seed, *key)
+        return float(self.evaluate(th, rng))
+
     def __call__(self, theta) -> float:
         """Evaluate at one point; stochastic streams keyed by the point itself."""
         th = self._point(theta)
-        rng = (
-            None
-            if self.seed is None
-            else derive_rng(self.seed, THETA_TAG, *theta_key(th))
-        )
-        return float(self.evaluate(th, rng))
+        return self._on_stream(th, THETA_TAG, *theta_key(th))
 
     def eval_at_node(self, theta, index: int) -> float:
         """Evaluate at a grid node; stochastic streams keyed by the node index."""
-        th = self._point(theta)
-        rng = (
-            None if self.seed is None else derive_rng(self.seed, NODE_TAG, int(index))
-        )
-        return float(self.evaluate(th, rng))
+        return self._on_stream(self._point(theta), NODE_TAG, int(index))
+
+
+def _pointwise_batch(evaluate):
+    """Batch evaluator from a one-point ``evaluate(theta, rng) -> float``:
+    the rows are evaluated in order on the one generator, and a row whose
+    evaluation raises gives NaN, as a Monte Carlo kernel call that raises
+    does."""
+
+    def batch(thetas, rng):
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        out = np.empty(thetas.shape[0])
+        for i, theta in enumerate(thetas):
+            try:
+                out[i] = evaluate(theta, rng)
+            except Exception:
+                out[i] = np.nan
+        return out
+
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +164,6 @@ def make_exact_contour(model: ModelSpec, data: Dataset) -> PossibilityContour:
     return PossibilityContour(
         kind="exact-discrete",
         dim=model.dim,
-        evaluate=lambda th, rng: float(exact(th[None, :])[0]),
         evaluate_batch=lambda thetas, rng: exact(np.asarray(thetas, dtype=float)),
         meta={"model": model.name},
     )
@@ -301,16 +326,14 @@ def make_mc_contour(
 
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
-    one generator; ``evaluate`` is its batch of one.  ``exceeds_batch(thetas,
-    alpha, rng)`` decides value > alpha at each point by exact curtailment
-    (see the module docstring).
+    one generator.  ``exceeds_batch(thetas, alpha, rng)`` decides value >
+    alpha at each point by exact curtailment (see the module docstring).
     """
     dim = model.dim if model.dim is not None else data.n
     observed = observed_log_rel_lik(model, data)
     return PossibilityContour(
         kind="monte-carlo",
         dim=dim,
-        evaluate=lambda th, rng: mc_contour(model, data, th, m, rng, observed),
         evaluate_batch=lambda thetas, rng: _mc_batch(model, data, thetas, m, rng, observed),
         seed=int(seed),
         meta={"model": model.name, "m": int(m)},
@@ -416,7 +439,10 @@ def grid_eval(
     axes: Sequence[AxisSpec],
     parallelism: int = 1,
 ) -> ContourGrid:
-    """Tabulate a contour on a grid; identical output for any parallelism."""
+    """Tabulate a contour on a grid; identical output for any parallelism.
+
+    Raises :class:`NonFiniteContourError` at the first node whose value is
+    not finite (its evaluation failed)."""
     axes = tuple(axes)
     if contour.dim is not None and len(axes) != contour.dim:
         raise ValueError(
@@ -424,7 +450,7 @@ def grid_eval(
         )
     nodes = _product_nodes(axes)
     n_nodes = nodes.shape[0]
-    if contour.evaluate_batch is not None and contour.seed is None:
+    if contour.seed is None:
         vals = np.asarray(contour.evaluate_batch(nodes, None), dtype=float).ravel()
         if vals.size != n_nodes:
             raise ValueError("batch evaluation returned a wrong-sized array")
@@ -444,7 +470,7 @@ def grid_eval(
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(
+        raise NonFiniteContourError(
             f"non-finite contour value at node {i} (theta={nodes[i].tolist()})"
         )
     return ContourGrid(

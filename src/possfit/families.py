@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import special
 
-from .contours import TIE_EPS, PossibilityContour
+from .contours import TIE_EPS, PossibilityContour, _pointwise_batch
 from .models import SingularInformationError
 
 __all__ = [
@@ -243,27 +243,27 @@ def sample(family, k: int, rng: np.random.Generator) -> np.ndarray:
     return family.theta_hat[None, :] + z @ A.T
 
 
+def _quadratic_forms(family: GaussianFamily, thetas) -> np.ndarray:
+    """(theta - theta_hat)' J(xi) (theta - theta_hat) at each row, its terms
+    summed in one fixed order, so a row's value does not depend on the rows
+    beside it (einsum's order does)."""
+    diff = np.atleast_2d(np.asarray(thetas, dtype=float)) - family.theta_hat[None, :]
+    terms = (diff[:, :, None] * gaussian_info_matrix(family)[None]) * diff[:, None, :]
+    return np.add.accumulate(terms.reshape(len(diff), -1), axis=1)[:, -1]
+
+
 def gaussian_contour(family: GaussianFamily, theta) -> float:
     """Closed-form contour 1 - G_d(quadratic form) of the Gaussian family."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    diff = theta - family.theta_hat
-    q = float(diff @ gaussian_info_matrix(family) @ diff)
-    return float(chi2_sf(q, family.dim))
+    return float(_gaussian_contour_batch(family, np.reshape(theta, (1, -1)))[0])
 
 
 def _gaussian_contour_batch(family: GaussianFamily, thetas) -> np.ndarray:
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    diff = thetas - family.theta_hat[None, :]
-    Jxi = gaussian_info_matrix(family)
-    q = np.einsum("ki,ij,kj->k", diff, Jxi, diff)
-    return chi2_sf(q, family.dim)
+    return chi2_sf(_quadratic_forms(family, thetas), family.dim)
 
 
 def credible_ellipsoid_membership(family: GaussianFamily, alpha: float, theta) -> bool:
     """True iff theta lies in the (1-alpha)-credible ellipsoid of the family."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    diff = theta - family.theta_hat
-    q = float(diff @ gaussian_info_matrix(family) @ diff)
+    q = _quadratic_forms(family, np.reshape(theta, (1, -1)))[0]
     return bool(q <= chi2_ppf(1.0 - alpha, family.dim))
 
 
@@ -324,11 +324,10 @@ def dirichlet_contour(
 
 
 def gaussian_contour_object(family: GaussianFamily) -> PossibilityContour:
-    """Deterministic closed-form contour with a vectorized batch path."""
+    """Deterministic closed-form contour, evaluated in one vectorized batch."""
     return PossibilityContour(
         kind="closed-form-gaussian",
         dim=family.dim,
-        evaluate=lambda th, rng: gaussian_contour(family, th),
         evaluate_batch=lambda thetas, rng: _gaussian_contour_batch(family, thetas),
         meta={"family": family_to_json(family)},
     )
@@ -353,7 +352,7 @@ def dirichlet_contour_object(
     return PossibilityContour(
         kind="dirichlet-mc",
         dim=family.dim - 1,
-        evaluate=evaluate,
+        evaluate_batch=_pointwise_batch(evaluate),
         seed=int(seed),
         meta={"family": family_to_json(family), "m": int(m)},
     )

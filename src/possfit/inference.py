@@ -199,7 +199,7 @@ def _family_center(family) -> np.ndarray:
 
 def _contour_values(contour: PossibilityContour, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(pts)
-    if contour.evaluate_batch is not None and contour.seed is None:
+    if contour.seed is None:
         return np.asarray(contour.evaluate_batch(pts, None), dtype=float)
     return np.array([contour(p) for p in pts], dtype=float)
 
@@ -301,44 +301,26 @@ def _seed_points(hypothesis: Hypothesis, center: np.ndarray) -> list:
 def _nm_refine(score, x0: np.ndarray, feasible, maxiter: int,
                fixed_mask=None) -> float:
     """Nelder-Mead ascent of ``score`` inside the feasible region, started at
-    a feasible point; infeasible proposals score -inf.  When some coordinates
-    are pinned (degenerate box axes) the search runs over the free ones."""
+    a feasible point; infeasible proposals score -inf.  Coordinates pinned by
+    ``fixed_mask`` (degenerate box axes) stay at x0, and the search runs over
+    the free ones."""
     from scipy.optimize import minimize
 
     x0 = np.asarray(x0, dtype=float)
-    if fixed_mask is not None and fixed_mask.any():
-        free = ~fixed_mask
-        if not free.any():
-            return score(x0)
+    free = np.ones(x0.size, dtype=bool) if fixed_mask is None else ~fixed_mask
+    if not free.any():
+        return score(x0)
 
-        def embed(z):
-            th = x0.copy()
-            th[free] = z
-            return th
-
-        def neg(z):
-            th = embed(z)
-            if not feasible(th):
-                return np.inf
-            return -score(th)
-
-        res = minimize(
-            neg,
-            x0[free],
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "fatol": 1e-12, "xatol": 1e-10},
-        )
-        best = -neg(res.x)
-        return best if np.isfinite(best) else -np.inf
-
-    def neg(th):
+    def neg(z):
+        th = x0.copy()
+        th[free] = z
         if not feasible(th):
             return np.inf
         return -score(th)
 
     res = minimize(
         neg,
-        x0,
+        x0[free],
         method="Nelder-Mead",
         options={"maxiter": maxiter, "fatol": 1e-12, "xatol": 1e-10},
     )

@@ -297,39 +297,6 @@ def _fd_hessian(f, x):
 # ---------------------------------------------------------------------------
 
 
-def _damped_newton(loglik, grad, hess, x0, max_iter=80, tol=1e-9, max_norm=1e4):
-    """Maximize loglik by Newton steps with backtracking; None on failure."""
-    x = np.asarray(x0, dtype=float).copy()
-    f = loglik(x)
-    if not np.isfinite(f):
-        return None
-    for _ in range(max_iter):
-        g = grad(x)
-        if np.max(np.abs(g)) < tol * (1.0 + abs(f)):
-            return x
-        H = hess(x)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            return None
-        a = 1.0
-        for _ in range(40):
-            cand = x + a * step
-            fc = loglik(cand)
-            if np.isfinite(fc) and fc >= f - 1e-12:
-                break
-            a *= 0.5
-        else:
-            return None
-        if np.linalg.norm(cand) > max_norm:
-            return None
-        x, f = cand, fc
-    g = grad(x)
-    if np.max(np.abs(g)) < 1e-5 * (1.0 + abs(f)):
-        return x
-    return None
-
-
 def _simplex_fallback(loglik, x0):
     from scipy import optimize
 
@@ -752,7 +719,10 @@ def poisson_loglinear(design) -> ModelSpec:
 
 def multinomial(k: int) -> ModelSpec:
     def counts(data):
-        return np.bincount(np.asarray(data.responses, dtype=int), minlength=k).astype(float)
+        y = np.asarray(data.responses, dtype=float)
+        if not np.all((y == np.floor(y)) & (y >= 0) & (y < k)):
+            raise ValueError(f"multinomial labels must be integers in 0..{k - 1}")
+        return np.bincount(y.astype(int), minlength=k).astype(float)
 
     def _valid(theta):
         return (np.min(theta, axis=-1) >= 0.0) & (
@@ -819,18 +789,21 @@ def multinomial(k: int) -> ModelSpec:
 _TINY_SHAPE_C = 1e6
 
 
-def _gamma_shape_root(c):
+def _gamma_shape_root(c, scale=1.0):
     """Solve log(a) - digamma(a) = c (c > 0), vectorized Newton in log a;
-    by fixed-point iteration for c > _TINY_SHAPE_C."""
-    c = np.maximum(np.asarray(c, dtype=float), 1e-12)
-    tiny = c > _TINY_SHAPE_C
-    if tiny.any():
+    by fixed-point iteration for c > _TINY_SHAPE_C.  Given ``scale``, the
+    argument is scale * c and the fixed point runs on a / scale, so a c
+    that overflows at a tiny scale is never formed."""
+    c = np.maximum(np.asarray(c, dtype=float), 1e-12 * scale)
+    tiny = c > _TINY_SHAPE_C * scale
+    if tiny.any() or scale != 1.0:
         out = np.empty_like(c)
-        out[~tiny] = _gamma_shape_root(c[~tiny])
-        a = 1.0 / c[tiny]
+        out[~tiny] = _gamma_shape_root(c[~tiny] / scale)
+        r = 1.0 / c[tiny]
         for _ in range(4):  # contracts by a factor of about a per step
-            a = 1.0 / (c[tiny] - np.log(a) + special.digamma(1.0 + a))
-        out[tiny] = a
+            r = 1.0 / (c[tiny] - scale * np.log(scale * r)
+                       + scale * special.digamma(1.0 + scale * r))
+        out[tiny] = scale * r
         return out
     # standard closed-form starting value
     a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
@@ -851,33 +824,45 @@ def _gamma_ss_loglik_stats(t1, s, n, a, b):
     return (a - 1.0) * t1 - s / b - n * a * np.log(b) - n * special.gammaln(a)
 
 
-def _gamma_sim_log_rel(a0, scale0, n, m, rng):
-    """log R at (shape a0, scale scale0) of m gamma samples of size n drawn
-    there, against each sample's MLE.
+def _gamma_sim_log_rel(a0, scale0, log_scale0, n, m, rng):
+    """log R at (shape a0, scale scale0 = exp(log_scale0)) of m gamma samples
+    of size n drawn there, against each sample's MLE.
 
     Shapes below 1 draw log x = log Y - E / a0 with Y ~ Gamma(a0 + 1) and
     E ~ Exp(1) (Liu, Martin & Syring 2017), since a gamma draw at a tiny
-    shape underflows to 0; log(sum x) is then a logsumexp.  Shapes of 1 and
-    more draw x itself, as the ``sample`` hook does.  With the MLE scale
-    written on the log scale (s / b_hat = n a_hat, log b_hat = log(s/n) -
-    log a_hat) the sum-of-logs terms of the two log-likelihoods cancel
-    before they are formed, so log R stays finite at any positive shape.
+    shape underflows to 0; log(sum x) is then a logsumexp.  Near the
+    smallest normal shape log x, its sum and the scale overflow, so that
+    branch forms v = a0 log x and a0 c (c = log mean x - mean log x) and
+    reads only ``log_scale0``.  Shapes of 1 and more draw x itself, as the
+    ``sample`` hook does.  With the MLE scale written on the log scale (s /
+    b_hat = n a_hat, log b_hat = log(s/n) - log a_hat) the sum-of-logs terms
+    of the two log-likelihoods cancel before they are formed, so log R
+    stays finite at any positive shape.
     """
     if a0 >= 1.0:
         x = rng.gamma(a0, scale0, size=(m, n))
         t1 = np.sum(np.log(x), axis=1)
         s = np.sum(x, axis=1)
         log_mean = np.log(s / n)
-    else:
-        logx = (np.log(scale0) + np.log(rng.standard_gamma(a0 + 1.0, size=(m, n)))
-                - rng.standard_exponential(size=(m, n)) / a0)
-        t1 = np.sum(logx, axis=1)
-        log_mean = special.logsumexp(logx, axis=1) - np.log(n)
-        s = n * np.exp(log_mean)
-    ahat = _gamma_shape_root(log_mean - t1 / n)
+        ahat = _gamma_shape_root(log_mean - t1 / n)
+        return (
+            (a0 - ahat) * t1 - s / scale0 - n * a0 * np.log(scale0)
+            + n * ahat * (1.0 + log_mean - np.log(ahat))
+            - n * (special.gammaln(a0) - special.gammaln(ahat))
+        )
+    v = (a0 * (log_scale0 + np.log(rng.standard_gamma(a0 + 1.0, size=(m, n))))
+         - rng.standard_exponential(size=(m, n)))
+    top = np.max(v, axis=1)
+    # terms below e^-800 of the largest x vanish from the sum either way
+    z = np.maximum(v - top[:, None], -800.0 * a0) / a0
+    a0_log_mean = top + a0 * (np.log(np.sum(np.exp(z), axis=1)) - np.log(n))
+    a0c = a0_log_mean - np.mean(v, axis=1)
+    ahat = _gamma_shape_root(a0c, a0)
+    a0_log_rel = a0_log_mean - a0 * log_scale0  # a0 log(mean x / scale0)
     return (
-        (a0 - ahat) * t1 - s / scale0 - n * a0 * np.log(scale0)
-        + n * ahat * (1.0 + log_mean - np.log(ahat))
+        n * a0_log_rel - n * a0c * (1.0 - ahat / a0)
+        - n * np.exp(np.maximum(a0_log_rel, -800.0 * a0) / a0)
+        + n * ahat * (1.0 - np.log(ahat))
         - n * (special.gammaln(a0) - special.gammaln(ahat))
     )
 
@@ -918,7 +903,8 @@ def gamma_shape_scale() -> ModelSpec:
 
     @_rowwise
     def sim_log_rel(theta, n, m, rng):
-        return _gamma_sim_log_rel(float(theta[0]), float(theta[1]), n, m, rng)
+        a0, scale0 = float(theta[0]), float(theta[1])
+        return _gamma_sim_log_rel(a0, scale0, np.log(scale0), n, m, rng)
 
     return ModelSpec(
         name="gamma",
@@ -979,7 +965,7 @@ def gamma_mean_shape() -> ModelSpec:
     @_rowwise
     def sim_log_rel(theta, n, m, rng):
         a0, phi0 = float(theta[0]), float(theta[1])
-        return _gamma_sim_log_rel(a0, phi0 / a0, n, m, rng)
+        return _gamma_sim_log_rel(a0, phi0 / a0, np.log(phi0) - np.log(a0), n, m, rng)
 
     return ModelSpec(
         name="gamma-mean-shape",

@@ -23,6 +23,7 @@ from scipy import special
 from .contours import (
     TIE_EPS,
     PossibilityContour,
+    _pointwise_batch,
     log_relative_likelihood,
     make_mc_contour,
     mc_contour,
@@ -209,9 +210,8 @@ def make_profile_contour(
     return PossibilityContour(
         kind="profile-mc",
         dim=1,
-        evaluate=lambda th, rng: profile_contour(
-            model, data, spec, float(np.asarray(th, dtype=float).ravel()[0]), m, rng
-        ),
+        evaluate_batch=_pointwise_batch(lambda th, rng: profile_contour(
+            model, data, spec, float(th[0]), m, rng)),
         seed=int(seed),
         meta={"model": model.name, "spec": spec.name, "m": int(m), "probes": int(spec.probes)},
     )
@@ -420,7 +420,8 @@ def make_empirical_risk_contour(
     return PossibilityContour(
         kind="bootstrap-er",
         dim=1,
-        evaluate=lambda th, rng: empirical_risk_contour(data, spec, th, rng, B=B),
+        evaluate_batch=_pointwise_batch(
+            lambda th, rng: empirical_risk_contour(data, spec, th, rng, B=B)),
         seed=int(seed),
         meta={"spec": spec.name, "B": B},
     )

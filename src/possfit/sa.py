@@ -28,15 +28,12 @@ The boundary-matching criterion always reads values.
 Random streams of iteration t, all derived from ``config.seed``: key
 ``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
 seeds one batch evaluation of all of the iteration's points (its k draws or
-its 2d boundary points) for a seeded contour with a batch or decision
-evaluator, such as the Monte Carlo contour.  The decision evaluator
+its 2d boundary points) for a seeded contour.  The decision evaluator
 consumes that stream chunk by chunk of datasets, for the draws still
 undecided, so the credal-mass fits of a Monte Carlo contour draw different
 datasets than a full-m evaluation of each point would; their traces changed
-by design when curtailment came in.  A contour without a batch evaluator is
-evaluated point by point, point j on key ``(SA_TAG, t, j + 1)``.  An
-evaluation that fails, by raising or by returning NaN, counts as outside
-the cut and is tallied in ``FitTrace.failures``.
+by design when curtailment came in.  An evaluation that fails (a NaN value)
+counts as outside the cut and is tallied in ``FitTrace.failures``.
 """
 
 from __future__ import annotations
@@ -208,32 +205,24 @@ def robbins_monro(
 def _evaluate(
     contour: PossibilityContour,
     points: np.ndarray,
-    stream: Callable[[int], np.random.Generator],
+    rng: np.random.Generator,
     failure_count: Optional[list] = None,
     alpha: Optional[float] = None,
 ) -> np.ndarray:
-    """Contour values at the rows of ``points``; NaN where one failed.
+    """Contour values at the rows of ``points``, as one batch on ``rng``
+    when the contour is seeded; NaN where one failed.
 
     Given ``alpha``, a contour with a decision evaluator returns its 1/0
     decisions of value > alpha instead, which compare with ``alpha`` as the
-    values would.  A contour with a batch evaluator gets all rows in one
-    call, on ``stream(0)`` when it is seeded; otherwise row j is evaluated
-    on its own with ``stream(j + 1)``.  Failures are tallied into
-    ``failure_count[0]`` when a one-element list is supplied.
+    values would.  Failures are tallied into ``failure_count[0]`` when a
+    one-element list is supplied.
     """
-    decide = alpha is not None and contour.exceeds_batch is not None
-    if decide or contour.evaluate_batch is not None:
-        rng = None if contour.seed is None else stream(0)
-        vals = (contour.exceeds_batch(points, alpha, rng) if decide
-                else contour.evaluate_batch(points, rng))
-        vals = np.asarray(vals, dtype=float).ravel()
+    rng = None if contour.seed is None else rng
+    if alpha is not None and contour.exceeds_batch is not None:
+        vals = contour.exceeds_batch(points, alpha, rng)
     else:
-        vals = np.empty(len(points))
-        for j, theta in enumerate(points):
-            try:
-                vals[j] = contour.evaluate(theta, stream(j + 1))
-            except Exception:
-                vals[j] = np.nan
+        vals = contour.evaluate_batch(points, rng)
+    vals = np.asarray(vals, dtype=float).ravel()
     if failure_count is not None:
         failure_count[0] += int(np.sum(np.isnan(vals)))
     return vals
@@ -245,7 +234,7 @@ def f_hat(
     alpha: float,
     k: int,
     rng: np.random.Generator,
-    eval_rng: Optional[Callable[[int], np.random.Generator]] = None,
+    eval_rng: Optional[np.random.Generator] = None,
     failure_count: Optional[list] = None,
 ) -> float:
     """Monte-Carlo credal-mass criterion at the current family.
@@ -254,19 +243,18 @@ def f_hat(
     mean(contour > alpha) - (1 - alpha).  A contour with a decision
     evaluator (``exceeds_batch``) decides contour > alpha by exact
     curtailment, which gives the indicators of its full-m values but stops
-    simulating each draw once its indicator is settled; it consumes the key-0
-    stream chunk by chunk, so these streams, and the draws and traces
-    that follow from them, changed by design when curtailment came in.
-    ``eval_rng(key)`` gives the contour's streams: key 0 for one batch
-    evaluation of all draws, key j + 1 for draw j when evaluated on its own
-    (see the module docstring); without it every evaluation continues on
-    ``rng``.  A draw whose contour evaluation fails counts as *outside* the
-    cut, which can only push the fitted spread up (conservative); failures
-    are tallied into ``failure_count[0]`` when a one-element list is
-    supplied.
+    simulating each draw once its indicator is settled; it consumes the
+    contour's stream chunk by chunk, so these streams, and the draws and
+    traces that follow from them, changed by design when curtailment came
+    in.  ``eval_rng`` is the contour's stream, on which all draws are
+    evaluated as one batch (see the module docstring); without it the
+    evaluation continues on ``rng``.  A draw whose contour evaluation fails
+    counts as *outside* the cut, which can only push the fitted spread up
+    (conservative); failures are tallied into ``failure_count[0]`` when a
+    one-element list is supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))
-    vals = _evaluate(contour, draws, eval_rng or (lambda key: rng), failure_count, alpha)
+    vals = _evaluate(contour, draws, rng if eval_rng is None else eval_rng, failure_count, alpha)
     return float(np.mean(vals > alpha) - (1.0 - alpha))  # NaN is never > alpha
 
 
@@ -288,7 +276,7 @@ def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
             config.alpha,
             config.k_outer,
             draw_rng,
-            eval_rng=lambda key: derive_rng(config.seed, SA_TAG, t, key),
+            eval_rng=derive_rng(config.seed, SA_TAG, t, 0),
             failure_count=failures,
         )
 
@@ -338,9 +326,7 @@ def _fit_boundary(base, contour: PossibilityContour, config: SAConfig):
     def objective(xi: np.ndarray, t: int) -> np.ndarray:
         fam = base.with_xi(xi)
         pts = boundary_points(fam, config.alpha).reshape(2 * d, d)
-        vals = _evaluate(
-            contour, pts, lambda key: derive_rng(config.seed, SA_TAG, t, key), failures
-        )
+        vals = _evaluate(contour, pts, derive_rng(config.seed, SA_TAG, t, 0), failures)
         vals = np.where(np.isnan(vals), 0.0, vals)
         pair = vals.reshape(d, 2)
         return np.max(pair, axis=1) - config.alpha

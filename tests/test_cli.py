@@ -171,6 +171,25 @@ class TestContour:
         assert not (tmp_path / "contour.json").exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_failed_bootstrap_evaluation_exit3_no_outputs(self, tmp_path,
+                                                          capsys):
+        """Resamples of all-NaN values have no minimizer, so the contour
+        values are NaN: a numerical failure, not a traceback."""
+        data_path = tmp_path / "obs.csv"
+        data_path.write_text("y\nnan\nnan\nnan\n1.0\n", encoding="utf-8")
+        cfg = contour_config(
+            tmp_path,
+            model="gamma",
+            data={"csv": str(data_path), "response": "y"},
+            method="bootstrap",
+            bootstrap={"tau": 0.25, "B": 50},
+            grid=[{"lo": 0.5, "hi": 2.0, "count": 5}],
+        )
+        assert run(write_config(tmp_path, cfg)) == 3
+        assert not (tmp_path / "contour.csv").exists()
+        assert not (tmp_path / "contour.json").exists()
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_csv_data_source(self, tmp_path):
         rng = np.random.default_rng(4)
         ys = rng.gamma(7.0, 3.0, size=25)
@@ -553,6 +572,32 @@ class TestHypothesis:
         out = capsys.readouterr().out
         assert "upper" in out and "lower" in out
 
+    @pytest.mark.parametrize("bounds, message", [
+        ([[1.0, 2.0]], "bootstrap method has no proposal family"),
+        ([[1.0, 2.0], [0.5, 3.0]], "dimension 2, expected 1"),
+    ])
+    def test_bootstrap_without_proposal_family_exit2(self, tmp_path, capsys,
+                                                     bounds, message):
+        """The bootstrap contour is 1-D while the gamma model is 2-D: a box
+        of either dimension is a config error, checked against the
+        contour, before any search."""
+        ys = np.random.default_rng(4).gamma(4.0, 1.0, size=30)
+        cfg = {
+            "command": "hypothesis",
+            "model": "gamma",
+            "seed": 29,
+            "data": {"inline": {"responses": ys.tolist()}},
+            "method": "bootstrap",
+            "bootstrap": {"tau": 0.25, "B": 50},
+            "hypotheses": [{"kind": "box", "bounds": bounds}],
+            "output": {"csv": str(tmp_path / "probs.csv"),
+                       "json": str(tmp_path / "probs.json")},
+        }
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "probs.csv").exists()
+        assert not (tmp_path / "probs.json").exists()
+
     def test_requires_hypotheses(self, tmp_path):
         cfg = {
             "command": "hypothesis",
@@ -563,6 +608,30 @@ class TestHypothesis:
             "output": {"json": str(tmp_path / "probs.json")},
         }
         assert run(write_config(tmp_path, cfg)) == 2
+
+
+@pytest.mark.parametrize("command, block", [
+    ("marginal", {"grid": [{"lo": 0.5, "hi": 3.0, "count": 4}],
+                  "marginal": {"component": 0}}),
+    ("choquet", {"choquet": {"loss": {"kind": "linear", "a": [1.0]}}}),
+])
+def test_search_commands_without_proposal_family_exit2(tmp_path, capsys,
+                                                        command, block):
+    """Marginal and Choquet searches on the 1-D bootstrap contour of the 2-D
+    gamma model have no proposal family either: exit 2, not a traceback."""
+    cfg = {
+        "command": command,
+        "model": "gamma",
+        "seed": 3,
+        "data": {"inline": {"responses": [1.2, 3.4, 2.2, 5.1, 0.7, 2.9, 3.3, 1.9]}},
+        "method": "bootstrap",
+        "bootstrap": {"tau": 0.25, "B": 50},
+        "output": {"json": str(tmp_path / "out.json")},
+        **block,
+    }
+    assert run(write_config(tmp_path, cfg)) == 2
+    assert "bootstrap method has no proposal family" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,25 @@ from possfit.contours import (
     mc_contour,
 )
 from possfit.contours import _decision_schedule
+from possfit.families import (
+    DirichletFamily,
+    GaussianVectorFamily,
+    dirichlet_contour,
+    dirichlet_contour_object,
+    gaussian_contour,
+    gaussian_contour_object,
+)
+from possfit.nuisance import (
+    censored_contour,
+    empirical_risk_contour,
+    gamma_mean_profile,
+    kaplan_meier_swapped,
+    make_censored_contour,
+    make_empirical_risk_contour,
+    make_profile_contour,
+    profile_contour,
+    quantile_risk_spec,
+)
 from possfit.models import (
     Dataset,
     ModelSpec,
@@ -360,11 +379,12 @@ def _assert_small_quietly(contour, point, bound=0.01):
 
 
 @pytest.mark.parametrize("factory", [gamma_shape_scale, gamma_mean_shape])
-@pytest.mark.parametrize("shape", [1e-3, 1e-300])
+@pytest.mark.parametrize("shape", [1e-3, 1e-300, 1e-307, 1e-308, 3e-308])
 def test_gamma_contour_at_tiny_shapes(factory, shape):
     """At in-domain shapes far below the data's, the contour is near 0: the
-    kernel draws log x directly, so no simulated sample underflows to 0 and
-    no refit turns NaN (which would count as included)."""
+    kernel draws log x directly, so no simulated sample underflows to 0, and
+    forms a * log x, so nothing overflows near the smallest normal shape; no
+    refit turns NaN (which would count as included)."""
     data = gamma_shape_scale().sample(np.array([7.0, 3.0]), 40, np.random.default_rng(0))
     contour = make_mc_contour(factory(), data, m=200, seed=1)
     _assert_small_quietly(contour, [shape, 2.0])
@@ -535,11 +555,65 @@ def test_grid_eval_equals_seeded_pointwise_calls():
         assert grid.values.ravel()[i] == contour.eval_at_node(nodes[i], i)
 
 
+def _factory_case(name):
+    """(contour, point, the public one-point function or None) per factory."""
+    binom = _binom_data(6, 15)
+    gamma = Dataset(responses=np.random.default_rng(3).gamma(8.0, 0.25, size=20))
+    if name == "exact":
+        return make_exact_binomial(binom), np.array([0.37]), None
+    if name == "monte-carlo":
+        return (make_mc_contour(binomial(), binom, m=200, seed=5), np.array([0.37]),
+                lambda th, rng: mc_contour(binomial(), binom, th, 200, rng))
+    if name == "censored":
+        rng = np.random.default_rng(11)
+        y = np.exp(rng.normal(0.3, 0.7, size=24))
+        c = np.where(np.arange(24) % 2 == 0, 0.9, 1.4)
+        data = Dataset(responses=np.maximum(y, c), censor=(y >= c).astype(int))
+        ghat = kaplan_meier_swapped(data)
+        model = lognormal_censored()
+        return (make_censored_contour(model, data, ghat, m=100, seed=5),
+                np.array([0.3, 0.49]),
+                lambda th, rng: censored_contour(model, data, ghat, th, 100, rng))
+    if name == "gaussian":
+        fam = GaussianVectorFamily(theta_hat=np.array([0.2, -0.3]),
+                                   info=np.array([[3.0, 0.4], [0.4, 1.5]]),
+                                   xi=np.array([1.1, 0.6]))
+        return (gaussian_contour_object(fam), np.array([0.5, 0.1]),
+                lambda th, rng: gaussian_contour(fam, th))
+    if name == "dirichlet":
+        fam = DirichletFamily(mean=np.array([0.2, 0.3, 0.5]), n=20.0, xi=1.0)
+        return (dirichlet_contour_object(fam, m=200, seed=5), np.array([0.25, 0.3]),
+                lambda th, rng: dirichlet_contour(fam, np.append(th, 1 - th.sum()),
+                                                  200, rng))
+    if name == "profile":
+        model, spec = gamma_mean_shape(), gamma_mean_profile()
+        return (make_profile_contour(model, gamma, spec, m=100, seed=5),
+                np.array([2.1]),
+                lambda th, rng: profile_contour(model, gamma, spec, th[0], 100, rng))
+    spec = quantile_risk_spec(0.25, B=100)
+    return (make_empirical_risk_contour(gamma, spec, seed=5), np.array([1.6]),
+            lambda th, rng: empirical_risk_contour(gamma, spec, th, rng))
+
+
+@pytest.mark.parametrize("name", ["exact", "monte-carlo", "censored", "gaussian",
+                                  "dirichlet", "profile", "bootstrap"])
+def test_point_evaluation_is_a_batch_of_one(name):
+    """Every factory gives one evaluator: a point evaluated on a generator
+    equals the batch of that one point on an equal generator, bit for bit,
+    and the public one-point function gives the same value."""
+    contour, theta, point = _factory_case(name)
+    value = contour.evaluate(theta, np.random.default_rng(9))
+    assert value == contour.evaluate_batch(theta[None], np.random.default_rng(9))[0]
+    if point is not None:
+        assert value == point(theta, np.random.default_rng(9))
+    assert 0.0 < value <= 1.0
+
+
 def test_grid_eval_rejects_nonfinite_values():
     broken = PossibilityContour(
         kind="exact-discrete",
         dim=1,
-        evaluate=lambda th, rng: float("nan") if th[0] > 0.4 else 0.5,
+        evaluate_batch=lambda thetas, rng: np.where(thetas[:, 0] > 0.4, np.nan, 0.5),
     )
     with pytest.raises(ValueError, match="node 1"):
         grid_eval(broken, [AxisSpec(0.0, 1.0, 3)])
@@ -549,7 +623,7 @@ def test_two_axis_grid_shape_and_order():
     contour = PossibilityContour(
         kind="exact-discrete",
         dim=2,
-        evaluate=lambda th, rng: float(np.exp(-np.sum(th**2))),
+        evaluate_batch=lambda thetas, rng: np.exp(-np.sum(thetas**2, axis=1)),
     )
     grid = grid_eval(contour, [AxisSpec(-1, 1, 3), AxisSpec(0, 1, 2)])
     assert grid.values.shape == (3, 2)

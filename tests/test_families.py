@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from possfit.contours import AxisSpec, grid_eval
 from possfit.families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -334,6 +335,19 @@ def test_gaussian_contour_object_batch_matches_pointwise():
     for i in range(50):
         assert batch[i] == pytest.approx(contour(pts[i]), rel=1e-12)
         assert batch[i] == pytest.approx(gaussian_contour(fam, pts[i]), rel=1e-12)
+
+
+def test_gaussian_point_values_equal_grid_values():
+    """One formula: a point is a batch of one, so contour(theta) and
+    gaussian_contour equal the grid value at the same node bit for bit."""
+    fam = GaussianVectorFamily(
+        theta_hat=np.array([0.2, -0.3]), info=_spd(2, 6), xi=np.array([1.1, 0.6])
+    )
+    contour = gaussian_contour_object(fam)
+    grid = grid_eval(contour, [AxisSpec(-2.0, 2.0, 21), AxisSpec(-2.5, 1.5, 21)])
+    for node, value in zip(grid.nodes(), grid.values.ravel()):
+        assert contour(node) == value
+        assert gaussian_contour(fam, node) == value
 
 
 @pytest.mark.parametrize("maker", [

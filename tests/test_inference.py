@@ -276,8 +276,8 @@ def test_degenerate_box_single_point_fiber():
 def test_partially_degenerate_box_on_search_path():
     # deterministic non-Gaussian-kind contour: pi = exp(-(2 t0^2 + t1^2)/2);
     # box pins t0 = 0.5, so the sup over the free coordinate is exp(-0.25)
-    pi = lambda th, rng: float(np.exp(-(2 * th[0] ** 2 + th[1] ** 2) / 2))
-    contour = PossibilityContour(kind="monte-carlo", dim=2, evaluate=pi, seed=17)
+    pi = lambda th, rng: np.exp(-(2 * th[:, 0] ** 2 + th[:, 1] ** 2) / 2)
+    contour = PossibilityContour(kind="monte-carlo", dim=2, evaluate_batch=pi, seed=17)
     fam = GaussianVectorFamily(np.zeros(2), np.diag([2.0, 1.0]), np.ones(2))
     H = Hypothesis.box([[0.5, 0.5], [-3.0, 3.0]])
     res = upper_probability(contour, H, family=fam, seed=3)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from possfit.contours import make_mc_contour
 from possfit.models import (
     Dataset,
     DegenerateMLEError,
@@ -464,6 +465,21 @@ def test_logistic_regression_mle_and_information():
     assert np.max(np.abs(score)) < 1e-6
     fd = finite_difference_information(model, data, theta)
     assert np.linalg.norm(fd - info) <= 1e-4 * np.linalg.norm(info)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1, 1, 2, 5, 2, 2, 0, 1, 2],
+    [0, 1, 1, 2, -1, 2],
+    [0, 1, 1.5, 2],
+])
+def test_multinomial_rejects_labels_outside_its_categories(labels):
+    """A label outside 0..k-1 once gave a longer count vector and a flat
+    contour of 1; it is a ValueError, so contour construction fails."""
+    data = Dataset(responses=np.array(labels))
+    with pytest.raises(ValueError, match="labels"):
+        multinomial(3).mle(data)
+    with pytest.raises(ValueError, match="labels"):
+        make_mc_contour(multinomial(3), data, m=50, seed=1)
 
 
 def test_multinomial_mle_is_empirical_frequencies():

@@ -56,6 +56,7 @@ from possfit.nuisance import (
     quantile_risk_spec,
     relative_profile_likelihood,
 )
+from possfit._rng import SA_TAG, derive_rng
 from possfit.sa import SAConfig, fit_vector
 
 
@@ -720,6 +721,55 @@ def test_fit_quantile_companion_on_bootstrap_contour():
     assert trace.reason in ("converged", "max-iterations")
     assert 0.3 < fitted.xi < 3.0
     assert trace.failures == 0
+
+
+def _same_trace(a, b):
+    return (a.ts == b.ts and a.reason == b.reason and a.failures == b.failures
+            and all(np.array_equal(x, y) for x, y in zip(a.xis, b.xis))
+            and all(np.array_equal(x, y) for x, y in zip(a.objectives, b.objectives)))
+
+
+def test_companion_fits_rerun_bit_identically():
+    """Each SA iteration evaluates its draws as one batch on its (t, 0)
+    stream, so a profile or bootstrap companion fit reruns bit for bit."""
+    model, data, spec = gamma_mean_shape(), _gamma_data(seed=77), gamma_mean_profile()
+    cfg = _config(seed=13, k_outer=30, max_iter=8, epsilon=0.01)
+    runs = [fit_profile_companion(model, data, spec,
+                                  make_profile_contour(model, data, spec, m=100, seed=5),
+                                  cfg)[1] for _ in range(2)]
+    assert _same_trace(*runs)
+    qspec = quantile_risk_spec(0.25, B=100)
+    fam = quantile_companion_family(data, 0.25)
+    runs = [fit_quantile_companion(make_empirical_risk_contour(data, qspec, seed=3),
+                                   fam, cfg)[1] for _ in range(2)]
+    assert _same_trace(*runs)
+
+
+def test_companion_fit_tallies_each_raising_row_once():
+    """A draw whose bootstrap evaluation raises is NaN in the batch and one
+    failure in the trace: the tally equals the draws past the cut point."""
+    data = _gamma_data(seed=77)
+    base = quantile_risk_spec(0.25, B=50)
+    fam = quantile_companion_family(data, 0.25)
+    cut = fam.theta_hat + 0.5 * fam.sd
+
+    def loss(values, theta):
+        if np.ndim(theta) == 0 and theta > cut:
+            raise RiskMinimizationError("synthetic failure past the cut")
+        return base.loss(values, theta)
+
+    contour = make_empirical_risk_contour(
+        data, dataclasses.replace(base, loss=loss), seed=3)
+    cfg = _config(seed=19, k_outer=40, max_iter=6, epsilon=1e-9)
+    _, trace = fit_quantile_companion(contour, fam, cfg)
+    xis = [1.0] + [float(x[0]) for x in trace.xis[:-1]]
+    past = sum(
+        int(np.sum(sample(fam.with_xi(xi), cfg.k_outer,
+                          derive_rng(cfg.seed, SA_TAG, t)) > cut))
+        for t, xi in zip(trace.ts, xis)
+    )
+    assert past > 0
+    assert trace.failures == past
 
 
 # ---------------------------------------------------------------------------

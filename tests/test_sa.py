@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from possfit.contours import PossibilityContour, make_exact_binomial
+from possfit.contours import PossibilityContour, _pointwise_batch, make_exact_binomial
 from possfit.families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -149,7 +149,8 @@ def test_rm_progress_lines_on_stderr(capfd):
 
 def _const_contour(value):
     return PossibilityContour(
-        kind="closed-form-gaussian", dim=1, evaluate=lambda th, rng: value
+        kind="closed-form-gaussian", dim=1,
+        evaluate_batch=lambda thetas, rng: np.full(len(thetas), value),
     )
 
 
@@ -198,7 +199,8 @@ def test_f_hat_failure_counts_as_outside():
 
     fam = GaussianScalarFamily(theta_hat=np.array([0.4]), info=np.array([[62.5]]),
                                xi=1.0)
-    contour = PossibilityContour(kind="monte-carlo", dim=1, evaluate=flaky, seed=3)
+    contour = PossibilityContour(kind="monte-carlo", dim=1,
+                                 evaluate_batch=_pointwise_batch(flaky), seed=3)
     failures = [0]
     v = f_hat(fam, contour, 0.1, 400, np.random.default_rng(5),
               failure_count=failures)
@@ -217,8 +219,7 @@ def _nan_batch_contour(seed, value, failing, dim=1):
         return np.where(failing(thetas), np.nan, value(thetas))
 
     return PossibilityContour(
-        kind="monte-carlo", dim=dim, seed=seed,
-        evaluate=lambda th, rng: float(batch(th, rng)[0]), evaluate_batch=batch,
+        kind="monte-carlo", dim=dim, seed=seed, evaluate_batch=batch,
     )
 
 
@@ -407,7 +408,6 @@ def test_f_hat_reads_decisions_and_boundary_matching_reads_values():
                                xi=1.0)
     contour = PossibilityContour(
         kind="monte-carlo", dim=1, seed=3,
-        evaluate=lambda th, rng: 0.0,
         evaluate_batch=lambda thetas, rng: np.zeros(len(thetas)),
         exceeds_batch=lambda thetas, alpha, rng: np.ones(len(thetas)),
     )
