@@ -464,12 +464,20 @@ def model_from_id(
     model_kwargs: Optional[dict] = None,
     log_params: bool = False,
 ) -> ModelSpec:
-    """Instantiate a registered model outside of any scenario."""
+    """Instantiate a registered model outside of any scenario; a factory
+    that rejects its settings raises :class:`ScenarioError`."""
     _check_model_id(model_id)
     env = _ModelEnv(
         None if n is None else int(n), dict(model_kwargs or {})
     )
-    base = _REGISTRY[model_id][0](env)
+    try:
+        base = _REGISTRY[model_id][0](env)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"invalid settings for the {model_id} model: {exc}"
+        ) from None
     return log_reparam(base) if log_params else base
 
 
@@ -854,6 +862,16 @@ def _proposal_family(model: ModelSpec, data: Dataset):
     )
 
 
+def _check_search_dim(method: str, family_dim: int, contour_dim: int) -> None:
+    """A :class:`ScenarioError` naming ``method`` unless the family that
+    hypothesis searches run on has the contour's dimension."""
+    if family_dim != contour_dim:
+        raise ScenarioError(
+            f"the {method} method has no proposal family of dimension "
+            f"{contour_dim} to search with"
+        )
+
+
 def hypothesis_calibration(
     scenario: Scenario,
     hypotheses: Sequence[Hypothesis],
@@ -862,20 +880,28 @@ def hypothesis_calibration(
 ) -> HypothesisCalibrationResult:
     """CDF curves of the possibility assigned to fixed true hypotheses.
 
-    Every hypothesis must contain the scenario truth — the study measures
-    calibration on true hypotheses, so a false one is a configuration error.
+    Hypotheses live in the contour's space, that of the scenario truth (a
+    functional value for the bootstrap method), and the search runs on a
+    family of the model's dimension; either mismatch is a configuration
+    error, raised before any replication.  Every hypothesis must contain
+    the scenario truth — the study measures calibration on true hypotheses,
+    so a false one is a configuration error too.
     """
     hyps = tuple(hypotheses)
     if not hyps:
         raise ScenarioError("needs at least one hypothesis")
     model = build_model(scenario)
-    dim = model.dim if model.dim is not None else scenario.n
     truth_pt = np.atleast_2d(scenario.truth_eval)
+    dim = truth_pt.shape[1]
     for k, h in enumerate(hyps):
         if h.dim != dim:
             raise ScenarioError(
                 f"hypothesis {k + 1} has dimension {h.dim}, expected {dim}"
             )
+    _check_search_dim(
+        scenario.method, model.dim if model.dim is not None else scenario.n, dim
+    )
+    for k, h in enumerate(hyps):
         if not bool(h.contains(truth_pt)[0]):
             raise ScenarioError(
                 f"hypothesis {k + 1} ({_describe_hypothesis(h)}) is not "

@@ -46,6 +46,7 @@ from .calibration import (
     Scenario,
     ScenarioError,
     StudyError,
+    _check_search_dim,
     _proposal_family,
     build_contour,
     hypothesis_calibration,
@@ -330,11 +331,7 @@ def _search_family(config: dict, model, data, contour, family):
     over the contour; a config error when their dimensions differ."""
     if family is None:
         family = _proposal_family(model, data)
-    if family.dim != contour.dim:
-        raise ConfigError(
-            f"the {config.get('method', 'naive')} method has no proposal family "
-            f"of dimension {contour.dim} to search with"
-        )
+    _check_search_dim(config.get("method", "naive"), family.dim, contour.dim)
     return family
 
 

@@ -19,8 +19,10 @@ Monte Carlo contour engine:
     ``sample``; it may draw the sufficient statistics directly (or, for a
     discrete statistic, the counts of its support points), so it need not
     consume the random stream the way ``sample`` does.  Kernels whose
-    statistics are small broadcast over the rows; kernels that simulate
-    whole datasets loop over the rows on the shared generator
+    statistics are small broadcast over the rows, and so does the lasso
+    kernel, which draws only the nonzero coordinates of the batch and the
+    exceedance counts of the zero ones; kernels that simulate whole
+    datasets loop over the rows on the shared generator
     (:func:`_rowwise`), so their memory stays that of one point.  Without
     a kernel the engine falls back to a per-dataset loop through
     ``sample``/``mle``.
@@ -991,8 +993,19 @@ def soft_threshold(x, lam):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_normal_means(sigma, lam=0.0):
+    """sigma and lam as floats; a ValueError unless sigma is finite and > 0
+    and lam is finite and >= 0."""
+    sigma, lam = float(sigma), float(lam)
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    return sigma, lam
+
+
 def normal_means(sigma: float) -> ModelSpec:
-    sigma = float(sigma)
+    sigma, _ = _check_normal_means(sigma)
 
     def log_lik(data, theta):
         x = np.asarray(data.responses, dtype=float)
@@ -1032,10 +1045,27 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
 
     The penalized log-likelihood is -||x - theta||^2 / (2 sigma^2) -
     lam * ||theta||_1, whose exact maximizer is the soft-threshold estimate
-    with shrinkage lam * sigma^2.  Sampling stays the plain normal model.
+    with shrinkage c = lam * sigma^2.  Sampling stays the plain normal model.
+
+    log R splits over the coordinates: coordinate i adds h_i = [(x_i -
+    t_i)^2 - (x_i - theta_i)^2] / (2 sigma^2) + lam (|t_i| - |theta_i|) at
+    the soft-threshold estimate t_i, whose residual |x_i - t_i| is
+    min(|x_i|, c) and whose size |t_i| is (|x_i| - c)_+.  At theta_i = 0
+    this is h_i = -(|x_i| - c)_+^2 / (2 sigma^2), nonzero with probability
+    p = 2 Phi(-lam sigma), and given that, |x_i| / sigma follows the normal
+    tail beyond lam sigma.  So the simulator draws x_i ~ N(theta_i, sigma^2)
+    only for the nonzero entries of the ``(k, n)`` batch.  For each row and
+    dataset it draws the number of exceedances among the row's n_0 zero
+    coordinates, N ~ Binomial(n_0, p), and each exceedance as |x| / sigma =
+    -ndtri((1 - U) Phi(-lam sigma)) with U uniform on [0, 1), so no draw is
+    infinite.  A dataset whose row has neither a nonzero entry nor an
+    exceedance gets exactly 0, the tie value of the observed all-zero fit.
+    Temporaries scale with (nonzero entries x m) and k x m, not k x m x n.
     """
-    sigma = float(sigma)
-    lam = float(lam)
+    sigma, lam = _check_normal_means(sigma, lam)
+    c = lam * sigma**2
+    tail = special.ndtr(-lam * sigma)  # Phi(-c / sigma)
+    p = 2.0 * tail
 
     def _pen(x, theta, n):
         return (
@@ -1053,7 +1083,7 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         return Dataset(responses=rng.normal(theta, sigma, size=n))
 
     def mle(data):
-        return soft_threshold(np.asarray(data.responses, dtype=float), lam * sigma**2)
+        return soft_threshold(np.asarray(data.responses, dtype=float), c)
 
     def information(data):
         return np.eye(data.n) / sigma**2
@@ -1067,11 +1097,36 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
 
         return log_rel
 
-    @_rowwise
-    def sim_log_rel(theta, n, m, rng):
-        x = rng.normal(theta[None, :], sigma, size=(m, n))
-        th_hat = soft_threshold(x, lam * sigma**2)
-        return _pen(x, theta[None, :], n) - _pen(x, th_hat, n)
+    def sim_log_rel(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        k, m = thetas.shape[0], int(m)
+        out = np.zeros((k, m))
+        rows, cols = np.nonzero(thetas)
+        if rows.size:
+            th = thetas[rows, cols][:, None]
+            e = rng.standard_normal((rows.size, m))
+            e *= sigma  # x - theta
+            a = np.abs(e + th)
+            h = np.minimum(a, c)  # |x - t|, t the soft-threshold estimate
+            h *= h
+            e *= e
+            h -= e
+            h /= 2 * sigma**2
+            a -= c
+            np.maximum(a, 0.0, out=a)  # |t|
+            a -= np.abs(th)
+            a *= lam
+            h += a
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            out[rows[first]] += np.add.reduceat(h, first, axis=0)
+        n0 = int(n) - np.bincount(rows, minlength=k)
+        hits = rng.binomial(n0[:, None], p, size=(k, m)).ravel()
+        if hits.any():
+            z = -special.ndtri((1.0 - rng.random(int(hits.sum()))) * tail)
+            h = -((sigma * z - c) ** 2) / (2 * sigma**2)
+            out += np.bincount(np.repeat(np.arange(k * m), hits), weights=h,
+                               minlength=k * m).reshape(k, m)
+        return out
 
     return ModelSpec(
         name="normal-means-lasso",

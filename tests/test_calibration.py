@@ -471,6 +471,38 @@ def test_hypothesis_dimension_mismatch():
         hypothesis_calibration(scn, [Hypothesis.whole_space(2)])
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ([[1.0, 4.0]], "bootstrap method has no proposal family of dimension 1"),
+    ([[1.0, 4.0], [0.5, 3.0]], "hypothesis 1 has dimension 2, expected 1"),
+])
+def test_hypothesis_bootstrap_checked_against_the_contour(monkeypatch, bounds,
+                                                          message):
+    """The bootstrap contour lives on the 1-D functional while the gamma model
+    is 2-D: a box of either dimension is a config error raised before any
+    replication runs."""
+    scn = Scenario(model_id="gamma", truth=(2.53,), data_params=(4.0, 1.0),
+                   n=30, reps=4, seed=3, method="bootstrap",
+                   model_kwargs={"tau": 0.25, "B": 50})
+
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(calibration, "_run_replications", no_replications)
+    with pytest.raises(ScenarioError, match=message):
+        hypothesis_calibration(scn, [Hypothesis.box(bounds)])
+
+
+@pytest.mark.parametrize("model_id, kwargs", [
+    ("normal-means-lasso", {"lam": float("nan")}),
+    ("normal-means-lasso", {"lam": -1.0}),
+    ("normal-means-lasso", {"sigma": -1.0}),
+    ("normal-means", {"sigma": 0.0}),
+])
+def test_invalid_normal_means_settings_are_scenario_errors(model_id, kwargs):
+    with pytest.raises(ScenarioError, match="sigma|lam"):
+        calibration.model_from_id(model_id, 5, kwargs)
+
+
 def test_hypothesis_whole_space_curve():
     scn = _binomial_scenario(reps=25, seed=23)
     res = hypothesis_calibration(

@@ -276,6 +276,23 @@ class TestConfigHandling:
         assert "invalid sa block" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("model_kwargs", [{"lam": float("nan")},
+                                              {"sigma": -1.0}])
+    def test_invalid_lasso_settings_exit2_without_outputs(self, tmp_path,
+                                                          capsys, model_kwargs):
+        """A NaN penalty or a negative sigma is a config error, not a flat
+        grid of zeros or a traceback."""
+        cfg = contour_config(
+            tmp_path, model="normal-means-lasso", method="naive",
+            model_kwargs=model_kwargs,
+            data={"inline": {"responses": [0.1, 2.0, -0.3]}}, m=50,
+            grid=[{"lo": -1.0, "hi": 1.0, "count": 2}] * 3,
+        )
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "normal-means-lasso" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("method,model,theta", [
         ("exact", "bvn-correlation", [0.5]),
         ("censored", "lognormal", [0.3, 0.5]),

@@ -56,7 +56,6 @@ from possfit.models import (
     logistic_regression,
     lognormal_censored,
     multinomial,
-    normal_means_lasso,
     observed_log_rel_lik,
     poisson_loglinear,
 )
@@ -316,9 +315,6 @@ _ROW_LOOPED = {
         gamma_shape_scale(), [3.0, 2.0], 25, [[3.0, 2.0], [2.0, 3.0], [4.0, 1.5]]),
     "gamma-mean-shape": lambda: _sampled_case(
         gamma_mean_shape(), [3.0, 6.0], 25, [[3.0, 6.0], [2.0, 5.0], [4.0, 7.0]]),
-    "normal-means-lasso": lambda: _sampled_case(
-        normal_means_lasso(1.0, 0.5), [2.0, 0.0, 0.0], 3,
-        [[2.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.5, 0.0, 1.0]]),
     "gamma-log": lambda: _sampled_case(
         log_reparam(gamma_shape_scale()), [1.1, 0.7], 25,
         [[1.1, 0.7], [0.8, 1.0], [1.4, 0.4]]),

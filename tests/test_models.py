@@ -254,6 +254,10 @@ def test_bvn_closed_form_mle_degenerate_stats(a, b, n):
     assert got[0] == pytest.approx(_bvn_mle_eigvals(a, b, n)[0], abs=1e-12)
 
 
+_LAM_50 = float(np.sqrt(np.log(50)))  # sqrt(sigma^2 log n) at sigma = 1
+_SPARSE_50 = np.r_[np.full(5, 5.0), np.zeros(45)]
+
+
 def _fallback_log_rel(model, theta, n, m, rng):
     """log R of m datasets through the per-dataset sample/refit loop."""
     return np.array([
@@ -270,11 +274,17 @@ def _fallback_log_rel(model, theta, n, m, rng):
     (binomial, np.array([0.3]), 15),
     (gamma_shape_scale, np.array([0.5, 2.0]), 10),
     (gamma_mean_shape, np.array([0.5, 3.0]), 10),
+    (lambda: normal_means_lasso(1.0, _LAM_50), _SPARSE_50, 50),
+    (lambda: normal_means_lasso(1.0, _LAM_50), np.zeros(50), 50),
+    (lambda: normal_means_lasso(1.0, 0.0), _SPARSE_50, 50),
 ])
 def test_sufficient_statistic_kernel_matches_fallback(factory, theta, n):
     """Two-sample KS test of the vectorized kernel against the generic loop;
     the binomial kernel draws counts of the support points, not datasets,
-    and the gamma kernels draw log x directly at shapes below 1."""
+    the gamma kernels draw log x directly at shapes below 1, and the lasso
+    kernel draws only the nonzero coordinates plus the exceedances of the
+    zero ones (an all-zero theta has an atom at log R = 0; lam = 0 makes
+    every zero coordinate exceed)."""
     model = factory()
     slow = dataclasses.replace(model, sim_log_rel_lik=None)
     m = 5000
@@ -562,6 +572,37 @@ def test_lasso_model_mle_and_unit_relative_likelihood():
     assert relative_likelihood(model, data, x) <= 1.0 + 1e-12
     _, info = mle_and_information(model, data)
     assert np.allclose(info, np.eye(20))
+
+
+def test_lasso_kernel_mixed_rows_match_fallback():
+    """One batch of an all-zero, a sparse and a dense row: each row matches
+    the per-dataset loop, and the same seed reruns bit-identically."""
+    n, m = 12, 5000
+    model = normal_means_lasso(1.0, 1.2)
+    slow = dataclasses.replace(model, sim_log_rel_lik=None)
+    thetas = np.zeros((3, n))
+    thetas[1, [2, 7]] = [3.0, -1e-3]
+    thetas[2] = np.linspace(-2.0, 2.5, n)
+    fast = model.sim_log_rel_lik(thetas, n, m, np.random.default_rng(21))
+    again = model.sim_log_rel_lik(thetas, n, m, np.random.default_rng(21))
+    assert np.array_equal(fast, again)
+    assert fast.shape == (3, m) and np.all(fast <= 1e-12)
+    assert np.any(fast[0] == 0.0)  # the atom of the all-zero row
+    for i, theta in enumerate(thetas):
+        loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(22 + i))
+        assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
+
+
+@pytest.mark.parametrize("sigma,lam", [
+    (0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+    (1.0, -0.5), (1.0, np.nan), (1.0, np.inf),
+])
+def test_normal_means_parameters_are_validated(sigma, lam):
+    with pytest.raises(ValueError):
+        normal_means_lasso(sigma, lam)
+    if not np.isfinite(sigma) or sigma <= 0.0:
+        with pytest.raises(ValueError):
+            normal_means(sigma)
 
 
 # ---------------------------------------------------------------------------
