@@ -14,6 +14,9 @@ import numpy as np
 # domain-separation tags (arbitrary distinct 32-bit constants)
 NODE_TAG = 0x6E6F6465   # per-grid-node contour evaluations
 THETA_TAG = 0x74686574  # per-theta pointwise contour evaluations
+# the one reference sample of a lookup contour (bootstrap resamples,
+# Dirichlet draws), drawn once per contour on key (REF_TAG,)
+REF_TAG = 0x72656673
 # stochastic-approximation iteration t: key (t,) draws the family's points;
 # (t, 0) seeds one batch evaluation of all of them.  The credal-mass
 # criterion's decision loop reads (t, 0) chunk by chunk of datasets, for the

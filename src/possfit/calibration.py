@@ -317,11 +317,8 @@ class Scenario:
                     f"method {self.method!r} requires an SAConfig"
                 )
         if self.method == "bootstrap":
-            tau = self.model_kwargs.get("tau")
-            if tau is None or not 0.0 < float(tau) < 1.0:
-                raise ScenarioError(
-                    "bootstrap method needs model_kwargs['tau'] in (0, 1)"
-                )
+            kw = self.model_kwargs
+            _bootstrap_spec(kw.get("tau"), kw.get("B", 500))
             if self.data_params is None:
                 raise ScenarioError(
                     "bootstrap method needs data_params (the generating "
@@ -474,6 +471,8 @@ def model_from_id(
         base = _REGISTRY[model_id][0](env)
     except ScenarioError:
         raise
+    except KeyError as exc:
+        raise ScenarioError(f"the {model_id} model needs model_kwargs[{exc}]") from None
     except (TypeError, ValueError) as exc:
         raise ScenarioError(
             f"invalid settings for the {model_id} model: {exc}"
@@ -704,6 +703,21 @@ def _simulate(scenario: Scenario, model: ModelSpec,
     return model.sample(theta, scenario.n, rng)
 
 
+def _bootstrap_spec(tau, B):
+    """The quantile risk spec of the bootstrap settings: a level tau in
+    (0, 1) and an integer count B >= 1 of resamples; a ScenarioError
+    names a bad setting."""
+    if tau is None:
+        raise ScenarioError("the bootstrap method needs a quantile level tau")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)):
+        raise ScenarioError(
+            f"the bootstrap resample count B must be an integer, got {B!r}")
+    try:
+        return quantile_risk_spec(float(tau), B)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid bootstrap settings: {exc}") from None
+
+
 def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
                   m: int, sa: Optional[SAConfig] = None, tau=None, B: int = 500):
     """The contour ``method`` names for one dataset, and the family a
@@ -733,10 +747,7 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
         family, _ = fit(model, data, replace(sa, seed=seed))
         return gaussian_contour_object(family), family
     if method == "bootstrap":
-        if tau is None:
-            raise ScenarioError("the bootstrap method needs a quantile level tau")
-        spec = quantile_risk_spec(float(tau), int(B))
-        return make_empirical_risk_contour(data, spec, seed=seed), None
+        return make_empirical_risk_contour(data, _bootstrap_spec(tau, B), seed=seed), None
     if method == "censored":
         if model.censored_sim is None:
             raise ScenarioError(

@@ -11,8 +11,10 @@ the bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
 so values never depend on evaluation order or thread scheduling.  The
 stochastic-approximation fits evaluate all points of an iteration as one
 batch on one stream per iteration, keyed ``(t, 0)`` (see :mod:`possfit.sa`).
-Contours computed point by point (profile, bootstrap, Dirichlet) build
-their batch evaluator with :func:`_pointwise_batch`.
+The profile contour is computed point by point (:func:`_pointwise_batch`).
+The bootstrap and Dirichlet contours, whose reference law does not depend
+on theta, draw one reference sample from their seed and are deterministic
+lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
 
 A Monte Carlo contour also carries a batch decision evaluator,
 ``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
@@ -149,6 +151,22 @@ def _pointwise_batch(evaluate):
             except Exception:
                 out[i] = np.nan
         return out
+
+    return batch
+
+
+def _lookup_batch(statistic, reference):
+    """Batch evaluator of pi(theta) = P{T <= statistic(theta)}, T drawn from
+    the reference sample: the share of it at or below a row's statistic,
+    ties within ``TIE_EPS`` and NaN references included.  A statistic of
+    -inf (off the domain) reads 0; one that raises or is NaN gives NaN."""
+    ref = np.asarray(reference, dtype=float).ravel()
+    ref = np.sort(np.where(np.isnan(ref), -np.inf, ref))
+
+    def batch(thetas, rng):
+        s = _observed_rows(statistic, np.atleast_2d(np.asarray(thetas, dtype=float)))
+        share = np.searchsorted(ref, s + TIE_EPS, side="right") / ref.size
+        return np.where(np.isnan(s), np.nan, np.where(s == -np.inf, 0.0, share))
 
     return batch
 
@@ -477,7 +495,7 @@ def grid_eval(
         axes=axes,
         values=vals.reshape(tuple(a.count for a in axes)),
         kind=contour.kind,
-        seed=contour.seed,
+        seed=contour.meta.get("seed", contour.seed),
         meta=dict(contour.meta),
     )
 

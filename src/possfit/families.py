@@ -11,7 +11,8 @@ Three families approximate a possibility contour around the MLE anchor
   A constant xi-vector c reproduces the scalar family with xi = c.
 * :class:`DirichletFamily` — Dirichlet with the empirical mean and precision
   n*xi; its contour is the Monte Carlo probability-to-possibility transform
-  of the density ordering.
+  of the density ordering, a sorted lookup in the log densities of m draws
+  made once per contour.
 
 Families are immutable; refitting replaces xi via ``with_xi``.
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy import special
 
-from .contours import TIE_EPS, PossibilityContour, _pointwise_batch
+from ._rng import REF_TAG, derive_rng
+from .contours import PossibilityContour, _lookup_batch
 from .models import SingularInformationError
 
 __all__ = [
@@ -299,23 +301,34 @@ def _dirichlet_log_density_kernel(conc: np.ndarray, thetas: np.ndarray) -> np.nd
     return np.sum(special.xlogy(conc - 1.0, thetas), axis=-1)
 
 
+def _dirichlet_lookup(family: DirichletFamily, m: int, rng: np.random.Generator):
+    """Batch evaluator Q{q(Theta) <= q(theta)} at (k, K) points, on m draws
+    of Theta from the family made on ``rng``.  Small density means small
+    possibility; points off the open simplex get 0."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    conc = family.concentration
+
+    def statistic(thetas):
+        on = np.all(thetas > 0.0, axis=1) & (np.abs(thetas.sum(axis=1) - 1.0) <= 1e-8)
+        return np.where(on, _dirichlet_log_density_kernel(conc, thetas), -np.inf)
+
+    return _lookup_batch(
+        statistic, _dirichlet_log_density_kernel(conc, rng.dirichlet(conc, size=m)))
+
+
 def dirichlet_contour(
     family: DirichletFamily, theta, m: int, rng: np.random.Generator
 ) -> float:
-    """Q{q(Theta) <= q(theta)} under Theta ~ the family, by m draws.
-
-    Small density means small possibility; boundary points get 0.
+    """Q{q(Theta) <= q(theta)} under Theta ~ the family, by m draws from
+    ``rng``: the contour :func:`dirichlet_contour_object` builds, at one
+    point given with all K coordinates.  Boundary points get 0.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != family.dim:
         raise ValueError("theta has the wrong number of categories")
-    if np.any(theta <= 0.0) or abs(theta.sum() - 1.0) > 1e-8:
-        return 0.0
-    conc = family.concentration
-    ref = _dirichlet_log_density_kernel(conc, theta)
-    draws = rng.dirichlet(conc, size=int(m))
-    vals = _dirichlet_log_density_kernel(conc, draws)
-    return float(np.mean(vals <= ref + TIE_EPS))
+    return float(_dirichlet_lookup(family, m, rng)(theta[None, :], None)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +353,16 @@ def dirichlet_contour_object(
 
     Grid axes cannot span the simplex itself, so the contour takes the first
     K-1 coordinates and completes the last as 1 - sum; embedded points off
-    the simplex evaluate to 0.
+    the simplex evaluate to 0.  Its m draws are made once, on the stream
+    ``(seed, REF_TAG)``, so the contour is a deterministic lookup.
     """
-
-    def evaluate(th, rng):
-        full = np.append(th, 1.0 - np.sum(th))
-        if full[-1] <= 0.0:
-            return 0.0
-        return dirichlet_contour(family, full, m, rng)
-
+    lookup = _dirichlet_lookup(family, m, derive_rng(seed, REF_TAG))
     return PossibilityContour(
         kind="dirichlet-mc",
         dim=family.dim - 1,
-        evaluate_batch=_pointwise_batch(evaluate),
-        seed=int(seed),
-        meta={"family": family_to_json(family), "m": int(m)},
+        evaluate_batch=lambda thetas, rng: lookup(np.column_stack(
+            [thetas, 1.0 - np.sum(thetas, axis=1)]), rng),
+        meta={"family": family_to_json(family), "m": int(m), "seed": int(seed)},
     )
 
 

@@ -7,7 +7,9 @@ Three constructions, in increasing order of how little they assume:
   constrained maximizer plus a few probe points along the fiber;
 * empirical-risk ratios for a functional defined by a loss minimizer
   (``RiskSpec``), with the sampling distribution replaced by bootstrap
-  resampling of the observed data;
+  resampling of the observed data; the resamples are scored at the
+  observed minimizer, so one set, drawn once per contour, serves every
+  theta and the contour is a sorted lookup of the observed ratio;
 * a censored-data plug-in where the censoring distribution is estimated
   by the product-limit method with the censoring labels swapped and then
   held fixed while the parametric part is validated by Monte Carlo.
@@ -20,11 +22,12 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 from scipy import special
 
+from ._rng import REF_TAG, derive_rng
 from .contours import (
     TIE_EPS,
     PossibilityContour,
+    _lookup_batch,
     _pointwise_batch,
-    log_relative_likelihood,
     make_mc_contour,
     mc_contour,
 )
@@ -376,29 +379,23 @@ def empirical_risk_rel(spec: RiskSpec, values, theta) -> float:
     return float(np.exp(min(-gap, 0.0)))
 
 
-def empirical_risk_contour(
-    data: Dataset,
-    spec: RiskSpec,
-    theta,
-    rng: np.random.Generator,
-    B: Optional[int] = None,
-) -> float:
-    """Share of B bootstrap resamples whose risk ratio is at most the
-    observed one at theta (ties included).
-
-    The observed minimizer is the truth of the bootstrap world, so each
-    resample's ratio is taken at theta_hat, not at theta.
-    """
+def _empirical_risk_lookup(data: Dataset, spec: RiskSpec,
+                           rng: np.random.Generator, B: Optional[int]):
+    """Batch evaluator of the bootstrap contour on B resamples drawn from
+    ``rng``.  The observed minimizer is the truth of the bootstrap world, so
+    each resample's ratio is taken at theta_hat, not at theta, and one set
+    of resamples serves every theta."""
+    B = int(spec.B if B is None else B)
+    if B < 1:
+        raise ValueError("B must be >= 1")
     v = np.asarray(data.responses, dtype=float).ravel()
     n = v.size
-    theta = float(np.asarray(theta, dtype=float).ravel()[0])
-    B = int(spec.B if B is None else B)
     theta_hat = spec.erm(v)
     if np.any(np.isnan(theta_hat)):
         raise RiskMinimizationError(
             "empirical-risk minimizer failed on the observed data"
         )
-    obs = -(empirical_risk(spec, v, theta) - empirical_risk(spec, v, float(theta_hat)))
+    rho_hat = empirical_risk(spec, v, float(theta_hat))
     idx = rng.integers(0, n, size=(B, n))
     vb = v[idx]
     th_b = np.asarray(spec.erm(vb), dtype=float)
@@ -408,22 +405,38 @@ def empirical_risk_contour(
         )
     rho_t = np.mean(spec.loss(vb, float(theta_hat)), axis=-1)
     rho_h = np.mean(spec.loss(vb, th_b[:, None]), axis=-1)
-    sim = -(rho_t - rho_h)
-    include = np.isnan(sim) | (sim <= obs + TIE_EPS)
-    return float(np.mean(include))
+    return _lookup_batch(
+        lambda thetas: -(np.mean(spec.loss(v, thetas[:, :1]), axis=-1) - rho_hat),
+        -(rho_t - rho_h),
+    )
+
+
+def empirical_risk_contour(
+    data: Dataset,
+    spec: RiskSpec,
+    theta,
+    rng: np.random.Generator,
+    B: Optional[int] = None,
+) -> float:
+    """Share of B bootstrap resamples drawn from ``rng`` whose risk ratio
+    is at most the observed one at theta (ties included): the contour
+    :func:`make_empirical_risk_contour` builds, at one point."""
+    point = np.asarray(theta, dtype=float).ravel()[None, :1]
+    return float(_empirical_risk_lookup(data, spec, rng, B)(point, None)[0])
 
 
 def make_empirical_risk_contour(
     data: Dataset, spec: RiskSpec, seed: int, B: Optional[int] = None
 ) -> PossibilityContour:
+    """Bootstrap empirical-risk contour on B resamples drawn once, on the
+    stream ``(seed, REF_TAG)``: a deterministic lookup of the risk ratio."""
     B = int(spec.B if B is None else B)
     return PossibilityContour(
         kind="bootstrap-er",
         dim=1,
-        evaluate_batch=_pointwise_batch(
-            lambda th, rng: empirical_risk_contour(data, spec, th, rng, B=B)),
-        seed=int(seed),
-        meta={"spec": spec.name, "B": B},
+        evaluate_batch=_empirical_risk_lookup(
+            data, spec, derive_rng(seed, REF_TAG), B),
+        meta={"spec": spec.name, "B": B, "seed": int(seed)},
     )
 
 

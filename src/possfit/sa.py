@@ -300,8 +300,7 @@ def fit_scalar(
     theta_hat, info = mle_and_information(model, data)
     if contour is None:
         contour = _default_contour(model, data, config)
-    base = GaussianScalarFamily(theta_hat=theta_hat, info=info, xi=1.0)
-    return _fit_credal(base, contour, config, sign=+1)
+    return fit_scalar_anchored(theta_hat, info, contour, config)
 
 
 def fit_scalar_anchored(
@@ -311,11 +310,7 @@ def fit_scalar_anchored(
     config: SAConfig,
 ) -> Tuple[GaussianScalarFamily, FitTrace]:
     """fit_scalar against an explicit anchor and target (no model needed)."""
-    base = GaussianScalarFamily(
-        theta_hat=np.atleast_1d(np.asarray(theta_hat, dtype=float)),
-        info=np.atleast_2d(np.asarray(info, dtype=float)),
-        xi=1.0,
-    )
+    base = GaussianScalarFamily(theta_hat=theta_hat, info=info, xi=1.0)
     return _fit_credal(base, contour, config, sign=+1)
 
 
@@ -351,10 +346,7 @@ def fit_vector(
     theta_hat, info = mle_and_information(model, data)
     if contour is None:
         contour = _default_contour(model, data, config)
-    base = GaussianVectorFamily(
-        theta_hat=theta_hat, info=info, xi=np.ones(theta_hat.size)
-    )
-    return _fit_boundary(base, contour, config)
+    return fit_vector_anchored(theta_hat, info, contour, config)
 
 
 def fit_vector_anchored(
@@ -364,12 +356,8 @@ def fit_vector_anchored(
     config: SAConfig,
 ) -> Tuple[GaussianVectorFamily, FitTrace]:
     """fit_vector against an explicit anchor and target (no model needed)."""
-    th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    base = GaussianVectorFamily(
-        theta_hat=th,
-        info=np.atleast_2d(np.asarray(info, dtype=float)),
-        xi=np.ones(th.size),
-    )
+    base = GaussianVectorFamily(theta_hat=theta_hat, info=info,
+                                xi=np.ones(np.size(theta_hat)))
     return _fit_boundary(base, contour, config)
 
 

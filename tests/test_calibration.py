@@ -91,6 +91,11 @@ def test_scenario_bootstrap_requires_tau_and_data_params():
     with pytest.raises(ScenarioError, match="data_params"):
         Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
                  method="bootstrap", seed=1, model_kwargs={"tau": 0.25})
+    for B in (0, 2.5, "500", True):
+        with pytest.raises(ScenarioError, match="B must be"):
+            Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
+                     method="bootstrap", seed=1, data_params=(4.0, 1.0),
+                     model_kwargs={"tau": 0.25, "B": B})
 
 
 def test_scenario_censored_requirements():

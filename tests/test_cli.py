@@ -173,8 +173,8 @@ class TestContour:
 
     def test_failed_bootstrap_evaluation_exit3_no_outputs(self, tmp_path,
                                                           capsys):
-        """Resamples of all-NaN values have no minimizer, so the contour
-        values are NaN: a numerical failure, not a traceback."""
+        """Resamples of all-NaN values have no minimizer, so the contour's
+        resample set cannot be drawn: a numerical failure, not a traceback."""
         data_path = tmp_path / "obs.csv"
         data_path.write_text("y\nnan\nnan\nnan\n1.0\n", encoding="utf-8")
         cfg = contour_config(
@@ -333,6 +333,38 @@ class TestConfigHandling:
         }[case]()
         assert run(write_config(tmp_path, cfg)) == 2
         assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("case", [{"tau": 1.5}, {"tau": 0.25, "B": 0},
+                                      {"tau": 0.25, "B": 2.5}, {"tau": "x"},
+                                      "calibrate-B"],
+                             ids=["tau-1.5", "B-0", "B-2.5", "tau-x", "calibrate-B"])
+    def test_bad_bootstrap_settings_exit2_without_outputs(self, tmp_path,
+                                                          capsys, case):
+        """A quantile level outside (0, 1), a non-number, or a resample
+        count that is not a positive integer is a config error, before any
+        replication runs."""
+        if case == "calibrate-B":
+            cfg = calibrate_config(
+                tmp_path, model="gamma", truth=[2.53], data_params=[4.0, 1.0],
+                n=30, method="bootstrap", model_kwargs={"tau": 0.25, "B": 0})
+        else:
+            cfg = contour_config(
+                tmp_path, model="gamma", method="bootstrap", bootstrap=case,
+                data={"inline": {"responses": [1.0, 2.0, 3.0, 4.0]}},
+                grid=[{"lo": 0.5, "hi": 2.0, "count": 5}])
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_logistic_without_design_exit2(self, tmp_path, capsys):
+        cfg = contour_config(
+            tmp_path, model="logistic", method="naive", m=50,
+            data={"inline": {"responses": [0, 1, 1, 0]}},
+            grid=[{"lo": -1.0, "hi": 1.0, "count": 3}])
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model_kwargs['design']" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_readme_example_config_runs(self, tmp_path, monkeypatch):

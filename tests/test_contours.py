@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from possfit._rng import REF_TAG, derive_rng
 from possfit.calibration import _REGISTRY, model_from_id
 from possfit.contours import (
     AxisSpec,
@@ -26,7 +27,7 @@ from possfit.contours import (
     make_mc_contour,
     mc_contour,
 )
-from possfit.contours import _decision_schedule
+from possfit.contours import TIE_EPS, _decision_schedule, _lookup_batch
 from possfit.families import (
     DirichletFamily,
     GaussianVectorFamily,
@@ -578,9 +579,10 @@ def _factory_case(name):
                 lambda th, rng: gaussian_contour(fam, th))
     if name == "dirichlet":
         fam = DirichletFamily(mean=np.array([0.2, 0.3, 0.5]), n=20.0, xi=1.0)
+        # a lookup contour draws its reference once, on (seed, REF_TAG)
         return (dirichlet_contour_object(fam, m=200, seed=5), np.array([0.25, 0.3]),
                 lambda th, rng: dirichlet_contour(fam, np.append(th, 1 - th.sum()),
-                                                  200, rng))
+                                                  200, derive_rng(5, REF_TAG)))
     if name == "profile":
         model, spec = gamma_mean_shape(), gamma_mean_profile()
         return (make_profile_contour(model, gamma, spec, m=100, seed=5),
@@ -588,7 +590,8 @@ def _factory_case(name):
                 lambda th, rng: profile_contour(model, gamma, spec, th[0], 100, rng))
     spec = quantile_risk_spec(0.25, B=100)
     return (make_empirical_risk_contour(gamma, spec, seed=5), np.array([1.6]),
-            lambda th, rng: empirical_risk_contour(gamma, spec, th, rng))
+            lambda th, rng: empirical_risk_contour(gamma, spec, th,
+                                                   derive_rng(5, REF_TAG)))
 
 
 @pytest.mark.parametrize("name", ["exact", "monte-carlo", "censored", "gaussian",
@@ -596,13 +599,36 @@ def _factory_case(name):
 def test_point_evaluation_is_a_batch_of_one(name):
     """Every factory gives one evaluator: a point evaluated on a generator
     equals the batch of that one point on an equal generator, bit for bit,
-    and the public one-point function gives the same value."""
+    and the public one-point function gives the same value (for a lookup
+    contour, on the generator its factory derives)."""
     contour, theta, point = _factory_case(name)
     value = contour.evaluate(theta, np.random.default_rng(9))
     assert value == contour.evaluate_batch(theta[None], np.random.default_rng(9))[0]
     if point is not None:
         assert value == point(theta, np.random.default_rng(9))
     assert 0.0 < value <= 1.0
+
+
+def test_lookup_batch_matches_a_direct_count():
+    """The sorted lookup equals counting, row by row, the reference values
+    at or below the statistic with NaN references included; -inf reads 0
+    and a row whose statistic raises is NaN."""
+    rng = np.random.default_rng(21)
+    reference = np.round(rng.standard_normal(300), 1)  # many ties
+    reference[::37] = np.nan
+    thetas = np.concatenate([np.round(rng.standard_normal((40, 1)), 1),
+                             [[-np.inf], [np.inf], [99.0]]])
+
+    def statistic(th):
+        if np.any(th == 99.0):
+            raise ValueError("no statistic here")
+        return th[:, 0]
+
+    got = _lookup_batch(statistic, reference)(thetas, None)
+    s = thetas[:-3, 0]
+    direct = np.mean(np.isnan(reference) | (reference <= s[:, None] + TIE_EPS), axis=1)
+    assert np.array_equal(got[:-3], direct)
+    assert got[-3] == 0.0 and got[-2] == 1.0 and np.isnan(got[-1])
 
 
 def test_grid_eval_rejects_nonfinite_values():

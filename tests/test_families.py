@@ -309,6 +309,21 @@ def test_dirichlet_contour_object_embeds_simplex():
     assert contour(np.array([0.9, 0.2])) == 0.0
 
 
+def test_dirichlet_contour_is_ordered_as_the_density():
+    """One set of draws per contour: for any two points, the one with the
+    larger log-density kernel has the larger (or equal) contour value."""
+    fam = _fig_family()
+    contour = dirichlet_contour_object(fam, m=200, seed=12)
+    assert contour.seed is None
+    pts = np.random.default_rng(3).dirichlet(np.full(3, 2.0), size=300)
+    values = np.array([contour(p) for p in pts[:, :2]])
+    kernel = np.sum((fam.concentration - 1.0) * np.log(pts), axis=1)
+    i, j = np.random.default_rng(4).integers(0, len(pts), size=(2, 2000))
+    lower = kernel[i] <= kernel[j]
+    assert np.all(values[i][lower] <= values[j][lower])
+    assert np.any(values[i][lower] < values[j][lower])
+
+
 def test_dirichlet_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         DirichletFamily(mean=np.array([0.5, 0.5, 0.0]), n=25, xi=1.0)
@@ -316,6 +331,8 @@ def test_dirichlet_invalid_parameters_rejected():
         DirichletFamily(mean=np.array([0.6, 0.6]), n=25, xi=1.0)
     with pytest.raises(ValueError):
         DirichletFamily(mean=np.array([0.5, 0.5]), n=25, xi=-1.0)
+    with pytest.raises(ValueError, match="m must be"):
+        dirichlet_contour_object(_fig_family(), m=0, seed=12)
 
 
 # ---------------------------------------------------------------------------

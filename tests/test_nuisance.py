@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from possfit.contours import log_relative_likelihood, make_mc_contour, mc_contour
+from possfit.contours import (
+    AxisSpec,
+    grid_eval,
+    log_relative_likelihood,
+    make_mc_contour,
+    mc_contour,
+)
 from possfit.families import GaussianScalarFamily, sample
 from possfit.models import (
     Dataset,
@@ -654,6 +660,27 @@ def test_empirical_risk_contour_is_peaked():
         assert empirical_risk_contour(data, spec, theta, rng) < 0.05
 
 
+def test_bootstrap_grid_is_unimodal_around_the_estimate():
+    """The risk ratio peaks at theta_hat, and the contour is a lookup of it
+    in one resample set, so a grid rises to theta_hat and falls after it;
+    the grid is one batch call of a seedless contour."""
+    rng = np.random.default_rng(123)
+    data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
+    fam = quantile_companion_family(data, 0.25)
+    contour = make_empirical_risk_contour(data, quantile_risk_spec(0.25, B=500), seed=3)
+    assert contour.seed is None and contour.meta["seed"] == 3
+    calls = []
+    batch = contour.evaluate_batch
+    contour.evaluate_batch = lambda thetas, rng: calls.append(1) or batch(thetas, rng)
+    grid = grid_eval(contour, [AxisSpec(fam.theta_hat - 5.0 * fam.sd,
+                                        fam.theta_hat + 5.0 * fam.sd, 200)])
+    assert len(calls) == 1 and grid.seed == 3
+    nodes, values = grid.nodes()[:, 0], grid.values
+    assert np.all(np.diff(values[nodes <= fam.theta_hat]) >= 0.0)
+    assert np.all(np.diff(values[nodes >= fam.theta_hat]) <= 0.0)
+    assert values.max() == 1.0 and values.min() < 0.05
+
+
 def test_empirical_risk_contour_object_deterministic():
     rng = np.random.default_rng(41)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=80))
@@ -673,6 +700,8 @@ def test_risk_spec_validation_and_minimizer_failure():
     spec = quantile_risk_spec(0.25, B=50)
     bad = dataclasses.replace(spec, erm=lambda v: np.full(np.shape(v)[:-1], np.nan))
     data = Dataset(responses=np.arange(1.0, 9.0))
+    with pytest.raises(ValueError, match="B must be"):
+        make_empirical_risk_contour(data, spec, seed=1, B=0)
     with pytest.raises(RiskMinimizationError):
         empirical_risk_contour(data, bad, 2.0, np.random.default_rng(0))
 
@@ -746,15 +775,17 @@ def test_companion_fits_rerun_bit_identically():
 
 
 def test_companion_fit_tallies_each_raising_row_once():
-    """A draw whose bootstrap evaluation raises is NaN in the batch and one
-    failure in the trace: the tally equals the draws past the cut point."""
+    """A draw whose observed risk raises is NaN in the batch and one
+    failure in the trace: the tally equals the draws past the cut point.
+    The loss raises on the observed data (not the resamples) for any theta
+    past the cut, scalar or a column of a batch."""
     data = _gamma_data(seed=77)
     base = quantile_risk_spec(0.25, B=50)
     fam = quantile_companion_family(data, 0.25)
     cut = fam.theta_hat + 0.5 * fam.sd
 
     def loss(values, theta):
-        if np.ndim(theta) == 0 and theta > cut:
+        if np.ndim(values) == 1 and np.any(np.asarray(theta) > cut):
             raise RiskMinimizationError("synthetic failure past the cut")
         return base.loss(values, theta)
 
