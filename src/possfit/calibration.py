@@ -42,6 +42,7 @@ from ._render import csv_text, json_text, write_text
 from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
+    config_int,
     grid_eval,
     make_exact_contour,
     make_mc_contour,
@@ -422,13 +423,13 @@ class Scenario:
             return cls(
                 model_id=config["model"],
                 truth=tuple(config["truth"]),
-                n=int(config["n"]),
-                reps=int(config["reps"]),
+                n=config_int(config["n"], "n"),
+                reps=config_int(config["reps"], "reps"),
                 method=config["method"],
-                seed=int(config["seed"]),
+                seed=config_int(config["seed"], "seed"),
                 sa=sa,
                 grid=grid,
-                m=int(config.get("m", 500)),
+                m=config_int(config.get("m", 500), "m"),
                 log_params=bool(config.get("log_params", False)),
                 data_params=config.get("data_params"),
                 model_kwargs=dict(config.get("model_kwargs", {})),
@@ -709,11 +710,8 @@ def _bootstrap_spec(tau, B):
     names a bad setting."""
     if tau is None:
         raise ScenarioError("the bootstrap method needs a quantile level tau")
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)):
-        raise ScenarioError(
-            f"the bootstrap resample count B must be an integer, got {B!r}")
     try:
-        return quantile_risk_spec(float(tau), B)
+        return quantile_risk_spec(float(tau), config_int(B, "B"))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid bootstrap settings: {exc}") from None
 

@@ -53,7 +53,7 @@ from .calibration import (
     model_from_id,
     validity_study,
 )
-from .contours import AxisSpec, NonFiniteContourError, grid_eval
+from .contours import AxisSpec, NonFiniteContourError, config_int, grid_eval
 from .families import family_to_json
 from .inference import (
     ChoquetSpec,
@@ -119,7 +119,7 @@ def _load_config(path: str, seed_override) -> dict:
             "seed is mandatory: set it in the config or pass --seed "
             "(runs never default to the wall clock)"
         )
-    config["seed"] = int(config["seed"])
+    config["seed"] = _integer(config, "seed")
     return config
 
 
@@ -203,11 +203,10 @@ def _parse_sa(config: dict):
 
 def _integer(doc: dict, key: str, default=None) -> int:
     """``doc[key]`` (or the default) as an int; a config error if it is not one."""
-    value = doc.get(key, default)
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
+        return config_int(doc.get(key, default), key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _bound(value, default: float) -> float:
@@ -231,7 +230,7 @@ def _parse_hypothesis(doc: dict) -> Hypothesis:
             h = Hypothesis.box(bounds)
             return h.complement() if kind == "box-complement" else h
         if kind == "whole-space":
-            return Hypothesis.whole_space(int(doc["dim"]))
+            return Hypothesis.whole_space(_integer(doc, "dim"))
         if kind == "finite-set":
             return Hypothesis.finite_set(
                 np.asarray(doc["points"], dtype=float)

@@ -11,7 +11,7 @@ the bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
 so values never depend on evaluation order or thread scheduling.  The
 stochastic-approximation fits evaluate all points of an iteration as one
 batch on one stream per iteration, keyed ``(t, 0)`` (see :mod:`possfit.sa`).
-The profile contour is computed point by point (:func:`_pointwise_batch`).
+The profile contour simulates the fiber probes of a batch as one batch.
 The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
@@ -134,25 +134,6 @@ class PossibilityContour:
     def eval_at_node(self, theta, index: int) -> float:
         """Evaluate at a grid node; stochastic streams keyed by the node index."""
         return self._on_stream(self._point(theta), NODE_TAG, int(index))
-
-
-def _pointwise_batch(evaluate):
-    """Batch evaluator from a one-point ``evaluate(theta, rng) -> float``:
-    the rows are evaluated in order on the one generator, and a row whose
-    evaluation raises gives NaN, as a Monte Carlo kernel call that raises
-    does."""
-
-    def batch(thetas, rng):
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty(thetas.shape[0])
-        for i, theta in enumerate(thetas):
-            try:
-                out[i] = evaluate(theta, rng)
-            except Exception:
-                out[i] = np.nan
-        return out
-
-    return batch
 
 
 def _lookup_batch(statistic, reference):
@@ -365,6 +346,14 @@ def make_mc_contour(
 # ---------------------------------------------------------------------------
 
 
+def config_int(value, key: str) -> int:
+    """A run config's integer field: an int, never a bool, float or
+    string; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """One grid axis: `count` equally spaced points on [lo, hi]."""
@@ -385,7 +374,7 @@ class AxisSpec:
         """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
         describes; the name is optional."""
         return cls(lo=float(doc["lo"]), hi=float(doc["hi"]),
-                   count=int(doc["count"]), name=doc.get("name"))
+                   count=config_int(doc["count"], "count"), name=doc.get("name"))
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)

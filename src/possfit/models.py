@@ -18,13 +18,14 @@ Monte Carlo contour engine:
     row, the distribution of ``log R(X, theta)`` for ``X`` drawn by
     ``sample``; it may draw the sufficient statistics directly (or, for a
     discrete statistic, the counts of its support points), so it need not
-    consume the random stream the way ``sample`` does.  Kernels whose
-    statistics are small broadcast over the rows, and so does the lasso
-    kernel, which draws only the nonzero coordinates of the batch and the
-    exceedance counts of the zero ones; kernels that simulate whole
-    datasets loop over the rows on the shared generator
-    (:func:`_rowwise`), so their memory stays that of one point.  Without
-    a kernel the engine falls back to a per-dataset loop through
+    consume the random stream the way ``sample`` does.  Every kernel draws
+    the rows of its batch in row order, as one broadcast draw where it can:
+    kernels whose statistics are small draw them for the whole batch, the
+    GLMs draw all k * m response vectors and refit them in one batched
+    Newton iteration, and the lasso kernel draws only the nonzero
+    coordinates of the batch and the exceedance counts of the zero ones.
+    The engine bounds the datasets of one call, and so a kernel's memory.
+    Without a kernel the engine falls back to a per-dataset loop through
     ``sample``/``mle``.
 
 A model may also declare ``censored_sim(ghat)``, which maps an estimated
@@ -308,24 +309,6 @@ def _simplex_fallback(loglik, x0):
     if not res.success:
         raise MLEConvergenceError(f"simplex search failed: {res.message}")
     return res.x
-
-
-def _rowwise(kernel):
-    """Batch kernel from a one-point ``kernel(theta, n, m, rng) -> (m,)``.
-
-    The rows are simulated in order on the shared generator, so a batch
-    draws exactly what the same one-point calls made in sequence draw, and
-    only one point's datasets are held at a time.
-    """
-
-    def batch(thetas, n, m, rng):
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((thetas.shape[0], int(m)))
-        for i, theta in enumerate(thetas):
-            out[i] = kernel(theta, n, m, rng)
-        return out
-
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +623,31 @@ def _glm_mle_batch(design, Y, kind, max_iter=60, tol=1e-8):
     return Th
 
 
+def _glm_recession(design, y, kind) -> bool:
+    """Whether the log-likelihood of responses y has a direction of
+    recession d, along which it never decreases, so that its supremum lies
+    at infinity and no MLE exists (Geyer 2009, EJS 3:259).
+
+    Such a d has z_i . d >= 0 for the rows z_i of Z and E d = 0: for the
+    logistic, Z = (2y - 1) x (complete or quasi-complete separation); for
+    the Poisson, Z = -x over the zero counts and E = x over the positive
+    ones.  On a design of full column rank one exists exactly when the LP
+    max sum_i z_i . d over the box |d_j| <= 1 is positive.
+    """
+    from scipy import optimize
+
+    if kind == "poisson":
+        zero = y == 0
+        if not zero.any():
+            return False
+        Z, E = -design[zero], design[~zero]
+    else:
+        Z, E = (2.0 * y - 1.0)[:, None] * design, design[:0]
+    res = optimize.linprog(-Z.sum(axis=0), A_ub=-Z, b_ub=np.zeros(len(Z)), A_eq=E,
+                           b_eq=np.zeros(len(E)), bounds=(-1.0, 1.0), method="highs")
+    return bool(res.status == 0 and -res.fun > 1e-7 * (1.0 + np.abs(Z).sum()))
+
+
 def _make_glm(design, kind):
     design = np.asarray(design, dtype=float)
     if design.ndim != 2:
@@ -680,18 +688,22 @@ def _make_glm(design, kind):
             w = p * (1.0 - p)
         return (design.T * w) @ design
 
-    @_rowwise
-    def sim_log_rel(theta, n, m, rng):
-        eta = design @ theta
+    def boundary(data):
+        return _glm_recession(design, np.asarray(data.responses, dtype=float), kind)
+
+    def sim_log_rel(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        k, m = thetas.shape[0], int(m)
+        eta = (thetas @ design.T)[:, None, :]
         if kind == "poisson":
-            Y = rng.poisson(np.exp(eta), size=(m, n)).astype(float)
+            Y = rng.poisson(np.exp(eta), size=(k, m, n)).astype(float)
         else:
-            Y = (rng.random((m, n)) < special.expit(eta)).astype(float)
+            Y = (rng.random((k, m, n)) < special.expit(eta)).astype(float)
+        Y = Y.reshape(k * m, n)
         Th = _glm_mle_batch(design, Y, kind)
-        out = _glm_loglik_batch(design, Y, theta[None, :], kind) - _glm_loglik_batch(
-            design, Y, Th, kind
-        )
-        return out  # NaN rows (non-converged MLEs) are tie-counted downstream
+        out = _glm_loglik_batch(design, Y, np.repeat(thetas, m, axis=0), kind) - (
+            _glm_loglik_batch(design, Y, Th, kind))
+        return out.reshape(k, m)  # NaN (non-converged MLEs) is tie-counted downstream
 
     return ModelSpec(
         name=f"{kind}-loglinear" if kind == "poisson" else "logistic",
@@ -700,6 +712,7 @@ def _make_glm(design, kind):
         sample=sample,
         mle=mle,
         information=information,
+        boundary_mle=boundary,
         sim_log_rel_lik=sim_log_rel,
     )
 
@@ -763,10 +776,10 @@ def multinomial(k: int) -> ModelSpec:
 
         return log_rel
 
-    @_rowwise
-    def sim_log_rel(theta, n, m, rng):
-        x = rng.multinomial(n, theta, size=m).astype(float)
-        return _log_rel_counts(x, n, theta)
+    def sim_log_rel(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)[:, None, :]
+        x = rng.multinomial(n, thetas, size=(thetas.shape[0], int(m))).astype(float)
+        return _log_rel_counts(x, n, thetas)
 
     return ModelSpec(
         name="multinomial",
@@ -793,19 +806,21 @@ _TINY_SHAPE_C = 1e6
 
 def _gamma_shape_root(c, scale=1.0):
     """Solve log(a) - digamma(a) = c (c > 0), vectorized Newton in log a;
-    by fixed-point iteration for c > _TINY_SHAPE_C.  Given ``scale``, the
-    argument is scale * c and the fixed point runs on a / scale, so a c
-    that overflows at a tiny scale is never formed."""
+    by fixed-point iteration for c > _TINY_SHAPE_C.  Given ``scale`` (a
+    scalar or an array that broadcasts to c), the argument is scale * c and
+    the fixed point runs on a / scale, so a c that overflows at a tiny
+    scale is never formed."""
     c = np.maximum(np.asarray(c, dtype=float), 1e-12 * scale)
     tiny = c > _TINY_SHAPE_C * scale
-    if tiny.any() or scale != 1.0:
+    if tiny.any() or np.any(scale != 1.0):
+        scale = np.broadcast_to(scale, c.shape)
         out = np.empty_like(c)
-        out[~tiny] = _gamma_shape_root(c[~tiny] / scale)
-        r = 1.0 / c[tiny]
+        out[~tiny] = _gamma_shape_root(c[~tiny] / scale[~tiny])
+        ct, st = c[tiny], scale[tiny]
+        r = 1.0 / ct
         for _ in range(4):  # contracts by a factor of about a per step
-            r = 1.0 / (c[tiny] - scale * np.log(scale * r)
-                       + scale * special.digamma(1.0 + scale * r))
-        out[tiny] = scale * r
+            r = 1.0 / (ct - st * np.log(st * r) + st * special.digamma(1.0 + st * r))
+        out[tiny] = st * r
         return out
     # standard closed-form starting value
     a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
@@ -826,47 +841,64 @@ def _gamma_ss_loglik_stats(t1, s, n, a, b):
     return (a - 1.0) * t1 - s / b - n * a * np.log(b) - n * special.gammaln(a)
 
 
-def _gamma_sim_log_rel(a0, scale0, log_scale0, n, m, rng):
-    """log R at (shape a0, scale scale0 = exp(log_scale0)) of m gamma samples
-    of size n drawn there, against each sample's MLE.
+def _standard_gammas(shapes, m, n, rng):
+    """(k, m, n) standard gamma draws at the k shapes, in row order: one
+    scalar-shape draw per row gives the stream of one broadcast draw, about
+    a third faster in numpy."""
+    x = np.empty((np.size(shapes), int(m), int(n)))
+    for row, a in zip(x, np.ravel(shapes)):
+        rng.standard_gamma(a, size=row.shape, out=row)
+    return x
 
-    Shapes below 1 draw log x = log Y - E / a0 with Y ~ Gamma(a0 + 1) and
-    E ~ Exp(1) (Liu, Martin & Syring 2017), since a gamma draw at a tiny
-    shape underflows to 0; log(sum x) is then a logsumexp.  Near the
-    smallest normal shape log x, its sum and the scale overflow, so that
-    branch forms v = a0 log x and a0 c (c = log mean x - mean log x) and
-    reads only ``log_scale0``.  Shapes of 1 and more draw x itself, as the
-    ``sample`` hook does.  With the MLE scale written on the log scale (s /
-    b_hat = n a_hat, log b_hat = log(s/n) - log a_hat) the sum-of-logs terms
-    of the two log-likelihoods cancel before they are formed, so log R
-    stays finite at any positive shape.
+
+def _gamma_sim_log_rel(thetas, n, m, rng):
+    """Batch kernel of both gamma models: log R of m gamma samples of size n
+    drawn at each row, whose first column is the shape a0, against each
+    sample's MLE, as a (k, m) array.
+
+    log R does not depend on the scale (the MLE scale is equivariant), so
+    the samples are drawn at scale 1.  Rows at shape 1 and more draw x
+    itself.  Rows below shape 1 are a second group, drawn after the first:
+    they draw log x = log Y - E / a0 with Y ~ Gamma(a0 + 1) and E ~ Exp(1)
+    (Liu, Martin & Syring 2017), since a gamma draw at a tiny shape
+    underflows to 0; log(sum x) is then a logsumexp.  Near the smallest
+    normal shape log x and its sum overflow, so that group forms v = a0 log
+    x and a0 c (c = log mean x - mean log x).  With the MLE scale written
+    on the log scale (s / b_hat = n a_hat, log b_hat = log(s/n) - log
+    a_hat) the sum-of-logs terms of the two log-likelihoods cancel before
+    they are formed, so log R stays finite at any positive shape.
     """
-    if a0 >= 1.0:
-        x = rng.gamma(a0, scale0, size=(m, n))
-        t1 = np.sum(np.log(x), axis=1)
-        s = np.sum(x, axis=1)
+    a0 = np.asarray(thetas, dtype=float)[:, 0]
+    out = np.empty((a0.size, int(m)))
+    big = a0 >= 1.0
+    if big.any():
+        a = a0[big, None]
+        x = _standard_gammas(a, m, n, rng)
+        t1 = np.sum(np.log(x), axis=2)
+        s = np.sum(x, axis=2)
         log_mean = np.log(s / n)
         ahat = _gamma_shape_root(log_mean - t1 / n)
-        return (
-            (a0 - ahat) * t1 - s / scale0 - n * a0 * np.log(scale0)
-            + n * ahat * (1.0 + log_mean - np.log(ahat))
-            - n * (special.gammaln(a0) - special.gammaln(ahat))
+        out[big] = (
+            (a - ahat) * t1 - s + n * ahat * (1.0 + log_mean - np.log(ahat))
+            - n * (special.gammaln(a) - special.gammaln(ahat))
         )
-    v = (a0 * (log_scale0 + np.log(rng.standard_gamma(a0 + 1.0, size=(m, n))))
-         - rng.standard_exponential(size=(m, n)))
-    top = np.max(v, axis=1)
-    # terms below e^-800 of the largest x vanish from the sum either way
-    z = np.maximum(v - top[:, None], -800.0 * a0) / a0
-    a0_log_mean = top + a0 * (np.log(np.sum(np.exp(z), axis=1)) - np.log(n))
-    a0c = a0_log_mean - np.mean(v, axis=1)
-    ahat = _gamma_shape_root(a0c, a0)
-    a0_log_rel = a0_log_mean - a0 * log_scale0  # a0 log(mean x / scale0)
-    return (
-        n * a0_log_rel - n * a0c * (1.0 - ahat / a0)
-        - n * np.exp(np.maximum(a0_log_rel, -800.0 * a0) / a0)
-        + n * ahat * (1.0 - np.log(ahat))
-        - n * (special.gammaln(a0) - special.gammaln(ahat))
-    )
+    if not big.all():
+        a = a0[~big, None]
+        y = _standard_gammas(a + 1.0, m, n, rng)
+        v = a[..., None] * np.log(y) - rng.standard_exponential(size=y.shape)
+        top = np.max(v, axis=2)
+        # terms below e^-800 of the largest x vanish from the sum either way
+        z = np.maximum(v - top[..., None], -800.0 * a[..., None]) / a[..., None]
+        a0_log_mean = top + a * (np.log(np.sum(np.exp(z), axis=2)) - np.log(n))
+        a0c = a0_log_mean - np.mean(v, axis=2)
+        ahat = _gamma_shape_root(a0c, a)
+        out[~big] = (
+            n * a0_log_mean - n * a0c * (1.0 - ahat / a)
+            - n * np.exp(np.maximum(a0_log_mean, -800.0 * a) / a)
+            + n * ahat * (1.0 - np.log(ahat))
+            - n * (special.gammaln(a) - special.gammaln(ahat))
+        )
+    return out
 
 
 def gamma_shape_scale() -> ModelSpec:
@@ -903,11 +935,6 @@ def gamma_shape_scale() -> ModelSpec:
     def boundary(data):
         return _c(data) < 1e-12  # all observations (numerically) equal
 
-    @_rowwise
-    def sim_log_rel(theta, n, m, rng):
-        a0, scale0 = float(theta[0]), float(theta[1])
-        return _gamma_sim_log_rel(a0, scale0, np.log(scale0), n, m, rng)
-
     return ModelSpec(
         name="gamma",
         dim=2,
@@ -916,7 +943,7 @@ def gamma_shape_scale() -> ModelSpec:
         mle=mle,
         information=information,
         boundary_mle=boundary,
-        sim_log_rel_lik=sim_log_rel,
+        sim_log_rel_lik=_gamma_sim_log_rel,
     )
 
 
@@ -964,11 +991,6 @@ def gamma_mean_shape() -> ModelSpec:
         x = np.asarray(data.responses, dtype=float)
         return float(np.log(np.mean(x)) - np.mean(np.log(x))) < 1e-12
 
-    @_rowwise
-    def sim_log_rel(theta, n, m, rng):
-        a0, phi0 = float(theta[0]), float(theta[1])
-        return _gamma_sim_log_rel(a0, phi0 / a0, np.log(phi0) - np.log(a0), n, m, rng)
-
     return ModelSpec(
         name="gamma-mean-shape",
         dim=2,
@@ -977,7 +999,7 @@ def gamma_mean_shape() -> ModelSpec:
         mle=mle,
         information=information,
         boundary_mle=boundary,
-        sim_log_rel_lik=sim_log_rel,
+        sim_log_rel_lik=_gamma_sim_log_rel,
     )
 
 

@@ -24,10 +24,9 @@ from scipy import special
 
 from ._rng import REF_TAG, derive_rng
 from .contours import (
-    TIE_EPS,
     PossibilityContour,
     _lookup_batch,
-    _pointwise_batch,
+    _mc_batch,
     make_mc_contour,
     mc_contour,
 )
@@ -37,6 +36,7 @@ from .models import (
     ModelSpec,
     _gamma_ms_loglik_stats,
     _gamma_shape_root,
+    _standard_gammas,
 )
 from .sa import SAConfig, _fit_credal, fit_scalar_anchored
 
@@ -95,8 +95,8 @@ class ProfileSpec:
     the fiber (the constrained maximizer first) at which the sampling
     distribution of the profile ratio is probed; without it the outer sup
     collapses to the constrained maximizer alone.  ``sim_profile_log_rel``
-    is an optional vectorized shortcut returning ``m`` simulated log profile
-    ratios at once.
+    is an optional kernel of the model kernels' ``(k, d) -> (k, m)``
+    contract whose rows are fiber points, simulating log ratios at g(row).
     """
 
     name: str
@@ -150,6 +150,44 @@ def _probe_delta(k: int) -> float:
     return 0.5 * ((k + 1) // 2) * (1.0 if k % 2 == 1 else -1.0)
 
 
+def _profile_model(model: ModelSpec, spec: ProfileSpec) -> ModelSpec:
+    """The model whose log relative likelihood at theta is the log profile
+    ratio at g(theta), so the Monte Carlo loop simulates profile ratios."""
+    def log_rel_for(ds):
+        return lambda thetas: np.array(
+            [_profile_log_rel(model, ds, spec, float(spec.g(th))) for th in thetas])
+
+    return dataclasses.replace(model, log_rel_lik_for=log_rel_for,
+                               sim_log_rel_lik=spec.sim_profile_log_rel)
+
+
+def _probe_values(model, data, spec, phis, m, rng, count, strict=False) -> list:
+    """Per-probe Monte Carlo values at each phi, as a list of arrays: the
+    probes of all phis are one batch of the Monte Carlo contour loop, in
+    order on ``rng``.  A phi whose fiber maximizer or probe points fail
+    raises when ``strict``, and otherwise gets no probes and draws nothing.
+    """
+    obs, points, sizes = [], [], []
+    for phi in phis:
+        try:
+            o = _profile_log_rel(model, data, spec, phi)
+            p = np.atleast_2d(np.asarray(
+                _fiber_point(spec, data, phi) if spec.fiber_probes is None
+                else spec.fiber_probes(data, phi, count), dtype=float))
+        except Exception:
+            if strict:
+                raise
+            p = []
+        obs += [o] * len(p)
+        points += list(p)
+        sizes.append(len(p))
+    values = np.empty(0)
+    if points:
+        values = _mc_batch(_profile_model(model, spec), data, np.array(points), int(m),
+                           rng, lambda thetas: np.array(obs))
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
 def profile_probe_values(
     model: ModelSpec,
     data: Dataset,
@@ -163,33 +201,13 @@ def profile_probe_values(
 
     The spread across probes is the diagnostic for how flat the sampling
     distribution is along the fiber.  Simulated replicates whose refit
-    fails count as included, mirroring mc_contour.
+    fails count as included, mirroring mc_contour; a failing fiber
+    maximizer or probe set raises.
     """
-    phi = float(phi)
     count = int(spec.probes if probes is None else probes)
     if count < 1:
         raise ValueError("probe count must be >= 1")
-    obs = _profile_log_rel(model, data, spec, phi)
-    if spec.fiber_probes is not None:
-        points = np.atleast_2d(np.asarray(spec.fiber_probes(data, phi, count), dtype=float))
-    else:
-        points = _fiber_point(spec, data, phi)[None, :]
-    m = int(m)
-    values = np.empty(len(points))
-    for i, theta_p in enumerate(points):
-        if spec.sim_profile_log_rel is not None:
-            sim = np.asarray(spec.sim_profile_log_rel(theta_p, data.n, m, rng), dtype=float)
-        else:
-            sim = np.empty(m)
-            for j in range(m):
-                ds = model.sample(theta_p, data.n, rng)
-                try:
-                    sim[j] = _profile_log_rel(model, ds, spec, phi)
-                except Exception:
-                    sim[j] = np.nan
-        include = np.isnan(sim) | (sim <= obs + TIE_EPS)
-        values[i] = float(np.mean(include))
-    return values
+    return _probe_values(model, data, spec, [float(phi)], m, rng, count, strict=True)[0]
 
 
 def profile_contour(
@@ -210,11 +228,16 @@ def make_profile_contour(
     model: ModelSpec, data: Dataset, spec: ProfileSpec, m: int, seed: int
 ) -> PossibilityContour:
     """Profile contour over the scalar interest value, as a contour object."""
+    def batch(thetas, rng):
+        # every phi's probes in one batch; a phi whose fiber fails is NaN
+        phis = np.atleast_2d(np.asarray(thetas, dtype=float))[:, 0].tolist()
+        values = _probe_values(model, data, spec, phis, m, rng, int(spec.probes))
+        return np.array([np.max(v) if v.size else np.nan for v in values])
+
     return PossibilityContour(
         kind="profile-mc",
         dim=1,
-        evaluate_batch=_pointwise_batch(lambda th, rng: profile_contour(
-            model, data, spec, float(th[0]), m, rng)),
+        evaluate_batch=batch,
         seed=int(seed),
         meta={"model": model.name, "spec": spec.name, "m": int(m), "probes": int(spec.probes)},
     )
@@ -252,11 +275,12 @@ def gamma_mean_profile(probes: int = 5) -> ProfileSpec:
         a_vals = np.maximum(a0 + deltas * sigma, 1e-8)
         return np.column_stack([a_vals, np.full(a_vals.size, float(phi))])
 
-    def sim_profile_log_rel(theta, n, m, rng):
-        a_p, phi = float(theta[0]), float(theta[1])
-        x = rng.gamma(a_p, phi / a_p, size=(int(m), int(n)))
-        t1 = np.sum(np.log(x), axis=1)
-        s = np.sum(x, axis=1)
+    def sim_profile_log_rel(thetas, n, m, rng):
+        thetas = np.asarray(thetas, dtype=float)
+        a_p, phi = thetas[:, :1], thetas[:, 1:2]
+        x = _standard_gammas(a_p, m, n, rng) * (phi / a_p)[..., None]
+        t1 = np.sum(np.log(x), axis=2)
+        s = np.sum(x, axis=2)
         a_full = _gamma_shape_root(np.log(s / n) - t1 / n)
         a_prof = _gamma_shape_root(np.log(phi) - 1.0 - t1 / n + s / (n * phi))
         return _gamma_ms_loglik_stats(t1, s, n, a_prof, phi) - _gamma_ms_loglik_stats(

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._render import csv_text, write_text
 from ._rng import SA_TAG, derive_rng
-from .contours import PossibilityContour, make_mc_contour
+from .contours import PossibilityContour, config_int, make_mc_contour
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -116,13 +116,13 @@ class SAConfig:
             raise ValueError(f"the sa block must be an object, got {doc!r}")
         try:
             return cls(
-                seed=int(doc.get("seed", 0)),
+                seed=config_int(doc.get("seed", 0), "seed"),
                 alpha=float(doc.get("alpha", 0.1)),
-                k_outer=int(doc.get("k_outer", 200)),
-                m_inner=int(doc.get("m_inner", 500)),
+                k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
+                m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
                 epsilon=float(doc.get("epsilon", 0.005)),
-                min_iter=int(doc.get("min_iter", 5)),
-                max_iter=int(doc.get("max_iter", 500)),
+                min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
+                max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
             )
         except TypeError as exc:
             raise ValueError(str(exc)) from None

@@ -163,6 +163,18 @@ def test_scenario_truth_eval_and_config_round_trip():
     json.dumps(config)
 
 
+@pytest.mark.parametrize("key,value", [("n", 20.7), ("reps", True), ("seed", "1"),
+                                       ("m", 200.0)])
+def test_scenario_from_config_reads_integers_strictly(key, value):
+    """n = 20.7 once became 20; every integer field of a run config is an
+    int, never a float, bool or string."""
+    config = {"model": "binomial", "truth": [0.4], "n": 20, "reps": 3,
+              "method": "naive", "seed": 1, "m": 200}
+    assert Scenario.from_config(config).n == 20
+    with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+        Scenario.from_config(dict(config, **{key: value}))
+
+
 def test_build_model_names_follow_ids():
     for model_id, truth, n, kw in [
         ("binomial", (0.4,), 15, {}),

@@ -335,6 +335,17 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("doc", [{"m": 50.5}, {"m": True}, {"seed": "11"},
+                                     {"data": {"simulate": {"theta": [0.4], "n": 20.7}}}],
+                             ids=["m-float", "m-bool", "seed-string", "simulate-n-float"])
+    def test_integer_field_that_is_not_an_int_exit2(self, tmp_path, capsys, doc):
+        """A float, bool or string where an integer belongs is a config
+        error; it is not truncated."""
+        cfg = contour_config(tmp_path, method="naive", **doc)
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("case", [{"tau": 1.5}, {"tau": 0.25, "B": 0},
                                       {"tau": 0.25, "B": 2.5}, {"tau": "x"},
                                       "calibrate-B"],
@@ -485,6 +496,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "boundary" in err
         assert not (tmp_path / "family.json").exists()
+
+    def test_separated_logistic_exit3_without_outputs(self, tmp_path, capsys):
+        design = [[1.0, float(x)] for x in range(8)]
+        cfg = fit_config(
+            tmp_path, model="logistic", model_kwargs={"design": design},
+            method="variational-vector",
+            data={"inline": {"responses": [0, 0, 0, 0, 1, 1, 1, 1]}})
+        assert run(write_config(tmp_path, cfg)) == 3
+        assert "boundary" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_fit_requires_sa_block(self, tmp_path):
         cfg = fit_config(tmp_path)

@@ -325,14 +325,48 @@ _ROW_LOOPED = {
 
 @pytest.mark.parametrize("case", sorted(_ROW_LOOPED))
 def test_row_looped_kernel_batch_equals_sequential_points(case):
-    """Kernels that simulate whole datasets loop over the rows on the shared
-    generator: a batch is bit-identical to one-point calls in sequence."""
+    """Kernels that simulate whole datasets draw the rows of a batch in row
+    order on the shared generator, so a batch is bit-identical to one-point
+    calls in sequence; a GLM batch refits all its datasets in one Newton
+    iteration, which moves log R by round-off only."""
     model, data, points = _ROW_LOOPED[case]()
     points = np.asarray(points, dtype=float)
     contour = make_mc_contour(model, data, m=120, seed=1)
     batch = contour.evaluate_batch(points, np.random.default_rng(8))
     rng = np.random.default_rng(8)
     assert batch.tolist() == [contour.evaluate(p, rng) for p in points]
+
+
+def _contract_cases():
+    """(name, kernel, (3, d) rows on the domain, n) for every simulator:
+    the registry models, multinomial, log_reparam, the censored plug-in and
+    the gamma profile kernel."""
+    cases = []
+    for model_id in sorted(_REGISTRY):
+        kwargs, truth, _ = _FAR_POINTS[model_id]
+        model = model_from_id(model_id, _N_FAR, kwargs)
+        rows = np.outer([1.0, 0.9, 1.1], truth)
+        cases.append((model_id, model.sim_log_rel_lik, rows, _N_FAR))
+    cases.append(("multinomial", multinomial(3).sim_log_rel_lik,
+                  [[0.3, 0.4, 0.3], [0.2, 0.5, 0.3], [0.5, 0.25, 0.25]], _N_FAR))
+    cases.append(("gamma-log", log_reparam(gamma_shape_scale()).sim_log_rel_lik,
+                  [[1.1, 0.7], [np.log(0.4), 0.0], [0.0, -1.0]], _N_FAR))
+    model, data, points = _censored_case()
+    cases.append(("censored-plugin", model.sim_log_rel_lik, points, data.n))
+    cases.append(("gamma-profile", gamma_mean_profile().sim_profile_log_rel,
+                  [[3.0, 2.0], [2.0, 2.0], [0.8, 2.0]], _N_FAR))
+    return cases
+
+
+@pytest.mark.parametrize("case", _contract_cases(), ids=lambda case: case[0])
+def test_every_kernel_maps_a_batch_to_rows_of_datasets(case):
+    """The one kernel contract: a (3, d) batch of points on the domain gives
+    a finite (3, m) float array, one row of m datasets per point."""
+    _, kernel, rows, n = case
+    out = kernel(np.asarray(rows, dtype=float), n, 7, np.random.default_rng(2))
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == (3, 7)
+    assert np.all(np.isfinite(out))
 
 
 def test_mc_batch_failures_are_per_row():
@@ -629,6 +663,14 @@ def test_lookup_batch_matches_a_direct_count():
     direct = np.mean(np.isnan(reference) | (reference <= s[:, None] + TIE_EPS), axis=1)
     assert np.array_equal(got[:-3], direct)
     assert got[-3] == 0.0 and got[-2] == 1.0 and np.isnan(got[-1])
+
+
+@pytest.mark.parametrize("count", [2.9, True, "3", None])
+def test_axis_from_dict_reads_the_count_strictly(count):
+    """A count of 2.9 once became a 2-node axis; it is a ValueError."""
+    with pytest.raises(ValueError, match="count must be an integer"):
+        AxisSpec.from_dict({"lo": 0.0, "hi": 1.0, "count": count})
+    assert AxisSpec.from_dict({"lo": 0.0, "hi": 1.0, "count": 3}).count == 3
 
 
 def test_grid_eval_rejects_nonfinite_values():

@@ -477,6 +477,35 @@ def test_logistic_regression_mle_and_information():
     assert np.linalg.norm(fd - info) <= 1e-4 * np.linalg.norm(info)
 
 
+_X8 = np.column_stack([np.ones(8), np.arange(8.0)])
+
+
+@pytest.mark.parametrize("model,y", [
+    (logistic_regression(_X8), (np.arange(8) > 3).astype(int)),
+    (poisson_loglinear(_X8), np.zeros(8, dtype=int)),
+], ids=["logistic-separated", "poisson-all-zero"])
+def test_glm_boundary_mle_raises(model, y):
+    """A completely separated logistic design and all-zero Poisson counts
+    have no MLE (the likelihood recedes along a direction); both once fitted
+    silently to a far point, and both are declared boundary cases now."""
+    with pytest.raises(DegenerateMLEError):
+        mle_and_information(model, Dataset(responses=y, covariates=_X8))
+
+
+@pytest.mark.parametrize("model,y", [
+    (logistic_regression(_X8), np.array([0, 0, 1, 0, 1, 1, 0, 1])),
+    (poisson_loglinear(_X8), np.array([0, 1, 0, 2, 3, 1, 4, 6])),
+], ids=["logistic-overlapping", "poisson-some-zeros"])
+def test_glm_without_recession_still_fits(model, y):
+    """Overlapping classes, or zero counts the positive ones pin down, have
+    an interior MLE: the score vanishes there."""
+    theta, info = mle_and_information(model, Dataset(responses=y, covariates=_X8))
+    eta = _X8 @ theta
+    mean = np.exp(eta) if model.name.startswith("poisson") else special.expit(eta)
+    assert np.max(np.abs(_X8.T @ (y - mean))) < 1e-6
+    assert np.all(np.linalg.eigvalsh(info) > 1e-3)
+
+
 @pytest.mark.parametrize("labels", [
     [0, 1, 1, 2, 5, 2, 2, 0, 1, 2],
     [0, 1, 1, 2, -1, 2],
@@ -590,6 +619,22 @@ def test_lasso_kernel_mixed_rows_match_fallback():
     assert np.any(fast[0] == 0.0)  # the atom of the all-zero row
     for i, theta in enumerate(thetas):
         loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(22 + i))
+        assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
+
+
+@pytest.mark.parametrize("factory", [gamma_shape_scale, gamma_mean_shape])
+def test_gamma_kernel_mixed_shape_rows_match_fallback(factory):
+    """One batch mixing shapes below 1 (drawn as a second group, after the
+    rows at shape 1 and more) and above: each row's marginal matches the
+    per-dataset loop."""
+    n, m = 15, 3000
+    model = factory()
+    slow = dataclasses.replace(model, sim_log_rel_lik=None)
+    thetas = np.array([[0.3, 2.0], [2.5, 0.7], [0.7, 5.0], [1.0, 1.5]])
+    fast = model.sim_log_rel_lik(thetas, n, m, np.random.default_rng(31))
+    assert fast.shape == (4, m) and np.all(np.isfinite(fast)) and np.all(fast <= 1e-12)
+    for i, theta in enumerate(thetas):
+        loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(32 + i))
         assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
 
 

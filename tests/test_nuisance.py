@@ -527,6 +527,27 @@ def test_profile_contour_hook_and_loop_agree():
         assert abs(a - b) <= tol
 
 
+def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
+    """The probes of every phi in a batch are simulated as one batch, in
+    order: each value equals the one-point contour in sequence on one
+    generator.  A phi whose fiber maximizer fails (a negative mean) is NaN,
+    draws nothing and changes no other value; the one-point contour raises
+    there."""
+    model, data, spec = gamma_mean_shape(), _gamma_data(), gamma_mean_profile()
+    contour = make_profile_contour(model, data, spec, m=90, seed=5)
+    phis = np.array([[1.7], [-1.0], [2.1], [2.4]])
+    batch = contour.evaluate_batch(phis, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    good = [0, 2, 3]
+    assert batch[good].tolist() == [
+        profile_contour(model, data, spec, phis[i, 0], 90, rng) for i in good]
+    assert np.isnan(batch[1])
+    kept = contour.evaluate_batch(phis[good], np.random.default_rng(8))
+    assert np.array_equal(batch[good], kept)
+    with pytest.raises((ValueError, FiberOptimizationError)):
+        profile_contour(model, data, spec, -1.0, 90, np.random.default_rng(8))
+
+
 def test_profile_contour_unimodal_on_grids():
     model = gamma_mean_shape()
     spec = gamma_mean_profile()

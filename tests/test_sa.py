@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from possfit.contours import PossibilityContour, _pointwise_batch, make_exact_binomial
+from possfit.contours import PossibilityContour, make_exact_binomial
 from possfit.families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -192,15 +192,10 @@ def test_f_hat_monotone_in_xi_on_average():
 
 
 def test_f_hat_failure_counts_as_outside():
-    def flaky(th, rng):
-        if th[0] > 0.4:
-            raise RuntimeError("synthetic failure")
-        return 1.0
-
     fam = GaussianScalarFamily(theta_hat=np.array([0.4]), info=np.array([[62.5]]),
                                xi=1.0)
-    contour = PossibilityContour(kind="monte-carlo", dim=1,
-                                 evaluate_batch=_pointwise_batch(flaky), seed=3)
+    contour = _nan_batch_contour(3, lambda th: np.ones(len(th)),
+                                 lambda th: th[:, 0] > 0.4)
     failures = [0]
     v = f_hat(fam, contour, 0.1, 400, np.random.default_rng(5),
               failure_count=failures)
@@ -445,6 +440,16 @@ def test_raising_kernel_adds_its_rows_to_the_failures():
     failed_rows = sum(rows for rows, _, failed in log if failed)
     assert 0 < failed_rows < len(trace.ts) * config.k_outer
     assert trace.failures == failed_rows
+
+
+@pytest.mark.parametrize("doc", [{"k_outer": 2.5}, {"m_inner": True},
+                                 {"seed": "3"}, {"max_iter": 40.0}])
+def test_sa_config_from_dict_reads_integers_strictly(doc):
+    """An integer field is an int, never a float, bool or string: 2.5 once
+    became 2 and true became 1 without an error."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        SAConfig.from_dict(doc)
+    assert SAConfig.from_dict({"k_outer": 3, "m_inner": 7}).m_inner == 7
 
 
 def test_sa_config_validation():
