@@ -806,10 +806,9 @@ _TINY_SHAPE_C = 1e6
 
 def _gamma_shape_root(c, scale=1.0):
     """Solve log(a) - digamma(a) = c (c > 0), vectorized Newton in log a;
-    by fixed-point iteration for c > _TINY_SHAPE_C.  Given ``scale`` (a
-    scalar or an array that broadcasts to c), the argument is scale * c and
-    the fixed point runs on a / scale, so a c that overflows at a tiny
-    scale is never formed."""
+    by fixed-point iteration for c > _TINY_SHAPE_C.  Given ``scale`` (which
+    broadcasts to c) the argument is scale * c and the fixed point runs on
+    a / scale, so a c that overflows at a tiny scale is never formed."""
     c = np.maximum(np.asarray(c, dtype=float), 1e-12 * scale)
     tiny = c > _TINY_SHAPE_C * scale
     if tiny.any() or np.any(scale != 1.0):
@@ -842,9 +841,8 @@ def _gamma_ss_loglik_stats(t1, s, n, a, b):
 
 
 def _standard_gammas(shapes, m, n, rng):
-    """(k, m, n) standard gamma draws at the k shapes, in row order: one
-    scalar-shape draw per row gives the stream of one broadcast draw, about
-    a third faster in numpy."""
+    """(k, m, n) standard gamma draws at the k shapes in row order; a draw
+    per row streams as one broadcast draw does, a third faster in numpy."""
     x = np.empty((np.size(shapes), int(m), int(n)))
     for row, a in zip(x, np.ravel(shapes)):
         rng.standard_gamma(a, size=row.shape, out=row)

@@ -96,7 +96,8 @@ class ProfileSpec:
     distribution of the profile ratio is probed; without it the outer sup
     collapses to the constrained maximizer alone.  ``sim_profile_log_rel``
     is an optional kernel of the model kernels' ``(k, d) -> (k, m)``
-    contract whose rows are fiber points, simulating log ratios at g(row).
+    contract whose rows are fiber points; it and the fallback without it
+    simulate log ratios at g(row), so probes need g(point) == phi exactly.
     """
 
     name: str
@@ -165,8 +166,7 @@ def _probe_values(model, data, spec, phis, m, rng, count, strict=False) -> list:
     """Per-probe Monte Carlo values at each phi, as a list of arrays: the
     probes of all phis are one batch of the Monte Carlo contour loop, in
     order on ``rng``.  A phi whose fiber maximizer or probe points fail
-    raises when ``strict``, and otherwise gets no probes and draws nothing.
-    """
+    raises when ``strict``, and otherwise gets no probes and draws nothing."""
     obs, points, sizes = [], [], []
     for phi in phis:
         try:
@@ -174,12 +174,12 @@ def _probe_values(model, data, spec, phis, m, rng, count, strict=False) -> list:
             p = np.atleast_2d(np.asarray(
                 _fiber_point(spec, data, phi) if spec.fiber_probes is None
                 else spec.fiber_probes(data, phi, count), dtype=float))
+            obs += [o] * len(p)
+            points += list(p)
         except Exception:
             if strict:
                 raise
             p = []
-        obs += [o] * len(p)
-        points += list(p)
         sizes.append(len(p))
     values = np.empty(0)
     if points:
@@ -227,9 +227,11 @@ def profile_contour(
 def make_profile_contour(
     model: ModelSpec, data: Dataset, spec: ProfileSpec, m: int, seed: int
 ) -> PossibilityContour:
-    """Profile contour over the scalar interest value, as a contour object."""
+    """Profile contour over the scalar interest value, as a contour object:
+    its batch simulates the probes of all phis together, so a phi whose
+    fiber fails is NaN and a raising kernel makes NaN every phi in its call.
+    """
     def batch(thetas, rng):
-        # every phi's probes in one batch; a phi whose fiber fails is NaN
         phis = np.atleast_2d(np.asarray(thetas, dtype=float))[:, 0].tolist()
         values = _probe_values(model, data, spec, phis, m, rng, int(spec.probes))
         return np.array([np.max(v) if v.size else np.nan for v in values])

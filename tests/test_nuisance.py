@@ -535,17 +535,40 @@ def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
     there."""
     model, data, spec = gamma_mean_shape(), _gamma_data(), gamma_mean_profile()
     contour = make_profile_contour(model, data, spec, m=90, seed=5)
-    phis = np.array([[1.7], [-1.0], [2.1], [2.4]])
-    batch = contour.evaluate_batch(phis, np.random.default_rng(8))
-    rng = np.random.default_rng(8)
-    good = [0, 2, 3]
-    assert batch[good].tolist() == [
-        profile_contour(model, data, spec, phis[i, 0], 90, rng) for i in good]
-    assert np.isnan(batch[1])
-    kept = contour.evaluate_batch(phis[good], np.random.default_rng(8))
-    assert np.array_equal(batch[good], kept)
+    for phis in ([[-1.0], [1.7], [2.1], [0.0], [2.4]], [[1.7], [-1.0], [2.1], [2.4]]):
+        phis = np.array(phis)
+        bad = phis[:, 0] <= 0.0
+        batch = contour.evaluate_batch(phis, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        assert batch[~bad].tolist() == [
+            profile_contour(model, data, spec, phi, 90, rng) for phi in phis[~bad, 0]]
+        assert np.isnan(batch[bad]).all()
+        kept = contour.evaluate_batch(phis[~bad], np.random.default_rng(8))
+        assert np.array_equal(batch[~bad], kept)
+    # a batch of one is the contour's own point evaluation
+    assert np.isnan(contour.evaluate([-1.0], np.random.default_rng(8)))
+    assert np.isnan(contour(-1.0)) and np.isnan(contour.eval_at_node([0.0], 0))
     with pytest.raises((ValueError, FiberOptimizationError)):
         profile_contour(model, data, spec, -1.0, 90, np.random.default_rng(8))
+
+
+def test_profile_kernel_failure_is_nan_for_the_phis_of_its_call():
+    """A raising profile kernel makes NaN every phi with a probe in that
+    call, and only those: with m = 2048 a call holds the probes of at most
+    two phis."""
+    model, data, spec = gamma_mean_shape(), _gamma_data(), gamma_mean_profile(probes=1)
+    kernel = spec.sim_profile_log_rel
+
+    def fragile(thetas, n, m, rng):
+        if np.any(thetas[:, 1] == 2.1):
+            raise FloatingPointError("kernel failure")
+        return kernel(thetas, n, m, rng)
+
+    contour = make_profile_contour(
+        model, data, dataclasses.replace(spec, sim_profile_log_rel=fragile), m=2048, seed=5)
+    vals = contour.evaluate_batch(np.array([[1.7], [2.1], [2.4], [2.6]]),
+                                  np.random.default_rng(8))
+    assert np.isnan(vals[:2]).all() and np.isfinite(vals[2:]).all()
 
 
 def test_profile_contour_unimodal_on_grids():
