@@ -113,7 +113,6 @@ from .calibration import (  # noqa: F401
     validity_study,
 )
 from .nuisance import (  # noqa: F401
-    CensoredPlugin,
     CensoringEstimate,
     FiberOptimizationError,
     ProfileSpec,

@@ -56,6 +56,7 @@ from .inference import Hypothesis, upper_probability
 from .models import (
     Dataset,
     ModelSpec,
+    domain_violation,
     log_reparam,
     mle_and_information,
 )
@@ -142,115 +143,46 @@ def poisson_study_design(
 
 
 # ---------------------------------------------------------------------------
-# model registry: id -> (builder, domain check)
+# model registry: id -> builder(n, model_kwargs)
 # ---------------------------------------------------------------------------
 
 
-def _poisson_design_for(scenario) -> np.ndarray:
-    kw = scenario.model_kwargs
+def _poisson_design_for(n, kw) -> np.ndarray:
     if "design" in kw:
         design = np.asarray(kw["design"], dtype=float)
-        if design.ndim != 2 or (
-            scenario.n is not None and design.shape[0] != scenario.n
-        ):
+        if design.ndim != 2 or (n is not None and design.shape[0] != n):
             raise ScenarioError("design must be an (n, p) matrix")
         return design
-    if scenario.n is None:
+    if n is None:
         raise ScenarioError(
             "poisson-loglinear needs n or an explicit design matrix"
         )
-    return poisson_study_design(
-        scenario.n, seed=int(kw.get("design_seed", POISSON_DESIGN_SEED))
-    )
+    return poisson_study_design(n, seed=int(kw.get("design_seed", POISSON_DESIGN_SEED)))
 
 
-def _dom_probability(th, scn):
-    if th.size != 1 or not 0.0 < th[0] < 1.0:
-        return "a single success probability strictly inside (0, 1)"
-    return None
-
-
-def _dom_correlation(th, scn):
-    if th.size != 1 or not -1.0 < th[0] < 1.0:
-        return "a single correlation strictly inside (-1, 1)"
-    return None
-
-
-def _dom_two_positive(th, scn):
-    if th.size != 2 or not np.all(th > 0.0):
-        return "two strictly positive parameters"
-    return None
-
-
-def _dom_location_scale(th, scn):
-    if th.size != 2 or not th[1] > 0.0:
-        return "a location and a strictly positive variance"
-    return None
-
-
-def _dom_length_n(th, scn):
-    if th.size != scn.n:
-        return f"a mean vector of length n = {scn.n}"
-    return None
-
-
-def _dom_glm(th, scn):
-    p = _poisson_design_for(scn).shape[1]
-    if th.size != p:
-        return f"a coefficient vector of length {p}"
-    return None
-
-
-def _dom_logistic(th, scn):
-    if "design" not in scn.model_kwargs:
-        return "a design matrix under model_kwargs['design']"
-    p = np.asarray(scn.model_kwargs["design"]).shape[1]
-    if th.size != p:
-        return f"a coefficient vector of length {p}"
-    return None
-
-
-def _lasso_lam(scn):
-    sigma = float(scn.model_kwargs.get("sigma", 1.0))
-    if "lam" in scn.model_kwargs:
-        return sigma, float(scn.model_kwargs["lam"])
-    if scn.n is None:
+def _lasso_lam(n, kw):
+    sigma = float(kw.get("sigma", 1.0))
+    if "lam" in kw:
+        return sigma, float(kw["lam"])
+    if n is None:
         raise ScenarioError(
             "normal-means-lasso needs n or an explicit model_kwargs['lam']"
         )
-    return sigma, math.sqrt(sigma * sigma * math.log(scn.n))
+    return sigma, math.sqrt(sigma * sigma * math.log(n))
 
 
 _REGISTRY = {
-    "binomial": (lambda scn: _models.binomial(), _dom_probability),
-    "bvn-correlation": (lambda scn: _models.bvn_correlation(),
-                        _dom_correlation),
-    "gamma": (lambda scn: _models.gamma_shape_scale(), _dom_two_positive),
-    "gamma-mean-shape": (lambda scn: _models.gamma_mean_shape(),
-                         _dom_two_positive),
-    "lognormal": (lambda scn: _models.lognormal(), _dom_location_scale),
-    "lognormal-censored": (lambda scn: _models.lognormal_censored(),
-                           _dom_location_scale),
-    "normal-means": (
-        lambda scn: _models.normal_means(
-            float(scn.model_kwargs.get("sigma", 1.0))
-        ),
-        _dom_length_n,
-    ),
-    "normal-means-lasso": (
-        lambda scn: _models.normal_means_lasso(*_lasso_lam(scn)),
-        _dom_length_n,
-    ),
-    "poisson-loglinear": (
-        lambda scn: _models.poisson_loglinear(_poisson_design_for(scn)),
-        _dom_glm,
-    ),
-    "logistic": (
-        lambda scn: _models.logistic_regression(
-            np.asarray(scn.model_kwargs["design"], dtype=float)
-        ),
-        _dom_logistic,
-    ),
+    "binomial": lambda n, kw: _models.binomial(),
+    "bvn-correlation": lambda n, kw: _models.bvn_correlation(),
+    "gamma": lambda n, kw: _models.gamma_shape_scale(),
+    "gamma-mean-shape": lambda n, kw: _models.gamma_mean_shape(),
+    "lognormal": lambda n, kw: _models.lognormal(),
+    "lognormal-censored": lambda n, kw: _models.lognormal_censored(),
+    "normal-means": lambda n, kw: _models.normal_means(float(kw.get("sigma", 1.0))),
+    "normal-means-lasso": lambda n, kw: _models.normal_means_lasso(*_lasso_lam(n, kw)),
+    "poisson-loglinear": lambda n, kw: _models.poisson_loglinear(_poisson_design_for(n, kw)),
+    "logistic": lambda n, kw: _models.logistic_regression(
+        np.asarray(kw["design"], dtype=float)),
 }
 
 
@@ -356,10 +288,8 @@ class Scenario:
                 )
 
         target = self.data_params if self.method == "bootstrap" else self.truth
-        arr = np.asarray(target, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ScenarioError("truth outside the model domain: not finite")
-        msg = _REGISTRY[self.model_id][1](arr, self)
+        model = model_from_id(self.model_id, self.n, self.model_kwargs)
+        msg = domain_violation(model, target, self.n)
         if msg is not None:
             raise ScenarioError(
                 f"truth outside the model domain: {self.model_id} needs {msg}"
@@ -440,14 +370,6 @@ class Scenario:
             raise ScenarioError(f"invalid run config: {exc!r}") from None
 
 
-class _ModelEnv:
-    """The slice of a scenario the registry builders read (n, model_kwargs)."""
-
-    def __init__(self, n, model_kwargs):
-        self.n = n
-        self.model_kwargs = model_kwargs
-
-
 def _check_model_id(model_id) -> None:
     if not isinstance(model_id, str) or model_id not in _REGISTRY:
         raise ScenarioError(
@@ -465,11 +387,8 @@ def model_from_id(
     """Instantiate a registered model outside of any scenario; a factory
     that rejects its settings raises :class:`ScenarioError`."""
     _check_model_id(model_id)
-    env = _ModelEnv(
-        None if n is None else int(n), dict(model_kwargs or {})
-    )
     try:
-        base = _REGISTRY[model_id][0](env)
+        base = _REGISTRY[model_id](None if n is None else int(n), dict(model_kwargs or {}))
     except ScenarioError:
         raise
     except KeyError as exc:

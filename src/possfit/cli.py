@@ -69,6 +69,7 @@ from .models import (
     DegenerateMLEError,
     MLEConvergenceError,
     SingularInformationError,
+    domain_violation,
     read_dataset_csv,
 )
 from .nuisance import FiberOptimizationError, RiskMinimizationError
@@ -303,7 +304,10 @@ def _model_and_data(config: dict, seed: int):
         log_params=bool(config.get("log_params", False)),
     )
     if data is None:
-        theta = np.asarray(spec["simulate"]["theta"], dtype=float)
+        theta = np.asarray(spec["simulate"]["theta"], dtype=float).ravel()
+        msg = domain_violation(model, theta, n)
+        if msg is not None:
+            raise ConfigError(f"simulate theta outside the {model.name} domain: needs {msg}")
         data = model.sample(theta, n, derive_rng(seed, CLI_TAG, 0))
     return model, data
 

@@ -48,6 +48,7 @@ from .models import (
     exact_binomial_contour,
     log_relative_likelihood,
     observed_log_rel_lik,
+    where_on_domain,
 )
 
 __all__ = [
@@ -158,12 +159,13 @@ def _lookup_batch(statistic, reference):
 
 
 def make_exact_contour(model: ModelSpec, data: Dataset) -> PossibilityContour:
-    """The exact contour the model declares through ``exact_contour_for``."""
+    """The exact contour the model declares through ``exact_contour_for``;
+    0 off the model's domain."""
     exact = model.exact_contour_for(data)
     return PossibilityContour(
         kind="exact-discrete",
         dim=model.dim,
-        evaluate_batch=lambda thetas, rng: exact(np.asarray(thetas, dtype=float)),
+        evaluate_batch=lambda thetas, rng: where_on_domain(model, exact, thetas, 0.0),
         meta={"model": model.name},
     )
 
@@ -239,14 +241,14 @@ def _mc_batch(
     """Monte Carlo contour at each row of a (k, d) array, on one generator.
 
     Rows off the domain are 0 and rows whose observed value fails are 1,
-    both without simulating.  The other rows are simulated chunk by chunk
-    of datasets, the live rows of a chunk in order, at most
-    ``_DATASETS_PER_CALL`` datasets per kernel call; the rows of a call that
-    raises come back NaN and leave the live set.  Without ``alpha`` the one
-    chunk is all m datasets, and a row's value is its count of included
-    datasets over m.  With ``alpha`` the rows are decided instead (1.0 for
-    a value > alpha, 0.0 otherwise) on the chunks of
-    :func:`_decision_schedule`, and a row leaves the live set as soon as
+    both without simulating, so a kernel only sees rows on the domain.  The
+    other rows are simulated chunk by chunk of datasets, the live rows of a
+    chunk in order, at most ``_DATASETS_PER_CALL`` datasets per kernel call;
+    the rows of a call that raises come back NaN and leave the live set.
+    Without ``alpha`` the one chunk is all m datasets, and a row's value is
+    its count of included datasets over m.  With ``alpha`` the rows are
+    decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
+    of :func:`_decision_schedule`, and a row leaves the live set as soon as
     its decision is settled.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -42,8 +42,14 @@ A model whose contour has a closed form declares it:
     Carlo, which would only add noise around it (the binomial declares
     its enumeration).
 
-Conventions: a parameter outside the domain makes ``log_lik`` return
-``-inf`` (so the relative likelihood is 0 there); ``mle`` returns the
+Conventions: a model states its parameter space once, as
+``domain(thetas)``, which maps a ``(k, d)`` array to a ``(k,)`` bool mask
+and a short description of the rule (every finite point by default).
+``log_lik`` returns ``-inf`` off it, :func:`observed_log_rel_lik` gives
+``-inf`` and :func:`where_on_domain` the caller's value there without
+calling the model's hooks, and the Monte Carlo engine simulates only rows
+whose observed value is finite.  So kernels and samplers only ever see
+finite points on the domain and check nothing.  ``mle`` returns the
 likelihood-supremum point even when it sits on the domain boundary, and
 :func:`mle_and_information` is the operation that rejects boundary cases.
 """
@@ -68,6 +74,8 @@ __all__ = [
     "relative_likelihood",
     "log_relative_likelihood",
     "observed_log_rel_lik",
+    "where_on_domain",
+    "domain_violation",
     "mle_and_information",
     "finite_difference_information",
     "soft_threshold",
@@ -176,6 +184,16 @@ def read_dataset_csv(path, response, covariates=(), censor=None) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _finite(thetas):
+    """The default domain: every finite point."""
+    return np.all(np.isfinite(thetas), axis=1), "finite coordinates"
+
+
+def _inside(domain, theta) -> bool:
+    """Whether one point lies in a domain function's mask."""
+    return bool(domain(np.asarray(theta, dtype=float).reshape(1, -1))[0][0])
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A parametric model as the contour machinery sees it."""
@@ -186,6 +204,7 @@ class ModelSpec:
     sample: Callable[[np.ndarray, int, np.random.Generator], Dataset]
     mle: Callable[[Dataset], np.ndarray]
     information: Callable[[Dataset], np.ndarray]
+    domain: Callable[[np.ndarray], tuple] = _finite
     boundary_mle: Optional[Callable[[Dataset], bool]] = None
     log_rel_lik_for: Optional[
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
@@ -203,16 +222,42 @@ class ModelSpec:
     meta: dict = field(default_factory=dict)
 
 
+def where_on_domain(model: ModelSpec, fn, thetas, off: float) -> np.ndarray:
+    """(k,) values of ``fn`` at the rows of a (k, d) array that are finite
+    and on the model's domain, and ``off`` at the others, where ``fn`` is
+    not called."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    inside = np.all(np.isfinite(thetas), axis=1) & model.domain(thetas)[0]
+    out = np.full(thetas.shape[0], float(off))
+    if inside.any():
+        out[inside] = fn(thetas[inside])
+    return out
+
+
+def domain_violation(model: ModelSpec, theta, n: Optional[int] = None) -> Optional[str]:
+    """What a single parameter point lacks to be usable with the model, or
+    None: ``model.dim`` coordinates (``n`` for a model whose dimension is
+    the sample size), all finite, on the model's domain."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    size = model.dim if model.dim is not None else n
+    if size is not None and theta.size != size:
+        return f"a point of dimension {size}, got {theta.size}"
+    if not np.all(np.isfinite(theta)):
+        return "finite coordinates"
+    inside, rule = model.domain(theta[None, :])
+    return None if inside[0] else rule
+
+
 def observed_log_rel_lik(
     model: ModelSpec, data: Dataset
 ) -> Callable[[np.ndarray], np.ndarray]:
     """(k, d) points -> (k,) log of L(theta)/L(thetahat) for fixed data;
-    -inf off the domain.
+    -inf off the domain, where nothing is computed.
 
     What depends on the data alone is computed once, for every theta the
     returned function sees.  Without a ``log_rel_lik_for`` hook each row
     goes through ``log_lik``, and the maximized log-likelihood is computed
-    on first use, and only for a theta on the domain; a failing ``mle``
+    on first use, and only for a finite log-likelihood; a failing ``mle``
     raises from every call that needs it.
     """
     if model.log_rel_lik_for is not None:
@@ -229,15 +274,14 @@ def observed_log_rel_lik(
                 ll[live] -= ll_hat()
             return np.where(live, ll, -np.inf)
 
-    def log_rel(thetas) -> np.ndarray:
+    def on_domain(thetas) -> np.ndarray:
         # far out, log-likelihoods overflow to -inf or inf - inf; both are
         # read as a relative likelihood of 0 below
         with np.errstate(over="ignore", invalid="ignore"):
-            val = np.asarray(raw(np.atleast_2d(np.asarray(thetas, dtype=float))),
-                             dtype=float)
+            val = np.asarray(raw(thetas), dtype=float)
         return np.minimum(np.where(np.isnan(val), -np.inf, val), 0.0)
 
-    return log_rel
+    return lambda thetas: where_on_domain(model, on_domain, thetas, -np.inf)
 
 
 def log_relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
@@ -367,11 +411,16 @@ def exact_binomial_contour(n: int, s_obs: int, theta):
     return float(vals[0]) if scalar else vals
 
 
+def _unit_interval(thetas):
+    t = thetas[:, 0]
+    return (t >= 0.0) & (t <= 1.0), "a success probability in [0, 1]"
+
+
 def binomial() -> ModelSpec:
     def log_lik(data, theta):
-        t = float(theta[0])
-        if not 0.0 <= t <= 1.0:
+        if not _inside(_unit_interval, theta):
             return -np.inf
+        t = float(theta[0])
         s = float(np.sum(data.responses))
         return float(special.xlogy(s, t) + special.xlogy(data.n - s, 1.0 - t))
 
@@ -392,17 +441,10 @@ def binomial() -> ModelSpec:
     def log_rel_for(data):
         s, n = float(np.sum(data.responses)), data.n
 
-        def log_rel(thetas):
-            t = thetas[:, 0]
-            valid = (t >= 0.0) & (t <= 1.0)
-            return np.where(valid, _binom_log_rel(s, n, np.where(valid, t, 0.5)), -np.inf)
-
-        return log_rel
+        return lambda thetas: _binom_log_rel(s, n, thetas[:, 0])
 
     def sim_log_rel(thetas, n, m, rng):
         t = np.asarray(thetas, dtype=float)[:, :1]
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise ValueError("binomial: theta outside [0, 1]")
         # log R takes only the n + 1 values of the count, so draw how many of
         # the m datasets land on each: the values are then exactly as
         # distributed as m iid draws, listed in count order
@@ -423,6 +465,7 @@ def binomial() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_unit_interval,
         boundary_mle=boundary,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
@@ -441,16 +484,9 @@ def _bvn_stats(responses):
 
 
 def _bvn_loglik_stats(a, b, n, rho):
-    # a = sum(x1^2 + x2^2), b = sum(x1 x2)
+    # a = sum(x1^2 + x2^2), b = sum(x1 x2); |rho| < 1
     one = 1.0 - rho * rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = (
-            -n * np.log(2 * np.pi)
-            - 0.5 * n * np.log(one)
-            - (a - 2 * rho * b) / (2 * one)
-        )
-    # |rho| >= 1 is the singular limit: zero density off the diagonal line
-    return np.where(one > 0.0, ll, -np.inf)
+    return -n * np.log(2 * np.pi) - 0.5 * n * np.log(one) - (a - 2 * rho * b) / (2 * one)
 
 
 def _bvn_score_roots(a, b, n):
@@ -495,13 +531,16 @@ def _bvn_mle_from_stats(a, b, n):
     return cand[np.arange(a.size), np.argmax(ll, axis=1)]
 
 
+def _open_correlation(thetas):
+    return np.abs(thetas[:, 0]) < 1.0, "a correlation strictly inside (-1, 1)"
+
+
 def bvn_correlation() -> ModelSpec:
     def log_lik(data, theta):
-        r = float(theta[0])
-        if not -1.0 < r < 1.0:
+        if not _inside(_open_correlation, theta):
             return -np.inf
         a, b = _bvn_stats(np.asarray(data.responses, dtype=float))
-        return float(_bvn_loglik_stats(a, b, data.n, r))
+        return float(_bvn_loglik_stats(a, b, data.n, float(theta[0])))
 
     def sample(theta, n, rng):
         r = float(theta[0])
@@ -520,11 +559,6 @@ def bvn_correlation() -> ModelSpec:
     def sim_log_rel(thetas, n, m, rng):
         r = np.asarray(thetas, dtype=float)[:, :1]
         shape = (r.shape[0], int(m))
-        # Degenerate boundary |r| >= 1: replicates drawn there sit exactly on
-        # a line, where the relative likelihood at theta is 1 (log 0); the
-        # observed value is -inf, so the contour is exactly 0.
-        inside = np.abs(r) < 1.0
-        r = np.where(inside, r, 0.0)
         # sum x x^T ~ Wishart_2(n, Sigma(r)), drawn by the Bartlett
         # decomposition: sum x x^T = (L B)(L B)^T with L = chol Sigma(r) and
         # B lower triangular, B11^2 ~ chi2_n, B22^2 ~ chi2_{n-1}, B21 ~ N(0, 1)
@@ -537,19 +571,14 @@ def bvn_correlation() -> ModelSpec:
         a = b11_sq + lb21 * lb21 + s * s * b22_sq
         b = b11 * lb21
         rhat = _bvn_mle_from_stats(a.ravel(), b.ravel(), n).reshape(shape)
-        out = _bvn_loglik_stats(a, b, n, r) - _bvn_loglik_stats(a, b, n, rhat)
-        return np.where(inside, out, 0.0)
+        return _bvn_loglik_stats(a, b, n, r) - _bvn_loglik_stats(a, b, n, rhat)
 
     def log_rel_for(data):
         n = data.n
         a, b = _bvn_stats(np.asarray(data.responses, dtype=float))
         ll_hat = _bvn_loglik_stats(a, b, n, float(_bvn_mle_from_stats(a, b, n)[0]))
 
-        def log_rel(thetas):
-            # -inf for |r| >= 1 (and NaN), from the log-likelihood itself
-            return _bvn_loglik_stats(a, b, n, thetas[:, 0]) - ll_hat
-
-        return log_rel
+        return lambda thetas: _bvn_loglik_stats(a, b, n, thetas[:, 0]) - ll_hat
 
     spec = ModelSpec(
         name="bvn-correlation",
@@ -558,6 +587,7 @@ def bvn_correlation() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_open_correlation,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
     )
@@ -732,6 +762,11 @@ def poisson_loglinear(design) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _simplex(thetas):
+    inside = (np.min(thetas, axis=1) >= 0.0) & (np.abs(np.sum(thetas, axis=1) - 1.0) <= 1e-8)
+    return inside, "probabilities that are >= 0 and sum to 1"
+
+
 def multinomial(k: int) -> ModelSpec:
     def counts(data):
         y = np.asarray(data.responses, dtype=float)
@@ -739,16 +774,10 @@ def multinomial(k: int) -> ModelSpec:
             raise ValueError(f"multinomial labels must be integers in 0..{k - 1}")
         return np.bincount(y.astype(int), minlength=k).astype(float)
 
-    def _valid(theta):
-        return (np.min(theta, axis=-1) >= 0.0) & (
-            np.abs(np.sum(theta, axis=-1) - 1.0) <= 1e-8
-        )
-
     def log_lik(data, theta):
-        theta = np.asarray(theta, dtype=float)
-        if not _valid(theta):
+        if not _inside(_simplex, theta):
             return -np.inf
-        return float(np.sum(special.xlogy(counts(data), theta)))
+        return float(np.sum(special.xlogy(counts(data), np.asarray(theta, dtype=float))))
 
     def sample(theta, n, rng):
         return Dataset(responses=rng.choice(k, size=n, p=np.asarray(theta, dtype=float)))
@@ -768,13 +797,7 @@ def multinomial(k: int) -> ModelSpec:
 
     def log_rel_for(data):
         x, n = counts(data), data.n
-
-        def log_rel(thetas):
-            valid = _valid(thetas)
-            safe = np.where(valid[:, None], thetas, 1.0 / k)
-            return np.where(valid, _log_rel_counts(x, n, safe), -np.inf)
-
-        return log_rel
+        return lambda thetas: _log_rel_counts(x, n, thetas)
 
     def sim_log_rel(thetas, n, m, rng):
         thetas = np.asarray(thetas, dtype=float)[:, None, :]
@@ -788,6 +811,7 @@ def multinomial(k: int) -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_simplex,
         boundary_mle=boundary,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
@@ -849,6 +873,15 @@ def _standard_gammas(shapes, m, n, rng):
     return x
 
 
+def _scaled_log_gammas(a, m, n, rng):
+    """(k, m, n) draws of a log x, x ~ Gamma(a) at scale 1, for the k
+    shapes a < 1 of a (k, 1) array, in row order: a log x = a log Y - E with
+    Y ~ Gamma(a + 1) and E ~ Exp(1) (Liu, Martin & Syring 2017), since a
+    gamma draw at a tiny shape underflows to 0."""
+    y = _standard_gammas(a + 1.0, m, n, rng)
+    return a[..., None] * np.log(y) - rng.standard_exponential(size=y.shape)
+
+
 def _gamma_sim_log_rel(thetas, n, m, rng):
     """Batch kernel of both gamma models: log R of m gamma samples of size n
     drawn at each row, whose first column is the shape a0, against each
@@ -856,15 +889,14 @@ def _gamma_sim_log_rel(thetas, n, m, rng):
 
     log R does not depend on the scale (the MLE scale is equivariant), so
     the samples are drawn at scale 1.  Rows at shape 1 and more draw x
-    itself.  Rows below shape 1 are a second group, drawn after the first:
-    they draw log x = log Y - E / a0 with Y ~ Gamma(a0 + 1) and E ~ Exp(1)
-    (Liu, Martin & Syring 2017), since a gamma draw at a tiny shape
-    underflows to 0; log(sum x) is then a logsumexp.  Near the smallest
-    normal shape log x and its sum overflow, so that group forms v = a0 log
-    x and a0 c (c = log mean x - mean log x).  With the MLE scale written
-    on the log scale (s / b_hat = n a_hat, log b_hat = log(s/n) - log
-    a_hat) the sum-of-logs terms of the two log-likelihoods cancel before
-    they are formed, so log R stays finite at any positive shape.
+    itself.  Rows below shape 1 are a second group, drawn after the first
+    on the log scale (:func:`_scaled_log_gammas`); log(sum x) is then a
+    logsumexp.  Near the smallest normal shape log x and its sum overflow,
+    so that group forms v = a0 log x and a0 c (c = log mean x - mean log
+    x).  With the MLE scale written on the log scale (s / b_hat = n a_hat,
+    log b_hat = log(s/n) - log a_hat) the sum-of-logs terms of the two
+    log-likelihoods cancel before they are formed, so log R stays finite at
+    any positive shape.
     """
     a0 = np.asarray(thetas, dtype=float)[:, 0]
     out = np.empty((a0.size, int(m)))
@@ -882,8 +914,7 @@ def _gamma_sim_log_rel(thetas, n, m, rng):
         )
     if not big.all():
         a = a0[~big, None]
-        y = _standard_gammas(a + 1.0, m, n, rng)
-        v = a[..., None] * np.log(y) - rng.standard_exponential(size=y.shape)
+        v = _scaled_log_gammas(a, m, n, rng)
         top = np.max(v, axis=2)
         # terms below e^-800 of the largest x vanish from the sum either way
         z = np.maximum(v - top[..., None], -800.0 * a[..., None]) / a[..., None]
@@ -899,11 +930,15 @@ def _gamma_sim_log_rel(thetas, n, m, rng):
     return out
 
 
+def _positive_pair(thetas):
+    return np.all(thetas[:, :2] > 0.0, axis=1), "two strictly positive parameters"
+
+
 def gamma_shape_scale() -> ModelSpec:
     def log_lik(data, theta):
-        a, b = float(theta[0]), float(theta[1])
-        if a <= 0.0 or b <= 0.0:
+        if not _inside(_positive_pair, theta):
             return -np.inf
+        a, b = float(theta[0]), float(theta[1])
         x = np.asarray(data.responses, dtype=float)
         return float(_gamma_ss_loglik_stats(np.sum(np.log(x)), np.sum(x), data.n, a, b))
 
@@ -940,6 +975,7 @@ def gamma_shape_scale() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_positive_pair,
         boundary_mle=boundary,
         sim_log_rel_lik=_gamma_sim_log_rel,
     )
@@ -959,9 +995,9 @@ def gamma_mean_shape() -> ModelSpec:
     """Gamma with parameters (shape, mean); mean = shape * scale."""
 
     def log_lik(data, theta):
-        a, phi = float(theta[0]), float(theta[1])
-        if a <= 0.0 or phi <= 0.0:
+        if not _inside(_positive_pair, theta):
             return -np.inf
+        a, phi = float(theta[0]), float(theta[1])
         x = np.asarray(data.responses, dtype=float)
         return float(_gamma_ms_loglik_stats(np.sum(np.log(x)), np.sum(x), data.n, a, phi))
 
@@ -996,6 +1032,7 @@ def gamma_mean_shape() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_positive_pair,
         boundary_mle=boundary,
         sim_log_rel_lik=_gamma_sim_log_rel,
     )
@@ -1166,13 +1203,17 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _positive_variance(thetas):
+    return thetas[:, 1] > 0.0, "a strictly positive variance"
+
+
 def lognormal() -> ModelSpec:
     """Log-normal with theta = (mean, variance) of log Y."""
 
     def log_lik(data, theta):
-        mu, v = float(theta[0]), float(theta[1])
-        if v <= 0.0:
+        if not _inside(_positive_variance, theta):
             return -np.inf
+        mu, v = float(theta[0]), float(theta[1])
         y = np.asarray(data.responses, dtype=float)
         w = np.log(y)
         return float(
@@ -1221,6 +1262,7 @@ def lognormal() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_positive_variance,
         sim_log_rel_lik=sim_log_rel,
     )
 
@@ -1383,8 +1425,6 @@ def _lognormal_censored_sim(ghat):
         bounds = np.log(ghat.support)
         parts = []  # only one row's (m, n) draws are held at a time
         for mu, v in thetas[:, :2]:
-            if not np.isfinite(mu) or not v > 0.0:
-                raise ValueError("invalid log-normal parameter")
             w = rng.normal(mu, np.sqrt(v), size=(m, n))
             idx = rng.choice(bounds.size, size=(m, n), p=probs)
             parts.append(_CensStats.build(w, w >= bounds[idx], idx, bounds))
@@ -1417,9 +1457,9 @@ def lognormal_censored() -> ModelSpec:
         return np.log(np.asarray(data.responses, dtype=float)), t
 
     def log_lik(data, theta):
-        mu, v = float(theta[0]), float(theta[1])
-        if v <= 0.0:
+        if not _inside(_positive_variance, theta):
             return -np.inf
+        mu, v = float(theta[0]), float(theta[1])
         w, t = _parts(data)
         jac = -float(np.sum(w[t == 1]))  # d log y for exact observations only
         return float(_cens_normal_loglik(_CensStats.from_slots(w, t), mu, v)[0]) + jac
@@ -1455,6 +1495,7 @@ def lognormal_censored() -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
+        domain=_positive_variance,
         boundary_mle=boundary,
         # the model's own sampler draws uncensored log-normal responses
         sim_log_rel_lik=lognormal().sim_log_rel_lik,
@@ -1475,7 +1516,9 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
     The likelihood is invariant under the reparametrization, so relative
     likelihoods, simulated and exact contour values carry over; the observed
     information transforms as D J D with D diagonal, D_ii = theta_i on
-    logged coordinates and 1 elsewhere.
+    logged coordinates and 1 elsewhere.  The domain is |eta_i| <= 690 on the
+    logged coordinates (beyond, exp overflows or underflows to 0) and the
+    base domain at exp(eta).
     """
     if base.dim is None:
         raise ValueError("log_reparam requires a model of fixed dimension")
@@ -1483,14 +1526,11 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
     logged[list(range(base.dim)) if indices is None else list(indices)] = True
 
     def _to_theta(eta):
-        """theta for points eta of shape (..., d), and which points are far
-        out: beyond 690 on a logged coordinate, exp overflows or underflows
-        to 0, so the likelihood is read as 0 there."""
-        eta = np.asarray(eta, dtype=float)
-        far = np.max(np.abs(eta[..., logged]), axis=-1, initial=0.0) > 690.0
-        theta = eta.copy()
-        theta[..., logged] = np.exp(np.clip(eta[..., logged], -690.0, 690.0))
-        return theta, far
+        """theta for points eta of shape (..., d); clipped, so that off the
+        domain it stays free of overflow."""
+        theta = np.array(eta, dtype=float)
+        theta[..., logged] = np.exp(np.clip(theta[..., logged], -690.0, 690.0))
+        return theta
 
     def _to_eta(theta):
         theta = np.asarray(theta, dtype=float).copy()
@@ -1501,15 +1541,16 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         theta[logged] = np.log(theta[logged])
         return theta
 
+    def domain(etas):
+        inside, rule = base.domain(_to_theta(etas))
+        near = np.max(np.abs(etas[:, logged]), axis=1, initial=0.0) <= 690.0
+        return near & inside, f"|eta| <= 690 on the logged coordinates and {rule} at exp(eta)"
+
     def log_lik(data, eta):
-        theta, far = _to_theta(eta)
-        return -np.inf if far else base.log_lik(data, theta)
+        return base.log_lik(data, _to_theta(eta)) if _inside(domain, eta) else -np.inf
 
     def sample(eta, n, rng):
-        theta, far = _to_theta(eta)
-        if far:
-            raise ValueError("log_reparam: cannot sample beyond |eta| = 690")
-        return base.sample(theta, n, rng)
+        return base.sample(_to_theta(eta), n, rng)
 
     def mle(data):
         return _to_eta(base.mle(data))
@@ -1520,41 +1561,27 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         D = np.diag(d)
         return D @ np.atleast_2d(np.asarray(base.information(data), dtype=float)) @ D
 
-    def at_theta(hook, far_value):
-        """An observed-data hook of the base model, evaluated at exp(eta);
-        far rows give ``far_value``."""
+    def at_theta(hook):
+        """An observed-data hook of the base model, evaluated at exp(eta)."""
         if hook is None:
             return None
 
         def for_data(data):
             base_values = hook(data)
-
-            def values(etas):
-                thetas, far = _to_theta(etas)
-                return np.where(far, far_value, base_values(thetas))
-
-            return values
+            return lambda etas: base_values(_to_theta(etas))
 
         return for_data
 
-    def on_domain(kernel):
-        def sim(etas, n, m, rng):
-            # the base kernel gets the whole batch of points on the domain
-            thetas, far = _to_theta(etas)
-            out = np.full((thetas.shape[0], int(m)), -np.inf)
-            if not far.all():
-                out[~far] = kernel(thetas[~far], n, m, rng)
-            return out
-
-        return sim
+    def sim_at_theta(kernel):
+        return lambda etas, n, m, rng: kernel(_to_theta(etas), n, m, rng)
 
     sim = None
     if base.sim_log_rel_lik is not None:
-        sim = on_domain(base.sim_log_rel_lik)
+        sim = sim_at_theta(base.sim_log_rel_lik)
     censored_sim = None
     if base.censored_sim is not None:
         def censored_sim(ghat):  # noqa: F811
-            return on_domain(base.censored_sim(ghat))
+            return sim_at_theta(base.censored_sim(ghat))
 
     return dataclasses.replace(
         base,
@@ -1563,8 +1590,9 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         sample=sample,
         mle=mle,
         information=information,
-        log_rel_lik_for=at_theta(base.log_rel_lik_for, -np.inf),
-        exact_contour_for=at_theta(base.exact_contour_for, 0.0),
+        domain=domain,
+        log_rel_lik_for=at_theta(base.log_rel_lik_for),
+        exact_contour_for=at_theta(base.exact_contour_for),
         sim_log_rel_lik=sim,
         censored_sim=censored_sim,
         meta=dict(base.meta, reparam_base=base.name,

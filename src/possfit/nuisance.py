@@ -36,12 +36,12 @@ from .models import (
     ModelSpec,
     _gamma_ms_loglik_stats,
     _gamma_shape_root,
+    _scaled_log_gammas,
     _standard_gammas,
 )
 from .sa import SAConfig, _fit_credal, fit_scalar_anchored
 
 __all__ = [
-    "CensoredPlugin",
     "CensoringEstimate",
     "FiberOptimizationError",
     "ProfileSpec",
@@ -278,16 +278,40 @@ def gamma_mean_profile(probes: int = 5) -> ProfileSpec:
         return np.column_stack([a_vals, np.full(a_vals.size, float(phi))])
 
     def sim_profile_log_rel(thetas, n, m, rng):
+        # as the model kernel: rows at shape 1 and more draw x itself, rows
+        # below shape 1 draw log x after them, and carry log s for the data
+        # total s, which would underflow to 0 at tiny shapes
         thetas = np.asarray(thetas, dtype=float)
-        a_p, phi = thetas[:, :1], thetas[:, 1:2]
-        x = _standard_gammas(a_p, m, n, rng) * (phi / a_p)[..., None]
-        t1 = np.sum(np.log(x), axis=2)
-        s = np.sum(x, axis=2)
-        a_full = _gamma_shape_root(np.log(s / n) - t1 / n)
-        a_prof = _gamma_shape_root(np.log(phi) - 1.0 - t1 / n + s / (n * phi))
-        return _gamma_ms_loglik_stats(t1, s, n, a_prof, phi) - _gamma_ms_loglik_stats(
-            t1, s, n, a_full, s / n
-        )
+        out = np.empty((thetas.shape[0], int(m)))
+        big = thetas[:, 0] >= 1.0
+        if big.any():
+            a_p, phi = thetas[big, :1], thetas[big, 1:2]
+            x = _standard_gammas(a_p, m, n, rng) * (phi / a_p)[..., None]
+            t1 = np.sum(np.log(x), axis=2)
+            s = np.sum(x, axis=2)
+            a_full = _gamma_shape_root(np.log(s / n) - t1 / n)
+            a_prof = _gamma_shape_root(np.log(phi) - 1.0 - t1 / n + s / (n * phi))
+            out[big] = _gamma_ms_loglik_stats(t1, s, n, a_prof, phi) - _gamma_ms_loglik_stats(
+                t1, s, n, a_full, s / n
+            )
+        if not big.all():
+            a_p, phi = thetas[~big, :1], thetas[~big, 1:2]
+            log_x = (_scaled_log_gammas(a_p, m, n, rng) / a_p[..., None]
+                     + np.log(phi / a_p)[..., None])
+            t1 = np.sum(log_x, axis=2)
+            log_mean = special.logsumexp(log_x, axis=2) - np.log(n)
+            mean_over_phi = np.exp(log_mean - np.log(phi))
+            a_full = _gamma_shape_root(log_mean - t1 / n)
+            a_prof = _gamma_shape_root(np.log(phi) - 1.0 - t1 / n + mean_over_phi)
+            # the two log-likelihoods of _gamma_ms_loglik_stats, the full one
+            # at mean s / n, differenced term by term
+            out[~big] = (
+                (a_prof - a_full) * t1 - n * (a_prof * mean_over_phi - a_full)
+                - n * (special.gammaln(a_prof) - special.gammaln(a_full))
+                - n * (a_prof * np.log(phi) - a_full * log_mean)
+                + n * (a_prof * np.log(a_prof) - a_full * np.log(a_full))
+            )
+        return out
 
     return ProfileSpec(
         name="gamma-mean-profile",
@@ -618,15 +642,6 @@ class CensoringEstimate:
         csum = np.concatenate([[0.0], np.cumsum(self.masses)])
         out = csum[idx]
         return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclasses.dataclass(frozen=True)
-class CensoredPlugin:
-    """A parametric response model paired with an estimated censoring
-    distribution, ready to drive Monte Carlo contour evaluation."""
-
-    model: ModelSpec
-    ghat: CensoringEstimate
 
 
 def kaplan_meier_swapped(data: Dataset) -> CensoringEstimate:

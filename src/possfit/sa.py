@@ -92,7 +92,6 @@ class SAConfig:
     epsilon: float = 0.005
     min_iter: int = 5
     max_iter: int = 500
-    step: Callable[[int], float] = default_step
     verbose: bool = False
 
     def __post_init__(self):
@@ -182,7 +181,7 @@ def robbins_monro(
     objs: List[np.ndarray] = []
     reason = "max-iterations"
     for t in range(1, config.max_iter + 1):
-        w = config.step(t)
+        w = default_step(t)
         f = np.atleast_1d(np.asarray(objective(xi, t), dtype=float))
         new = np.maximum(xi + sign * w * f, _XI_FLOOR)
         delta = float(np.max(np.abs(new - xi)))

@@ -346,6 +346,29 @@ class TestConfigHandling:
         assert "must be an integer" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("model,theta,message", [
+        ("binomial", [1.5], "success probability in [0, 1]"),
+        ("gamma", [-1.0, 2.0], "two strictly positive parameters"),
+        ("bvn-correlation", [1.5], "correlation strictly inside (-1, 1)"),
+        ("bvn-correlation", [1.0], "correlation strictly inside (-1, 1)"),
+        ("lognormal", [0.0, -1.0], "strictly positive variance"),
+        ("binomial", [0.3, 0.4], "a point of dimension 1, got 2"),
+    ], ids=["binomial-1.5", "gamma-negative-shape", "bvn-1.5", "bvn-1",
+            "lognormal-negative-variance", "binomial-two-coordinates"])
+    def test_simulate_theta_off_the_domain_exit2(self, tmp_path, capsys, model,
+                                                 theta, message):
+        """A simulate theta of the wrong size or off the model's domain is a
+        config error, raised before anything is sampled or written."""
+        cfg = contour_config(
+            tmp_path, model=model, method="naive", m=20,
+            data={"simulate": {"theta": theta, "n": 10}},
+            grid=[{"lo": 0.1, "hi": 0.5, "count": 3}] * {"gamma": 2, "lognormal": 2}.get(model, 1),
+        )
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"outside the {model} domain" in err and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("case", [{"tau": 1.5}, {"tau": 0.25, "B": 0},
                                       {"tau": 0.25, "B": 2.5}, {"tau": "x"},
                                       "calibrate-B"],

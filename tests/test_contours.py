@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from possfit._rng import REF_TAG, derive_rng
-from possfit.calibration import _REGISTRY, model_from_id
+from possfit.calibration import _REGISTRY, Scenario, ScenarioError, model_from_id
 from possfit.contours import (
     AxisSpec,
     PossibilityContour,
@@ -204,25 +204,48 @@ def test_mc_contour_counts_failed_replicates_as_ties():
 _N_FAR = 12
 _DESIGN = np.column_stack([np.ones(_N_FAR), np.linspace(-1.0, 1.0, _N_FAR)])
 _BIG = 1e300
-# registry id -> (model kwargs, truth, off-domain and huge-magnitude points)
+# registry id -> (model kwargs, truth, off-domain points, huge-magnitude
+# points on the domain)
 _FAR_POINTS = {
-    "binomial": ({}, [0.4], [[-0.5], [1.5], [np.inf], [_BIG], [-_BIG]]),
-    "bvn-correlation": ({}, [0.5], [[1.0], [-1.0], [1.5], [_BIG], [-_BIG]]),
-    "gamma": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0], [0.0, 0.0],
-                               [_BIG, 2.0], [3.0, _BIG]]),
-    "gamma-mean-shape": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0],
-                                          [_BIG, 2.0], [3.0, _BIG]]),
-    "lognormal": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0], [_BIG, 1.0],
-                                   [-_BIG, 1.0], [0.3, _BIG]]),
-    "lognormal-censored": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0], [_BIG, 1.0],
-                                            [-_BIG, 1.0], [0.3, _BIG]]),
-    "normal-means": ({}, [0.0] * _N_FAR, [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
-    "normal-means-lasso": ({}, [0.0] * _N_FAR, [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
-    "poisson-loglinear": ({}, [0.5, 0.0, 0.0], [[_BIG, 0.0, 0.0], [-_BIG, 0.0, 0.0],
-                                                [0.0, _BIG, 0.0]]),
-    "logistic": ({"design": _DESIGN.tolist()}, [0.2, 0.5],
+    "binomial": ({}, [0.4], [[-0.5], [1.5], [np.inf], [_BIG], [-_BIG]], []),
+    "bvn-correlation": ({}, [0.5], [[1.0], [-1.0], [1.5], [_BIG], [-_BIG]], []),
+    "gamma": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0], [0.0, 0.0]],
+              [[_BIG, 2.0], [3.0, _BIG]]),
+    "gamma-mean-shape": ({}, [3.0, 2.0], [[-1.0, 2.0], [3.0, 0.0], [3.0, -2.0]],
+                         [[_BIG, 2.0], [3.0, _BIG]]),
+    "lognormal": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0]],
+                  [[_BIG, 1.0], [-_BIG, 1.0], [0.3, _BIG]]),
+    "lognormal-censored": ({}, [0.3, 0.5], [[0.3, -1.0], [0.3, 0.0]],
+                           [[_BIG, 1.0], [-_BIG, 1.0], [0.3, _BIG]]),
+    "normal-means": ({}, [0.0] * _N_FAR, [[np.inf] + [0.0] * (_N_FAR - 1)],
+                     [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
+    "normal-means-lasso": ({}, [0.0] * _N_FAR, [[0.0] * (_N_FAR - 1) + [-np.inf]],
+                           [[_BIG] * _N_FAR, [-_BIG] * _N_FAR]),
+    "poisson-loglinear": ({}, [0.5, 0.0, 0.0], [[0.5, np.nan, 0.0]],
+                          [[_BIG, 0.0, 0.0], [-_BIG, 0.0, 0.0], [0.0, _BIG, 0.0]]),
+    "logistic": ({"design": _DESIGN.tolist()}, [0.2, 0.5], [[np.nan, np.inf]],
                  [[_BIG, 0.0], [-_BIG, 0.0], [0.0, _BIG]]),
 }
+
+
+@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
+def test_registry_models_state_their_domain_once(model_id):
+    """The domain mask is False at each off-domain point and True at the
+    truth; the observed log relative likelihood is -inf exactly where the
+    mask is False; a Scenario whose truth is off the domain is rejected."""
+    kwargs, truth, off, _ = _FAR_POINTS[model_id]
+    model = model_from_id(model_id, _N_FAR, kwargs)
+    points = np.array([truth, *off], dtype=float)
+    inside, rule = model.domain(points)
+    assert inside.tolist() == [True] + [False] * len(off)
+    assert isinstance(rule, str) and rule
+    data = model.sample(np.asarray(truth, dtype=float), _N_FAR, np.random.default_rng(3))
+    observed = observed_log_rel_lik(model, data)(points)
+    assert np.array_equal(observed == -np.inf, ~inside)
+    for point in off:
+        with pytest.raises(ScenarioError, match="domain"):
+            Scenario(model_id=model_id, truth=tuple(point), n=_N_FAR, reps=1,
+                     method="naive", seed=1, model_kwargs=kwargs)
 
 
 def _assert_zero_quietly(contour, point):
@@ -237,12 +260,12 @@ def _assert_zero_quietly(contour, point):
 def test_mc_contour_is_zero_far_from_the_domain(model_id):
     """Off the domain and at huge-magnitude points the contour is exactly 0,
     with nothing raised and no floating-point warning."""
-    kwargs, truth, points = _FAR_POINTS[model_id]
+    kwargs, truth, off, huge = _FAR_POINTS[model_id]
     model = model_from_id(model_id, _N_FAR, kwargs)
     rng = np.random.default_rng(3)
     data = model.sample(np.asarray(truth, dtype=float), _N_FAR, rng)
     contour = make_mc_contour(model, data, m=200, seed=1)
-    for point in points:
+    for point in off + huge:
         _assert_zero_quietly(contour, point)
 
 
@@ -260,7 +283,8 @@ def test_mc_batch_is_zero_far_from_the_domain(model_id):
     with no floating-point warning.  Rows off the domain (observed relative
     likelihood 0) consume no randomness: dropping them leaves every other
     row's value unchanged."""
-    kwargs, truth, points = _FAR_POINTS[model_id]
+    kwargs, truth, off, huge = _FAR_POINTS[model_id]
+    points = off + huge
     model = model_from_id(model_id, _N_FAR, kwargs)
     data = model.sample(np.asarray(truth, dtype=float), _N_FAR, np.random.default_rng(3))
     contour = make_mc_contour(model, data, m=200, seed=1)
@@ -343,7 +367,7 @@ def _contract_cases():
     the gamma profile kernel."""
     cases = []
     for model_id in sorted(_REGISTRY):
-        kwargs, truth, _ = _FAR_POINTS[model_id]
+        kwargs, truth, _, _ = _FAR_POINTS[model_id]
         model = model_from_id(model_id, _N_FAR, kwargs)
         rows = np.outer([1.0, 0.9, 1.1], truth)
         cases.append((model_id, model.sim_log_rel_lik, rows, _N_FAR))

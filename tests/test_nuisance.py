@@ -350,17 +350,20 @@ def test_censored_contour_no_censoring_reduces_to_plain_mc():
 
 def test_censored_sim_hook_survives_log_reparam():
     """``log_reparam`` wraps the censored kernel: at eta it draws exactly
-    what the base kernel draws at theta = exp(eta), and far rows are -inf."""
+    what the base kernel draws at theta = exp(eta).  A far row lies off the
+    log model's domain, so its contour is 0 and the kernel never sees it."""
     data = _censored_data()
     ghat = kaplan_meier_swapped(data)
-    eta_sim = censored_model(log_reparam(lognormal_censored()), ghat).sim_log_rel_lik
+    log_model = censored_model(log_reparam(lognormal_censored()), ghat)
+    eta_sim = log_model.sim_log_rel_lik
     base_sim = censored_model(lognormal_censored(), ghat).sim_log_rel_lik
     assert eta_sim is not None
     etas = np.array([[np.log(0.3), np.log(0.49)], [0.0, 800.0], [np.log(0.6), np.log(0.3)]])
-    got = eta_sim(etas, data.n, 300, np.random.default_rng(41))
+    assert np.array_equal(log_model.domain(etas)[0], [True, False, True])
+    got = eta_sim(etas[[0, 2]], data.n, 300, np.random.default_rng(41))
     want = base_sim(np.exp(etas[[0, 2]]), data.n, 300, np.random.default_rng(41))
-    assert np.array_equal(got[[0, 2]], want)
-    assert np.all(got[1] == -np.inf)
+    assert np.array_equal(got, want)
+    assert make_mc_contour(log_model, data, m=50, seed=1)(etas[1]) == 0.0
 
 
 def test_censored_sim_without_mass_fails_when_run():
@@ -550,6 +553,28 @@ def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
     assert np.isnan(contour(-1.0)) and np.isnan(contour.eval_at_node([0.0], 0))
     with pytest.raises((ValueError, FiberOptimizationError)):
         profile_contour(model, data, spec, -1.0, 90, np.random.default_rng(8))
+
+
+def test_profile_kernel_below_shape_one_matches_the_loop():
+    """Below shape 1 the profile kernel draws log x, as the model kernel
+    does: at shape 0.001, where a gamma draw underflows to 0, every ratio is
+    finite, and at shape 0.3 a row's values match the per-dataset loop
+    through the sampler in a batch that also has a row above shape 1."""
+    model = gamma_mean_shape()
+    spec = gamma_mean_profile()
+    kernel = spec.sim_profile_log_rel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = kernel(np.array([[0.001, 2.0]]), 12, 2000, np.random.default_rng(0))
+    assert np.all(np.isfinite(tiny)) and np.all(tiny <= 1e-12)
+    n, m = 12, 1500
+    thetas = np.array([[0.3, 2.0], [2.5, 1.5]])
+    fast = kernel(thetas, n, m, np.random.default_rng(51))
+    rng = np.random.default_rng(52)
+    for i, theta in enumerate(thetas):
+        loop = [np.log(relative_profile_likelihood(model, model.sample(theta, n, rng), spec,
+                                                   theta[1])) for _ in range(m)]
+        assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
 
 
 def test_profile_kernel_failure_is_nan_for_the_phis_of_its_call():
