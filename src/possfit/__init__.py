@@ -52,7 +52,6 @@ from .contours import (  # noqa: F401
     make_exact_binomial,
     make_exact_contour,
     make_mc_contour,
-    mc_contour,
 )
 from .families import (  # noqa: F401
     DirichletFamily,
@@ -60,7 +59,6 @@ from .families import (  # noqa: F401
     GaussianVectorFamily,
     boundary_points,
     credible_ellipsoid_membership,
-    dirichlet_contour,
     dirichlet_contour_object,
     family_from_json,
     family_to_json,
@@ -119,10 +117,8 @@ from .nuisance import (  # noqa: F401
     QuantileCompanionFamily,
     RiskMinimizationError,
     RiskSpec,
-    censored_contour,
     censored_model,
     empirical_risk,
-    empirical_risk_contour,
     empirical_risk_rel,
     fit_profile_companion,
     fit_quantile_companion,
@@ -133,8 +129,6 @@ from .nuisance import (  # noqa: F401
     make_profile_contour,
     normal_reference_kde,
     profile_companion_family,
-    profile_contour,
-    profile_probe_values,
     quantile_companion_contour,
     quantile_companion_family,
     quantile_erm,

@@ -42,6 +42,7 @@ from ._render import csv_text, json_text, write_text
 from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
+    config_bool,
     config_int,
     grid_eval,
     make_exact_contour,
@@ -360,7 +361,7 @@ class Scenario:
                 sa=sa,
                 grid=grid,
                 m=config_int(config.get("m", 500), "m"),
-                log_params=bool(config.get("log_params", False)),
+                log_params=config_bool(config.get("log_params", False), "log_params"),
                 data_params=config.get("data_params"),
                 model_kwargs=dict(config.get("model_kwargs", {})),
             )
@@ -645,7 +646,8 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     since Monte Carlo would only add noise around it; otherwise ``naive``
     is the Monte Carlo contour of size ``m``.  ``censored`` needs a
     ``censored_sim`` hook, ``bootstrap`` a quantile level ``tau`` (with
-    ``B`` resamples), and the variational methods an ``sa`` config.
+    ``B`` resamples) and a vector of responses, and the variational methods
+    an ``sa`` config.
     ``seed`` seeds the contour's streams or the fit.  A method the model
     cannot serve raises :class:`ScenarioError`.
     """
@@ -664,7 +666,11 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
         family, _ = fit(model, data, replace(sa, seed=seed))
         return gaussian_contour_object(family), family
     if method == "bootstrap":
-        return make_empirical_risk_contour(data, _bootstrap_spec(tau, B), seed=seed), None
+        spec = _bootstrap_spec(tau, B)
+        try:
+            return make_empirical_risk_contour(data, spec, seed=seed), None
+        except ValueError as exc:
+            raise ScenarioError(f"the bootstrap method: {exc}") from None
     if method == "censored":
         if model.censored_sim is None:
             raise ScenarioError(
@@ -706,6 +712,8 @@ def _guarded(fn):
     def safe(r):
         try:
             return (*fn(r), None)
+        except ScenarioError:  # the scenario itself cannot run
+            raise
         except Exception as exc:  # recorded, not fatal
             return np.nan, np.nan, f"{type(exc).__name__}: {exc}"
 
@@ -732,7 +740,8 @@ def validity_study(
     """Distribution of the contour at the truth over ``reps`` replications.
 
     Per-replication failures are recorded on the report rather than raised;
-    more than 5% of them abort the study with :class:`StudyError`.
+    more than 5% of them abort the study with :class:`StudyError`.  A
+    :class:`ScenarioError`, a scenario no replication can run, is raised.
     """
     model = build_model(scenario)
     alphas = np.asarray(

@@ -53,7 +53,7 @@ from .calibration import (
     model_from_id,
     validity_study,
 )
-from .contours import AxisSpec, NonFiniteContourError, config_int, grid_eval
+from .contours import AxisSpec, NonFiniteContourError, config_bool, config_int, grid_eval
 from .families import family_to_json
 from .inference import (
     ChoquetSpec,
@@ -297,11 +297,15 @@ def _model_and_data(config: dict, seed: int):
             raise ConfigError("simulate data needs 'theta' and 'n'")
         n = _integer(doc, "n")
 
+    try:
+        log_params = config_bool(config.get("log_params", False), "log_params")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     model = model_from_id(
         model_id,
         n=n,
         model_kwargs=config.get("model_kwargs"),
-        log_params=bool(config.get("log_params", False)),
+        log_params=log_params,
     )
     if data is None:
         theta = np.asarray(spec["simulate"]["theta"], dtype=float).ravel()

@@ -15,6 +15,8 @@ The profile contour simulates the fiber probes of a batch as one batch.
 The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
+The factories here are :func:`make_exact_contour` (with
+:func:`make_exact_binomial`) and :func:`make_mc_contour`.
 
 A Monte Carlo contour also carries a batch decision evaluator,
 ``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
@@ -61,7 +63,6 @@ __all__ = [
     "exact_binomial_contour",
     "make_exact_contour",
     "make_exact_binomial",
-    "mc_contour",
     "make_mc_contour",
     "grid_eval",
     "alpha_cut",
@@ -292,43 +293,24 @@ def _mc_batch(
     return out
 
 
-def mc_contour(
-    model: ModelSpec,
-    data: Dataset,
-    theta,
-    m: int,
-    rng: np.random.Generator,
-    observed: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> float:
-    """Monte Carlo contour: share of m datasets simulated under theta whose
-    relative likelihood at theta is <= the observed one (ties included).
-
-    This is a batch of one point of the contour that :func:`make_mc_contour`
-    builds, whose ``evaluate_batch`` runs the same code on many points.
-    ``observed`` is ``observed_log_rel_lik(model, data)``, passed by callers
-    that evaluate many points on the same data so its statistics are
-    computed once.  Off the domain (observed relative likelihood 0) the
-    contour is exactly 0, since data simulated under theta have a positive
-    likelihood there, and nothing is simulated.  Replicates whose refitting
-    machinery fails count as included, and an observed value that cannot be
-    computed yields 1 — both choices push the estimate upward, never below
-    the exact contour.  When the simulation kernel itself raises, the value
-    is NaN, which callers count as a failed evaluation.
-    """
-    point = np.asarray(theta, dtype=float).ravel()[None, :]
-    obs = observed or observed_log_rel_lik(model, data)
-    return float(_mc_batch(model, data, point, m, rng, obs)[0])
-
-
 def make_mc_contour(
     model: ModelSpec, data: Dataset, m: int, seed: int
 ) -> PossibilityContour:
-    """Monte Carlo possibility contour with reproducible seeded streams.
+    """Monte Carlo possibility contour with reproducible seeded streams: at
+    theta, the share of m datasets simulated under theta whose relative
+    likelihood at theta is <= the observed one (ties included).
 
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
     one generator.  ``exceeds_batch(thetas, alpha, rng)`` decides value >
     alpha at each point by exact curtailment (see the module docstring).
+    Off the domain (observed relative likelihood 0) the contour is exactly
+    0, since data simulated under theta have a positive likelihood there,
+    and nothing is simulated.  Replicates whose refitting machinery fails
+    count as included, and an observed value that cannot be computed
+    yields 1 — both choices push the estimate upward, never below the
+    exact contour.  When the simulation kernel itself raises, the value is
+    NaN, which callers count as a failed evaluation.
     """
     dim = model.dim if model.dim is not None else data.n
     observed = observed_log_rel_lik(model, data)
@@ -354,6 +336,14 @@ def config_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def config_bool(value, key: str) -> bool:
+    """A run config's flag: JSON true or false, never a number, string or
+    null; a ValueError naming ``key`` otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

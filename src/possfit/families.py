@@ -40,7 +40,6 @@ __all__ = [
     "gaussian_contour",
     "gaussian_info_matrix",
     "gaussian_cov_matrix",
-    "dirichlet_contour",
     "credible_ellipsoid_membership",
     "boundary_points",
     "gaussian_contour_object",
@@ -301,36 +300,6 @@ def _dirichlet_log_density_kernel(conc: np.ndarray, thetas: np.ndarray) -> np.nd
     return np.sum(special.xlogy(conc - 1.0, thetas), axis=-1)
 
 
-def _dirichlet_lookup(family: DirichletFamily, m: int, rng: np.random.Generator):
-    """Batch evaluator Q{q(Theta) <= q(theta)} at (k, K) points, on m draws
-    of Theta from the family made on ``rng``.  Small density means small
-    possibility; points off the open simplex get 0."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    conc = family.concentration
-
-    def statistic(thetas):
-        on = np.all(thetas > 0.0, axis=1) & (np.abs(thetas.sum(axis=1) - 1.0) <= 1e-8)
-        return np.where(on, _dirichlet_log_density_kernel(conc, thetas), -np.inf)
-
-    return _lookup_batch(
-        statistic, _dirichlet_log_density_kernel(conc, rng.dirichlet(conc, size=m)))
-
-
-def dirichlet_contour(
-    family: DirichletFamily, theta, m: int, rng: np.random.Generator
-) -> float:
-    """Q{q(Theta) <= q(theta)} under Theta ~ the family, by m draws from
-    ``rng``: the contour :func:`dirichlet_contour_object` builds, at one
-    point given with all K coordinates.  Boundary points get 0.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != family.dim:
-        raise ValueError("theta has the wrong number of categories")
-    return float(_dirichlet_lookup(family, m, rng)(theta[None, :], None)[0])
-
-
 # ---------------------------------------------------------------------------
 # contour objects
 # ---------------------------------------------------------------------------
@@ -349,20 +318,30 @@ def gaussian_contour_object(family: GaussianFamily) -> PossibilityContour:
 def dirichlet_contour_object(
     family: DirichletFamily, m: int, seed: int
 ) -> PossibilityContour:
-    """Monte Carlo Dirichlet contour over the first K-1 simplex coordinates.
+    """Monte Carlo Dirichlet contour Q{q(Theta) <= q(theta)} over the first
+    K-1 simplex coordinates: small density means small possibility.
 
     Grid axes cannot span the simplex itself, so the contour takes the first
     K-1 coordinates and completes the last as 1 - sum; embedded points off
-    the simplex evaluate to 0.  Its m draws are made once, on the stream
-    ``(seed, REF_TAG)``, so the contour is a deterministic lookup.
+    the open simplex evaluate to 0.  Its m draws of Theta are made once, on
+    the stream ``(seed, REF_TAG)``, so the contour is a deterministic lookup.
     """
-    lookup = _dirichlet_lookup(family, m, derive_rng(seed, REF_TAG))
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    conc = family.concentration
+
+    def statistic(thetas):
+        full = np.column_stack([thetas, 1.0 - np.sum(thetas, axis=1)])
+        on = np.all(full > 0.0, axis=1) & (np.abs(full.sum(axis=1) - 1.0) <= 1e-8)
+        return np.where(on, _dirichlet_log_density_kernel(conc, full), -np.inf)
+
+    draws = derive_rng(seed, REF_TAG).dirichlet(conc, size=m)
     return PossibilityContour(
         kind="dirichlet-mc",
         dim=family.dim - 1,
-        evaluate_batch=lambda thetas, rng: lookup(np.column_stack(
-            [thetas, 1.0 - np.sum(thetas, axis=1)]), rng),
-        meta={"family": family_to_json(family), "m": int(m), "seed": int(seed)},
+        evaluate_batch=_lookup_batch(statistic, _dirichlet_log_density_kernel(conc, draws)),
+        meta={"family": family_to_json(family), "m": m, "seed": int(seed)},
     )
 
 

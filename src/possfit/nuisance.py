@@ -13,6 +13,10 @@ Three constructions, in increasing order of how little they assume:
 * a censored-data plug-in where the censoring distribution is estimated
   by the product-limit method with the censoring labels swapped and then
   held fixed while the parametric part is validated by Monte Carlo.
+
+Each is built as one :class:`~possfit.contours.PossibilityContour`, by
+:func:`make_profile_contour`, :func:`make_empirical_risk_contour` and
+:func:`make_censored_contour`; a point value is a batch of one.
 """
 
 import dataclasses
@@ -23,13 +27,7 @@ import numpy as np
 from scipy import special
 
 from ._rng import REF_TAG, derive_rng
-from .contours import (
-    PossibilityContour,
-    _lookup_batch,
-    _mc_batch,
-    make_mc_contour,
-    mc_contour,
-)
+from .contours import PossibilityContour, _lookup_batch, _mc_batch, make_mc_contour
 from .families import GaussianScalarFamily, chi2_sf
 from .models import (
     Dataset,
@@ -48,10 +46,8 @@ __all__ = [
     "QuantileCompanionFamily",
     "RiskMinimizationError",
     "RiskSpec",
-    "censored_contour",
     "censored_model",
     "empirical_risk",
-    "empirical_risk_contour",
     "empirical_risk_rel",
     "fit_profile_companion",
     "fit_quantile_companion",
@@ -62,8 +58,6 @@ __all__ = [
     "make_profile_contour",
     "normal_reference_kde",
     "profile_companion_family",
-    "profile_contour",
-    "profile_probe_values",
     "quantile_companion_contour",
     "quantile_companion_family",
     "quantile_erm",
@@ -162,23 +156,21 @@ def _profile_model(model: ModelSpec, spec: ProfileSpec) -> ModelSpec:
                                sim_log_rel_lik=spec.sim_profile_log_rel)
 
 
-def _probe_values(model, data, spec, phis, m, rng, count, strict=False) -> list:
+def _probe_values(model, data, spec, phis, m, rng) -> list:
     """Per-probe Monte Carlo values at each phi, as a list of arrays: the
     probes of all phis are one batch of the Monte Carlo contour loop, in
     order on ``rng``.  A phi whose fiber maximizer or probe points fail
-    raises when ``strict``, and otherwise gets no probes and draws nothing."""
+    gets no probes and draws nothing."""
     obs, points, sizes = [], [], []
     for phi in phis:
         try:
             o = _profile_log_rel(model, data, spec, phi)
             p = np.atleast_2d(np.asarray(
                 _fiber_point(spec, data, phi) if spec.fiber_probes is None
-                else spec.fiber_probes(data, phi, count), dtype=float))
+                else spec.fiber_probes(data, phi, int(spec.probes)), dtype=float))
             obs += [o] * len(p)
             points += list(p)
         except Exception:
-            if strict:
-                raise
             p = []
         sizes.append(len(p))
     values = np.empty(0)
@@ -188,52 +180,19 @@ def _probe_values(model, data, spec, phis, m, rng, count, strict=False) -> list:
     return np.split(values, np.cumsum(sizes)[:-1])
 
 
-def profile_probe_values(
-    model: ModelSpec,
-    data: Dataset,
-    spec: ProfileSpec,
-    phi: float,
-    m: int,
-    rng: np.random.Generator,
-    probes: Optional[int] = None,
-) -> np.ndarray:
-    """Per-probe Monte Carlo estimates whose maximum is the profile contour.
-
-    The spread across probes is the diagnostic for how flat the sampling
-    distribution is along the fiber.  Simulated replicates whose refit
-    fails count as included, mirroring mc_contour; a failing fiber
-    maximizer or probe set raises.
-    """
-    count = int(spec.probes if probes is None else probes)
-    if count < 1:
-        raise ValueError("probe count must be >= 1")
-    return _probe_values(model, data, spec, [float(phi)], m, rng, count, strict=True)[0]
-
-
-def profile_contour(
-    model: ModelSpec,
-    data: Dataset,
-    spec: ProfileSpec,
-    phi: float,
-    m: int,
-    rng: np.random.Generator,
-    probes: Optional[int] = None,
-) -> float:
-    """Monte Carlo profile contour: max over fiber probes of the inner
-    probability P_theta{R^pr(X, phi) <= R^pr(x, phi)}."""
-    return float(np.max(profile_probe_values(model, data, spec, phi, m, rng, probes)))
-
-
 def make_profile_contour(
     model: ModelSpec, data: Dataset, spec: ProfileSpec, m: int, seed: int
 ) -> PossibilityContour:
-    """Profile contour over the scalar interest value, as a contour object:
-    its batch simulates the probes of all phis together, so a phi whose
-    fiber fails is NaN and a raising kernel makes NaN every phi in its call.
+    """Monte Carlo profile contour over the scalar interest value: at phi,
+    the max over the fiber probes of the inner probability
+    P_theta{R^pr(X, phi) <= R^pr(x, phi)}.  Its batch simulates the probes
+    of all phis together, so a phi whose fiber fails is NaN and a raising
+    kernel makes NaN every phi in its call.  Simulated replicates whose
+    refit fails count as included, as in the Monte Carlo contour.
     """
     def batch(thetas, rng):
         phis = np.atleast_2d(np.asarray(thetas, dtype=float))[:, 0].tolist()
-        values = _probe_values(model, data, spec, phis, m, rng, int(spec.probes))
+        values = _probe_values(model, data, spec, phis, m, rng)
         return np.array([np.max(v) if v.size else np.nan for v in values])
 
     return PossibilityContour(
@@ -429,16 +388,21 @@ def empirical_risk_rel(spec: RiskSpec, values, theta) -> float:
     return float(np.exp(min(-gap, 0.0)))
 
 
-def _empirical_risk_lookup(data: Dataset, spec: RiskSpec,
-                           rng: np.random.Generator, B: Optional[int]):
-    """Batch evaluator of the bootstrap contour on B resamples drawn from
-    ``rng``.  The observed minimizer is the truth of the bootstrap world, so
-    each resample's ratio is taken at theta_hat, not at theta, and one set
-    of resamples serves every theta."""
-    B = int(spec.B if B is None else B)
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    v = np.asarray(data.responses, dtype=float).ravel()
+def make_empirical_risk_contour(
+    data: Dataset, spec: RiskSpec, seed: int
+) -> PossibilityContour:
+    """Bootstrap empirical-risk contour: at theta, the share of ``spec.B``
+    resamples of the data whose risk ratio is at most the observed one
+    (ties included).  The resamples are drawn once, on the stream
+    ``(seed, REF_TAG)``, so the contour is a deterministic lookup.  The
+    observed minimizer is the truth of the bootstrap world, so each
+    resample's ratio is taken at theta_hat, not at theta, and one set of
+    resamples serves every theta.  Responses that are not a vector (paired
+    data, say) raise ValueError."""
+    v = np.asarray(data.responses, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(
+            f"the bootstrap contour needs a vector of responses, got shape {v.shape}")
     n = v.size
     theta_hat = spec.erm(v)
     if np.any(np.isnan(theta_hat)):
@@ -446,8 +410,7 @@ def _empirical_risk_lookup(data: Dataset, spec: RiskSpec,
             "empirical-risk minimizer failed on the observed data"
         )
     rho_hat = empirical_risk(spec, v, float(theta_hat))
-    idx = rng.integers(0, n, size=(B, n))
-    vb = v[idx]
+    vb = v[derive_rng(seed, REF_TAG).integers(0, n, size=(int(spec.B), n))]
     th_b = np.asarray(spec.erm(vb), dtype=float)
     if np.any(np.isnan(th_b)):
         raise RiskMinimizationError(
@@ -455,38 +418,14 @@ def _empirical_risk_lookup(data: Dataset, spec: RiskSpec,
         )
     rho_t = np.mean(spec.loss(vb, float(theta_hat)), axis=-1)
     rho_h = np.mean(spec.loss(vb, th_b[:, None]), axis=-1)
-    return _lookup_batch(
-        lambda thetas: -(np.mean(spec.loss(v, thetas[:, :1]), axis=-1) - rho_hat),
-        -(rho_t - rho_h),
-    )
-
-
-def empirical_risk_contour(
-    data: Dataset,
-    spec: RiskSpec,
-    theta,
-    rng: np.random.Generator,
-    B: Optional[int] = None,
-) -> float:
-    """Share of B bootstrap resamples drawn from ``rng`` whose risk ratio
-    is at most the observed one at theta (ties included): the contour
-    :func:`make_empirical_risk_contour` builds, at one point."""
-    point = np.asarray(theta, dtype=float).ravel()[None, :1]
-    return float(_empirical_risk_lookup(data, spec, rng, B)(point, None)[0])
-
-
-def make_empirical_risk_contour(
-    data: Dataset, spec: RiskSpec, seed: int, B: Optional[int] = None
-) -> PossibilityContour:
-    """Bootstrap empirical-risk contour on B resamples drawn once, on the
-    stream ``(seed, REF_TAG)``: a deterministic lookup of the risk ratio."""
-    B = int(spec.B if B is None else B)
     return PossibilityContour(
         kind="bootstrap-er",
         dim=1,
-        evaluate_batch=_empirical_risk_lookup(
-            data, spec, derive_rng(seed, REF_TAG), B),
-        meta={"spec": spec.name, "B": B, "seed": int(seed)},
+        evaluate_batch=_lookup_batch(
+            lambda thetas: -(np.mean(spec.loss(v, thetas[:, :1]), axis=-1) - rho_hat),
+            -(rho_t - rho_h),
+        ),
+        meta={"spec": spec.name, "B": int(spec.B), "seed": int(seed)},
     )
 
 
@@ -705,20 +644,9 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
     )
 
 
-def censored_contour(
-    model: ModelSpec,
-    data: Dataset,
-    ghat: CensoringEstimate,
-    theta,
-    m: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo contour for the parametric part, with censoring levels
-    resampled from ghat in every replicate."""
-    return mc_contour(censored_model(model, ghat), data, theta, int(m), rng)
-
-
 def make_censored_contour(
     model: ModelSpec, data: Dataset, ghat: CensoringEstimate, m: int, seed: int
 ) -> PossibilityContour:
+    """Monte Carlo contour for the parametric part, with censoring levels
+    resampled from ghat in every replicate."""
     return make_mc_contour(censored_model(model, ghat), data, m=int(m), seed=int(seed))

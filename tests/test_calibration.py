@@ -412,6 +412,23 @@ def test_bootstrap_validity_structural():
     assert np.array_equal(report.values, again.values)
 
 
+def test_bootstrap_on_paired_responses_is_a_scenario_error():
+    """A bvn bootstrap study once ran with no failures on responses
+    flattened to 2n values; build_contour and the study both raise a
+    ScenarioError instead of recording a failure per replication."""
+    scn = Scenario(
+        model_id="bvn-correlation", truth=(0.0,), n=30, reps=5,
+        method="bootstrap", seed=41, data_params=(0.3,),
+        model_kwargs={"tau": 0.5, "B": 50},
+    )
+    data = build_model(scn).sample(np.array([0.3]), 30, np.random.default_rng(1))
+    with pytest.raises(ScenarioError, match="needs a vector of responses"):
+        calibration.build_contour("bootstrap", build_model(scn), data, 3, m=10, tau=0.5)
+    for threads in (1, 2):
+        with pytest.raises(ScenarioError, match="needs a vector of responses"):
+            validity_study(scn, threads=threads)
+
+
 def test_censored_validity_structural():
     scn = Scenario(
         model_id="lognormal-censored", truth=(0.3, 0.49), n=30, reps=40,

@@ -30,6 +30,8 @@ import pytest
 
 from possfit import (
     AxisSpec,
+    Scenario,
+    ScenarioError,
     exact_binomial_contour,
     grid_eval,
     make_exact_binomial,
@@ -390,6 +392,51 @@ class TestConfigHandling:
         assert run(write_config(tmp_path, cfg)) == 2
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["contour", "calibrate"])
+    def test_bootstrap_on_paired_responses_exit2(self, tmp_path, capsys, command):
+        """The bootstrap contour resamples a vector of responses; bvn pairs
+        were once read as one vector of 2n values mixing both columns.  A
+        config error, with nothing written."""
+        if command == "contour":
+            cfg = contour_config(
+                tmp_path, model="bvn-correlation", method="bootstrap",
+                bootstrap={"tau": 0.5, "B": 200},
+                data={"simulate": {"theta": [0.3], "n": 30}},
+                grid=[{"lo": -0.9, "hi": 0.9, "count": 5}])
+        else:
+            cfg = calibrate_config(
+                tmp_path, model="bvn-correlation", truth=[0.0], data_params=[0.3],
+                n=30, method="bootstrap", model_kwargs={"tau": 0.5, "B": 50})
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "needs a vector of responses" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("reader", ["cli", "scenario"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None],
+                             ids=["false-string", "true-string", "0", "1", "null"])
+    def test_log_params_must_be_a_json_boolean(self, tmp_path, capsys, reader, value):
+        """"log_params": "false" once meant true: a gamma contour then drew
+        its data and read its grid on the log scale.  Only JSON true or
+        false is a flag; a missing key means false."""
+        if reader == "scenario":
+            config = {"model": "gamma", "truth": [2.0, 1.5], "n": 20, "reps": 3,
+                      "method": "naive", "seed": 1}
+            assert Scenario.from_config(config).log_params is False
+            assert Scenario.from_config(dict(config, log_params=True)).log_params
+            with pytest.raises(ScenarioError, match="log_params must be true or false"):
+                Scenario.from_config(dict(config, log_params=value))
+            return
+        cfg = contour_config(
+            tmp_path, model="gamma", method="naive", m=20, log_params=value,
+            data={"simulate": {"theta": [2.0, 1.5], "n": 10}},
+            grid=[{"lo": 0.5, "hi": 3.0, "count": 3}] * 2)
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "log_params must be true or false" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        cfg["log_params"] = False
+        assert run(write_config(tmp_path, cfg)) == 0
 
     def test_logistic_without_design_exit2(self, tmp_path, capsys):
         cfg = contour_config(

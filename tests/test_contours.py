@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from possfit._rng import REF_TAG, derive_rng
 from possfit.calibration import _REGISTRY, Scenario, ScenarioError, model_from_id
 from possfit.contours import (
     AxisSpec,
@@ -25,26 +24,21 @@ from possfit.contours import (
     grid_eval,
     make_exact_binomial,
     make_mc_contour,
-    mc_contour,
 )
 from possfit.contours import TIE_EPS, _decision_schedule, _lookup_batch
 from possfit.families import (
     DirichletFamily,
     GaussianVectorFamily,
-    dirichlet_contour,
     dirichlet_contour_object,
     gaussian_contour,
     gaussian_contour_object,
 )
 from possfit.nuisance import (
-    censored_contour,
-    empirical_risk_contour,
     gamma_mean_profile,
     kaplan_meier_swapped,
     make_censored_contour,
     make_empirical_risk_contour,
     make_profile_contour,
-    profile_contour,
     quantile_risk_spec,
 )
 from possfit.models import (
@@ -146,9 +140,14 @@ def test_exact_contour_object_wraps_scalar_path():
 # ---------------------------------------------------------------------------
 
 
+def _mc_point(model, data, theta, m, rng):
+    """One point of the Monte Carlo contour, evaluated on ``rng``."""
+    return make_mc_contour(model, data, m, seed=0).evaluate(theta, rng)
+
+
 def test_mc_contour_is_one_at_mle():
     data = _binom_data(6, 15)
-    v = mc_contour(binomial(), data, np.array([0.4]), 500, np.random.default_rng(0))
+    v = _mc_point(binomial(), data, np.array([0.4]), 500, np.random.default_rng(0))
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
@@ -157,14 +156,14 @@ def test_mc_contour_tracks_exact_within_mc_error():
     m = 4000
     for i, theta in enumerate([0.2, 0.35, 0.5, 0.65, 0.8]):
         p = exact_binomial_contour(15, 6, theta)
-        v = mc_contour(binomial(), data, np.array([theta]), m, np.random.default_rng(i))
+        v = _mc_point(binomial(), data, np.array([theta]), m, np.random.default_rng(i))
         assert abs(v - p) <= 4 * np.sqrt(p * (1 - p) / m) + 1e-12
 
 
 def test_mc_contour_seed_determinism():
     data = _binom_data(6, 15)
     args = (binomial(), data, np.array([0.55]), 800)
-    assert mc_contour(*args, np.random.default_rng(42)) == mc_contour(
+    assert _mc_point(*args, np.random.default_rng(42)) == _mc_point(
         *args, np.random.default_rng(42)
     )
 
@@ -178,7 +177,7 @@ def test_mc_contour_generic_fallback_matches_fast_path():
     slow = dataclasses.replace(fast, sim_log_rel_lik=None)
     m = 1500
     p = exact_binomial_contour(15, 6, 0.55)
-    v = mc_contour(slow, data, np.array([0.55]), m, np.random.default_rng(9))
+    v = _mc_point(slow, data, np.array([0.55]), m, np.random.default_rng(9))
     assert abs(v - p) <= 4 * np.sqrt(p * (1 - p) / m)
 
 
@@ -196,8 +195,8 @@ def test_mc_contour_counts_failed_replicates_as_ties():
         mle=bad_mle,
         information=lambda ds: np.eye(1),
     )
-    v = mc_contour(model, Dataset(responses=np.zeros(4)), np.array([0.0]), 50,
-                   np.random.default_rng(1))
+    v = _mc_point(model, Dataset(responses=np.zeros(4)), np.array([0.0]), 50,
+                  np.random.default_rng(1))
     assert v == 1.0  # every replicate fell back to the inclusive tie rule
 
 
@@ -611,59 +610,49 @@ def test_grid_eval_equals_seeded_pointwise_calls():
 
 
 def _factory_case(name):
-    """(contour, point, the public one-point function or None) per factory."""
+    """(contour, point) per factory."""
     binom = _binom_data(6, 15)
     gamma = Dataset(responses=np.random.default_rng(3).gamma(8.0, 0.25, size=20))
     if name == "exact":
-        return make_exact_binomial(binom), np.array([0.37]), None
+        return make_exact_binomial(binom), np.array([0.37])
     if name == "monte-carlo":
-        return (make_mc_contour(binomial(), binom, m=200, seed=5), np.array([0.37]),
-                lambda th, rng: mc_contour(binomial(), binom, th, 200, rng))
+        return make_mc_contour(binomial(), binom, m=200, seed=5), np.array([0.37])
     if name == "censored":
         rng = np.random.default_rng(11)
         y = np.exp(rng.normal(0.3, 0.7, size=24))
         c = np.where(np.arange(24) % 2 == 0, 0.9, 1.4)
         data = Dataset(responses=np.maximum(y, c), censor=(y >= c).astype(int))
         ghat = kaplan_meier_swapped(data)
-        model = lognormal_censored()
-        return (make_censored_contour(model, data, ghat, m=100, seed=5),
-                np.array([0.3, 0.49]),
-                lambda th, rng: censored_contour(model, data, ghat, th, 100, rng))
+        return (make_censored_contour(lognormal_censored(), data, ghat, m=100, seed=5),
+                np.array([0.3, 0.49]))
     if name == "gaussian":
-        fam = GaussianVectorFamily(theta_hat=np.array([0.2, -0.3]),
-                                   info=np.array([[3.0, 0.4], [0.4, 1.5]]),
-                                   xi=np.array([1.1, 0.6]))
-        return (gaussian_contour_object(fam), np.array([0.5, 0.1]),
-                lambda th, rng: gaussian_contour(fam, th))
+        return gaussian_contour_object(_GAUSSIAN_FAMILY), np.array([0.5, 0.1])
     if name == "dirichlet":
         fam = DirichletFamily(mean=np.array([0.2, 0.3, 0.5]), n=20.0, xi=1.0)
-        # a lookup contour draws its reference once, on (seed, REF_TAG)
-        return (dirichlet_contour_object(fam, m=200, seed=5), np.array([0.25, 0.3]),
-                lambda th, rng: dirichlet_contour(fam, np.append(th, 1 - th.sum()),
-                                                  200, derive_rng(5, REF_TAG)))
+        return dirichlet_contour_object(fam, m=200, seed=5), np.array([0.25, 0.3])
     if name == "profile":
-        model, spec = gamma_mean_shape(), gamma_mean_profile()
-        return (make_profile_contour(model, gamma, spec, m=100, seed=5),
-                np.array([2.1]),
-                lambda th, rng: profile_contour(model, gamma, spec, th[0], 100, rng))
-    spec = quantile_risk_spec(0.25, B=100)
-    return (make_empirical_risk_contour(gamma, spec, seed=5), np.array([1.6]),
-            lambda th, rng: empirical_risk_contour(gamma, spec, th,
-                                                   derive_rng(5, REF_TAG)))
+        return (make_profile_contour(gamma_mean_shape(), gamma, gamma_mean_profile(),
+                                     m=100, seed=5), np.array([2.1]))
+    return (make_empirical_risk_contour(gamma, quantile_risk_spec(0.25, B=100), seed=5),
+            np.array([1.6]))
+
+
+_GAUSSIAN_FAMILY = GaussianVectorFamily(theta_hat=np.array([0.2, -0.3]),
+                                        info=np.array([[3.0, 0.4], [0.4, 1.5]]),
+                                        xi=np.array([1.1, 0.6]))
 
 
 @pytest.mark.parametrize("name", ["exact", "monte-carlo", "censored", "gaussian",
                                   "dirichlet", "profile", "bootstrap"])
 def test_point_evaluation_is_a_batch_of_one(name):
     """Every factory gives one evaluator: a point evaluated on a generator
-    equals the batch of that one point on an equal generator, bit for bit,
-    and the public one-point function gives the same value (for a lookup
-    contour, on the generator its factory derives)."""
-    contour, theta, point = _factory_case(name)
+    equals the batch of that one point on an equal generator, bit for bit;
+    the closed-form Gaussian point function gives the same value."""
+    contour, theta = _factory_case(name)
     value = contour.evaluate(theta, np.random.default_rng(9))
     assert value == contour.evaluate_batch(theta[None], np.random.default_rng(9))[0]
-    if point is not None:
-        assert value == point(theta, np.random.default_rng(9))
+    if name == "gaussian":
+        assert value == gaussian_contour(_GAUSSIAN_FAMILY, theta)
     assert 0.0 < value <= 1.0
 
 

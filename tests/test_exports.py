@@ -1,0 +1,55 @@
+"""Export consistency: every public name the package advertises resolves.
+
+Each public ``possfit.*`` module's ``__all__`` names only attributes the
+module has, and every name ``possfit/__init__.py`` imports from a module is
+in that module's ``__all__``, so a deleted function cannot leave a stale
+export behind.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import possfit
+
+PUBLIC_MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(possfit.__path__)
+    if not info.name.startswith("_")
+)
+
+
+def test_public_modules_are_found():
+    assert {"contours", "families", "nuisance", "models"} <= set(PUBLIC_MODULES)
+
+
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"possfit.{name}")
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _package_imports():
+    """(module name, imported name) for each relative import of the package."""
+    tree = ast.parse(Path(possfit.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_package_imports_only_exported_names():
+    pairs = _package_imports()
+    assert len(pairs) > 50
+    stale = [
+        (module, name) for module, name in pairs
+        if name not in importlib.import_module(f"possfit.{module}").__all__
+    ]
+    assert stale == []
+    assert all(hasattr(possfit, name) for _, name in pairs)

@@ -21,7 +21,6 @@ from possfit.families import (
     chi2_ppf,
     chi2_sf,
     credible_ellipsoid_membership,
-    dirichlet_contour,
     dirichlet_contour_object,
     family_from_json,
     family_to_json,
@@ -276,7 +275,7 @@ def test_dirichlet_contour_is_one_at_mode():
     fam = _fig_family(xi=1.0)  # parameters (8, 10, 7), all > 1
     a = fam.mean * fam.n * fam.xi
     mode = (a - 1) / (a.sum() - a.size)
-    v = dirichlet_contour(fam, mode, 10_000, np.random.default_rng(4))
+    v = dirichlet_contour_object(fam, 10_000, seed=4)(mode[:-1])
     assert v >= 0.99
 
 
@@ -284,18 +283,17 @@ def test_dirichlet_contour_symmetry():
     fam = DirichletFamily(mean=np.ones(3) / 3.0, n=30, xi=1.0)
     th = np.array([0.5, 0.3, 0.2])
     m = 20_000
-    v1 = dirichlet_contour(fam, th, m, np.random.default_rng(8))
-    v2 = dirichlet_contour(fam, th[[1, 2, 0]], m, np.random.default_rng(9))
+    v1 = dirichlet_contour_object(fam, m, seed=8)(th[:-1])
+    v2 = dirichlet_contour_object(fam, m, seed=9)(th[[1, 2, 0]][:-1])
     se = np.sqrt(0.25 / m)
     assert abs(v1 - v2) <= 6 * se  # two independent MC estimates, 3 se each
 
 
 def test_dirichlet_contour_boundary_is_zero():
-    fam = _fig_family()
-    assert dirichlet_contour(fam, np.array([0.0, 0.6, 0.4]), 100,
-                             np.random.default_rng(0)) == 0.0
-    assert dirichlet_contour(fam, np.array([-0.1, 0.6, 0.5]), 100,
-                             np.random.default_rng(0)) == 0.0
+    contour = dirichlet_contour_object(_fig_family(), 100, seed=0)
+    assert contour([0.0, 0.6]) == 0.0  # completed to (0.0, 0.6, 0.4)
+    assert contour([-0.1, 0.6]) == 0.0  # completed to (-0.1, 0.6, 0.5)
+    assert contour([0.4, 0.6]) == 0.0  # completed to (0.4, 0.6, 0.0)
 
 
 def test_dirichlet_contour_object_embeds_simplex():
@@ -386,8 +384,8 @@ def test_family_json_round_trip(maker):
         if isinstance(fam, DirichletFamily):
             th = rng.dirichlet(np.ones(3))
             m = 500
-            a = dirichlet_contour(fam, th, m, np.random.default_rng(1))
-            b = dirichlet_contour(back, th, m, np.random.default_rng(1))
+            a = dirichlet_contour_object(fam, m, seed=1)(th[:-1])
+            b = dirichlet_contour_object(back, m, seed=1)(th[:-1])
         else:
             th = fam.theta_hat + rng.standard_normal(fam.theta_hat.size)
             a = gaussian_contour(fam, th)

@@ -21,7 +21,6 @@ from possfit.contours import (
     grid_eval,
     log_relative_likelihood,
     make_mc_contour,
-    mc_contour,
 )
 from possfit.families import GaussianScalarFamily, sample
 from possfit.models import (
@@ -39,10 +38,8 @@ from possfit.nuisance import (
     QuantileCompanionFamily,
     RiskMinimizationError,
     RiskSpec,
-    censored_contour,
     censored_model,
     empirical_risk,
-    empirical_risk_contour,
     empirical_risk_rel,
     fit_profile_companion,
     fit_quantile_companion,
@@ -53,8 +50,6 @@ from possfit.nuisance import (
     make_profile_contour,
     normal_reference_kde,
     profile_companion_family,
-    profile_contour,
-    profile_probe_values,
     quantile_companion_contour,
     quantile_companion_family,
     quantile_erm,
@@ -305,9 +300,8 @@ def test_censored_contour_is_one_at_mle():
     model = lognormal_censored()
     data = _censored_data()
     ghat = kaplan_meier_swapped(data)
-    val = censored_contour(
-        model, data, ghat, model.mle(data), 200, np.random.default_rng(7)
-    )
+    contour = make_censored_contour(model, data, ghat, m=200, seed=0)
+    val = contour.evaluate(model.mle(data), np.random.default_rng(7))
     assert val == pytest.approx(1.0)
 
 
@@ -320,8 +314,10 @@ def test_censored_contour_hook_and_loop_agree():
     slow = dataclasses.replace(plugged, sim_log_rel_lik=None)
     m = 400
     for theta in ([0.2, 0.4], [0.6, 0.7]):
-        a = mc_contour(plugged, data, theta, m, np.random.default_rng(21))
-        b = mc_contour(slow, data, theta, m, np.random.default_rng(22))
+        a = make_mc_contour(plugged, data, m, seed=0).evaluate(
+            theta, np.random.default_rng(21))
+        b = make_mc_contour(slow, data, m, seed=0).evaluate(
+            theta, np.random.default_rng(22))
         pbar = min(max((a + b) / 2, 1.0 / m), 1 - 1.0 / m)
         tol = 3.0 * np.sqrt(2.0 * pbar * (1 - pbar) / m)
         assert abs(a - b) <= tol
@@ -335,14 +331,16 @@ def test_censored_contour_no_censoring_reduces_to_plain_mc():
     ghat = CensoringEstimate(support=np.array([1e-12]), masses=np.array([1.0]))
     theta_hat = model.mle(data)
     m = 300
+    censored = make_censored_contour(model, data, ghat, m, seed=0)
+    plain = make_mc_contour(model, data, m, seed=0)
     offsets = np.array(
         [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.2], [0.2, 0.15],
          [-0.2, 0.1], [0.45, 0.0], [0.0, 0.35], [-0.4, 0.05], [0.1, -0.1]]
     )
     for off in offsets:
         theta = theta_hat + off
-        a = censored_contour(model, data, ghat, theta, m, np.random.default_rng(31))
-        b = mc_contour(model, data, theta, m, np.random.default_rng(32))
+        a = censored.evaluate(theta, np.random.default_rng(31))
+        b = plain.evaluate(theta, np.random.default_rng(32))
         pbar = min(max((a + b) / 2, 1.0 / m), 1 - 1.0 / m)
         tol = 3.0 * np.sqrt(2.0 * pbar * (1 - pbar) / m)
         assert abs(a - b) <= tol
@@ -492,28 +490,26 @@ def test_profile_contour_exactly_one_at_phi_hat():
     data = _gamma_data()
     spec = gamma_mean_profile()
     phi_hat = float(np.mean(data.responses))
-    val = profile_contour(model, data, spec, phi_hat, 80, np.random.default_rng(3))
+    val = make_profile_contour(model, data, spec, m=80, seed=0).evaluate(
+        [phi_hat], np.random.default_rng(3))
     # every simulated profile relative likelihood is <= 1 = observed value
     assert val == 1.0
 
 
 def test_profile_probe_prefix_consistency():
+    """The contour is the max over its probes, and the first of five probes
+    draws what the only probe of a 1-probe spec draws on the same
+    generator, so the 5-probe contour is at least the 1-probe contour."""
     model = gamma_mean_shape()
     data = _gamma_data()
     spec = gamma_mean_profile()
-    phi = 1.8
-    vals5 = profile_probe_values(
-        model, data, spec, phi, 120, np.random.default_rng(17)
-    )
-    vals1 = profile_probe_values(
-        model, data, spec, phi, 120, np.random.default_rng(17), probes=1
-    )
-    assert vals5.shape == (5,)
-    assert vals1.shape == (1,)
-    assert vals5[0] == vals1[0]
-    assert profile_contour(
-        model, data, spec, phi, 120, np.random.default_rng(17)
-    ) == pytest.approx(np.max(vals5))
+    one = dataclasses.replace(spec, probes=1)
+    for phi in (1.8, 2.2):
+        five_val = make_profile_contour(model, data, spec, m=120, seed=0).evaluate(
+            [phi], np.random.default_rng(17))
+        one_val = make_profile_contour(model, data, one, m=120, seed=0).evaluate(
+            [phi], np.random.default_rng(17))
+        assert 0.0 < one_val <= five_val <= 1.0
 
 
 def test_profile_contour_hook_and_loop_agree():
@@ -523,8 +519,10 @@ def test_profile_contour_hook_and_loop_agree():
     no_hook = dataclasses.replace(spec, sim_profile_log_rel=None)
     m = 300
     for phi in (1.7, 2.4):
-        a = profile_contour(model, data, spec, phi, m, np.random.default_rng(41))
-        b = profile_contour(model, data, no_hook, phi, m, np.random.default_rng(42))
+        a = make_profile_contour(model, data, spec, m, seed=0).evaluate(
+            [phi], np.random.default_rng(41))
+        b = make_profile_contour(model, data, no_hook, m, seed=0).evaluate(
+            [phi], np.random.default_rng(42))
         pbar = min(max((a + b) / 2, 1.0 / m), 1 - 1.0 / m)
         tol = 3.0 * np.sqrt(2.0 * pbar * (1 - pbar) / m)
         assert abs(a - b) <= tol
@@ -532,10 +530,9 @@ def test_profile_contour_hook_and_loop_agree():
 
 def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
     """The probes of every phi in a batch are simulated as one batch, in
-    order: each value equals the one-point contour in sequence on one
+    order: each value equals the point evaluations in sequence on one
     generator.  A phi whose fiber maximizer fails (a negative mean) is NaN,
-    draws nothing and changes no other value; the one-point contour raises
-    there."""
+    draws nothing and changes no other value."""
     model, data, spec = gamma_mean_shape(), _gamma_data(), gamma_mean_profile()
     contour = make_profile_contour(model, data, spec, m=90, seed=5)
     for phis in ([[-1.0], [1.7], [2.1], [0.0], [2.4]], [[1.7], [-1.0], [2.1], [2.4]]):
@@ -543,16 +540,13 @@ def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
         bad = phis[:, 0] <= 0.0
         batch = contour.evaluate_batch(phis, np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        assert batch[~bad].tolist() == [
-            profile_contour(model, data, spec, phi, 90, rng) for phi in phis[~bad, 0]]
+        assert batch[~bad].tolist() == [contour.evaluate(phi, rng) for phi in phis[~bad]]
         assert np.isnan(batch[bad]).all()
         kept = contour.evaluate_batch(phis[~bad], np.random.default_rng(8))
         assert np.array_equal(batch[~bad], kept)
     # a batch of one is the contour's own point evaluation
     assert np.isnan(contour.evaluate([-1.0], np.random.default_rng(8)))
     assert np.isnan(contour(-1.0)) and np.isnan(contour.eval_at_node([0.0], 0))
-    with pytest.raises((ValueError, FiberOptimizationError)):
-        profile_contour(model, data, spec, -1.0, 90, np.random.default_rng(8))
 
 
 def test_profile_kernel_below_shape_one_matches_the_loop():
@@ -701,20 +695,17 @@ def test_empirical_risk_contour_one_at_erm_every_seed():
     spec = quantile_risk_spec(0.25, B=200)
     theta_hat = spec.erm(x)
     for seed in range(5):
-        val = empirical_risk_contour(
-            data, spec, theta_hat, np.random.default_rng(seed)
-        )
-        assert val == 1.0
+        assert make_empirical_risk_contour(data, spec, seed=seed)(theta_hat) == 1.0
 
 
 def test_empirical_risk_contour_positive_near_first_quartile():
     rng = np.random.default_rng(123)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
     spec = quantile_risk_spec(0.25, B=500)
-    val = empirical_risk_contour(data, spec, 2.53, np.random.default_rng(7))
+    contour = make_empirical_risk_contour(data, spec, seed=7)
+    val = contour(2.53)
     assert 0.0 < val <= 1.0
-    far = empirical_risk_contour(data, spec, 8.0, np.random.default_rng(7))
-    assert far < val
+    assert contour(8.0) < val
 
 
 def test_empirical_risk_contour_is_peaked():
@@ -724,9 +715,9 @@ def test_empirical_risk_contour_is_peaked():
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
     spec = quantile_risk_spec(0.25, B=500)
     fam = quantile_companion_family(data, 0.25)
+    contour = make_empirical_risk_contour(data, spec, seed=7)
     for theta in (fam.theta_hat - 4.0 * fam.sd, fam.theta_hat + 4.0 * fam.sd):
-        rng = np.random.default_rng(7)
-        assert empirical_risk_contour(data, spec, theta, rng) < 0.05
+        assert contour(theta) < 0.05
 
 
 def test_bootstrap_grid_is_unimodal_around_the_estimate():
@@ -769,10 +760,16 @@ def test_risk_spec_validation_and_minimizer_failure():
     spec = quantile_risk_spec(0.25, B=50)
     bad = dataclasses.replace(spec, erm=lambda v: np.full(np.shape(v)[:-1], np.nan))
     data = Dataset(responses=np.arange(1.0, 9.0))
-    with pytest.raises(ValueError, match="B must be"):
-        make_empirical_risk_contour(data, spec, seed=1, B=0)
     with pytest.raises(RiskMinimizationError):
-        empirical_risk_contour(data, bad, 2.0, np.random.default_rng(0))
+        make_empirical_risk_contour(data, bad, seed=0)
+
+
+def test_bootstrap_contour_rejects_paired_responses():
+    """Paired responses were once flattened into one vector of 2n values;
+    the bootstrap contour needs a vector, and its factory says so."""
+    pairs = Dataset(responses=np.random.default_rng(5).standard_normal((30, 2)))
+    with pytest.raises(ValueError, match=r"vector of responses, got shape \(30, 2\)"):
+        make_empirical_risk_contour(pairs, quantile_risk_spec(0.5, B=50), seed=1)
 
 
 # ---------------------------------------------------------------------------
