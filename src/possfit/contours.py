@@ -244,8 +244,11 @@ def _mc_batch(
     Rows off the domain are 0 and rows whose observed value fails are 1,
     both without simulating, so a kernel only sees rows on the domain.  The
     other rows are simulated chunk by chunk of datasets, the live rows of a
-    chunk in order, at most ``_DATASETS_PER_CALL`` datasets per kernel call;
-    the rows of a call that raises come back NaN and leave the live set.
+    chunk in order, at most ``_DATASETS_PER_CALL`` datasets per kernel call,
+    or all live rows in one call for a model that declares
+    ``sim_whole_batch``.  Every row of a call that raises comes back NaN and
+    leaves the live set, so for such a model one failure fails every live
+    row of its chunk.
     Without ``alpha`` the one chunk is all m datasets, and a row's value is
     its count of included datasets over m.  With ``alpha`` the rows are
     decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
@@ -266,7 +269,8 @@ def _mc_batch(
     counts = np.zeros(thetas.shape[0], dtype=np.int64)
     done = 0
     for chunk in schedule:
-        step = max(1, _DATASETS_PER_CALL // chunk)
+        step = max(1, live.size if model.sim_whole_batch
+                   else _DATASETS_PER_CALL // chunk)
         ok = np.ones(live.size, dtype=bool)
         for start in range(0, live.size, step):
             rows = live[start:start + step]

@@ -18,15 +18,17 @@ Monte Carlo contour engine:
     row, the distribution of ``log R(X, theta)`` for ``X`` drawn by
     ``sample``; it may draw the sufficient statistics directly (or, for a
     discrete statistic, the counts of its support points), so it need not
-    consume the random stream the way ``sample`` does.  Every kernel draws
-    the rows of its batch in row order, as one broadcast draw where it can:
-    kernels whose statistics are small draw them for the whole batch, the
-    GLMs draw all k * m response vectors and refit them in one batched
-    Newton iteration, and the lasso kernel draws only the nonzero
-    coordinates of the batch and the exceedance counts of the zero ones.
-    The engine bounds the datasets of one call, and so a kernel's memory.
-    Without a kernel the engine falls back to a per-dataset loop through
-    ``sample``/``mle``.
+    consume the random stream the way ``sample`` does.  A kernel draws its
+    batch as one broadcast draw where it can: kernels whose statistics are
+    small draw them for the whole batch, the GLMs draw all k * m response
+    vectors and refit them in one batched Newton iteration, and the lasso
+    kernel draws one term per distinct (coordinate, value) pair of the
+    batch, shared by the rows that hold it.  The engine bounds the datasets
+    of one call, and so a kernel's memory, unless the model declares
+    ``sim_whole_batch``: its kernel shares draws across rows and bounds its
+    own memory, so the engine passes it every live row at once (the
+    lasso).  Without a kernel the engine falls back to a per-dataset loop
+    through ``sample``/``mle``.
 
 A model may also declare ``censored_sim(ghat)``, which maps an estimated
 censoring distribution to a kernel of the same contract for data pushed
@@ -219,6 +221,7 @@ class ModelSpec:
     exact_contour_for: Optional[
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
+    sim_whole_batch: bool = False
     meta: dict = field(default_factory=dict)
 
 
@@ -1097,6 +1100,32 @@ def normal_means(sigma: float) -> ModelSpec:
     )
 
 
+# simulated terms per block of the lasso kernel: bounds its temporaries
+_TERMS_PER_BLOCK = 1 << 14
+
+
+def _column_pairs(thetas: np.ndarray):
+    """The distinct (column, value) pairs of a (k, d) batch.
+
+    Returns their values (P,), ordered by column and then value; the pair
+    index of each entry, (k, d); each pair's count of entries, (P,); and
+    each column's most common pair, (d,), the smallest value among equally
+    common ones.
+    """
+    k, d = thetas.shape
+    cols = np.arange(d)
+    order = np.argsort(thetas, axis=0)
+    srt = thetas[order, cols].T  # (d, k), each row sorted
+    new = np.ones((d, k), dtype=bool)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
+    ids = np.cumsum(new).reshape(d, k) - 1
+    pair = np.empty((k, d), dtype=np.intp)
+    pair[order, cols] = ids.T
+    count = np.bincount(ids.ravel())
+    mode = ids[cols, np.argmax(count[ids], axis=1)]
+    return srt[new], pair, count, mode
+
+
 def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
     """Normal means with an L1-penalized likelihood driving the contour.
 
@@ -1110,14 +1139,28 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
     min(|x_i|, c) and whose size |t_i| is (|x_i| - c)_+.  At theta_i = 0
     this is h_i = -(|x_i| - c)_+^2 / (2 sigma^2), nonzero with probability
     p = 2 Phi(-lam sigma), and given that, |x_i| / sigma follows the normal
-    tail beyond lam sigma.  So the simulator draws x_i ~ N(theta_i, sigma^2)
-    only for the nonzero entries of the ``(k, n)`` batch.  For each row and
-    dataset it draws the number of exceedances among the row's n_0 zero
-    coordinates, N ~ Binomial(n_0, p), and each exceedance as |x| / sigma =
-    -ndtri((1 - U) Phi(-lam sigma)) with U uniform on [0, 1), so no draw is
-    infinite.  A dataset whose row has neither a nonzero entry nor an
+    tail beyond lam sigma.
+
+    So the simulator draws one length-m term per distinct (coordinate,
+    value) pair of its ``(k, n)`` batch (:func:`_column_pairs`), and a row
+    is the sum of its n pairs' terms.  A nonzero value draws x_i ~
+    N(theta_i, sigma^2).  A zero value draws U uniform on [0, 1) per
+    dataset: it exceeds when U < p, and then U / p is uniform, so |x| /
+    sigma = -ndtri(Phi(-lam sigma) - U / 2) is its normal tail, never
+    infinite.  A dataset of a row with neither a nonzero entry nor an
     exceedance gets exactly 0, the tie value of the observed all-zero fit.
-    Temporaries scale with (nonzero entries x m) and k x m, not k x m x n.
+
+    Each row keeps the law of its own datasets; rows that share a pair
+    share its draws (common random numbers), so equal rows get equal
+    values.  The boundary points of a fit differ from the estimate in one
+    coordinate each, so their batch draws about 3n terms per dataset.  A
+    column whose most common pair holds a majority of the rows adds that
+    pair's term to every row once, and each row corrects it where it
+    differs.  The zero pairs that only ever enter that shared sum are drawn
+    together, as their number of exceedances, N ~ Binomial(count, p), and
+    each exceedance's tail.  Terms are built in blocks of datasets of at most
+    ``_TERMS_PER_BLOCK`` terms, so the kernel bounds its own memory and
+    takes a whole batch per call (``sim_whole_batch``).
     """
     sigma, lam = _check_normal_means(sigma, lam)
     c = lam * sigma**2
@@ -1154,36 +1197,84 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
 
         return log_rel
 
+    def terms(nonzero, zeros, b, rng):
+        """(b, P) draws of h: b datasets at the ``nonzero`` pair values and
+        then at ``zeros`` zero ones."""
+        out = np.empty((b, nonzero.size + zeros))
+        e = rng.standard_normal((b, nonzero.size))
+        e *= sigma  # x - theta
+        a = np.abs(e + nonzero)
+        h = np.minimum(a, c, out=out[:, :nonzero.size])  # |x - t|, t the estimate
+        h *= h
+        e *= e
+        h -= e
+        h /= 2 * sigma**2
+        a -= c
+        np.maximum(a, 0.0, out=a)  # |t|
+        a -= np.abs(nonzero)
+        a *= lam
+        h += a
+        u = rng.random((b, zeros))
+        hit = u < p
+        z = -special.ndtri(tail - 0.5 * u[hit])
+        h = out[:, nonzero.size:]
+        h.fill(0.0)
+        h[hit] = -((sigma * z - c) ** 2) / (2 * sigma**2)
+        return out
+
+    def exceedances(count, b, rng):
+        """(b,) draws of the summed h of ``count`` zero coordinates: the
+        number of exceedances, then each one's normal tail."""
+        hits = rng.binomial(count, p, size=b)
+        z = -special.ndtri((1.0 - rng.random(int(hits.sum()))) * tail)
+        return np.bincount(np.repeat(np.arange(b), hits), minlength=b,
+                           weights=-((sigma * z - c) ** 2) / (2 * sigma**2))
+
     def sim_log_rel(thetas, n, m, rng):
         thetas = np.asarray(thetas, dtype=float)
         k, m = thetas.shape[0], int(m)
-        out = np.zeros((k, m))
-        rows, cols = np.nonzero(thetas)
-        if rows.size:
-            th = thetas[rows, cols][:, None]
-            e = rng.standard_normal((rows.size, m))
-            e *= sigma  # x - theta
-            a = np.abs(e + th)
-            h = np.minimum(a, c)  # |x - t|, t the soft-threshold estimate
-            h *= h
-            e *= e
-            h -= e
-            h /= 2 * sigma**2
-            a -= c
-            np.maximum(a, 0.0, out=a)  # |t|
-            a -= np.abs(th)
-            a *= lam
-            h += a
-            first = np.flatnonzero(np.diff(rows, prepend=-1))
-            out[rows[first]] += np.add.reduceat(h, first, axis=0)
-        n0 = int(n) - np.bincount(rows, minlength=k)
-        hits = rng.binomial(n0[:, None], p, size=(k, m)).ravel()
-        if hits.any():
-            z = -special.ndtri((1.0 - rng.random(int(hits.sum()))) * tail)
-            h = -((sigma * z - c) ** 2) / (2 * sigma**2)
-            out += np.bincount(np.repeat(np.arange(k * m), hits), weights=h,
-                               minlength=k * m).reshape(k, m)
-        return out
+        values, pair, count, mode = _column_pairs(thetas)
+        # every row sums the base: the most common pair of each column that
+        # a majority of rows share; a row's entries add its other pairs
+        # (plus) and, in a shared column, remove that column's base (minus)
+        shared = count[mode] * 2 > k
+        rows, cols = np.nonzero((pair != mode) | ~shared)
+        plus = pair[rows, cols]
+        fix = shared[cols]
+        minus = mode[cols[fix]]
+        # a zero pair that no entry names enters only the base sum; those
+        # are drawn together, as one exceedance count per dataset
+        zero = values == 0.0
+        alone = zero.copy()
+        alone[plus] = alone[minus] = False
+        order = np.concatenate([np.flatnonzero(~zero), np.flatnonzero(zero & ~alone)])
+        index = np.empty(values.size, dtype=np.intp)
+        index[order] = np.arange(order.size)
+        base = mode[shared]
+        base = index[base[~alone[base]]]
+        plus, minus = index[plus], index[minus]
+        nonzero, pooled = values[~zero], int(np.count_nonzero(alone))
+        zeros = order.size - nonzero.size
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        rows = rows[first]
+        out = np.empty((m, k))
+        b = max(1, min(m, _TERMS_PER_BLOCK // max(1, order.size, plus.size)))
+        for lo in range(0, m, b):
+            t = terms(nonzero, zeros, min(b, m - lo), rng)
+            block = out[lo:lo + t.shape[0]]
+            block[:] = np.sum(t[:, base], axis=1, keepdims=True)
+            if pooled:
+                block += exceedances(pooled, t.shape[0], rng)[:, None]
+            if plus.size:
+                dev = t[:, plus]
+                dev[:, fix] -= t[:, minus]
+                if first.size < plus.size:  # a row with several entries
+                    dev = np.add.reduceat(dev, first, axis=1)
+                if rows.size < k:
+                    block[:, rows] += dev
+                else:
+                    block += dev
+        return out.T
 
     return ModelSpec(
         name="normal-means-lasso",
@@ -1194,6 +1285,7 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         information=information,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
+        sim_whole_batch=True,
         meta={"sigma": sigma, "lam": lam},
     )
 

@@ -153,7 +153,8 @@ def _profile_model(model: ModelSpec, spec: ProfileSpec) -> ModelSpec:
             [_profile_log_rel(model, ds, spec, float(spec.g(th))) for th in thetas])
 
     return dataclasses.replace(model, log_rel_lik_for=log_rel_for,
-                               sim_log_rel_lik=spec.sim_profile_log_rel)
+                               sim_log_rel_lik=spec.sim_profile_log_rel,
+                               sim_whole_batch=False)
 
 
 def _probe_values(model, data, spec, phis, m, rng) -> list:
@@ -639,6 +640,7 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
         model,
         sample=sample,
         sim_log_rel_lik=sim,
+        sim_whole_batch=False,
         censored_sim=None,  # its sampler already applies this censoring
         meta=dict(model.meta, censoring="product-limit-plugin"),
     )

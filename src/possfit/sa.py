@@ -33,7 +33,10 @@ consumes that stream chunk by chunk of datasets, for the draws still
 undecided, so the credal-mass fits of a Monte Carlo contour draw different
 datasets than a full-m evaluation of each point would; their traces changed
 by design when curtailment came in.  An evaluation that fails (a NaN value)
-counts as outside the cut and is tallied in ``FitTrace.failures``.
+counts as outside the cut and is tallied in ``FitTrace.failures``.  This
+lowers the credal mass, so failures shrink the fitted spread, not widen it:
+against its own unit Gaussian contour, scalar fits read a mean xi of about
+1.0, about 0.9 when 5% of the evaluations fail, and about 0.3 at 20%.
 """
 
 from __future__ import annotations
@@ -248,8 +251,9 @@ def f_hat(
     in.  ``eval_rng`` is the contour's stream, on which all draws are
     evaluated as one batch (see the module docstring); without it the
     evaluation continues on ``rng``.  A draw whose contour evaluation fails
-    counts as *outside* the cut, which can only push the fitted spread up
-    (conservative); failures are tallied into ``failure_count[0]`` when a
+    counts as *outside* the cut, which lowers the criterion and so pulls
+    the fitted spread down, the anti-conservative direction (see the module
+    docstring); failures are tallied into ``failure_count[0]`` when a
     one-element list is supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))

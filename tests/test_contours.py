@@ -51,6 +51,8 @@ from possfit.models import (
     logistic_regression,
     lognormal_censored,
     multinomial,
+    normal_means,
+    normal_means_lasso,
     observed_log_rel_lik,
     poisson_loglinear,
 )
@@ -328,6 +330,9 @@ def _sampled_case(model, truth, n, points):
 
 
 _ROW_LOOPED = {
+    "binomial": lambda: (binomial(), _binom_data(6, 15), [[0.4], [0.2], [0.7]]),
+    "normal-means": lambda: _sampled_case(
+        normal_means(1.5), [0.5] * 6, 6, [[0.5] * 6, [0.0] * 6, np.linspace(-1.0, 1.0, 6)]),
     "poisson-loglinear": lambda: _sampled_case(
         poisson_loglinear(_DESIGN), [0.5, 0.2], _N_FAR, [[0.5, 0.2], [0.3, 0.0], [0.7, 0.4]]),
     "logistic": lambda: _sampled_case(
@@ -348,10 +353,12 @@ _ROW_LOOPED = {
 
 @pytest.mark.parametrize("case", sorted(_ROW_LOOPED))
 def test_row_looped_kernel_batch_equals_sequential_points(case):
-    """Kernels that simulate whole datasets draw the rows of a batch in row
-    order on the shared generator, so a batch is bit-identical to one-point
-    calls in sequence; a GLM batch refits all its datasets in one Newton
-    iteration, which moves log R by round-off only."""
+    """These kernels draw the rows of a batch in row order on the shared
+    generator, so a batch is bit-identical to one-point calls in sequence
+    (for the gammas, when no row lies below shape 1); a GLM batch refits
+    all its datasets in one Newton iteration, which can move log R by
+    round-off only.  The bvn, log-normal and lasso kernels draw a batch
+    otherwise, and are not listed."""
     model, data, points = _ROW_LOOPED[case]()
     points = np.asarray(points, dtype=float)
     contour = make_mc_contour(model, data, m=120, seed=1)
@@ -422,6 +429,34 @@ def test_mc_batch_failures_are_per_row():
     healthy = make_mc_contour(base, data, m=m, seed=2).evaluate_batch(
         thetas[[0, 3]], np.random.default_rng(6))
     assert np.array_equal(values[[0, 3]], healthy)
+
+
+def test_whole_batch_kernel_call_fails_every_live_row_of_its_chunk():
+    """A model that declares ``sim_whole_batch`` gets all live rows of a
+    chunk in one kernel call, so a call that raises makes every one of them
+    NaN.  Without the flag a call holds at most _DATASETS_PER_CALL
+    datasets (8 rows at m = 512), and only the rows of the raising call
+    fail."""
+    base = normal_means_lasso(1.0, 1.0)
+
+    def kernel(thetas, n, m, rng):
+        if np.any(thetas[:, 0] > 1.5):
+            raise RuntimeError("synthetic kernel failure")
+        return base.sim_log_rel_lik(thetas, n, m, rng)
+
+    data = Dataset(responses=np.array([1.0, 0.0, -0.5]))
+    thetas = np.zeros((20, 3))
+    thetas[:, 0] = np.linspace(0.0, 1.6, 20)  # the last row raises
+    whole = dataclasses.replace(base, sim_log_rel_lik=kernel)
+    split = dataclasses.replace(whole, sim_whole_batch=False)
+    values = {
+        model.sim_whole_batch: make_mc_contour(model, data, m=512, seed=2).evaluate_batch(
+            thetas, np.random.default_rng(6))
+        for model in (whole, split)
+    }
+    assert np.all(np.isnan(values[True]))
+    assert np.all(np.isnan(values[False][16:]))
+    assert np.all((values[False][:16] >= 0.0) & (values[False][:16] <= 1.0))
 
 
 def _assert_small_quietly(contour, point, bound=0.01):

@@ -29,6 +29,7 @@ from possfit.models import (
     _bvn_mle_from_stats,
     _cens_normal_loglik,
     _cens_normal_mle,
+    _column_pairs,
     binomial,
     bvn_correlation,
     finite_difference_information,
@@ -619,6 +620,38 @@ def test_lasso_kernel_mixed_rows_match_fallback():
     assert np.any(fast[0] == 0.0)  # the atom of the all-zero row
     for i, theta in enumerate(thetas):
         loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(22 + i))
+        assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
+
+
+def test_column_pairs_group_each_column():
+    thetas = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 3.0], [-1.0, 0.0]])
+    values, pair, count, mode = _column_pairs(thetas)
+    assert values.tolist() == [-1.0, 1.0, 2.0, 0.0, 3.0]
+    assert np.array_equal(values[pair], thetas)
+    assert count.tolist() == [1, 2, 1, 3, 1]
+    assert mode.tolist() == [1, 3]
+
+
+def test_lasso_kernel_rows_that_move_one_coordinate_keep_their_marginals():
+    """A batch shaped like a fit's boundary points: an anchor and rows that
+    each move one of its coordinates, zero -> nonzero, nonzero -> nonzero,
+    across zero, and nonzero -> zero.  The rows share the draws of their
+    common (coordinate, value) pairs, so equal rows get equal values, and
+    each row keeps the law of the per-dataset loop."""
+    n, m = 12, 5000
+    model = normal_means_lasso(1.0, 1.2)
+    slow = dataclasses.replace(model, sim_log_rel_lik=None)
+    anchor = np.zeros(n)
+    anchor[:3] = [3.0, -2.0, 0.5]
+    thetas = np.repeat(anchor[None, :], 7, axis=0)
+    for row, (i, v) in enumerate([(5, 2.0), (0, 4.5), (1, 1.0), (2, 0.0)], start=1):
+        thetas[row, i] = v
+    thetas[6, 5] = 2.0  # a second copy of row 1
+    fast = model.sim_log_rel_lik(thetas, n, m, np.random.default_rng(41))
+    assert fast.shape == (7, m) and np.all(fast <= 1e-12)
+    assert np.array_equal(fast[1], fast[6])
+    for i, theta in enumerate(thetas[:5]):
+        loop = _fallback_log_rel(slow, theta, n, m, np.random.default_rng(42 + i))
         assert stats.ks_2samp(fast[i], loop).pvalue > 0.01
 
 

@@ -7,6 +7,7 @@ self-consistent synthetic targets.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from possfit.models import (
     binomial,
     bvn_correlation,
     multinomial,
+    normal_means_lasso,
 )
 from possfit.sa import (
     FitTrace,
@@ -216,6 +218,30 @@ def _nan_batch_contour(seed, value, failing, dim=1):
     return PossibilityContour(
         kind="monte-carlo", dim=dim, seed=seed, evaluate_batch=batch,
     )
+
+
+def test_failed_evaluations_shrink_the_fitted_spread():
+    """A failed draw counts as outside the cut, which lowers the credal
+    mass and so the fitted spread: against its own Gaussian contour a
+    scalar fit reads xi near 1, and far less when a fifth of the
+    evaluations fail."""
+    own = gaussian_contour_object(
+        GaussianScalarFamily(theta_hat=np.zeros(1), info=np.eye(1), xi=1.0))
+
+    def fit(share):
+        def batch(thetas, rng):
+            values = own.evaluate_batch(thetas, None)
+            return np.where(rng.random(len(thetas)) < share, np.nan, values)
+
+        target = PossibilityContour(kind="monte-carlo", dim=1, seed=3,
+                                    evaluate_batch=batch)
+        fam, trace = fit_scalar_anchored(np.zeros(1), np.eye(1), target, _config(seed=4))
+        return fam.xi, trace.failures
+
+    clean, failing = fit(0.0), fit(0.2)
+    assert clean[1] == 0 and failing[1] > 0
+    assert 0.9 < clean[0] < 1.1
+    assert failing[0] < 0.5
 
 
 @pytest.mark.parametrize("seed", [None, 3])
@@ -428,6 +454,28 @@ def test_stock_bvn_fit_simulates_at_most_half_the_datasets():
     evaluations = len(trace.ts) * config.k_outer
     assert trace.failures == 0
     assert sum(datasets for _, datasets, _ in log) <= 0.5 * config.m_inner * evaluations
+
+
+def test_stock_bvn_fit_trace_is_unchanged():
+    """A stock scalar fit on the bvn correlation, whose kernel takes at most
+    _DATASETS_PER_CALL datasets per call, keeps its trace bit for bit."""
+    _, trace = fit_scalar(bvn_correlation(), _bvn_data(), SAConfig(seed=11))
+    assert (trace.reason, trace.failures, len(trace.ts)) == ("converged", 0, 6)
+    assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == (
+        "ca9498fe2df0017c7a7203a3786ab706a503ccd2b49c408b8c83f50ed010cb48")
+
+
+def test_stock_lasso_vector_fit_makes_one_kernel_call_per_iteration():
+    """The lasso declares ``sim_whole_batch``: each iteration of a stock
+    fit_vector at d = 50 simulates its 2d boundary points in one call."""
+    n = 50
+    base = normal_means_lasso(1.0, float(np.sqrt(np.log(n))))
+    model, log = _counting(base)
+    data = base.sample(np.r_[np.full(5, 5.0), np.zeros(n - 5)], n,
+                       np.random.default_rng(3))
+    _, trace = fit_vector(model, data, SAConfig(seed=0, alpha=0.1))
+    assert len(trace.ts) > 1 and len(log) == len(trace.ts)
+    assert all(rows == 2 * n and not failed for rows, _, failed in log)
 
 
 def test_raising_kernel_adds_its_rows_to_the_failures():
