@@ -612,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     if threads < 1:
         print("possfit: config error: --threads must be >= 1",
               file=sys.stderr)

@@ -21,11 +21,19 @@ The factories here are :func:`make_exact_contour` (with
 A Monte Carlo contour also carries a batch decision evaluator,
 ``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
 indicator 1{pi(theta) > alpha}.  It simulates the datasets of the live
-points chunk by chunk and drops a point as soon as its indicator is settled
-(exact curtailment): once its count of included datasets exceeds the largest
-count whose share is still <= alpha, or once the datasets left can no longer
-take it there.  Each decision therefore equals ``value > alpha`` of the
-value the same draws give when all m datasets are simulated.
+points chunk by chunk and drops a point as soon as its indicator is decided,
+by one of two rules.  Exact curtailment: its count of included datasets
+exceeds the largest count whose share is still <= alpha, or the datasets
+left can no longer take it there; such a decision equals ``value > alpha``
+of the value the same draws give when all m datasets are simulated.  A
+bounded-risk sequential test (Besag & Clifford 1991; Gandy 2009): at each
+checkpoint before the last chunk, a count far below or far above what
+Binomial(n, alpha) gives after n datasets decides the point 0 or 1.  If
+each dataset of a point is included with probability p, a point with
+p <= alpha is decided 1 early with probability at most ``_DECISION_RISK``
+(1e-3), and one with p > alpha is decided 0 early with at most that
+probability; an early decision may differ from the full-m one on the same
+draws.  A point neither rule decides early is decided on all m datasets.
 
 Ties in the Monte Carlo comparison ``R(X, theta) <= R(x, theta)`` are decided
 on the log scale with an absolute slack of ``TIE_EPS``, counting ties (and
@@ -36,9 +44,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from ._render import csv_text, json_text, write_text
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
@@ -92,11 +102,14 @@ class PossibilityContour:
 
     ``exceeds_batch(thetas, alpha, rng)``, when present, returns for each
     row 1.0 where the contour exceeds ``alpha``, 0.0 where it does not and
-    NaN where the evaluation failed.  Each decision is exactly
-    ``evaluate_batch(thetas, rng) > alpha`` for the same draws; the
-    evaluator may stop simulating a row once its decision is settled, so it
-    leaves ``rng`` in a different state.  The credal-mass criterion of the
-    stochastic-approximation fits uses it for every contour that has one.
+    NaN where the evaluation failed.  The evaluator may stop simulating a
+    row once its decision is settled, so it leaves ``rng`` in a different
+    state.  A decision made by exact curtailment or on all m datasets is
+    exactly ``evaluate_batch(thetas, rng) > alpha`` for the same draws; one
+    made early by the sequential test is wrong with probability at most
+    1e-3 for a row whose datasets are included independently (see the
+    module docstring).  The credal-mass criterion of the stochastic-
+    approximation fits uses it for every contour that has one.
     """
 
     kind: str
@@ -212,10 +225,16 @@ def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
     return sim
 
 
+# the risk of a wrong early decision: a row whose datasets are each included
+# with probability p is decided 1 before its last chunk with probability at
+# most this when p <= alpha, and 0 when p > alpha
+_DECISION_RISK = 1e-3
+
+
 def _decision_schedule(m: int) -> list:
-    """Dataset chunks of the decision loop: min(64, m) first, then each
+    """Dataset chunks of the decision loop: min(16, m) first, then each
     chunk as large as all chunks before it, the last one cut at m."""
-    sizes = [min(64, m)]
+    sizes = [min(16, m)]
     done = sizes[0]
     while done < m:
         sizes.append(min(done, m - done))
@@ -223,11 +242,30 @@ def _decision_schedule(m: int) -> list:
     return sizes
 
 
-def _decision_need(m: int, alpha: float) -> int:
-    """The largest count c with c / m <= alpha in float64 (-1 if none):
-    a row exceeds alpha exactly when its count of included datasets is
-    larger."""
-    return int(np.count_nonzero(np.arange(m + 1) / m <= alpha)) - 1
+@lru_cache(maxsize=128)
+def _decision_bounds(m: int, alpha: float, risk: float) -> tuple:
+    """(lo, hi): one pair of counts per chunk of :func:`_decision_schedule`.
+
+    After a chunk, a live row whose count of included datasets is <= lo is
+    decided 0 and one whose count is >= hi is decided 1.  Each pair joins
+    exact curtailment against need, the largest count c with c / m <= alpha
+    in float64, to the sequential test at the J checkpoints before the last
+    chunk: with n datasets done, the largest c with
+    P(Binomial(n, alpha) <= c) <= risk / J and the smallest c with
+    P(Binomial(n, alpha) >= c) <= risk / J.  The last pair is (need,
+    need + 1), so every row is decided there."""
+    need = int(np.count_nonzero(np.arange(m + 1) / m <= alpha)) - 1
+    ends = np.cumsum(_decision_schedule(m))
+    tol = risk / max(1, ends.size - 1)
+    lo, hi = [], []
+    for n in ends[:-1]:
+        c = np.arange(n + 1)
+        low = np.count_nonzero(special.bdtr(c, n, alpha) <= tol) - 1
+        # P(X >= c) = bdtrc(c - 1); c = 0 has P = 1
+        high = 1 + np.count_nonzero(special.bdtrc(c[:-1], n, alpha) > tol)
+        lo.append(max(int(low), need - (m - int(n))))
+        hi.append(min(int(high), need + 1))
+    return tuple(lo) + (need,), tuple(hi) + (need + 1,)
 
 
 def _mc_batch(
@@ -253,7 +291,9 @@ def _mc_batch(
     its count of included datasets over m.  With ``alpha`` the rows are
     decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
     of :func:`_decision_schedule`, and a row leaves the live set as soon as
-    its decision is settled.
+    its count crosses the bounds :func:`_decision_bounds` sets for the
+    chunk (exact curtailment, or the sequential test at risk
+    ``_DECISION_RISK``).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     obs = _observed_rows(observed, thetas)
@@ -261,14 +301,14 @@ def _mc_batch(
     live = np.flatnonzero(np.isfinite(obs))
     m = int(m)
     if alpha is None:
-        schedule, need = [m], None
+        schedule, bounds = [m], None
     else:
-        schedule, need = _decision_schedule(m), _decision_need(m, alpha)
+        schedule = _decision_schedule(m)
+        bounds = _decision_bounds(m, float(alpha), _DECISION_RISK)
         out = np.where(out > alpha, 1.0, 0.0)
         out[live] = np.nan  # every live row is decided by the last chunk
     counts = np.zeros(thetas.shape[0], dtype=np.int64)
-    done = 0
-    for chunk in schedule:
+    for i, chunk in enumerate(schedule):
         step = max(1, live.size if model.sim_whole_batch
                    else _DATASETS_PER_CALL // chunk)
         ok = np.ones(live.size, dtype=bool)
@@ -282,13 +322,12 @@ def _mc_batch(
                 continue
             include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
             counts[rows] += np.count_nonzero(include, axis=1)
-        done += chunk
         live = live[ok]
-        if need is None:
+        if bounds is None:
             out[live] = counts[live] / m
             continue
-        over = counts[live] > need
-        under = counts[live] + (m - done) <= need
+        over = counts[live] >= bounds[1][i]
+        under = counts[live] <= bounds[0][i]
         out[live[over]] = 1.0
         out[live[under]] = 0.0
         live = live[~(over | under)]
@@ -307,7 +346,8 @@ def make_mc_contour(
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
     one generator.  ``exceeds_batch(thetas, alpha, rng)`` decides value >
-    alpha at each point by exact curtailment (see the module docstring).
+    alpha at each point by exact curtailment or, at a stated risk, by a
+    sequential test (see the module docstring).
     Off the domain (observed relative likelihood 0) the contour is exactly
     0, since data simulated under theta have a positive likelihood there,
     and nothing is simulated.  Replicates whose refitting machinery fails
@@ -342,6 +382,15 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_float(value, key: str) -> float:
+    """A run config's real field: an int or float, never a bool, string or
+    null; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_bool(value, key: str) -> bool:
     """A run config's flag: JSON true or false, never a number, string or
     null; a ValueError naming ``key`` otherwise."""
@@ -369,7 +418,7 @@ class AxisSpec:
     def from_dict(cls, doc) -> "AxisSpec":
         """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
         describes; the name is optional."""
-        return cls(lo=float(doc["lo"]), hi=float(doc["hi"]),
+        return cls(lo=config_float(doc["lo"], "lo"), hi=config_float(doc["hi"], "hi"),
                    count=config_int(doc["count"], "count"), name=doc.get("name"))
 
     def points(self) -> np.ndarray:

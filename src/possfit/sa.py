@@ -20,9 +20,13 @@ whose spread shrinks with it (Dirichlet precision, quantile companions).
 
 The credal-mass criterion reads only the indicator 1{pi(theta) > alpha}
 at each draw.  A contour with a decision evaluator (``exceeds_batch``, which
-the Monte Carlo contour has) decides it by exact curtailment: a draw stops
-simulating once its indicator is settled, and each indicator equals the one
-its full-m value gives on the same draws.  Other contours are read by value.
+the Monte Carlo contour has) decides it early: a draw stops simulating once
+exact curtailment settles its indicator, or once a sequential test decides
+it at a stated risk.  If each simulated dataset of a draw is included with
+probability p, the test decides the draw inside the cut (p <= alpha) as
+outside, or the reverse, with probability at most 1e-3
+(``contours._DECISION_RISK``); every other indicator equals the one its
+full-m value gives on the same draws.  Other contours are read by value.
 The boundary-matching criterion always reads values.
 
 Random streams of iteration t, all derived from ``config.seed``: key
@@ -32,11 +36,12 @@ its 2d boundary points) for a seeded contour.  The decision evaluator
 consumes that stream chunk by chunk of datasets, for the draws still
 undecided, so the credal-mass fits of a Monte Carlo contour draw different
 datasets than a full-m evaluation of each point would; their traces changed
-by design when curtailment came in.  An evaluation that fails (a NaN value)
-counts as outside the cut and is tallied in ``FitTrace.failures``.  This
-lowers the credal mass, so failures shrink the fitted spread, not widen it:
-against its own unit Gaussian contour, scalar fits read a mean xi of about
-1.0, about 0.9 when 5% of the evaluations fail, and about 0.3 at 20%.
+by design when curtailment came in, and again when the sequential test did.
+An evaluation that fails (a NaN value) counts as outside the cut and is
+tallied in ``FitTrace.failures``.  This lowers the credal mass, so failures
+shrink the fitted spread, not widen it: against its own unit Gaussian
+contour, scalar fits read a mean xi of about 1.0, about 0.9 when 5% of the
+evaluations fail, and about 0.3 at 20%.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from ._render import csv_text, write_text
 from ._rng import SA_TAG, derive_rng
-from .contours import PossibilityContour, config_int, make_mc_contour
+from .contours import PossibilityContour, config_float, config_int, make_mc_contour
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -116,18 +121,15 @@ class SAConfig:
         field."""
         if not isinstance(doc, dict):
             raise ValueError(f"the sa block must be an object, got {doc!r}")
-        try:
-            return cls(
-                seed=config_int(doc.get("seed", 0), "seed"),
-                alpha=float(doc.get("alpha", 0.1)),
-                k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
-                m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
-                epsilon=float(doc.get("epsilon", 0.005)),
-                min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
-                max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
-            )
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
+        return cls(
+            seed=config_int(doc.get("seed", 0), "seed"),
+            alpha=config_float(doc.get("alpha", 0.1), "alpha"),
+            k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
+            m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
+            epsilon=config_float(doc.get("epsilon", 0.005), "epsilon"),
+            min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
+            max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
+        )
 
 
 @dataclass
@@ -243,12 +245,14 @@ def f_hat(
 
     Draws k parameters from the family and returns
     mean(contour > alpha) - (1 - alpha).  A contour with a decision
-    evaluator (``exceeds_batch``) decides contour > alpha by exact
-    curtailment, which gives the indicators of its full-m values but stops
-    simulating each draw once its indicator is settled; it consumes the
-    contour's stream chunk by chunk, so these streams, and the draws and
-    traces that follow from them, changed by design when curtailment came
-    in.  ``eval_rng`` is the contour's stream, on which all draws are
+    evaluator (``exceeds_batch``) decides contour > alpha and stops
+    simulating each draw once its indicator is decided: by exact
+    curtailment, which gives the indicator of its full-m value, or by a
+    sequential test, which gives the wrong side of alpha with probability
+    at most 1e-3 for a draw whose datasets are included independently.  It
+    consumes the contour's stream chunk by chunk, so these streams, and the
+    draws and traces that follow from them, differ by design from a full-m
+    evaluation.  ``eval_rng`` is the contour's stream, on which all draws are
     evaluated as one batch (see the module docstring); without it the
     evaluation continues on ``rng``.  A draw whose contour evaluation fails
     counts as *outside* the cut, which lowers the criterion and so pulls

@@ -348,6 +348,32 @@ class TestConfigHandling:
         assert "must be an integer" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("case", ["sa-alpha-string", "sa-epsilon-bool",
+                                      "grid-hi-bool", "grid-lo-string"])
+    def test_float_field_that_is_not_a_number_exit2(self, tmp_path, capsys, case):
+        """A bool or string where a real number belongs is a config error;
+        true is not read as 1.0, nor "0.2" as 0.2."""
+        cfg = {
+            "sa-alpha-string": lambda: fit_config(
+                tmp_path, sa={"alpha": "0.2", "k_outer": 60, "m_inner": 100}),
+            "sa-epsilon-bool": lambda: fit_config(
+                tmp_path, sa={"epsilon": True, "k_outer": 60, "m_inner": 100}),
+            "grid-hi-bool": lambda: contour_config(
+                tmp_path, grid=[{"lo": 0.0, "hi": True, "count": 5}]),
+            "grid-lo-string": lambda: contour_config(
+                tmp_path, grid=[{"lo": "0.1", "hi": 0.9, "count": 5}]),
+        }[case]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "must be a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit2(self, tmp_path, capsys, threads):
+        """--threads 0 once ran on every core and exited 0."""
+        assert run(write_config(tmp_path, contour_config(tmp_path)), "--threads", threads) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("model,theta,message", [
         ("binomial", [1.5], "success probability in [0, 1]"),
         ("gamma", [-1.0, 2.0], "two strictly positive parameters"),

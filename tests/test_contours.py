@@ -25,7 +25,14 @@ from possfit.contours import (
     make_exact_binomial,
     make_mc_contour,
 )
-from possfit.contours import TIE_EPS, _decision_schedule, _lookup_batch
+from possfit import contours
+from possfit.contours import (
+    TIE_EPS,
+    _decision_bounds,
+    _decision_schedule,
+    _lookup_batch,
+    _mc_batch,
+)
 from possfit.families import (
     DirichletFamily,
     GaussianVectorFamily,
@@ -509,16 +516,31 @@ def test_bvn_contour_approaching_the_boundary():
 
 
 # ---------------------------------------------------------------------------
-# the decision evaluator (exact curtailment)
+# the decision evaluator (exact curtailment and the sequential test)
 # ---------------------------------------------------------------------------
 
 
 def test_decision_schedule():
-    assert _decision_schedule(500) == [64, 64, 128, 244]
-    assert _decision_schedule(64) == [64]
-    assert _decision_schedule(30) == [30]
-    assert _decision_schedule(1000) == [64, 64, 128, 256, 488]
+    assert _decision_schedule(500) == [16, 16, 32, 64, 128, 244]
+    assert _decision_schedule(64) == [16, 16, 32]
+    assert _decision_schedule(30) == [16, 14]
+    assert _decision_schedule(1000) == [16, 16, 32, 64, 128, 256, 488]
     assert all(sum(_decision_schedule(m)) == m for m in range(1, 700))
+
+
+def test_decision_bounds():
+    """The sequential test's counts at m = 500, alpha = 0.1, then exact
+    curtailment (need = 50) at the last chunk; at risk 0 only exact
+    curtailment is left, and it decides no row before its last chunk
+    that all m datasets could decide otherwise."""
+    assert _decision_bounds(500, 0.1, 1e-3) == (
+        (-1, -1, -1, 2, 9, 50), (8, 11, 17, 27, 45, 51))
+    for m, alpha in [(500, 0.1), (100, 0.29), (7, 0.5), (1, 0.3)]:
+        need = _need(m, alpha)
+        lo, hi = _decision_bounds(m, alpha, 0.0)
+        done = np.cumsum(_decision_schedule(m))
+        assert lo == tuple(np.maximum(-1, need - (m - done)).tolist())
+        assert hi == tuple(np.minimum(done + 1, need + 1).tolist())
 
 
 def _need(m, alpha):
@@ -564,13 +586,14 @@ def _replay_model(counts, m, seed):
 
 @pytest.mark.parametrize("alpha,m", [(0.1, 500), (0.29, 100), (0.07, 100),
                                      (0.05, 64), (0.5, 7), (0.3, 1)])
-def test_decisions_equal_full_values_above_alpha(alpha, m):
-    """exceeds_batch's decisions are exactly value > alpha of the full-m
-    values on the same simulated datasets, including rows whose count is
-    exactly the largest count not above alpha (``need``) and one more,
-    rows with failed refits, off-domain rows and an observed-NaN row."""
-    from possfit.contours import _mc_batch
-
+def test_decisions_equal_full_values_above_alpha(alpha, m, monkeypatch):
+    """Exact curtailment (the decision loop at risk 0): exceeds_batch's
+    decisions are exactly value > alpha of the full-m values on the same
+    simulated datasets, including rows whose count is exactly the largest
+    count not above alpha (``need``) and one more, rows with failed refits,
+    off-domain rows and an observed-NaN row.  The replayed rows are not
+    independent draws, so the sequential test's risk does not apply."""
+    monkeypatch.setattr(contours, "_DECISION_RISK", 0.0)
     need = _need(m, alpha)
     counts = sorted({max(0, min(m, c)) for c in (0, 1, need - 1, need, need + 1,
                                                  need + 2, m // 2, m - 1, m)})
@@ -613,6 +636,41 @@ def test_decisions_stop_early_on_a_real_model():
     assert np.array_equal(decisions[clear], (exact[clear] > 0.1).astype(float))
     assert sum(calls) < 0.8 * 500 * len(thetas)
     assert np.array_equal(decisions, contour.exceeds_batch(thetas, 0.1, np.random.default_rng(5)))
+
+
+def _bernoulli_decisions(p, rows, seed):
+    """Decisions at alpha = 0.1, m = 500 of ``rows`` points of a stub whose
+    datasets are each included with probability p, and the datasets each
+    row simulated."""
+    seen = np.zeros(rows, dtype=np.int64)
+
+    def kernel(thetas, n, chunk, rng):
+        seen[thetas[:, 1].astype(int)] += chunk
+        return np.where(rng.random((thetas.shape[0], chunk)) < thetas[:, :1], -2.0, 0.0)
+
+    model = ModelSpec(name="bernoulli", dim=2, log_lik=None, sample=None, mle=None,
+                      information=None, sim_log_rel_lik=kernel)
+    thetas = np.column_stack([np.full(rows, p), np.arange(rows)])
+    decisions = _mc_batch(model, Dataset(responses=np.zeros(3)), thetas, 500,
+                          np.random.default_rng(seed),
+                          lambda th: np.full(th.shape[0], -1.0), 0.1)
+    return decisions, seen
+
+
+@pytest.mark.parametrize("p", [0.08, 0.09, 0.1, 0.11, 0.12])
+def test_early_decisions_keep_the_stated_risk(p):
+    """Rows whose datasets are each included with probability p: the share
+    decided before the last chunk against the sign of p - alpha is at most
+    _DECISION_RISK, and the share decided 1 matches the full-m probability
+    P(Binomial(500, p) > 50) within the risk and four standard errors."""
+    rows = 200_000
+    decisions, seen = _bernoulli_decisions(p, rows, seed=1)
+    wrong = decisions != float(p > 0.1)
+    assert set(np.unique(decisions)) == {0.0, 1.0}
+    assert np.mean(wrong & (seen < 500)) <= contours._DECISION_RISK
+    full = special.bdtrc(50, 500, p)
+    tol = contours._DECISION_RISK + 4.0 * np.sqrt(full * (1.0 - full) / rows)
+    assert abs(np.mean(decisions) - full) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +777,14 @@ def test_axis_from_dict_reads_the_count_strictly(count):
     with pytest.raises(ValueError, match="count must be an integer"):
         AxisSpec.from_dict({"lo": 0.0, "hi": 1.0, "count": count})
     assert AxisSpec.from_dict({"lo": 0.0, "hi": 1.0, "count": 3}).count == 3
+
+
+@pytest.mark.parametrize("doc", [{"hi": True}, {"lo": "0.2"}, {"hi": None}])
+def test_axis_from_dict_reads_the_bounds_strictly(doc):
+    """A bound is a number: "hi": true once read as 1.0."""
+    with pytest.raises(ValueError, match="must be a number"):
+        AxisSpec.from_dict({"lo": 0.0, "hi": 1.0, "count": 3, **doc})
+    assert AxisSpec.from_dict({"lo": 0, "hi": 1.5, "count": 3}).hi == 1.5
 
 
 def test_grid_eval_rejects_nonfinite_values():

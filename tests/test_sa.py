@@ -456,13 +456,34 @@ def test_stock_bvn_fit_simulates_at_most_half_the_datasets():
     assert sum(datasets for _, datasets, _ in log) <= 0.5 * config.m_inner * evaluations
 
 
+def test_stock_bvn_fit_simulates_at_most_a_quarter_of_the_datasets():
+    """The sequential test on top of exact curtailment: a stock scalar fit
+    on the bvn correlation decides its indicators with at most a quarter of
+    m = 500 datasets per evaluation."""
+    model, log = _counting(bvn_correlation())
+    config = SAConfig(seed=11)
+    _, trace = fit_scalar(model, _bvn_data(), config)
+    evaluations = len(trace.ts) * config.k_outer
+    assert trace.failures == 0
+    assert sum(datasets for _, datasets, _ in log) <= 0.25 * config.m_inner * evaluations
+
+
 def test_stock_bvn_fit_trace_is_unchanged():
     """A stock scalar fit on the bvn correlation, whose kernel takes at most
     _DATASETS_PER_CALL datasets per call, keeps its trace bit for bit."""
     _, trace = fit_scalar(bvn_correlation(), _bvn_data(), SAConfig(seed=11))
     assert (trace.reason, trace.failures, len(trace.ts)) == ("converged", 0, 6)
     assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == (
-        "ca9498fe2df0017c7a7203a3786ab706a503ccd2b49c408b8c83f50ed010cb48")
+        "db797da3b6ef2fb07bf0f6d554b4f6c416e297a0d5467a6cc025643d77e1fb58")
+
+
+def test_stock_bvn_vector_fit_trace_is_unchanged():
+    """A stock fit_vector on the bvn correlation reads contour values, never
+    decisions, so the decision loop leaves its trace bit for bit."""
+    _, trace = fit_vector(bvn_correlation(), _bvn_data(), SAConfig(seed=11))
+    assert (trace.reason, trace.failures, len(trace.ts)) == ("converged", 0, 5)
+    assert hashlib.sha256(trace.csv_text().encode()).hexdigest() == (
+        "235c41975237b19d2a03afe5ad3d2266dda0c8db9071eb7c7fd6cd84eaa75372")
 
 
 def test_stock_lasso_vector_fit_makes_one_kernel_call_per_iteration():
@@ -498,6 +519,16 @@ def test_sa_config_from_dict_reads_integers_strictly(doc):
     with pytest.raises(ValueError, match="must be an integer"):
         SAConfig.from_dict(doc)
     assert SAConfig.from_dict({"k_outer": 3, "m_inner": 7}).m_inner == 7
+
+
+@pytest.mark.parametrize("doc", [{"epsilon": True}, {"alpha": "0.2"},
+                                 {"alpha": None}, {"epsilon": [0.01]}])
+def test_sa_config_from_dict_reads_floats_strictly(doc):
+    """A real field is an int or float: true once became epsilon = 1.0 and
+    the string "0.2" an alpha of 0.2."""
+    with pytest.raises(ValueError, match="must be a number"):
+        SAConfig.from_dict(doc)
+    assert SAConfig.from_dict({"alpha": 0.2, "epsilon": 1}).epsilon == 1.0
 
 
 def test_sa_config_validation():
