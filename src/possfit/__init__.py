@@ -114,14 +114,11 @@ from .nuisance import (  # noqa: F401
     CensoringEstimate,
     FiberOptimizationError,
     ProfileSpec,
-    QuantileCompanionFamily,
     RiskMinimizationError,
     RiskSpec,
     censored_model,
     empirical_risk,
     empirical_risk_rel,
-    fit_profile_companion,
-    fit_quantile_companion,
     gamma_mean_profile,
     kaplan_meier_swapped,
     make_censored_contour,
@@ -129,7 +126,6 @@ from .nuisance import (  # noqa: F401
     make_profile_contour,
     normal_reference_kde,
     profile_companion_family,
-    quantile_companion_contour,
     quantile_companion_family,
     quantile_erm,
     quantile_loss,

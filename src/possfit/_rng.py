@@ -21,9 +21,7 @@ REF_TAG = 0x72656673
 # (t, 0) seeds one batch evaluation of all of them.  The credal-mass
 # criterion's decision loop reads (t, 0) chunk by chunk of datasets, for the
 # points still undecided, so its streams differ by design from a full-m
-# batch evaluation, and a point its sequential test decides early may land
-# on the other side of alpha than all m datasets would put it (risk <= 1e-3
-# per point for independent datasets)
+# batch evaluation (decision risk: README, "Determinism")
 SA_TAG = 0x73617069
 CAL_TAG = 0x63616C69    # calibration replications
 CLI_TAG = 0x636C6970    # command-line front-end streams

@@ -43,6 +43,7 @@ from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
     config_bool,
+    config_float,
     config_int,
     grid_eval,
     make_exact_contour,
@@ -162,9 +163,9 @@ def _poisson_design_for(n, kw) -> np.ndarray:
 
 
 def _lasso_lam(n, kw):
-    sigma = float(kw.get("sigma", 1.0))
+    sigma = config_float(kw.get("sigma", 1.0), "sigma")
     if "lam" in kw:
-        return sigma, float(kw["lam"])
+        return sigma, config_float(kw["lam"], "lam")
     if n is None:
         raise ScenarioError(
             "normal-means-lasso needs n or an explicit model_kwargs['lam']"
@@ -179,7 +180,8 @@ _REGISTRY = {
     "gamma-mean-shape": lambda n, kw: _models.gamma_mean_shape(),
     "lognormal": lambda n, kw: _models.lognormal(),
     "lognormal-censored": lambda n, kw: _models.lognormal_censored(),
-    "normal-means": lambda n, kw: _models.normal_means(float(kw.get("sigma", 1.0))),
+    "normal-means": lambda n, kw: _models.normal_means(
+        config_float(kw.get("sigma", 1.0), "sigma")),
     "normal-means-lasso": lambda n, kw: _models.normal_means_lasso(*_lasso_lam(n, kw)),
     "poisson-loglinear": lambda n, kw: _models.poisson_loglinear(_poisson_design_for(n, kw)),
     "logistic": lambda n, kw: _models.logistic_regression(

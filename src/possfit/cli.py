@@ -53,7 +53,14 @@ from .calibration import (
     model_from_id,
     validity_study,
 )
-from .contours import AxisSpec, NonFiniteContourError, config_bool, config_int, grid_eval
+from .contours import (
+    AxisSpec,
+    NonFiniteContourError,
+    config_bool,
+    config_float,
+    config_int,
+    grid_eval,
+)
 from .families import family_to_json
 from .inference import (
     ChoquetSpec,
@@ -210,8 +217,12 @@ def _integer(doc: dict, key: str, default=None) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _bound(value, default: float) -> float:
-    return default if value is None else float(value)
+def _floats(value, key: str):
+    """A number, or a nested list of numbers as an array, with every element
+    read by ``config_float``; a ValueError otherwise."""
+    if isinstance(value, list):
+        return np.array([_floats(v, key) for v in value], dtype=float)
+    return config_float(value, key)
 
 
 def _parse_hypothesis(doc: dict) -> Hypothesis:
@@ -221,21 +232,17 @@ def _parse_hypothesis(doc: dict) -> Hypothesis:
     try:
         if kind == "half-space":
             return Hypothesis.half_space(
-                np.asarray(doc["a"], dtype=float), float(doc["b"])
+                _floats(doc["a"], "a"), config_float(doc["b"], "b")
             )
         if kind in ("box", "box-complement"):
-            bounds = [
-                (_bound(lo, -math.inf), _bound(hi, math.inf))
-                for lo, hi in doc["bounds"]
-            ]
-            h = Hypothesis.box(bounds)
+            h = Hypothesis.box(_floats(  # a null bound is unbounded
+                [[-math.inf if lo is None else lo, math.inf if hi is None else hi]
+                 for lo, hi in doc["bounds"]], "bounds"))
             return h.complement() if kind == "box-complement" else h
         if kind == "whole-space":
             return Hypothesis.whole_space(_integer(doc, "dim"))
         if kind == "finite-set":
-            return Hypothesis.finite_set(
-                np.asarray(doc["points"], dtype=float)
-            )
+            return Hypothesis.finite_set(_floats(doc["points"], "points"))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -518,18 +525,18 @@ def _parse_loss(doc: dict):
     kind = doc["kind"]
     try:
         if kind == "constant":
-            value = float(doc["value"])
+            value = config_float(doc["value"], "value")
             return lambda theta: value
         if kind == "linear":
-            a = np.asarray(doc["a"], dtype=float)
-            b = float(doc.get("b", 0.0))
+            a = _floats(doc["a"], "a")
+            b = config_float(doc.get("b", 0.0), "b")
             return lambda theta: float(
                 np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b
             )
         if kind == "indicator":
             h = _parse_hypothesis(doc["hypothesis"])
-            inside = float(doc.get("inside", 1.0))
-            outside = float(doc.get("outside", 0.0))
+            inside = config_float(doc.get("inside", 1.0), "inside")
+            outside = config_float(doc.get("outside", 0.0), "outside")
             return lambda theta: (
                 inside
                 if bool(h.contains(np.atleast_2d(theta))[0])

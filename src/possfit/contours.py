@@ -28,12 +28,9 @@ left can no longer take it there; such a decision equals ``value > alpha``
 of the value the same draws give when all m datasets are simulated.  A
 bounded-risk sequential test (Besag & Clifford 1991; Gandy 2009): at each
 checkpoint before the last chunk, a count far below or far above what
-Binomial(n, alpha) gives after n datasets decides the point 0 or 1.  If
-each dataset of a point is included with probability p, a point with
-p <= alpha is decided 1 early with probability at most ``_DECISION_RISK``
-(1e-3), and one with p > alpha is decided 0 early with at most that
-probability; an early decision may differ from the full-m one on the same
-draws.  A point neither rule decides early is decided on all m datasets.
+Binomial(n, alpha) gives after n datasets decides the point 0 or 1, at the
+risk ``_DECISION_RISK`` stated in the README's "Determinism" section.  A
+point neither rule decides early is decided on all m datasets.
 
 Ties in the Monte Carlo comparison ``R(X, theta) <= R(x, theta)`` are decided
 on the log scale with an absolute slack of ``TIE_EPS``, counting ties (and
@@ -106,10 +103,9 @@ class PossibilityContour:
     row once its decision is settled, so it leaves ``rng`` in a different
     state.  A decision made by exact curtailment or on all m datasets is
     exactly ``evaluate_batch(thetas, rng) > alpha`` for the same draws; one
-    made early by the sequential test is wrong with probability at most
-    1e-3 for a row whose datasets are included independently (see the
-    module docstring).  The credal-mass criterion of the stochastic-
-    approximation fits uses it for every contour that has one.
+    made early by the sequential test carries the risk stated in the
+    README's "Determinism" section.  The credal-mass criterion of the
+    stochastic-approximation fits uses it for every contour that has one.
     """
 
     kind: str

@@ -224,10 +224,6 @@ def sample(family, k: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if isinstance(family, DirichletFamily):
         return rng.dirichlet(family.concentration, size=k)
-    if not isinstance(family, (GaussianScalarFamily, GaussianVectorFamily)):
-        points = getattr(family, "sample_points", None)
-        if callable(points):
-            return np.atleast_2d(np.asarray(points(k, rng), dtype=float))
     if isinstance(family, GaussianScalarFamily):
         xi = _positive_xi(family.xi)[0]
         w, v = np.linalg.eigh(family.info)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 

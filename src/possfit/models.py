@@ -62,7 +62,7 @@ import csv
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special

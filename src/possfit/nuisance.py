@@ -17,6 +17,11 @@ Three constructions, in increasing order of how little they assume:
 Each is built as one :class:`~possfit.contours.PossibilityContour`, by
 :func:`make_profile_contour`, :func:`make_empirical_risk_contour` and
 :func:`make_censored_contour`; a point value is a batch of one.
+
+The companions :func:`profile_companion_family` and
+:func:`quantile_companion_family` are
+:class:`~possfit.families.GaussianScalarFamily` anchors for the interest
+value, fitted to a contour by :func:`possfit.sa.fit_scalar_anchored`.
 """
 
 import dataclasses
@@ -28,7 +33,7 @@ from scipy import special
 
 from ._rng import REF_TAG, derive_rng
 from .contours import PossibilityContour, _lookup_batch, _mc_batch, make_mc_contour
-from .families import GaussianScalarFamily, chi2_sf
+from .families import GaussianScalarFamily
 from .models import (
     Dataset,
     ModelSpec,
@@ -37,20 +42,16 @@ from .models import (
     _scaled_log_gammas,
     _standard_gammas,
 )
-from .sa import SAConfig, _fit_credal, fit_scalar_anchored
 
 __all__ = [
     "CensoringEstimate",
     "FiberOptimizationError",
     "ProfileSpec",
-    "QuantileCompanionFamily",
     "RiskMinimizationError",
     "RiskSpec",
     "censored_model",
     "empirical_risk",
     "empirical_risk_rel",
-    "fit_profile_companion",
-    "fit_quantile_companion",
     "gamma_mean_profile",
     "kaplan_meier_swapped",
     "make_censored_contour",
@@ -58,7 +59,6 @@ __all__ = [
     "make_profile_contour",
     "normal_reference_kde",
     "profile_companion_family",
-    "quantile_companion_contour",
     "quantile_companion_family",
     "quantile_erm",
     "quantile_loss",
@@ -285,10 +285,10 @@ def gamma_mean_profile(probes: int = 5) -> ProfileSpec:
 
 
 def profile_companion_family(
-    model: ModelSpec, data: Dataset, spec: ProfileSpec, xi: float = 1.0
+    model: ModelSpec, data: Dataset, spec: ProfileSpec
 ) -> GaussianScalarFamily:
     """Gaussian family for the interest value: mean g(theta_hat), variance
-    xi^2 * grad' J^{-1} grad (the delta-method variance of the plug-in)."""
+    grad' J^{-1} grad (the delta-method variance of the plug-in)."""
     if spec.g_grad is None:
         raise ValueError("spec has no interest gradient; cannot build the family")
     theta_hat = np.asarray(model.mle(data), dtype=float)
@@ -298,21 +298,7 @@ def profile_companion_family(
     if not np.isfinite(v) or v <= 0.0:
         raise FiberOptimizationError("interest variance is not positive")
     phi_hat = float(spec.g(theta_hat))
-    return GaussianScalarFamily(
-        theta_hat=np.array([phi_hat]), info=np.array([[1.0 / v]]), xi=float(xi)
-    )
-
-
-def fit_profile_companion(
-    model: ModelSpec,
-    data: Dataset,
-    spec: ProfileSpec,
-    contour: PossibilityContour,
-    config: SAConfig,
-):
-    """Fit the companion family's spread to a profile contour."""
-    fam = profile_companion_family(model, data, spec)
-    return fit_scalar_anchored(fam.theta_hat, fam.info, contour, config)
+    return GaussianScalarFamily(theta_hat=np.array([phi_hat]), info=np.array([[1.0 / v]]))
 
 
 # ---------------------------------------------------------------------------
@@ -451,75 +437,23 @@ def normal_reference_kde(values, at):
     return float(dens) if np.ndim(dens) == 0 else dens
 
 
-@dataclasses.dataclass(frozen=True)
-class QuantileCompanionFamily:
-    """Gaussian family for a sample quantile, centered at the empirical-risk
-    minimizer with variance tau(1-tau)/(n xi^2 density^2).
-
-    The spread *shrinks* as xi grows, so fits against this family flip the
-    update direction (see fit_quantile_companion).
-    """
-
-    theta_hat: float
-    n: int
-    tau: float
-    density: float
-    xi: float = 1.0
-
-    def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 < float(self.tau) < 1.0:
-            raise ValueError("tau must lie strictly between 0 and 1")
-        if not float(self.density) > 0.0:
-            raise ValueError("density at the minimizer must be positive")
-        if not float(self.xi) > 0.0:
-            raise ValueError("xi must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def sd(self) -> float:
-        return float(
-            np.sqrt(self.tau * (1.0 - self.tau)) / (np.sqrt(self.n) * self.xi * self.density)
-        )
-
-    def with_xi(self, xi: float) -> "QuantileCompanionFamily":
-        return dataclasses.replace(self, xi=float(xi))
-
-    def sample_points(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        return self.theta_hat + self.sd * rng.standard_normal((int(k), 1))
-
-
-def quantile_companion_contour(family: QuantileCompanionFamily, theta):
-    """Closed-form contour 1 - G_1(((theta - theta_hat)/sd)^2)."""
-    q = ((np.asarray(theta, dtype=float) - family.theta_hat) / family.sd) ** 2
-    out = chi2_sf(q, 1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def quantile_companion_family(
-    data: Dataset, tau: float, xi: float = 1.0
-) -> QuantileCompanionFamily:
+def quantile_companion_family(data: Dataset, tau: float) -> GaussianScalarFamily:
+    """Gaussian family for the sample tau-quantile: mean the empirical-risk
+    minimizer theta_hat, information n f^2 / (tau (1 - tau)) with f the
+    :func:`normal_reference_kde` estimate at theta_hat, so xi = 1 gives the
+    asymptotic variance of the sample quantile."""
+    tau = float(tau)
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly between 0 and 1")
     x = np.asarray(data.responses, dtype=float).ravel()
     theta_hat = quantile_erm(x, tau)
-    return QuantileCompanionFamily(
-        theta_hat=float(theta_hat),
-        n=x.size,
-        tau=float(tau),
-        density=float(normal_reference_kde(x, theta_hat)),
-        xi=float(xi),
+    density = float(normal_reference_kde(x, theta_hat))
+    if not density > 0.0:
+        raise ValueError("density at the minimizer must be positive")
+    return GaussianScalarFamily(
+        theta_hat=np.array([theta_hat]),
+        info=np.array([[x.size * density**2 / (tau * (1.0 - tau))]]),
     )
-
-
-def fit_quantile_companion(
-    contour: PossibilityContour, family: QuantileCompanionFamily, config: SAConfig
-):
-    """Fit xi so the family's (1-alpha)-credible interval matches the target
-    contour's alpha-cut.  Spread falls as xi rises, hence the flipped sign."""
-    return _fit_credal(family, contour, config, sign=-1)
 
 
 # ---------------------------------------------------------------------------

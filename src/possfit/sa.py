@@ -16,18 +16,15 @@ implemented:
 
 `sign` encodes the direction in which the criterion moves with xi so the same
 driver serves families whose spread grows with xi (Gaussian) and families
-whose spread shrinks with it (Dirichlet precision, quantile companions).
+whose spread shrinks with it (Dirichlet precision).
 
 The credal-mass criterion reads only the indicator 1{pi(theta) > alpha}
 at each draw.  A contour with a decision evaluator (``exceeds_batch``, which
 the Monte Carlo contour has) decides it early: a draw stops simulating once
 exact curtailment settles its indicator, or once a sequential test decides
-it at a stated risk.  If each simulated dataset of a draw is included with
-probability p, the test decides the draw inside the cut (p <= alpha) as
-outside, or the reverse, with probability at most 1e-3
-(``contours._DECISION_RISK``); every other indicator equals the one its
-full-m value gives on the same draws.  Other contours are read by value.
-The boundary-matching criterion always reads values.
+it at the risk stated in the README's "Determinism" section.  Other
+contours are read by value.  The boundary-matching criterion always reads
+values.
 
 Random streams of iteration t, all derived from ``config.seed``: key
 ``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
@@ -47,7 +44,7 @@ evaluations fail, and about 0.3 at 20%.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,10 +243,8 @@ def f_hat(
     Draws k parameters from the family and returns
     mean(contour > alpha) - (1 - alpha).  A contour with a decision
     evaluator (``exceeds_batch``) decides contour > alpha and stops
-    simulating each draw once its indicator is decided: by exact
-    curtailment, which gives the indicator of its full-m value, or by a
-    sequential test, which gives the wrong side of alpha with probability
-    at most 1e-3 for a draw whose datasets are included independently.  It
+    simulating each draw once its indicator is decided, by exact
+    curtailment or a sequential test (risk: README, "Determinism").  It
     consumes the contour's stream chunk by chunk, so these streams, and the
     draws and traces that follow from them, differ by design from a full-m
     evaluation.  ``eval_rng`` is the contour's stream, on which all draws are

@@ -367,6 +367,53 @@ class TestConfigHandling:
         assert "must be a number" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("case", [
+        "box-bounds", "half-space-a", "half-space-b", "finite-set-points",
+        "lasso-sigma", "lasso-lam", "normal-means-sigma",
+        "loss-value", "loss-linear-a", "loss-linear-b", "loss-indicator-outside"])
+    def test_number_in_a_hypothesis_loss_or_model_block_exit2(self, tmp_path, capsys,
+                                                              case):
+        """A bool or numeric string in a hypothesis, a choquet loss or a
+        model's sigma and lam is a config error; false is not read as 0.0,
+        nor "0.9" as 0.9."""
+        def calibrate(hypothesis):
+            return calibrate_config(tmp_path, hypotheses=[hypothesis])
+
+        def lasso(**kwargs):
+            return calibrate_config(tmp_path, model="normal-means-lasso",
+                                    truth=[0.0, 0.0], n=2, model_kwargs=kwargs)
+
+        def choquet(loss):
+            return contour_config(tmp_path, command="choquet", choquet={"loss": loss})
+
+        cfg = {
+            "box-bounds": lambda: calibrate({"kind": "box", "bounds": [[False, "0.9"]]}),
+            "half-space-a": lambda: calibrate({"kind": "half-space", "a": [True], "b": 0.9}),
+            "half-space-b": lambda: calibrate({"kind": "half-space", "a": [-1.0], "b": "-0.9"}),
+            "finite-set-points": lambda: calibrate({"kind": "finite-set", "points": [["0.4"]]}),
+            "lasso-sigma": lambda: lasso(sigma=True, lam=0.5),
+            "lasso-lam": lambda: lasso(sigma=1.0, lam="0.5"),
+            "normal-means-sigma": lambda: calibrate_config(
+                tmp_path, model="normal-means", truth=[0.0], n=2,
+                model_kwargs={"sigma": "1.0"}),
+            "loss-value": lambda: choquet({"kind": "constant", "value": "1.0"}),
+            "loss-linear-a": lambda: choquet({"kind": "linear", "a": [False]}),
+            "loss-linear-b": lambda: choquet({"kind": "linear", "a": [1.0], "b": "0"}),
+            "loss-indicator-outside": lambda: choquet(
+                {"kind": "indicator", "outside": True,
+                 "hypothesis": {"kind": "box", "bounds": [[0.2, 0.6]]}}),
+        }[case]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "must be a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_null_box_bound_is_unbounded(self, tmp_path):
+        cfg = calibrate_config(tmp_path, n=40, hypotheses=[
+            {"kind": "box", "bounds": [[None, 0.9]]}])
+        assert run(write_config(tmp_path, cfg)) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["hypotheses"] == ["box bounds=[[-inf, 0.9]]"]
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit2(self, tmp_path, capsys, threads):
         """--threads 0 once ran on every core and exited 0."""

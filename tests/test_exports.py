@@ -53,3 +53,36 @@ def test_package_imports_only_exported_names():
     ]
     assert stale == []
     assert all(hasattr(possfit, name) for _, name in pairs)
+
+
+SOURCE_MODULES = sorted(
+    path for path in Path(possfit.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _unused_imports(path):
+    """Names a module imports at its top level but neither uses nor lists
+    in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return [name for name in imported if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.stem)
+def test_every_module_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -29,7 +29,8 @@ from possfit.families import (
     gaussian_info_matrix,
     sample,
 )
-from possfit.models import SingularInformationError
+from possfit.models import Dataset, SingularInformationError
+from possfit.nuisance import quantile_companion_family
 
 
 def _spd(d, seed):
@@ -371,6 +372,9 @@ def test_gaussian_point_values_equal_grid_values():
     lambda: GaussianVectorFamily(theta_hat=np.array([1.0, 2.0]), info=_spd(2, 14),
                                  xi=np.array([0.8, 1.9])),
     lambda: _fig_family(xi=2.1),
+    lambda: quantile_companion_family(
+        Dataset(responses=np.random.default_rng(6).gamma(4.0, 1.0, size=50)), 0.25
+    ).with_xi(0.7),
 ])
 def test_family_json_round_trip(maker):
     fam = maker()

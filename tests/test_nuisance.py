@@ -18,11 +18,18 @@ from scipy import optimize, special, stats
 
 from possfit.contours import (
     AxisSpec,
+    alpha_cut,
     grid_eval,
     log_relative_likelihood,
     make_mc_contour,
 )
-from possfit.families import GaussianScalarFamily, sample
+from possfit.families import (
+    GaussianScalarFamily,
+    chi2_ppf,
+    gaussian_contour,
+    gaussian_cov_matrix,
+    sample,
+)
 from possfit.models import (
     Dataset,
     DegenerateMLEError,
@@ -35,14 +42,11 @@ from possfit.nuisance import (
     CensoringEstimate,
     FiberOptimizationError,
     ProfileSpec,
-    QuantileCompanionFamily,
     RiskMinimizationError,
     RiskSpec,
     censored_model,
     empirical_risk,
     empirical_risk_rel,
-    fit_profile_companion,
-    fit_quantile_companion,
     gamma_mean_profile,
     kaplan_meier_swapped,
     make_censored_contour,
@@ -50,7 +54,6 @@ from possfit.nuisance import (
     make_profile_contour,
     normal_reference_kde,
     profile_companion_family,
-    quantile_companion_contour,
     quantile_companion_family,
     quantile_erm,
     quantile_loss,
@@ -58,7 +61,7 @@ from possfit.nuisance import (
     relative_profile_likelihood,
 )
 from possfit._rng import SA_TAG, derive_rng
-from possfit.sa import SAConfig, fit_vector
+from possfit.sa import SAConfig, fit_scalar_anchored, fit_vector
 
 
 def _gamma_data(seed=31, n=20, shape=8.0, mean=2.0):
@@ -80,6 +83,16 @@ def _config(**kw):
     base = dict(seed=101, alpha=0.1, k_outer=100, m_inner=200, max_iter=60)
     base.update(kw)
     return SAConfig(**base)
+
+
+def _fit(family, contour, config):
+    """A companion fit: the family's anchor fitted to the contour."""
+    return fit_scalar_anchored(family.theta_hat, family.info, contour, config)
+
+
+def _center_sd(family):
+    """The mean and standard deviation of a scalar Gaussian companion."""
+    return float(family.theta_hat[0]), float(np.sqrt(gaussian_cov_matrix(family)[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +150,6 @@ def test_log_reparam_full_still_logs_everything():
     assert np.allclose(
         log_reparam(model).mle(data), np.log(model.mle(data)), atol=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# family sampling falls back to a sample_points method
-# ---------------------------------------------------------------------------
-
-
-def test_sample_duck_fallback():
-    class Fixed:
-        def sample_points(self, k, rng):
-            return np.full((k, 1), 7.0)
-
-    draws = sample(Fixed(), 5, np.random.default_rng(0))
-    assert draws.shape == (5, 1)
-    assert np.all(draws == 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +630,7 @@ def test_profile_fit_widens_on_gamma_mean():
     spec = gamma_mean_profile()
     contour = make_profile_contour(model, data, spec, m=200, seed=5)
     cfg = _config(seed=13, k_outer=60, max_iter=25, epsilon=0.01)
-    fam, trace = fit_profile_companion(model, data, spec, contour, cfg)
+    fam, trace = _fit(profile_companion_family(model, data, spec), contour, cfg)
     assert trace.reason in ("converged", "max-iterations")
     assert float(np.ravel(fam.xi)[0]) > 1.0
 
@@ -714,9 +712,9 @@ def test_empirical_risk_contour_is_peaked():
     rng = np.random.default_rng(123)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
     spec = quantile_risk_spec(0.25, B=500)
-    fam = quantile_companion_family(data, 0.25)
+    center, sd = _center_sd(quantile_companion_family(data, 0.25))
     contour = make_empirical_risk_contour(data, spec, seed=7)
-    for theta in (fam.theta_hat - 4.0 * fam.sd, fam.theta_hat + 4.0 * fam.sd):
+    for theta in (center - 4.0 * sd, center + 4.0 * sd):
         assert contour(theta) < 0.05
 
 
@@ -726,18 +724,17 @@ def test_bootstrap_grid_is_unimodal_around_the_estimate():
     the grid is one batch call of a seedless contour."""
     rng = np.random.default_rng(123)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
-    fam = quantile_companion_family(data, 0.25)
+    center, sd = _center_sd(quantile_companion_family(data, 0.25))
     contour = make_empirical_risk_contour(data, quantile_risk_spec(0.25, B=500), seed=3)
     assert contour.seed is None and contour.meta["seed"] == 3
     calls = []
     batch = contour.evaluate_batch
     contour.evaluate_batch = lambda thetas, rng: calls.append(1) or batch(thetas, rng)
-    grid = grid_eval(contour, [AxisSpec(fam.theta_hat - 5.0 * fam.sd,
-                                        fam.theta_hat + 5.0 * fam.sd, 200)])
+    grid = grid_eval(contour, [AxisSpec(center - 5.0 * sd, center + 5.0 * sd, 200)])
     assert len(calls) == 1 and grid.seed == 3
     nodes, values = grid.nodes()[:, 0], grid.values
-    assert np.all(np.diff(values[nodes <= fam.theta_hat]) >= 0.0)
-    assert np.all(np.diff(values[nodes >= fam.theta_hat]) <= 0.0)
+    assert np.all(np.diff(values[nodes <= center]) >= 0.0)
+    assert np.all(np.diff(values[nodes >= center]) <= 0.0)
     assert values.max() == 1.0 and values.min() < 0.05
 
 
@@ -792,12 +789,12 @@ def test_quantile_companion_family_shape():
     theta_hat = quantile_erm(x, 0.25)
     p_hat = normal_reference_kde(x, theta_hat)
     sd = np.sqrt(0.25 * 0.75 / (100 * p_hat**2))
-    assert fam.theta_hat == pytest.approx(theta_hat)
-    assert fam.sd == pytest.approx(sd, rel=1e-12)
-    # spread shrinks exactly like 1/xi
-    assert fam.with_xi(2.0).sd == pytest.approx(sd / 2.0, rel=1e-12)
+    assert isinstance(fam, GaussianScalarFamily) and fam.xi == 1.0
+    assert _center_sd(fam) == pytest.approx((theta_hat, sd), rel=1e-12)
+    # spread grows exactly like xi
+    assert _center_sd(fam.with_xi(2.0))[1] == pytest.approx(2.0 * sd, rel=1e-12)
     # contour two sds out is the chi-square(1) tail at 4
-    val = quantile_companion_contour(fam, theta_hat + 2 * sd)
+    val = gaussian_contour(fam, theta_hat + 2 * sd)
     assert val == pytest.approx(stats.chi2.sf(4.0, 1), rel=1e-10)
     draws = sample(fam, 4000, np.random.default_rng(9))
     assert draws.shape == (4000, 1)
@@ -805,17 +802,31 @@ def test_quantile_companion_family_shape():
     assert abs(np.std(draws) - sd) < 0.05 * sd
 
 
-def test_fit_quantile_companion_on_bootstrap_contour():
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.5])
+def test_quantile_companion_rejects_tau_outside_unit_interval(tau):
+    data = Dataset(responses=np.arange(1.0, 9.0))
+    with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
+        quantile_companion_family(data, tau)
+
+
+def test_quantile_companion_fit_matches_the_bootstrap_cut():
+    """The fitted (1 - alpha) interval's half-width matches the half-width
+    of the bootstrap contour's alpha-cut, read off a fine grid."""
     rng = np.random.default_rng(123)
     data = Dataset(responses=rng.gamma(4.0, 1.0, size=100))
     spec = quantile_risk_spec(0.25, B=300)
     contour = make_empirical_risk_contour(data, spec, seed=3)
     fam = quantile_companion_family(data, 0.25)
     cfg = _config(seed=19, k_outer=100, max_iter=40, epsilon=0.01)
-    fitted, trace = fit_quantile_companion(contour, fam, cfg)
+    fitted, trace = _fit(fam, contour, cfg)
     assert trace.reason in ("converged", "max-iterations")
-    assert 0.3 < fitted.xi < 3.0
     assert trace.failures == 0
+    center, sd = _center_sd(fam)
+    cut = alpha_cut(grid_eval(contour, [AxisSpec(center - 6.0 * sd, center + 6.0 * sd,
+                                                 2001)]), cfg.alpha).points[:, 0]
+    cut_half_width = 0.5 * (cut.max() - cut.min())
+    fitted_half_width = np.sqrt(chi2_ppf(1.0 - cfg.alpha, 1)) * _center_sd(fitted)[1]
+    assert fitted_half_width == pytest.approx(cut_half_width, rel=0.10)
 
 
 def _same_trace(a, b):
@@ -829,14 +840,14 @@ def test_companion_fits_rerun_bit_identically():
     stream, so a profile or bootstrap companion fit reruns bit for bit."""
     model, data, spec = gamma_mean_shape(), _gamma_data(seed=77), gamma_mean_profile()
     cfg = _config(seed=13, k_outer=30, max_iter=8, epsilon=0.01)
-    runs = [fit_profile_companion(model, data, spec,
-                                  make_profile_contour(model, data, spec, m=100, seed=5),
-                                  cfg)[1] for _ in range(2)]
+    fam = profile_companion_family(model, data, spec)
+    runs = [_fit(fam, make_profile_contour(model, data, spec, m=100, seed=5), cfg)[1]
+            for _ in range(2)]
     assert _same_trace(*runs)
     qspec = quantile_risk_spec(0.25, B=100)
     fam = quantile_companion_family(data, 0.25)
-    runs = [fit_quantile_companion(make_empirical_risk_contour(data, qspec, seed=3),
-                                   fam, cfg)[1] for _ in range(2)]
+    runs = [_fit(fam, make_empirical_risk_contour(data, qspec, seed=3), cfg)[1]
+            for _ in range(2)]
     assert _same_trace(*runs)
 
 
@@ -848,7 +859,8 @@ def test_companion_fit_tallies_each_raising_row_once():
     data = _gamma_data(seed=77)
     base = quantile_risk_spec(0.25, B=50)
     fam = quantile_companion_family(data, 0.25)
-    cut = fam.theta_hat + 0.5 * fam.sd
+    center, sd = _center_sd(fam)
+    cut = center + 0.5 * sd
 
     def loss(values, theta):
         if np.ndim(values) == 1 and np.any(np.asarray(theta) > cut):
@@ -858,7 +870,7 @@ def test_companion_fit_tallies_each_raising_row_once():
     contour = make_empirical_risk_contour(
         data, dataclasses.replace(base, loss=loss), seed=3)
     cfg = _config(seed=19, k_outer=40, max_iter=6, epsilon=1e-9)
-    _, trace = fit_quantile_companion(contour, fam, cfg)
+    _, trace = _fit(fam, contour, cfg)
     xis = [1.0] + [float(x[0]) for x in trace.xis[:-1]]
     past = sum(
         int(np.sum(sample(fam.with_xi(xi), cfg.k_outer,
