@@ -44,6 +44,7 @@ from .contours import (
     AxisSpec,
     config_bool,
     config_float,
+    config_floats,
     config_int,
     grid_eval,
     make_exact_contour,
@@ -355,7 +356,7 @@ class Scenario:
                 grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
             return cls(
                 model_id=config["model"],
-                truth=tuple(config["truth"]),
+                truth=tuple(config_floats(config["truth"], "truth")),
                 n=config_int(config["n"], "n"),
                 reps=config_int(config["reps"], "reps"),
                 method=config["method"],
@@ -364,7 +365,8 @@ class Scenario:
                 grid=grid,
                 m=config_int(config.get("m", 500), "m"),
                 log_params=config_bool(config.get("log_params", False), "log_params"),
-                data_params=config.get("data_params"),
+                data_params=None if config.get("data_params") is None
+                else tuple(config_floats(config["data_params"], "data_params")),
                 model_kwargs=dict(config.get("model_kwargs", {})),
             )
         except ScenarioError:

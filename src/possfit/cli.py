@@ -58,6 +58,7 @@ from .contours import (
     NonFiniteContourError,
     config_bool,
     config_float,
+    config_floats,
     config_int,
     grid_eval,
 )
@@ -217,12 +218,13 @@ def _integer(doc: dict, key: str, default=None) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _floats(value, key: str):
-    """A number, or a nested list of numbers as an array, with every element
-    read by ``config_float``; a ValueError otherwise."""
-    if isinstance(value, list):
-        return np.array([_floats(v, key) for v in value], dtype=float)
-    return config_float(value, key)
+def _numbers(doc: dict, key: str):
+    """``doc[key]`` read by ``config_floats``; a config error if it is not a
+    number or a nested list of numbers."""
+    try:
+        return config_floats(doc[key], key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_hypothesis(doc: dict) -> Hypothesis:
@@ -232,17 +234,17 @@ def _parse_hypothesis(doc: dict) -> Hypothesis:
     try:
         if kind == "half-space":
             return Hypothesis.half_space(
-                _floats(doc["a"], "a"), config_float(doc["b"], "b")
+                config_floats(doc["a"], "a"), config_float(doc["b"], "b")
             )
         if kind in ("box", "box-complement"):
-            h = Hypothesis.box(_floats(  # a null bound is unbounded
+            h = Hypothesis.box(config_floats(  # a null bound is unbounded
                 [[-math.inf if lo is None else lo, math.inf if hi is None else hi]
                  for lo, hi in doc["bounds"]], "bounds"))
             return h.complement() if kind == "box-complement" else h
         if kind == "whole-space":
             return Hypothesis.whole_space(_integer(doc, "dim"))
         if kind == "finite-set":
-            return Hypothesis.finite_set(_floats(doc["points"], "points"))
+            return Hypothesis.finite_set(config_floats(doc["points"], "points"))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -315,7 +317,7 @@ def _model_and_data(config: dict, seed: int):
         log_params=log_params,
     )
     if data is None:
-        theta = np.asarray(spec["simulate"]["theta"], dtype=float).ravel()
+        theta = np.ravel(_numbers(spec["simulate"], "theta"))
         msg = domain_violation(model, theta, n)
         if msg is not None:
             raise ConfigError(f"simulate theta outside the {model.name} domain: needs {msg}")
@@ -400,9 +402,12 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
     xi_repr = repr(float(xi[0])) if xi.size == 1 else [float(v) for v in xi]
     print(f"xi_hat: {xi_repr}")
     print(f"termination: {trace.reason}")
+    print(f"failures: {trace.failures}")
 
+    doc = family_to_json(family, iterations=len(trace.ts), termination=trace.reason,
+                         failures=trace.failures)
     texts = {
-        "json": json_text(family_to_json(family), _json_header("fit", cfg_hash, seed)),
+        "json": json_text(doc, _json_header("fit", cfg_hash, seed)),
         "csv": trace.csv_text(_header_comments("fit", cfg_hash, seed)),
     }
     _write_outputs(texts, paths, verbose)
@@ -411,7 +416,7 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
 def _cmd_calibrate(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
     scenario = Scenario.from_config(config)
-    alphas = config.get("alphas")
+    alphas = None if config.get("alphas") is None else _numbers(config, "alphas")
     if "hypotheses" in config:
         hyps = [_parse_hypothesis(h) for h in config["hypotheses"]]
         result = hypothesis_calibration(
@@ -498,7 +503,7 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
     if "component" in doc:
         g = _integer(doc, "component")
     elif "linear" in doc:
-        g = np.asarray(doc["linear"], dtype=float)
+        g = np.asarray(_numbers(doc, "linear"))
     else:
         raise ConfigError(
             "marginal feature must be {'component': i} or {'linear': [...]}"
@@ -528,7 +533,7 @@ def _parse_loss(doc: dict):
             value = config_float(doc["value"], "value")
             return lambda theta: value
         if kind == "linear":
-            a = _floats(doc["a"], "a")
+            a = config_floats(doc["a"], "a")
             b = config_float(doc.get("b", 0.0), "b")
             return lambda theta: float(
                 np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b

@@ -26,11 +26,14 @@ by one of two rules.  Exact curtailment: its count of included datasets
 exceeds the largest count whose share is still <= alpha, or the datasets
 left can no longer take it there; such a decision equals ``value > alpha``
 of the value the same draws give when all m datasets are simulated.  A
-bounded-risk sequential test (Besag & Clifford 1991; Gandy 2009): at each
-checkpoint before the last chunk, a count far below or far above what
-Binomial(n, alpha) gives after n datasets decides the point 0 or 1, at the
-risk ``_DECISION_RISK`` stated in the README's "Determinism" section.  A
-point neither rule decides early is decided on all m datasets.
+sequential probability ratio test with an indifference zone (Wald 1945;
+Gandy & Hahn 2014): at each checkpoint before the last chunk, Wald's test of
+p = alpha - delta against p = alpha + delta, p being the chance that one
+dataset is included, decides the point 0 or 1 (:func:`_decision_bounds`).
+A point with |p - alpha| >= delta is decided on the wrong side early with
+probability at most ``_DECISION_RISK``; one inside the band may be decided
+otherwise than on all m datasets.  README "Determinism" states the band and
+the risk.  A point neither rule decides early is decided on all m datasets.
 
 Ties in the Monte Carlo comparison ``R(X, theta) <= R(x, theta)`` are decided
 on the log scale with an absolute slack of ``TIE_EPS``, counting ties (and
@@ -45,7 +48,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from ._render import csv_text, json_text, write_text
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
@@ -103,8 +105,8 @@ class PossibilityContour:
     row once its decision is settled, so it leaves ``rng`` in a different
     state.  A decision made by exact curtailment or on all m datasets is
     exactly ``evaluate_batch(thetas, rng) > alpha`` for the same draws; one
-    made early by the sequential test carries the risk stated in the
-    README's "Determinism" section.  The credal-mass criterion of the
+    made early by the sequential test carries the band and risk stated in
+    the README's "Determinism" section.  The credal-mass criterion of the
     stochastic-approximation fits uses it for every contour that has one.
     """
 
@@ -223,7 +225,8 @@ def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
 
 # the risk of a wrong early decision: a row whose datasets are each included
 # with probability p is decided 1 before its last chunk with probability at
-# most this when p <= alpha, and 0 when p > alpha
+# most this when p <= alpha - delta, and 0 when p >= alpha + delta, delta
+# being the indifference band of _decision_bounds
 _DECISION_RISK = 1e-3
 
 
@@ -243,25 +246,24 @@ def _decision_bounds(m: int, alpha: float, risk: float) -> tuple:
     """(lo, hi): one pair of counts per chunk of :func:`_decision_schedule`.
 
     After a chunk, a live row whose count of included datasets is <= lo is
-    decided 0 and one whose count is >= hi is decided 1.  Each pair joins
-    exact curtailment against need, the largest count c with c / m <= alpha
-    in float64, to the sequential test at the J checkpoints before the last
-    chunk: with n datasets done, the largest c with
-    P(Binomial(n, alpha) <= c) <= risk / J and the smallest c with
-    P(Binomial(n, alpha) >= c) <= risk / J.  The last pair is (need,
-    need + 1), so every row is decided there."""
+    decided 0 and one whose count is >= hi is decided 1.  The pairs join
+    exact curtailment against need, the largest c with c / m <= alpha in
+    float64, to Wald's test of p = alpha - delta against alpha + delta: at a
+    checkpoint before the last chunk, with c of n datasets included, it
+    decides once its log likelihood ratio c * up - (n - c) * down reaches
+    log(1 / risk) or -log(1 / risk).  The last pair is (need, need + 1)."""
     need = int(np.count_nonzero(np.arange(m + 1) / m <= alpha)) - 1
-    ends = np.cumsum(_decision_schedule(m))
-    tol = risk / max(1, ends.size - 1)
-    lo, hi = [], []
-    for n in ends[:-1]:
-        c = np.arange(n + 1)
-        low = np.count_nonzero(special.bdtr(c, n, alpha) <= tol) - 1
-        # P(X >= c) = bdtrc(c - 1); c = 0 has P = 1
-        high = 1 + np.count_nonzero(special.bdtrc(c[:-1], n, alpha) > tol)
-        lo.append(max(int(low), need - (m - int(n))))
-        hi.append(min(int(high), need + 1))
-    return tuple(lo) + (need,), tuple(hi) + (need + 1,)
+    n = np.cumsum(_decision_schedule(m))[:-1]
+    # four standard errors of the full-m estimate, inside (0, 1)
+    delta = min(4.0 * np.sqrt(alpha * (1.0 - alpha) / m), alpha / 2, (1.0 - alpha) / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # risk 0, alpha 0 or 1
+        up = np.log((alpha + delta) / (alpha - delta))
+        down = np.log((1.0 - alpha + delta) / (1.0 - alpha - delta))
+        lo = np.floor((n * down + np.log(risk)) / (up + down))
+        hi = np.ceil((n * down - np.log(risk)) / (up + down))
+    lo = np.fmax(lo, np.maximum(-1, need - (m - n))).astype(int)
+    hi = np.fmin(hi, np.minimum(n, need) + 1).astype(int)
+    return tuple(lo.tolist()) + (need,), tuple(hi.tolist()) + (need + 1,)
 
 
 def _mc_batch(
@@ -288,8 +290,8 @@ def _mc_batch(
     decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
     of :func:`_decision_schedule`, and a row leaves the live set as soon as
     its count crosses the bounds :func:`_decision_bounds` sets for the
-    chunk (exact curtailment, or the sequential test at risk
-    ``_DECISION_RISK``).
+    chunk (exact curtailment, or Wald's test at risk ``_DECISION_RISK``
+    outside its indifference band).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     obs = _observed_rows(observed, thetas)
@@ -342,8 +344,8 @@ def make_mc_contour(
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
     one generator.  ``exceeds_batch(thetas, alpha, rng)`` decides value >
-    alpha at each point by exact curtailment or, at a stated risk, by a
-    sequential test (see the module docstring).
+    alpha at each point by exact curtailment or, at a stated risk outside
+    an indifference band, by a sequential test (see the module docstring).
     Off the domain (observed relative likelihood 0) the contour is exactly
     0, since data simulated under theta have a positive likelihood there,
     and nothing is simulated.  Replicates whose refitting machinery fails
@@ -385,6 +387,14 @@ def config_float(value, key: str) -> float:
             value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def config_floats(value, key: str):
+    """A run config's number, or nested list of numbers as an array, with
+    every element read by :func:`config_float`."""
+    if isinstance(value, list):
+        return np.array([config_floats(v, key) for v in value], dtype=float)
+    return config_float(value, key)
 
 
 def config_bool(value, key: str) -> bool:

@@ -22,9 +22,9 @@ The credal-mass criterion reads only the indicator 1{pi(theta) > alpha}
 at each draw.  A contour with a decision evaluator (``exceeds_batch``, which
 the Monte Carlo contour has) decides it early: a draw stops simulating once
 exact curtailment settles its indicator, or once a sequential test decides
-it at the risk stated in the README's "Determinism" section.  Other
-contours are read by value.  The boundary-matching criterion always reads
-values.
+it, at the indifference band and risk stated in the README's "Determinism"
+section.  Other contours are read by value.  The boundary-matching
+criterion always reads values.
 
 Random streams of iteration t, all derived from ``config.seed``: key
 ``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
@@ -33,12 +33,14 @@ its 2d boundary points) for a seeded contour.  The decision evaluator
 consumes that stream chunk by chunk of datasets, for the draws still
 undecided, so the credal-mass fits of a Monte Carlo contour draw different
 datasets than a full-m evaluation of each point would; their traces changed
-by design when curtailment came in, and again when the sequential test did.
-An evaluation that fails (a NaN value) counts as outside the cut and is
-tallied in ``FitTrace.failures``.  This lowers the credal mass, so failures
-shrink the fitted spread, not widen it: against its own unit Gaussian
-contour, scalar fits read a mean xi of about 1.0, about 0.9 when 5% of the
-evaluations fail, and about 0.3 at 20%.
+by design when curtailment came in, again when the sequential test did,
+and again when it gained its indifference band.
+An evaluation that fails (a NaN value) counts as inside the cut, as a
+Monte Carlo replicate whose refit fails counts as included, and is tallied
+in ``FitTrace.failures``.  This raises the credal mass, so failures widen
+the fitted spread, the conservative direction, never shrink it.  The
+boundary-matching criterion reads a failed point as 0 and takes the larger
+value of each pair, so one failure of a pair is absorbed by its partner.
 """
 
 from __future__ import annotations
@@ -244,20 +246,20 @@ def f_hat(
     mean(contour > alpha) - (1 - alpha).  A contour with a decision
     evaluator (``exceeds_batch``) decides contour > alpha and stops
     simulating each draw once its indicator is decided, by exact
-    curtailment or a sequential test (risk: README, "Determinism").  It
-    consumes the contour's stream chunk by chunk, so these streams, and the
-    draws and traces that follow from them, differ by design from a full-m
-    evaluation.  ``eval_rng`` is the contour's stream, on which all draws are
+    curtailment or a sequential test (band and risk: README,
+    "Determinism").  It consumes the contour's stream chunk by chunk, so
+    these streams, and the draws and traces that follow from them, differ
+    by design from a full-m evaluation.  ``eval_rng`` is the contour's stream, on which all draws are
     evaluated as one batch (see the module docstring); without it the
     evaluation continues on ``rng``.  A draw whose contour evaluation fails
-    counts as *outside* the cut, which lowers the criterion and so pulls
-    the fitted spread down, the anti-conservative direction (see the module
+    counts as *inside* the cut, which raises the criterion and so widens
+    the fitted spread, the conservative direction (see the module
     docstring); failures are tallied into ``failure_count[0]`` when a
     one-element list is supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))
     vals = _evaluate(contour, draws, rng if eval_rng is None else eval_rng, failure_count, alpha)
-    return float(np.mean(vals > alpha) - (1.0 - alpha))  # NaN is never > alpha
+    return float(np.mean(np.isnan(vals) | (vals > alpha)) - (1.0 - alpha))
 
 
 def _default_contour(

@@ -407,6 +407,35 @@ class TestConfigHandling:
         assert "must be a number" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("case", [
+        "alphas-string", "alphas-bool", "truth-string", "truth-bool",
+        "data_params-string", "data_params-bool",
+        "simulate-theta-string", "simulate-theta-bool", "linear-string", "linear-bool"])
+    def test_number_in_a_study_data_or_marginal_block_exit2(self, tmp_path, capsys,
+                                                            case):
+        """A bool or numeric string among a calibrate run's alphas, truth or
+        data_params, a simulated dataset's theta or a marginal's linear
+        feature is a config error; true is not read as 1.0, nor "0.4" as
+        0.4."""
+        field, kind = case.rsplit("-", 1)
+        bad = {"string": "0.4", "bool": True}[kind]
+        cfg = {
+            "alphas": lambda: calibrate_config(tmp_path, alphas=[0.5, bad]),
+            "truth": lambda: calibrate_config(tmp_path, truth=[bad]),
+            "data_params": lambda: calibrate_config(
+                tmp_path, model="gamma", truth=[2.53], data_params=[4.0, bad],
+                method="bootstrap", model_kwargs={"tau": 0.5, "B": 50}),
+            "simulate-theta": lambda: contour_config(
+                tmp_path, method="naive", m=50,
+                data={"simulate": {"theta": [bad], "n": 10}}),
+            "linear": lambda: contour_config(
+                tmp_path, command="marginal", marginal={"linear": [bad]},
+                grid=[{"lo": 0.0, "hi": 1.0, "count": 5}]),
+        }[field]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "must be a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_null_box_bound_is_unbounded(self, tmp_path):
         cfg = calibrate_config(tmp_path, n=40, hypotheses=[
             {"kind": "box", "bounds": [[None, 0.9]]}])
@@ -608,6 +637,31 @@ class TestFit:
         assert run(path) == 0
         doc2 = json.loads((tmp_path / "family.json").read_text())
         assert doc2["xi"] == xi_first
+
+    def test_fit_reports_what_it_did_and_reruns_byte_identically(self, tmp_path,
+                                                                 capsys):
+        """A fit prints its termination and failures and records them, with
+        its iteration count, in the family JSON; a rerun prints the same
+        lines and writes the same bytes apart from the ``generated`` line."""
+        path = write_config(tmp_path, fit_config(tmp_path))
+        names = ("family.json", "trace.csv")
+        assert run(path) == 0
+        out = capsys.readouterr().out.splitlines()
+        first = {name: read_lines(tmp_path / name) for name in names}
+        doc = json.loads((tmp_path / "family.json").read_text())
+        assert doc["iterations"] == len(csv_sections(tmp_path / "trace.csv")[2])
+        assert doc["termination"] in ("converged", "max-iterations")
+        assert doc["failures"] == 0
+        assert out[1:] == [f"termination: {doc['termination']}", "failures: 0"]
+
+        assert run(path) == 0
+        assert capsys.readouterr().out.splitlines() == out
+        for name in names:
+            again = read_lines(tmp_path / name)
+            assert len(again) == len(first[name])
+            diff = [(x, y) for x, y in zip(first[name], again) if x != y]
+            assert len(diff) <= 1
+            assert all("generated" in x and "generated" in y for x, y in diff)
 
     def test_gamma_vector_family_schema(self, tmp_path):
         cfg = fit_config(

@@ -529,12 +529,12 @@ def test_decision_schedule():
 
 
 def test_decision_bounds():
-    """The sequential test's counts at m = 500, alpha = 0.1, then exact
-    curtailment (need = 50) at the last chunk; at risk 0 only exact
-    curtailment is left, and it decides no row before its last chunk
+    """Wald's test of p = 0.05 against p = 0.15 at m = 500, alpha = 0.1,
+    then exact curtailment (need = 50) at the last chunk; at risk 0 only
+    exact curtailment is left, and it decides no row before its last chunk
     that all m datasets could decide otherwise."""
     assert _decision_bounds(500, 0.1, 1e-3) == (
-        (-1, -1, -1, 2, 9, 50), (8, 11, 17, 27, 45, 51))
+        (-1, -1, 0, 6, 17, 50), (8, 9, 12, 18, 30, 51))
     for m, alpha in [(500, 0.1), (100, 0.29), (7, 0.5), (1, 0.3)]:
         need = _need(m, alpha)
         lo, hi = _decision_bounds(m, alpha, 0.0)
@@ -657,20 +657,67 @@ def _bernoulli_decisions(p, rows, seed):
     return decisions, seen
 
 
-@pytest.mark.parametrize("p", [0.08, 0.09, 0.1, 0.11, 0.12])
+def _band(m, alpha):
+    """The indifference band of the decision loop's sequential test: four
+    standard errors of the full-m estimate, kept inside (0, 1)."""
+    return min(4.0 * np.sqrt(alpha * (1.0 - alpha) / m), alpha / 2, (1.0 - alpha) / 2)
+
+
+def _decision_law(m, alpha, p):
+    """The exact law of the decision loop for a row whose datasets are each
+    included with probability p, by dynamic programming over the count of
+    a live row, chunk by chunk of the schedule: P(decided 1), and the
+    probabilities of deciding 1 and 0 before the last chunk."""
+    lo, hi = _decision_bounds(m, alpha, contours._DECISION_RISK)
+    live = np.ones(1)  # P(count = c and the row is still live)
+    one = early_one = early_zero = 0.0
+    for i, chunk in enumerate(_decision_schedule(m)):
+        live = np.convolve(live, stats.binom.pmf(np.arange(chunk + 1), chunk, p))
+        c = np.arange(live.size)
+        over, under = c >= hi[i], c <= lo[i]
+        one += live[over].sum()
+        if i < len(lo) - 1:
+            early_one += live[over].sum()
+            early_zero += live[under].sum()
+        live = np.where(over | under, 0.0, live)
+    assert live.sum() == 0.0
+    return one, early_one, early_zero
+
+
+@pytest.mark.parametrize("m,alpha", [(500, 0.1), (100, 0.29), (1000, 0.05), (64, 0.5)])
+def test_early_wrong_side_decisions_keep_the_stated_risk(m, alpha):
+    """The exact probability that a row with |p - alpha| >= delta is decided
+    before its last chunk on the wrong side of alpha is at most
+    _DECISION_RISK, at p = alpha - delta, p = alpha + delta and beyond."""
+    delta = _band(m, alpha)
+    below = np.linspace(0.0, alpha - delta, 6)
+    above = np.linspace(alpha + delta, 1.0, 6)
+    risks = [_decision_law(m, alpha, p)[1] for p in below]
+    risks += [_decision_law(m, alpha, p)[2] for p in above]
+    assert max(risks) <= contours._DECISION_RISK
+    assert _decision_law(m, alpha, alpha - delta)[1] > 0.0
+
+
+@pytest.mark.parametrize("p", [0.02, 0.05, 0.08, 0.09, 0.1, 0.11, 0.12, 0.15, 0.2])
 def test_early_decisions_keep_the_stated_risk(p):
-    """Rows whose datasets are each included with probability p: the share
-    decided before the last chunk against the sign of p - alpha is at most
-    _DECISION_RISK, and the share decided 1 matches the full-m probability
-    P(Binomial(500, p) > 50) within the risk and four standard errors."""
+    """Rows whose datasets are each included with probability p, at m = 500
+    and alpha = 0.1, where the band is 0.05: the shares decided 1, decided
+    1 early and decided 0 early match the exact law of the decision loop
+    within four standard errors, and outside the band the share decided
+    early against the sign of p - alpha is at most _DECISION_RISK.  Inside
+    the band a row may be decided otherwise than on all m datasets."""
     rows = 200_000
     decisions, seen = _bernoulli_decisions(p, rows, seed=1)
-    wrong = decisions != float(p > 0.1)
-    assert set(np.unique(decisions)) == {0.0, 1.0}
-    assert np.mean(wrong & (seen < 500)) <= contours._DECISION_RISK
-    full = special.bdtrc(50, 500, p)
-    tol = contours._DECISION_RISK + 4.0 * np.sqrt(full * (1.0 - full) / rows)
-    assert abs(np.mean(decisions) - full) <= tol
+    early = seen < 500
+    assert set(np.unique(decisions)) <= {0.0, 1.0}
+    law = _decision_law(500, 0.1, p)
+    shares = [np.mean(decisions == 1.0), np.mean((decisions == 1.0) & early),
+              np.mean((decisions == 0.0) & early)]
+    for share, want in zip(shares, law):
+        assert abs(share - want) <= 4.0 * np.sqrt(want * (1.0 - want) / rows) + 1.0 / rows
+    if abs(p - 0.1) >= _band(500, 0.1) - 1e-12:  # 0.15 - 0.1 < 0.05 in float64
+        wrong = decisions != float(p > 0.1)
+        assert np.mean(wrong & early) <= contours._DECISION_RISK
 
 
 # ---------------------------------------------------------------------------
