@@ -43,6 +43,7 @@ from .models import (  # noqa: F401
 from .contours import (  # noqa: F401
     AlphaCut,
     AxisSpec,
+    ConfigError,
     ContourGrid,
     PossibilityContour,
     TIE_EPS,
@@ -99,7 +100,6 @@ from .calibration import (  # noqa: F401
     METHODS,
     POISSON_DESIGN_SEED,
     Scenario,
-    ScenarioError,
     StudyError,
     TimingAccuracyResult,
     build_contour,

@@ -42,6 +42,7 @@ from ._render import csv_text, json_text, write_text
 from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
+    ConfigError,
     config_bool,
     config_float,
     config_floats,
@@ -77,7 +78,6 @@ __all__ = [
     "DEFAULT_ALPHA_GRID",
     "POISSON_DESIGN_SEED",
     "Scenario",
-    "ScenarioError",
     "StudyError",
     "CalibrationReport",
     "HypothesisCalibrationResult",
@@ -106,10 +106,6 @@ DEFAULT_ALPHA_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 
 #: seed for the fixed covariate matrix of the Poisson regression study
 POISSON_DESIGN_SEED = 0x706F6973
-
-
-class ScenarioError(ValueError):
-    """A study configuration that cannot be run as described."""
 
 
 class StudyError(RuntimeError):
@@ -152,12 +148,12 @@ def poisson_study_design(
 
 def _poisson_design_for(n, kw) -> np.ndarray:
     if "design" in kw:
-        design = np.asarray(kw["design"], dtype=float)
-        if design.ndim != 2 or (n is not None and design.shape[0] != n):
-            raise ScenarioError("design must be an (n, p) matrix")
+        design = config_floats(kw["design"], "design")
+        if np.ndim(design) != 2 or (n is not None and design.shape[0] != n):
+            raise ConfigError("design must be an (n, p) matrix")
         return design
     if n is None:
-        raise ScenarioError(
+        raise ConfigError(
             "poisson-loglinear needs n or an explicit design matrix"
         )
     return poisson_study_design(n, seed=int(kw.get("design_seed", POISSON_DESIGN_SEED)))
@@ -168,7 +164,7 @@ def _lasso_lam(n, kw):
     if "lam" in kw:
         return sigma, config_float(kw["lam"], "lam")
     if n is None:
-        raise ScenarioError(
+        raise ConfigError(
             "normal-means-lasso needs n or an explicit model_kwargs['lam']"
         )
     return sigma, math.sqrt(sigma * sigma * math.log(n))
@@ -186,7 +182,7 @@ _REGISTRY = {
     "normal-means-lasso": lambda n, kw: _models.normal_means_lasso(*_lasso_lam(n, kw)),
     "poisson-loglinear": lambda n, kw: _models.poisson_loglinear(_poisson_design_for(n, kw)),
     "logistic": lambda n, kw: _models.logistic_regression(
-        np.asarray(kw["design"], dtype=float)),
+        config_floats(kw["design"], "design")),
 }
 
 
@@ -235,59 +231,57 @@ class Scenario:
         if self.grid is not None:
             axes = tuple(self.grid)
             if not axes or not all(isinstance(a, AxisSpec) for a in axes):
-                raise ScenarioError("grid must be a sequence of AxisSpec")
+                raise ConfigError("grid must be a sequence of AxisSpec")
             object.__setattr__(self, "grid", axes)
 
         _check_model_id(self.model_id)
         if self.method not in METHODS:
-            raise ScenarioError(
+            raise ConfigError(
                 f"unknown contour method {self.method!r}; "
                 f"expected one of {METHODS}"
             )
         if self.reps < 1:
-            raise ScenarioError("reps must be at least 1")
+            raise ConfigError("reps must be at least 1")
         if self.n < 1 or self.m < 1:
-            raise ScenarioError("n and m must be at least 1")
+            raise ConfigError("n and m must be at least 1")
         if self.method.startswith("variational"):
             if not isinstance(self.sa, SAConfig):
-                raise ScenarioError(
+                raise ConfigError(
                     f"method {self.method!r} requires an SAConfig"
                 )
         if self.method == "bootstrap":
             kw = self.model_kwargs
             _bootstrap_spec(kw.get("tau"), kw.get("B", 500))
             if self.data_params is None:
-                raise ScenarioError(
+                raise ConfigError(
                     "bootstrap method needs data_params (the generating "
                     "parameter; truth is the functional value)"
                 )
             if len(self.truth) != 1 or not np.isfinite(self.truth[0]):
-                raise ScenarioError(
+                raise ConfigError(
                     "bootstrap truth must be a single finite functional value"
                 )
         if self.method == "censored":
             if self.model_id != "lognormal-censored":
-                raise ScenarioError(
+                raise ConfigError(
                     "censored method requires the lognormal-censored model"
                 )
-            limits = np.asarray(
-                self.model_kwargs.get("limits", ()), dtype=float
-            ).ravel()
+            limits = np.ravel(config_floats(self.model_kwargs.get("limits", ()), "limits"))
             if limits.size == 0 or not np.all(
                 np.isfinite(limits) & (limits > 0.0)
             ):
-                raise ScenarioError(
+                raise ConfigError(
                     "censored method needs positive detection limits under "
                     "model_kwargs['limits']"
                 )
         if self.log_params:
             if self.method in ("bootstrap", "censored"):
-                raise ScenarioError(
+                raise ConfigError(
                     f"log_params is not meaningful for the {self.method} "
                     "method"
                 )
             if not all(t > 0.0 for t in self.truth):
-                raise ScenarioError(
+                raise ConfigError(
                     "log_params needs strictly positive truth coordinates"
                 )
 
@@ -295,7 +289,7 @@ class Scenario:
         model = model_from_id(self.model_id, self.n, self.model_kwargs)
         msg = domain_violation(model, target, self.n)
         if msg is not None:
-            raise ScenarioError(
+            raise ConfigError(
                 f"truth outside the model domain: {self.model_id} needs {msg}"
             )
 
@@ -343,15 +337,10 @@ class Scenario:
     def from_config(cls, config: dict) -> "Scenario":
         for key in ("model", "truth", "n", "reps", "method", "seed"):
             if key not in config:
-                raise ScenarioError(f"run config missing required key {key!r}")
-        sa = None
-        if config.get("sa") is not None:
-            try:
-                sa = SAConfig.from_dict(config["sa"])
-            except ValueError as exc:
-                raise ScenarioError(f"invalid sa block: {exc}") from None
+                raise ConfigError(f"run config missing required key {key!r}")
         grid = None
         try:
+            sa = None if config.get("sa") is None else SAConfig.from_dict(config["sa"])
             if config.get("grid") is not None:
                 grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
             return cls(
@@ -369,15 +358,15 @@ class Scenario:
                 else tuple(config_floats(config["data_params"], "data_params")),
                 model_kwargs=dict(config.get("model_kwargs", {})),
             )
-        except ScenarioError:
+        except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"invalid run config: {exc!r}") from None
+            raise ConfigError(f"invalid run config: {exc!r}") from None
 
 
 def _check_model_id(model_id) -> None:
     if not isinstance(model_id, str) or model_id not in _REGISTRY:
-        raise ScenarioError(
+        raise ConfigError(
             f"unknown model id {model_id!r}; "
             f"expected one of {sorted(_REGISTRY)}"
         )
@@ -390,16 +379,14 @@ def model_from_id(
     log_params: bool = False,
 ) -> ModelSpec:
     """Instantiate a registered model outside of any scenario; a factory
-    that rejects its settings raises :class:`ScenarioError`."""
+    that rejects its settings raises :class:`ConfigError`."""
     _check_model_id(model_id)
     try:
         base = _REGISTRY[model_id](None if n is None else int(n), dict(model_kwargs or {}))
-    except ScenarioError:
-        raise
     except KeyError as exc:
-        raise ScenarioError(f"the {model_id} model needs model_kwargs[{exc}]") from None
+        raise ConfigError(f"the {model_id} model needs model_kwargs[{exc}]") from None
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(
+        raise ConfigError(
             f"invalid settings for the {model_id} model: {exc}"
         ) from None
     return log_reparam(base) if log_params else base
@@ -630,14 +617,14 @@ def _simulate(scenario: Scenario, model: ModelSpec,
 
 def _bootstrap_spec(tau, B):
     """The quantile risk spec of the bootstrap settings: a level tau in
-    (0, 1) and an integer count B >= 1 of resamples; a ScenarioError
+    (0, 1) and an integer count B >= 1 of resamples; a ConfigError
     names a bad setting."""
     if tau is None:
-        raise ScenarioError("the bootstrap method needs a quantile level tau")
+        raise ConfigError("the bootstrap method needs a quantile level tau")
     try:
         return quantile_risk_spec(float(tau), config_int(B, "B"))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid bootstrap settings: {exc}") from None
+        raise ConfigError(f"invalid bootstrap settings: {exc}") from None
 
 
 def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
@@ -653,19 +640,21 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     ``B`` resamples) and a vector of responses, and the variational methods
     an ``sa`` config.
     ``seed`` seeds the contour's streams or the fit.  A method the model
-    cannot serve raises :class:`ScenarioError`.
+    cannot serve, or ``m`` below 1, raises :class:`ConfigError`.
     """
+    if m < 1:
+        raise ConfigError(f"m must be at least 1, got {m}")
     if method in ("exact", "naive") and model.exact_contour_for is not None:
         return make_exact_contour(model, data), None
     if method == "exact":
-        raise ScenarioError(
+        raise ConfigError(
             f"the exact contour is not available for the {model.name} model"
         )
     if method == "naive":
         return make_mc_contour(model, data, m, seed=seed), None
     if method in ("variational-scalar", "variational-vector"):
         if sa is None:
-            raise ScenarioError(f"method {method!r} requires an SAConfig")
+            raise ConfigError(f"method {method!r} requires an SAConfig")
         fit = fit_scalar if method == "variational-scalar" else fit_vector
         family, _ = fit(model, data, replace(sa, seed=seed))
         return gaussian_contour_object(family), family
@@ -674,16 +663,16 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
         try:
             return make_empirical_risk_contour(data, spec, seed=seed), None
         except ValueError as exc:
-            raise ScenarioError(f"the bootstrap method: {exc}") from None
+            raise ConfigError(f"the bootstrap method: {exc}") from None
     if method == "censored":
         if model.censored_sim is None:
-            raise ScenarioError(
+            raise ConfigError(
                 f"the censored method needs a censored simulator, which the "
                 f"{model.name} model does not declare"
             )
         ghat = kaplan_meier_swapped(data)
         return make_censored_contour(model, data, ghat, m, seed=seed), None
-    raise ScenarioError(
+    raise ConfigError(
         f"unknown contour method {method!r}; expected exact, naive, "
         "variational-scalar, variational-vector, bootstrap, or censored"
     )
@@ -716,7 +705,7 @@ def _guarded(fn):
     def safe(r):
         try:
             return (*fn(r), None)
-        except ScenarioError:  # the scenario itself cannot run
+        except ConfigError:  # the scenario itself cannot run
             raise
         except Exception as exc:  # recorded, not fatal
             return np.nan, np.nan, f"{type(exc).__name__}: {exc}"
@@ -745,7 +734,7 @@ def validity_study(
 
     Per-replication failures are recorded on the report rather than raised;
     more than 5% of them abort the study with :class:`StudyError`.  A
-    :class:`ScenarioError`, a scenario no replication can run, is raised.
+    :class:`ConfigError`, a scenario no replication can run, is raised.
     """
     model = build_model(scenario)
     alphas = np.asarray(
@@ -781,19 +770,6 @@ def validity_study(
     )
 
 
-def _describe_hypothesis(h: Hypothesis) -> str:
-    if h.kind == "half-space":
-        return (
-            f"half-space a.theta > b with a={[float(x) for x in h.a]}, "
-            f"b={float(h.b)}"
-        )
-    if h.kind in ("box", "box-complement"):
-        return f"{h.kind} bounds={h.bounds.tolist()}"
-    if h.kind == "finite":
-        return f"finite set of {h.points.shape[0]} points"
-    return "predicate"
-
-
 def _proposal_family(model: ModelSpec, data: Dataset):
     theta_hat, info = mle_and_information(model, data)
     if theta_hat.size == 1:
@@ -804,10 +780,10 @@ def _proposal_family(model: ModelSpec, data: Dataset):
 
 
 def _check_search_dim(method: str, family_dim: int, contour_dim: int) -> None:
-    """A :class:`ScenarioError` naming ``method`` unless the family that
+    """A :class:`ConfigError` naming ``method`` unless the family that
     hypothesis searches run on has the contour's dimension."""
     if family_dim != contour_dim:
-        raise ScenarioError(
+        raise ConfigError(
             f"the {method} method has no proposal family of dimension "
             f"{contour_dim} to search with"
         )
@@ -830,13 +806,13 @@ def hypothesis_calibration(
     """
     hyps = tuple(hypotheses)
     if not hyps:
-        raise ScenarioError("needs at least one hypothesis")
+        raise ConfigError("needs at least one hypothesis")
     model = build_model(scenario)
     truth_pt = np.atleast_2d(scenario.truth_eval)
     dim = truth_pt.shape[1]
     for k, h in enumerate(hyps):
         if h.dim != dim:
-            raise ScenarioError(
+            raise ConfigError(
                 f"hypothesis {k + 1} has dimension {h.dim}, expected {dim}"
             )
     _check_search_dim(
@@ -844,8 +820,8 @@ def hypothesis_calibration(
     )
     for k, h in enumerate(hyps):
         if not bool(h.contains(truth_pt)[0]):
-            raise ScenarioError(
-                f"hypothesis {k + 1} ({_describe_hypothesis(h)}) is not "
+            raise ConfigError(
+                f"hypothesis {k + 1} ({h.describe()}) is not "
                 "true at the scenario truth"
             )
     alphas = np.asarray(
@@ -885,7 +861,7 @@ def hypothesis_calibration(
     timings = np.array([t for _, t, _ in rows], dtype=float)
     return HypothesisCalibrationResult(
         scenario=scenario.to_config(),
-        hypotheses=tuple(_describe_hypothesis(h) for h in hyps),
+        hypotheses=tuple(h.describe() for h in hyps),
         alphas=alphas,
         values=values,
         curves=curves,
@@ -911,19 +887,19 @@ def timing_accuracy_study(
     pair = (naive_scenario, approx_scenario)
     for scn in pair:
         if scn.method not in _TIMEABLE:
-            raise ScenarioError(
+            raise ConfigError(
                 f"method {scn.method!r} cannot enter a timing study; "
                 f"expected one of {_TIMEABLE}"
             )
         if scn.grid is None:
-            raise ScenarioError(
+            raise ConfigError(
                 "timing study scenarios need an evaluation grid"
             )
     for attr in ("model_id", "truth", "n", "reps", "seed", "m",
                  "log_params", "model_kwargs", "grid"):
         a, b = getattr(naive_scenario, attr), getattr(approx_scenario, attr)
         if a != b:
-            raise ScenarioError(
+            raise ConfigError(
                 f"timing study scenarios must share {attr}: {a!r} != {b!r}"
             )
 

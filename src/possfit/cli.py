@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -44,7 +43,6 @@ from ._render import csv_text, json_text, write_text
 from ._rng import CLI_TAG, derive_rng
 from .calibration import (
     Scenario,
-    ScenarioError,
     StudyError,
     _check_search_dim,
     _proposal_family,
@@ -55,9 +53,9 @@ from .calibration import (
 )
 from .contours import (
     AxisSpec,
+    ConfigError,
     NonFiniteContourError,
     config_bool,
-    config_float,
     config_floats,
     config_int,
     grid_eval,
@@ -83,7 +81,7 @@ from .models import (
 from .nuisance import FiberOptimizationError, RiskMinimizationError
 from .sa import SAConfig, fit_scalar, fit_vector
 
-__all__ = ["main", "ConfigError"]
+__all__ = ["main"]
 
 COMMANDS = ("contour", "fit", "calibrate", "hypothesis", "marginal", "choquet")
 
@@ -100,10 +98,6 @@ _NUMERICAL_ERRORS = (
     ZeroDivisionError,
     OverflowError,
 )
-
-
-class ConfigError(Exception):
-    """A run config that cannot be executed as written (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +122,7 @@ def _load_config(path: str, seed_override) -> dict:
             "seed is mandatory: set it in the config or pass --seed "
             "(runs never default to the wall clock)"
         )
-    config["seed"] = _integer(config, "seed")
+    config["seed"] = config_int(config["seed"], "seed")
     return config
 
 
@@ -194,65 +188,12 @@ def _parse_grid(config: dict):
     doc = config.get("grid")
     if not isinstance(doc, list) or not doc:
         raise ConfigError("grid must be a non-empty list of axis objects")
-    try:
-        return tuple(AxisSpec.from_dict(g) for g in doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid axis: {exc}")
+    return tuple(AxisSpec.from_dict(g) for g in doc)
 
 
 def _parse_sa(config: dict):
     """The config's SAConfig, or None without an 'sa' block."""
-    if config.get("sa") is None:
-        return None
-    try:
-        return SAConfig.from_dict(config["sa"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid sa block: {exc}")
-
-
-def _integer(doc: dict, key: str, default=None) -> int:
-    """``doc[key]`` (or the default) as an int; a config error if it is not one."""
-    try:
-        return config_int(doc.get(key, default), key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _numbers(doc: dict, key: str):
-    """``doc[key]`` read by ``config_floats``; a config error if it is not a
-    number or a nested list of numbers."""
-    try:
-        return config_floats(doc[key], key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_hypothesis(doc: dict) -> Hypothesis:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("each hypothesis needs a 'kind' field")
-    kind = doc["kind"]
-    try:
-        if kind == "half-space":
-            return Hypothesis.half_space(
-                config_floats(doc["a"], "a"), config_float(doc["b"], "b")
-            )
-        if kind in ("box", "box-complement"):
-            h = Hypothesis.box(config_floats(  # a null bound is unbounded
-                [[-math.inf if lo is None else lo, math.inf if hi is None else hi]
-                 for lo, hi in doc["bounds"]], "bounds"))
-            return h.complement() if kind == "box-complement" else h
-        if kind == "whole-space":
-            return Hypothesis.whole_space(_integer(doc, "dim"))
-        if kind == "finite-set":
-            return Hypothesis.finite_set(config_floats(doc["points"], "points"))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {kind} hypothesis: {exc}")
-    raise ConfigError(
-        f"unknown hypothesis kind {kind!r}; expected half-space, box, "
-        "box-complement, whole-space, or finite-set"
-    )
+    return None if config.get("sa") is None else SAConfig.from_dict(config["sa"])
 
 
 def _model_and_data(config: dict, seed: int):
@@ -283,7 +224,7 @@ def _model_and_data(config: dict, seed: int):
             responses=np.asarray(doc["responses"]),
             covariates=None
             if covariates is None
-            else np.asarray(covariates, dtype=float),
+            else config_floats(covariates, "covariates"),
             censor=None if censor is None else np.asarray(censor),
         )
         n = len(doc["responses"])
@@ -304,20 +245,16 @@ def _model_and_data(config: dict, seed: int):
         doc = spec["simulate"]
         if not isinstance(doc, dict) or "theta" not in doc or "n" not in doc:
             raise ConfigError("simulate data needs 'theta' and 'n'")
-        n = _integer(doc, "n")
+        n = config_int(doc["n"], "n")
 
-    try:
-        log_params = config_bool(config.get("log_params", False), "log_params")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     model = model_from_id(
         model_id,
         n=n,
         model_kwargs=config.get("model_kwargs"),
-        log_params=log_params,
+        log_params=config_bool(config.get("log_params", False), "log_params"),
     )
     if data is None:
-        theta = np.ravel(_numbers(spec["simulate"], "theta"))
+        theta = np.ravel(config_floats(spec["simulate"]["theta"], "theta"))
         msg = domain_violation(model, theta, n)
         if msg is not None:
             raise ConfigError(f"simulate theta outside the {model.name} domain: needs {msg}")
@@ -335,7 +272,7 @@ def _contour_from_config(config: dict, model, data, seed: int):
         model,
         data,
         int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63)),
-        m=_integer(config, "m", 500),
+        m=config_int(config.get("m", 500), "m"),
         sa=_parse_sa(config),
         tau=boot.get("tau"),
         B=boot.get("B", 500),
@@ -349,10 +286,6 @@ def _search_family(config: dict, model, data, contour, family):
         family = _proposal_family(model, data)
     _check_search_dim(config.get("method", "naive"), family.dim, contour.dim)
     return family
-
-
-def _describe_config_hypothesis(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +349,9 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
 def _cmd_calibrate(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
     scenario = Scenario.from_config(config)
-    alphas = None if config.get("alphas") is None else _numbers(config, "alphas")
+    alphas = None if config.get("alphas") is None else config_floats(config["alphas"], "alphas")
     if "hypotheses" in config:
-        hyps = [_parse_hypothesis(h) for h in config["hypotheses"]]
+        hyps = [Hypothesis.from_dict(h) for h in config["hypotheses"]]
         result = hypothesis_calibration(
             scenario, hyps, alphas=alphas, threads=threads
         )
@@ -439,7 +372,7 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
     specs = config.get("hypotheses")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("hypothesis command needs a non-empty 'hypotheses' list")
-    hyps = [_parse_hypothesis(h) for h in specs]
+    hyps = [Hypothesis.from_dict(h) for h in specs]
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
     for k, h in enumerate(hyps):
@@ -451,7 +384,7 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
 
     entries = []
     rows = []
-    for k, (h, raw) in enumerate(zip(hyps, specs)):
+    for k, h in enumerate(hyps):
         search_seed = int(derive_rng(seed, CLI_TAG, 2, k).integers(2 ** 63))
         upper = upper_probability(
             contour, h, family=family, seed=search_seed
@@ -468,7 +401,7 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
         lower = min(max(float(lower), 0.0), min(upper, 1.0))
         entries.append(
             {
-                "hypothesis": _describe_config_hypothesis(raw),
+                "hypothesis": h.describe(),
                 "upper": upper,
                 "lower": lower,
             }
@@ -501,15 +434,17 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
             "{'component': i} or {'linear': [...]}"
         )
     if "component" in doc:
-        g = _integer(doc, "component")
+        g = config_int(doc["component"], "component")
     elif "linear" in doc:
-        g = np.asarray(_numbers(doc, "linear"))
+        g = np.atleast_1d(config_floats(doc["linear"], "linear"))
     else:
         raise ConfigError(
             "marginal feature must be {'component': i} or {'linear': [...]}"
         )
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
+    if not (0 <= g < contour.dim if np.ndim(g) == 0 else g.shape == (contour.dim,)):
+        raise ConfigError(f"marginal feature {doc} does not fit dimension {contour.dim}")
     family = _search_family(config, model, data, contour, family)
     search_seed = int(derive_rng(seed, CLI_TAG, 3).integers(2 ** 63))
     grid = marginal_contour(
@@ -524,45 +459,9 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
     _write_outputs(texts, paths, verbose)
 
 
-def _parse_loss(doc: dict):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("choquet loss needs a 'kind' field")
-    kind = doc["kind"]
-    try:
-        if kind == "constant":
-            value = config_float(doc["value"], "value")
-            return lambda theta: value
-        if kind == "linear":
-            a = config_floats(doc["a"], "a")
-            b = config_float(doc.get("b", 0.0), "b")
-            return lambda theta: float(
-                np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b
-            )
-        if kind == "indicator":
-            h = _parse_hypothesis(doc["hypothesis"])
-            inside = config_float(doc.get("inside", 1.0), "inside")
-            outside = config_float(doc.get("outside", 0.0), "outside")
-            return lambda theta: (
-                inside
-                if bool(h.contains(np.atleast_2d(theta))[0])
-                else outside
-            )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {kind} loss: {exc}")
-    raise ConfigError(
-        f"unknown loss kind {kind!r}; expected constant, linear, or indicator"
-    )
-
-
 def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
-    doc = config.get("choquet")
-    if not isinstance(doc, dict) or "loss" not in doc:
-        raise ConfigError("choquet command needs a 'choquet' block with 'loss'")
-    loss = _parse_loss(doc["loss"])
-    spec = ChoquetSpec(loss=loss, resolution=_integer(doc, "resolution", 200))
+    spec = ChoquetSpec.from_dict(config.get("choquet"))
     model, data = _model_and_data(config, seed)
     contour, family = _contour_from_config(config, model, data, seed)
     family = _search_family(config, model, data, contour, family)
@@ -647,7 +546,7 @@ def main(argv=None) -> int:
         _HANDLERS[command](
             config, config["seed"], cfg_hash, threads, args.verbose
         )
-    except (ConfigError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"possfit: config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

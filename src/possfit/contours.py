@@ -64,6 +64,7 @@ from .models import (
 
 __all__ = [
     "TIE_EPS",
+    "ConfigError",
     "NonFiniteContourError",
     "PossibilityContour",
     "AxisSpec",
@@ -372,36 +373,41 @@ def make_mc_contour(
 # ---------------------------------------------------------------------------
 
 
+class ConfigError(ValueError):
+    """A run config that cannot be executed as written: the CLI's exit 2.
+    Each config block's reader raises it for anything wrong with its block."""
+
+
 def config_int(value, key: str) -> int:
     """A run config's integer field: an int, never a bool, float or
-    string; a ValueError naming ``key`` otherwise."""
+    string; a ConfigError naming ``key`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def config_float(value, key: str) -> float:
     """A run config's real field: an int or float, never a bool, string or
-    null; a ValueError naming ``key`` otherwise."""
+    null; a ConfigError naming ``key`` otherwise."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
 def config_floats(value, key: str):
-    """A run config's number, or nested list of numbers as an array, with
-    every element read by :func:`config_float`."""
-    if isinstance(value, list):
+    """A run config's number, or nested list (tuple, array) of numbers as an
+    array, with every element read by :func:`config_float`."""
+    if isinstance(value, (list, tuple, np.ndarray)):
         return np.array([config_floats(v, key) for v in value], dtype=float)
     return config_float(value, key)
 
 
 def config_bool(value, key: str) -> bool:
     """A run config's flag: JSON true or false, never a number, string or
-    null; a ValueError naming ``key`` otherwise."""
+    null; a ConfigError naming ``key`` otherwise."""
     if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -423,9 +429,12 @@ class AxisSpec:
     @classmethod
     def from_dict(cls, doc) -> "AxisSpec":
         """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
-        describes; the name is optional."""
-        return cls(lo=config_float(doc["lo"], "lo"), hi=config_float(doc["hi"], "hi"),
-                   count=config_int(doc["count"], "count"), name=doc.get("name"))
+        describes; the name is optional.  A ConfigError names what is wrong."""
+        try:
+            return cls(lo=config_float(doc["lo"], "lo"), hi=config_float(doc["hi"], "hi"),
+                       count=config_int(doc["count"], "count"), name=doc.get("name"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid grid axis: {exc}") from None
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)

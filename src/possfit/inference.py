@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .contours import AxisSpec, ContourGrid, PossibilityContour
+from .contours import ConfigError, config_float, config_floats, config_int
 from .families import (
     GaussianScalarFamily,
     GaussianVectorFamily,
@@ -117,6 +118,32 @@ class Hypothesis:
             raise ValueError("predicate hypothesis requires a callable")
         return Hypothesis(kind="predicate", dim=int(dim), fn=fn)
 
+    @staticmethod
+    def from_dict(doc) -> "Hypothesis":
+        """The hypothesis a run config's object describes: a half-space (a, b),
+        box or box-complement (bounds; null is unbounded), whole-space (dim)
+        or finite-set (points); a ConfigError names what is wrong."""
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        try:
+            if kind == "half-space":
+                return Hypothesis.half_space(
+                    config_floats(doc["a"], "a"), config_float(doc["b"], "b"))
+            if kind in ("box", "box-complement"):
+                h = Hypothesis.box(config_floats(
+                    [[-np.inf if lo is None else lo, np.inf if hi is None else hi]
+                     for lo, hi in doc["bounds"]], "bounds"))
+                return h.complement() if kind == "box-complement" else h
+            if kind == "whole-space":
+                return Hypothesis.whole_space(config_int(doc.get("dim"), "dim"))
+            if kind == "finite-set":
+                return Hypothesis.finite_set(config_floats(doc["points"], "points"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {kind} hypothesis: {exc}") from None
+        raise ConfigError(
+            f"unknown hypothesis kind {kind!r}; expected half-space, box, "
+            "box-complement, whole-space, or finite-set"
+        )
+
     # -- set operations ------------------------------------------------------
 
     def contains(self, theta: np.ndarray) -> np.ndarray:
@@ -157,6 +184,17 @@ class Hypothesis:
             f"no-complement: {self.kind} hypotheses have no representable "
             "complement"
         )
+
+    def describe(self) -> str:
+        """One line naming the hypothesis, as reports print it."""
+        if self.kind == "half-space":
+            return (f"half-space a.theta > b with a={[float(x) for x in self.a]}, "
+                    f"b={float(self.b)}")
+        if self.kind in ("box", "box-complement"):
+            return f"{self.kind} bounds={self.bounds.tolist()}"
+        if self.kind == "finite":
+            return f"finite set of {self.points.shape[0]} points"
+        return "predicate"
 
 
 @dataclass(frozen=True)
@@ -430,15 +468,21 @@ def lower_probability(
 
 
 def _as_linear_feature(g, dim: Optional[int]):
-    """int -> coordinate projection, vector -> linear functional, else None."""
+    """int -> coordinate projection, vector -> linear functional, else None;
+    a ValueError for a coordinate or vector that does not fit ``dim``."""
     if isinstance(g, (int, np.integer)):
         if dim is None:
             raise ValueError("coordinate feature needs a contour of known dim")
+        if not 0 <= g < dim:
+            raise ValueError(f"coordinate {g} is outside [0, {dim})")
         a = np.zeros(dim)
         a[int(g)] = 1.0
         return a
     if isinstance(g, (list, tuple, np.ndarray)) and not callable(g):
-        return np.asarray(g, dtype=float)
+        a = np.asarray(g, dtype=float)
+        if dim is not None and a.shape != (dim,):
+            raise ValueError(f"linear feature has shape {a.shape}, expected ({dim},)")
+        return a
     return None
 
 
@@ -554,6 +598,34 @@ class ChoquetSpec:
             raise ValueError("Choquet resolution must be at least 2")
         if not callable(self.loss):
             raise ValueError("Choquet loss must be callable")
+
+    @classmethod
+    def from_dict(cls, doc) -> "ChoquetSpec":
+        """The spec a run config's ``choquet`` object describes: a ``loss`` of
+        kind constant (value), linear (a . theta + b; b = 0) or indicator (of
+        a hypothesis; inside = 1, outside = 0), and a ``resolution`` (200); a
+        ConfigError names what is wrong."""
+        loss = doc.get("loss") if isinstance(doc, dict) else None
+        kind = loss.get("kind") if isinstance(loss, dict) else None
+        if kind not in ("constant", "linear", "indicator"):
+            raise ConfigError("the choquet block needs a loss of kind constant, "
+                              f"linear, or indicator, got {kind!r}")
+        try:
+            if kind == "constant":
+                value = config_float(loss["value"], "value")
+                fn = lambda theta: value
+            elif kind == "linear":
+                a, b = config_floats(loss["a"], "a"), config_float(loss.get("b", 0.0), "b")
+                fn = lambda theta: float(
+                    np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b)
+            else:
+                h = Hypothesis.from_dict(loss["hypothesis"])
+                inside = config_float(loss.get("inside", 1.0), "inside")
+                outside = config_float(loss.get("outside", 0.0), "outside")
+                fn = lambda theta: inside if h.contains(np.atleast_2d(theta))[0] else outside
+            return cls(loss=fn, resolution=config_int(doc.get("resolution", 200), "resolution"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid choquet block: {exc}") from None
 
 
 @dataclass(frozen=True)

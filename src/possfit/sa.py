@@ -53,7 +53,7 @@ import numpy as np
 
 from ._render import csv_text, write_text
 from ._rng import SA_TAG, derive_rng
-from .contours import PossibilityContour, config_float, config_int, make_mc_contour
+from .contours import ConfigError, PossibilityContour, config_float, config_int, make_mc_contour
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -116,19 +116,22 @@ class SAConfig:
     @classmethod
     def from_dict(cls, doc) -> "SAConfig":
         """The config a run config's ``sa`` object describes; absent fields
-        take their defaults.  Raises ValueError for a non-object or a bad
+        take their defaults.  A ConfigError names a non-object or a bad
         field."""
         if not isinstance(doc, dict):
-            raise ValueError(f"the sa block must be an object, got {doc!r}")
-        return cls(
-            seed=config_int(doc.get("seed", 0), "seed"),
-            alpha=config_float(doc.get("alpha", 0.1), "alpha"),
-            k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
-            m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
-            epsilon=config_float(doc.get("epsilon", 0.005), "epsilon"),
-            min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
-            max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
-        )
+            raise ConfigError(f"invalid sa block: it must be an object, got {doc!r}")
+        try:
+            return cls(
+                seed=config_int(doc.get("seed", 0), "seed"),
+                alpha=config_float(doc.get("alpha", 0.1), "alpha"),
+                k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
+                m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
+                epsilon=config_float(doc.get("epsilon", 0.005), "epsilon"),
+                min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
+                max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid sa block: {exc}") from None
 
 
 @dataclass

@@ -27,7 +27,7 @@ from possfit import (
     Hypothesis,
     SAConfig,
     Scenario,
-    ScenarioError,
+    ConfigError,
     StudyError,
     build_model,
     empirical_cdf,
@@ -65,67 +65,67 @@ def _binomial_scenario(**kw):
 
 
 def test_scenario_rejects_unknown_method():
-    with pytest.raises(ScenarioError, match="method"):
+    with pytest.raises(ConfigError, match="method"):
         _binomial_scenario(method="exact")
 
 
 def test_scenario_rejects_unknown_model():
-    with pytest.raises(ScenarioError, match="model"):
+    with pytest.raises(ConfigError, match="model"):
         _binomial_scenario(model_id="weibull")
 
 
 def test_scenario_rejects_zero_reps():
-    with pytest.raises(ScenarioError, match="reps"):
+    with pytest.raises(ConfigError, match="reps"):
         _binomial_scenario(reps=0)
 
 
 def test_scenario_variational_requires_sa():
-    with pytest.raises(ScenarioError, match="SAConfig"):
+    with pytest.raises(ConfigError, match="SAConfig"):
         _binomial_scenario(method="variational-scalar")
 
 
 def test_scenario_bootstrap_requires_tau_and_data_params():
-    with pytest.raises(ScenarioError, match="tau"):
+    with pytest.raises(ConfigError, match="tau"):
         Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
                  method="bootstrap", seed=1, data_params=(4.0, 1.0))
-    with pytest.raises(ScenarioError, match="data_params"):
+    with pytest.raises(ConfigError, match="data_params"):
         Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
                  method="bootstrap", seed=1, model_kwargs={"tau": 0.25})
     for B in (0, 2.5, "500", True):
-        with pytest.raises(ScenarioError, match="B must be"):
+        with pytest.raises(ConfigError, match="B must be"):
             Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
                      method="bootstrap", seed=1, data_params=(4.0, 1.0),
                      model_kwargs={"tau": 0.25, "B": B})
 
 
 def test_scenario_censored_requirements():
-    with pytest.raises(ScenarioError, match="lognormal-censored"):
+    with pytest.raises(ConfigError, match="lognormal-censored"):
         Scenario(model_id="gamma", truth=(7.0, 3.0), n=20, reps=5,
                  method="censored", seed=1, model_kwargs={"limits": [0.9]})
-    with pytest.raises(ScenarioError, match="limits"):
+    with pytest.raises(ConfigError, match="limits"):
         Scenario(model_id="lognormal-censored", truth=(0.3, 0.5), n=20,
                  reps=5, method="censored", seed=1)
 
 
 def test_scenario_truth_domain_checks():
-    with pytest.raises(ScenarioError, match="domain"):
+    with pytest.raises(ConfigError, match="domain"):
         _binomial_scenario(truth=(1.5,))
-    with pytest.raises(ScenarioError, match="domain"):
+    with pytest.raises(ConfigError, match="domain"):
         Scenario(model_id="gamma", truth=(-1.0, 2.0), n=20, reps=5,
                  method="naive", seed=1)
-    with pytest.raises(ScenarioError, match="domain"):
+    with pytest.raises(ConfigError, match="domain"):
         Scenario(model_id="bvn-correlation", truth=(1.0,), n=20, reps=5,
                  method="naive", seed=1)
 
 
 def test_scenario_log_params_restrictions():
     # log scale needs strictly positive truth coordinates
-    with pytest.raises(ScenarioError, match="log"):
+    with pytest.raises(ConfigError, match="log"):
         Scenario(model_id="lognormal", truth=(-0.3, 0.5), n=20, reps=5,
                  method="variational-vector", seed=1, sa=_sa(),
                  log_params=True)
     # and is not meaningful for the functional-valued bootstrap method
-    with pytest.raises(ScenarioError, match="log"):
+    with pytest.raises(ConfigError, match="log"):
         Scenario(model_id="gamma", truth=(2.5,), n=40, reps=5,
                  method="bootstrap", seed=1, data_params=(4.0, 1.0),
                  model_kwargs={"tau": 0.25}, log_params=True)
@@ -171,7 +171,7 @@ def test_scenario_from_config_reads_integers_strictly(key, value):
     config = {"model": "binomial", "truth": [0.4], "n": 20, "reps": 3,
               "method": "naive", "seed": 1, "m": 200}
     assert Scenario.from_config(config).n == 20
-    with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         Scenario.from_config(dict(config, **{key: value}))
 
 
@@ -415,17 +415,17 @@ def test_bootstrap_validity_structural():
 def test_bootstrap_on_paired_responses_is_a_scenario_error():
     """A bvn bootstrap study once ran with no failures on responses
     flattened to 2n values; build_contour and the study both raise a
-    ScenarioError instead of recording a failure per replication."""
+    ConfigError instead of recording a failure per replication."""
     scn = Scenario(
         model_id="bvn-correlation", truth=(0.0,), n=30, reps=5,
         method="bootstrap", seed=41, data_params=(0.3,),
         model_kwargs={"tau": 0.5, "B": 50},
     )
     data = build_model(scn).sample(np.array([0.3]), 30, np.random.default_rng(1))
-    with pytest.raises(ScenarioError, match="needs a vector of responses"):
+    with pytest.raises(ConfigError, match="needs a vector of responses"):
         calibration.build_contour("bootstrap", build_model(scn), data, 3, m=10, tau=0.5)
     for threads in (1, 2):
-        with pytest.raises(ScenarioError, match="needs a vector of responses"):
+        with pytest.raises(ConfigError, match="needs a vector of responses"):
             validity_study(scn, threads=threads)
 
 
@@ -495,7 +495,7 @@ def _poisson_scenario(**kw):
 def test_hypothesis_false_at_truth_is_config_error():
     scn = _poisson_scenario()
     false_h = Hypothesis.half_space(np.array([0.0, 1.0, 0.0]), 0.5)  # Th1>0.5
-    with pytest.raises(ScenarioError, match="true at"):
+    with pytest.raises(ConfigError, match="true at"):
         hypothesis_calibration(scn, [false_h])
 
 
@@ -522,7 +522,7 @@ def test_hypothesis_bootstrap_checked_against_the_contour(monkeypatch, bounds,
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(calibration, "_run_replications", no_replications)
-    with pytest.raises(ScenarioError, match=message):
+    with pytest.raises(ConfigError, match=message):
         hypothesis_calibration(scn, [Hypothesis.box(bounds)])
 
 
@@ -533,7 +533,7 @@ def test_hypothesis_bootstrap_checked_against_the_contour(monkeypatch, bounds,
     ("normal-means", {"sigma": 0.0}),
 ])
 def test_invalid_normal_means_settings_are_scenario_errors(model_id, kwargs):
-    with pytest.raises(ScenarioError, match="sigma|lam"):
+    with pytest.raises(ConfigError, match="sigma|lam"):
         calibration.model_from_id(model_id, 5, kwargs)
 
 
@@ -605,17 +605,17 @@ def _bvn_pair(n=50, reps=4, seed=17, m=300, count=40):
 
 def test_timing_pair_validation():
     naive, approx = _bvn_pair()
-    with pytest.raises(ScenarioError, match="grid"):
+    with pytest.raises(ConfigError, match="grid"):
         timing_accuracy_study(replace(naive, grid=None), approx)
-    with pytest.raises(ScenarioError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         timing_accuracy_study(naive, replace(approx, seed=99))
-    with pytest.raises(ScenarioError, match="truth"):
+    with pytest.raises(ConfigError, match="truth"):
         timing_accuracy_study(naive, replace(approx, truth=(0.4,)))
     boot = Scenario(model_id="gamma", truth=(2.5,), n=40, reps=4,
                     method="bootstrap", seed=17, data_params=(4.0, 1.0),
                     model_kwargs={"tau": 0.25},
                     grid=(AxisSpec(1.0, 5.0, 10),))
-    with pytest.raises(ScenarioError, match="method"):
+    with pytest.raises(ConfigError, match="method"):
         timing_accuracy_study(naive, boot)
 
 

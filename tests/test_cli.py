@@ -31,7 +31,7 @@ import pytest
 from possfit import (
     AxisSpec,
     Scenario,
-    ScenarioError,
+    ConfigError,
     exact_binomial_contour,
     grid_eval,
     make_exact_binomial,
@@ -311,14 +311,19 @@ class TestConfigHandling:
         assert "config error" in err and f"{model} model" in err
         assert not (tmp_path / "contour.csv").exists()
 
-    @pytest.mark.parametrize("case", ["contour-m", "simulate-n", "calibrate-n",
+    @pytest.mark.parametrize("case", ["contour-m", "contour-m-0", "simulate-n", "calibrate-n",
                                       "calibrate-axis", "marginal-component",
-                                      "choquet-resolution"])
+                                      "choquet-resolution", "choquet-resolution-1"])
     def test_bad_scalar_field_exit2_without_outputs(self, tmp_path, capsys, case):
-        """A scalar field that is not a number, or a grid axis missing a key,
-        is a config error, not a traceback."""
+        """A scalar field that is not a number or out of range (a Monte Carlo
+        size m of 0, a Choquet resolution of 1), or a grid axis missing a
+        key, is a config error, not a traceback or a numerical failure."""
         cfg = {
             "contour-m": lambda: contour_config(tmp_path, method="naive", m="many"),
+            "contour-m-0": lambda: contour_config(
+                tmp_path, model="bvn-correlation", method="naive", m=0,
+                data={"simulate": {"theta": [0.3], "n": 20}},
+                grid=[{"lo": -0.5, "hi": 0.5, "count": 3}]),
             "simulate-n": lambda: contour_config(
                 tmp_path, method="naive",
                 data={"simulate": {"theta": [0.4], "n": "lots"}}),
@@ -332,6 +337,9 @@ class TestConfigHandling:
                 tmp_path, command="choquet",
                 choquet={"loss": {"kind": "constant", "value": 1.0},
                          "resolution": "fine"}),
+            "choquet-resolution-1": lambda: contour_config(
+                tmp_path, command="choquet",
+                choquet={"loss": {"kind": "constant", "value": 1.0}, "resolution": 1}),
         }[case]()
         assert run(write_config(tmp_path, cfg)) == 2
         assert "config error" in capsys.readouterr().err
@@ -370,12 +378,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize("case", [
         "box-bounds", "half-space-a", "half-space-b", "finite-set-points",
         "lasso-sigma", "lasso-lam", "normal-means-sigma",
-        "loss-value", "loss-linear-a", "loss-linear-b", "loss-indicator-outside"])
+        "loss-value", "loss-linear-a", "loss-linear-b", "loss-indicator-outside",
+        "logistic-design", "poisson-design", "censored-limits", "inline-covariates"])
     def test_number_in_a_hypothesis_loss_or_model_block_exit2(self, tmp_path, capsys,
                                                               case):
-        """A bool or numeric string in a hypothesis, a choquet loss or a
-        model's sigma and lam is a config error; false is not read as 0.0,
-        nor "0.9" as 0.9."""
+        """A bool or numeric string in a hypothesis, a choquet loss, a
+        model's sigma, lam, design or detection limits, or inline covariates
+        is a config error; false is not read as 0.0, nor "0.9" as 0.9."""
         def calibrate(hypothesis):
             return calibrate_config(tmp_path, hypotheses=[hypothesis])
 
@@ -385,6 +394,13 @@ class TestConfigHandling:
 
         def choquet(loss):
             return contour_config(tmp_path, command="choquet", choquet={"loss": loss})
+
+        def regression(model, responses):
+            design = [[1.0, x] for x in (0.0, 2.0, 0.5, 1.5, 1.0)] + [[1.0, True], [1.0, "1.0"]]
+            return contour_config(tmp_path, model=model, method="naive", m=20,
+                                  model_kwargs={"design": design},
+                                  data={"inline": {"responses": responses}},
+                                  grid=[{"lo": -1.0, "hi": 1.0, "count": 2}] * 2)
 
         cfg = {
             "box-bounds": lambda: calibrate({"kind": "box", "bounds": [[False, "0.9"]]}),
@@ -402,6 +418,13 @@ class TestConfigHandling:
             "loss-indicator-outside": lambda: choquet(
                 {"kind": "indicator", "outside": True,
                  "hypothesis": {"kind": "box", "bounds": [[0.2, 0.6]]}}),
+            "logistic-design": lambda: regression("logistic", [0, 1, 0, 1, 1, 0, 1]),
+            "poisson-design": lambda: regression("poisson-loglinear", [1, 3, 0, 2, 4, 1, 2]),
+            "censored-limits": lambda: calibrate_config(
+                tmp_path, model="lognormal-censored", method="censored",
+                truth=[0.3, 0.49], model_kwargs={"limits": [True]}),
+            "inline-covariates": lambda: contour_config(tmp_path, data={"inline": {
+                "responses": BINOM_RESPONSES, "covariates": [["0.5"]] + [[0.5]] * 14}}),
         }[case]()
         assert run(write_config(tmp_path, cfg)) == 2
         assert "must be a number" in capsys.readouterr().err
@@ -527,7 +550,7 @@ class TestConfigHandling:
                       "method": "naive", "seed": 1}
             assert Scenario.from_config(config).log_params is False
             assert Scenario.from_config(dict(config, log_params=True)).log_params
-            with pytest.raises(ScenarioError, match="log_params must be true or false"):
+            with pytest.raises(ConfigError, match="log_params must be true or false"):
                 Scenario.from_config(dict(config, log_params=value))
             return
         cfg = contour_config(
@@ -550,12 +573,12 @@ class TestConfigHandling:
         assert "config error" in err and "model_kwargs['design']" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
-    def test_readme_example_config_runs(self, tmp_path, monkeypatch):
+    def test_readme_example_config_runs(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
         block = text.split("Example config")[1].split("```json\n")[1]
         cfg = json.loads(block.split("```")[0])
-        monkeypatch.chdir(tmp_path)
+        cfg["output"] = {k: str(tmp_path / v) for k, v in cfg["output"].items()}
         assert run(write_config(tmp_path, cfg)) == 0
         assert (tmp_path / "contour.csv").exists()
         assert (tmp_path / "contour.json").exists()
@@ -833,7 +856,8 @@ class TestHypothesis:
         }
         assert run(write_config(tmp_path, cfg)) == 0
         doc = json.loads((tmp_path / "probs.json").read_text())
-        assert len(doc["hypotheses"]) == 2
+        assert [entry["hypothesis"] for entry in doc["hypotheses"]] == [
+            "half-space a.theta > b with a=[1.0], b=0.2", "box bounds=[[0.35, 0.45]]"]
         for entry in doc["hypotheses"]:
             assert 0.0 <= entry["lower"] <= entry["upper"] <= 1.0
         out = capsys.readouterr().out
@@ -907,6 +931,21 @@ def test_search_commands_without_proposal_family_exit2(tmp_path, capsys,
 
 
 class TestMarginal:
+    @pytest.mark.parametrize("feature", [{"component": 5}, {"component": -1},
+                                         {"linear": [1.0, 0.0, 0.0]}],
+                             ids=["component-5", "component-minus-1", "linear-3"])
+    def test_feature_that_does_not_fit_the_contour_exit2(self, tmp_path, capsys, feature):
+        """On the 2-D gamma contour, component 5 and a 3-vector once crashed
+        with a traceback, and component -1 silently profiled the last
+        coordinate: each is a config error before any search."""
+        cfg = contour_config(
+            tmp_path, command="marginal", model="gamma", method="naive", m=20,
+            data={"simulate": {"theta": [7.0, 3.0], "n": 25}}, marginal=feature,
+            grid=[{"lo": 2.0, "hi": 15.0, "count": 4}])
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "does not fit dimension 2" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_component_marginal_grid(self, tmp_path):
         cfg = {
             "command": "marginal",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from possfit.calibration import _REGISTRY, Scenario, ScenarioError, model_from_id
+from possfit.calibration import _REGISTRY, Scenario, ConfigError, model_from_id
 from possfit.contours import (
     AxisSpec,
     PossibilityContour,
@@ -251,7 +251,7 @@ def test_registry_models_state_their_domain_once(model_id):
     observed = observed_log_rel_lik(model, data)(points)
     assert np.array_equal(observed == -np.inf, ~inside)
     for point in off:
-        with pytest.raises(ScenarioError, match="domain"):
+        with pytest.raises(ConfigError, match="domain"):
             Scenario(model_id=model_id, truth=tuple(point), n=_N_FAR, reps=1,
                      method="naive", seed=1, model_kwargs=kwargs)
 
