@@ -109,6 +109,7 @@ from .calibration import (  # noqa: F401
     poisson_study_design,
     timing_accuracy_study,
     validity_study,
+    variational_fit,
 )
 from .nuisance import (  # noqa: F401
     CensoringEstimate,

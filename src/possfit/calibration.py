@@ -3,8 +3,8 @@
 Three study types share one scenario description: empirical validity checks
 (the distribution of the contour evaluated at the true parameter), calibration
 curves for the possibility assigned to fixed true hypotheses, and a
-timing/accuracy comparison of the naive Monte Carlo contour against a fitted
-variational family on a common grid.
+timing/accuracy comparison of the naive contour against a fitted variational
+family on a common grid.  Every contour is built by :func:`build_contour`.
 
 Randomness contract
 -------------------
@@ -84,6 +84,7 @@ __all__ = [
     "TimingAccuracyResult",
     "build_model",
     "build_contour",
+    "variational_fit",
     "model_from_id",
     "empirical_cdf",
     "poisson_study_design",
@@ -156,7 +157,8 @@ def _poisson_design_for(n, kw) -> np.ndarray:
         raise ConfigError(
             "poisson-loglinear needs n or an explicit design matrix"
         )
-    return poisson_study_design(n, seed=int(kw.get("design_seed", POISSON_DESIGN_SEED)))
+    seed = config_int(kw.get("design_seed", POISSON_DESIGN_SEED), "design_seed")
+    return poisson_study_design(n, seed=seed)
 
 
 def _lasso_lam(n, kw):
@@ -302,20 +304,8 @@ class Scenario:
     # -- run-config (JSON) round trip ---------------------------------------
 
     def to_config(self) -> dict:
-        sa = None
-        if self.sa is not None:
-            sa = {
-                "seed": self.sa.seed,
-                "alpha": self.sa.alpha,
-                "k_outer": self.sa.k_outer,
-                "m_inner": self.sa.m_inner,
-                "epsilon": self.sa.epsilon,
-                "min_iter": self.sa.min_iter,
-                "max_iter": self.sa.max_iter,
-            }
-        grid = None
-        if self.grid is not None:
-            grid = [asdict(a) for a in self.grid]
+        sa = None if self.sa is None else asdict(self.sa)
+        grid = None if self.grid is None else [asdict(a) for a in self.grid]
         return {
             "model": self.model_id,
             "truth": list(self.truth),
@@ -597,22 +587,20 @@ def _child_seed(master: int, *key: int) -> int:
 
 def _simulate(scenario: Scenario, model: ModelSpec,
               rng: np.random.Generator) -> Dataset:
-    if scenario.method == "censored":
-        mu, v = scenario.truth
-        y = np.exp(rng.normal(mu, math.sqrt(v), size=scenario.n))
-        limits = np.resize(
-            np.asarray(scenario.model_kwargs["limits"], dtype=float),
-            scenario.n,
-        )
-        return Dataset(
-            responses=np.maximum(y, limits),
-            censor=(y >= limits).astype(int),
-        )
+    """One dataset of the scenario, censored at the detection limits for the
+    censored method."""
     if scenario.method == "bootstrap":
         theta = np.asarray(scenario.data_params, dtype=float)
     else:
         theta = scenario.truth_eval
-    return model.sample(theta, scenario.n, rng)
+    data = model.sample(theta, scenario.n, rng)
+    if scenario.method != "censored":
+        return data
+    y = data.responses
+    limits = np.resize(
+        np.asarray(scenario.model_kwargs["limits"], dtype=float), scenario.n
+    )
+    return Dataset(responses=np.maximum(y, limits), censor=(y >= limits).astype(int))
 
 
 def _bootstrap_spec(tau, B):
@@ -622,9 +610,23 @@ def _bootstrap_spec(tau, B):
     if tau is None:
         raise ConfigError("the bootstrap method needs a quantile level tau")
     try:
-        return quantile_risk_spec(float(tau), config_int(B, "B"))
+        return quantile_risk_spec(config_float(tau, "tau"), config_int(B, "B"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid bootstrap settings: {exc}") from None
+
+
+def variational_fit(method: str, model: ModelSpec, data: Dataset,
+                    sa: Optional[SAConfig], seed: int):
+    """``(family, trace)`` of ``fit_scalar`` for ``variational-scalar`` or
+    ``fit_vector`` for ``variational-vector``, run with ``sa`` reseeded by
+    ``seed``; any other method, or no ``sa``, raises :class:`ConfigError`."""
+    if method not in ("variational-scalar", "variational-vector"):
+        raise ConfigError("fit method must be variational-scalar or "
+                          f"variational-vector, got {method!r}")
+    if sa is None:
+        raise ConfigError(f"method {method!r} requires an 'sa' block (SAConfig)")
+    fit = fit_scalar if method == "variational-scalar" else fit_vector
+    return fit(model, data, replace(sa, seed=seed))
 
 
 def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
@@ -653,10 +655,7 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     if method == "naive":
         return make_mc_contour(model, data, m, seed=seed), None
     if method in ("variational-scalar", "variational-vector"):
-        if sa is None:
-            raise ConfigError(f"method {method!r} requires an SAConfig")
-        fit = fit_scalar if method == "variational-scalar" else fit_vector
-        family, _ = fit(model, data, replace(sa, seed=seed))
+        family, _ = variational_fit(method, model, data, sa, seed)
         return gaussian_contour_object(family), family
     if method == "bootstrap":
         spec = _bootstrap_spec(tau, B)
@@ -678,14 +677,6 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     )
 
 
-def _scenario_contour(scenario: Scenario, model: ModelSpec, data: Dataset,
-                      child: int):
-    """:func:`build_contour` with the scenario's method and settings."""
-    kw = scenario.model_kwargs
-    return build_contour(scenario.method, model, data, child, m=scenario.m,
-                         sa=scenario.sa, tau=kw.get("tau"), B=kw.get("B", 500))
-
-
 def _run_replications(reps: int, threads: int, fn):
     """Index-ordered results; identical for any thread count."""
     out = [None] * reps
@@ -701,25 +692,39 @@ def _run_replications(reps: int, threads: int, fn):
     return out
 
 
-def _guarded(fn):
-    def safe(r):
+def _replicate(scenario: Scenario, model: ModelSpec, threads: int, measure):
+    """``(values, timings, failures)`` over the scenario's replications.
+
+    Replication ``r`` simulates its data, builds the scenario's contour on
+    its child seed and returns ``measure(contour, family, data, r)``, timed
+    with the contour; ``values`` lists the successful results in order.  A
+    failure is recorded as ``(r, message)`` with a NaN timing; more than 5%
+    of them raise :class:`StudyError`.  A :class:`ConfigError` is raised.
+    """
+    kw = scenario.model_kwargs
+
+    def rep(r: int):
         try:
-            return (*fn(r), None)
-        except ConfigError:  # the scenario itself cannot run
+            data = _simulate(scenario, model, derive_rng(scenario.seed, CAL_TAG, r, 1))
+            child = _child_seed(scenario.seed, r, 2)
+            start = perf_counter()
+            contour, family = build_contour(
+                scenario.method, model, data, child, m=scenario.m,
+                sa=scenario.sa, tau=kw.get("tau"), B=kw.get("B", 500))
+            value = measure(contour, family, data, r)
+            return value, perf_counter() - start, None
+        except ConfigError:
             raise
         except Exception as exc:  # recorded, not fatal
-            return np.nan, np.nan, f"{type(exc).__name__}: {exc}"
+            return None, np.nan, f"{type(exc).__name__}: {exc}"
 
-    return safe
-
-
-def _check_failures(failures, reps):
-    if len(failures) > 0.05 * reps:
-        raise StudyError(
-            f"{len(failures)} of {reps} replications failed (more than 5%); "
-            f"first failure: {failures[0][1]}",
-            failures=failures,
-        )
+    rows = _run_replications(scenario.reps, threads, rep)
+    failures = tuple((r, msg) for r, (_, _, msg) in enumerate(rows) if msg is not None)
+    if len(failures) > 0.05 * scenario.reps:
+        raise StudyError(f"{len(failures)} of {scenario.reps} replications failed "
+                         f"(more than 5%); first failure: {failures[0][1]}", failures=failures)
+    values = [v for v, _, msg in rows if msg is None]
+    return values, np.array([t for _, t, _ in rows], dtype=float), failures
 
 
 # ---------------------------------------------------------------------------
@@ -741,25 +746,14 @@ def validity_study(
         DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
     )
 
-    def rep(r: int):
-        data = _simulate(
-            scenario, model, derive_rng(scenario.seed, CAL_TAG, r, 1)
-        )
-        child = _child_seed(scenario.seed, r, 2)
-        start = perf_counter()
-        contour, _ = _scenario_contour(scenario, model, data, child)
+    def measure(contour, family, data, r):
         value = float(contour(scenario.truth_eval))
         if np.isnan(value):  # a Monte Carlo evaluation whose kernel raised
             raise RuntimeError("contour evaluation at the truth failed")
-        return value, perf_counter() - start
+        return value
 
-    rows = _run_replications(scenario.reps, threads, _guarded(rep))
-    failures = tuple(
-        (r, msg) for r, (_, _, msg) in enumerate(rows) if msg is not None
-    )
-    _check_failures(failures, scenario.reps)
-    values = np.sort([v for v, _, msg in rows if msg is None])
-    timings = np.array([t for _, t, _ in rows], dtype=float)
+    values, timings, failures = _replicate(scenario, model, threads, measure)
+    values = np.sort(values)
     return CalibrationReport(
         scenario=scenario.to_config(),
         values=values,
@@ -828,13 +822,7 @@ def hypothesis_calibration(
         DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
     )
 
-    def rep(r: int):
-        data = _simulate(
-            scenario, model, derive_rng(scenario.seed, CAL_TAG, r, 1)
-        )
-        child = _child_seed(scenario.seed, r, 2)
-        start = perf_counter()
-        contour, family = _scenario_contour(scenario, model, data, child)
+    def measure(contour, family, data, r):
         if family is None:
             family = _proposal_family(model, data)
         vals = np.empty(len(hyps))
@@ -848,17 +836,11 @@ def hypothesis_calibration(
             if np.isnan(result.value):  # a Monte Carlo evaluation whose kernel raised
                 raise RuntimeError(f"possibility of hypothesis {k + 1} failed")
             vals[k] = min(max(result.value, 0.0), 1.0)
-        return vals, perf_counter() - start
+        return vals
 
-    rows = _run_replications(scenario.reps, threads, _guarded(rep))
-    failures = tuple(
-        (r, msg) for r, (_, _, msg) in enumerate(rows) if msg is not None
-    )
-    _check_failures(failures, scenario.reps)
-    ok = np.array([v for v, _, msg in rows if msg is None], dtype=float)
-    values = tuple(np.sort(ok[:, k]) for k in range(len(hyps)))
+    ok, timings, failures = _replicate(scenario, model, threads, measure)
+    values = tuple(np.sort(np.array(ok, dtype=float), axis=0).T)
     curves = np.vstack([empirical_cdf(v, alphas) for v in values])
-    timings = np.array([t for _, t, _ in rows], dtype=float)
     return HypothesisCalibrationResult(
         scenario=scenario.to_config(),
         hypotheses=tuple(h.describe() for h in hyps),
@@ -883,6 +865,11 @@ def timing_accuracy_study(
     generates one shared dataset, evaluates both contours on the grid, and
     reports naive-time / approx-time along with the Riemann-sum L1 distance.
     Replications run sequentially so the wall times stay comparable.
+
+    Each side is :func:`build_contour` of its method, so the naive side is
+    the model's exact contour when it declares one (``exact_contour_for``;
+    the binomial does) and the Monte Carlo contour of size ``m`` otherwise;
+    a variational side fits with its ``sa.m_inner`` set to ``m``.
     """
     pair = (naive_scenario, approx_scenario)
     for scn in pair:
@@ -907,45 +894,19 @@ def timing_accuracy_study(
     axes = naive_scenario.grid
     volume = float(np.prod([a.hi - a.lo for a in axes]))
 
-    def side_values(scn: Scenario, data: Dataset, child: int):
-        if scn.method == "naive":
-            start = perf_counter()
-            grid = grid_eval(
-                make_mc_contour(model, data, scn.m, seed=child), axes
-            )
-            return grid.values.ravel(), perf_counter() - start
-        fit = (
-            fit_scalar
-            if scn.method == "variational-scalar"
-            else fit_vector
-        )
-        start = perf_counter()
-        config = replace(scn.sa, seed=child, m_inner=scn.m)
-        family, _ = fit(model, data, config)
-        grid = grid_eval(gaussian_contour_object(family), axes)
-        return grid.values.ravel(), perf_counter() - start
-
-    ratios = np.empty(naive_scenario.reps)
-    l1 = np.empty(naive_scenario.reps)
-    naive_seconds = np.empty(naive_scenario.reps)
-    approx_seconds = np.empty(naive_scenario.reps)
+    l1, seconds = np.empty(naive_scenario.reps), np.empty((2, naive_scenario.reps))
     for r in range(naive_scenario.reps):
-        data = _simulate(
-            naive_scenario,
-            model,
-            derive_rng(naive_scenario.seed, CAL_TAG, r, 1),
-        )
+        data = _simulate(naive_scenario, model, derive_rng(naive_scenario.seed, CAL_TAG, r, 1))
         sides = []
-        for scn in pair:
-            child = _child_seed(
-                naive_scenario.seed, r, 3, METHODS.index(scn.method)
-            )
-            sides.append(side_values(scn, data, child))
-        (vals_n, t_n), (vals_a, t_a) = sides
-        l1[r] = float(np.mean(np.abs(vals_a - vals_n)) * volume)
-        ratios[r] = t_n / t_a
-        naive_seconds[r] = t_n
-        approx_seconds[r] = t_a
+        for j, scn in enumerate(pair):
+            child = _child_seed(naive_scenario.seed, r, 3, METHODS.index(scn.method))
+            start = perf_counter()
+            sa = None if scn.sa is None else replace(scn.sa, m_inner=scn.m)
+            contour, _ = build_contour(scn.method, model, data, child, m=scn.m, sa=sa)
+            sides.append(grid_eval(contour, axes).values.ravel())
+            seconds[j, r] = perf_counter() - start
+        l1[r] = float(np.mean(np.abs(sides[1] - sides[0])) * volume)
+    ratios = seconds[0] / seconds[1]
     return TimingAccuracyResult(
         naive_scenario=naive_scenario.to_config(),
         approx_scenario=approx_scenario.to_config(),
@@ -953,6 +914,6 @@ def timing_accuracy_study(
         mean_l1=float(np.mean(l1)),
         ratios=ratios,
         l1=l1,
-        naive_seconds=naive_seconds,
-        approx_seconds=approx_seconds,
+        naive_seconds=seconds[0],
+        approx_seconds=seconds[1],
     )

@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -50,6 +49,7 @@ from .calibration import (
     hypothesis_calibration,
     model_from_id,
     validity_study,
+    variational_fit,
 )
 from .contours import (
     AxisSpec,
@@ -79,7 +79,7 @@ from .models import (
     read_dataset_csv,
 )
 from .nuisance import FiberOptimizationError, RiskMinimizationError
-from .sa import SAConfig, fit_scalar, fit_vector
+from .sa import SAConfig
 
 __all__ = ["main"]
 
@@ -214,38 +214,41 @@ def _model_and_data(config: dict, seed: int):
     kind = kinds[0]
 
     data = None
-    if kind == "inline":
-        doc = spec["inline"]
-        if not isinstance(doc, dict) or "responses" not in doc:
-            raise ConfigError("inline data needs a 'responses' array")
-        covariates = doc.get("covariates")
-        censor = doc.get("censor")
-        data = Dataset(
-            responses=np.asarray(doc["responses"]),
-            covariates=None
-            if covariates is None
-            else config_floats(covariates, "covariates"),
-            censor=None if censor is None else np.asarray(censor),
-        )
-        n = len(doc["responses"])
-    elif kind == "csv":
-        path = str(spec["csv"])
-        if not os.path.isfile(path):
-            raise ConfigError(f"data file not found: {path}")
-        if "response" not in spec:
-            raise ConfigError("csv data needs a 'response' column name")
-        data = read_dataset_csv(
-            path,
-            response=spec["response"],
-            covariates=tuple(spec.get("covariates", ())),
-            censor=spec.get("censor"),
-        )
-        n = len(data.responses)
-    else:
-        doc = spec["simulate"]
-        if not isinstance(doc, dict) or "theta" not in doc or "n" not in doc:
-            raise ConfigError("simulate data needs 'theta' and 'n'")
-        n = config_int(doc["n"], "n")
+    try:
+        if kind == "inline":
+            doc = spec["inline"]
+            if not isinstance(doc, dict) or "responses" not in doc:
+                raise ConfigError("inline data needs a 'responses' array")
+            covariates = doc.get("covariates")
+            censor = doc.get("censor")
+            data = Dataset(
+                responses=np.asarray(doc["responses"]),
+                covariates=None
+                if covariates is None
+                else config_floats(covariates, "covariates"),
+                censor=None if censor is None else np.asarray(censor),
+            )
+            n = len(doc["responses"])
+        elif kind == "csv":
+            path = str(spec["csv"])
+            if not os.path.isfile(path):
+                raise ConfigError(f"data file not found: {path}")
+            if "response" not in spec:
+                raise ConfigError("csv data needs a 'response' column name")
+            data = read_dataset_csv(
+                path,
+                response=spec["response"],
+                covariates=tuple(spec.get("covariates", ())),
+                censor=spec.get("censor"),
+            )
+            n = len(data.responses)
+        else:
+            doc = spec["simulate"]
+            if not isinstance(doc, dict) or "theta" not in doc or "n" not in doc:
+                raise ConfigError("simulate data needs 'theta' and 'n'")
+            n = config_int(doc["n"], "n")
+    except ValueError as exc:  # the ConfigErrors above, and data Dataset rejects
+        raise ConfigError(f"invalid data: {exc}") from None
 
     model = model_from_id(
         model_id,
@@ -317,19 +320,10 @@ def _cmd_contour(config, seed, cfg_hash, threads, verbose):
 
 def _cmd_fit(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
-    method = config.get("method", "variational-scalar")
-    if method not in ("variational-scalar", "variational-vector"):
-        raise ConfigError(
-            f"fit method must be variational-scalar or variational-vector, "
-            f"got {method!r}"
-        )
-    sa_config = _parse_sa(config)
-    if sa_config is None:
-        raise ConfigError("this method requires an 'sa' block (SAConfig)")
     model, data = _model_and_data(config, seed)
     child = int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63))
-    fit = fit_scalar if method == "variational-scalar" else fit_vector
-    family, trace = fit(model, data, replace(sa_config, seed=child))
+    family, trace = variational_fit(config.get("method", "variational-scalar"),
+                                    model, data, _parse_sa(config), child)
 
     xi = np.atleast_1d(np.asarray(trace.xi_final, dtype=float))
     xi_repr = repr(float(xi[0])) if xi.size == 1 else [float(v) for v in xi]

@@ -45,7 +45,6 @@ value of each pair, so one failure of a pair is absorbed by its partner.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -99,7 +98,6 @@ class SAConfig:
     epsilon: float = 0.005
     min_iter: int = 5
     max_iter: int = 500
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -196,12 +194,6 @@ def robbins_monro(
         ts.append(t)
         xis.append(xi.copy())
         objs.append(f.copy())
-        if config.verbose:
-            print(
-                f"t={t} xi={np.array2string(xi, precision=6)} "
-                f"obj={np.array2string(f, precision=6)} delta={delta:.3e}",
-                file=sys.stderr,
-            )
         if t >= config.min_iter and delta < config.epsilon:
             reason = "converged"
             break

@@ -12,6 +12,7 @@ Several tests below recompute replications through that contract using only
 public pieces, so any silent change to the stream layout fails loudly.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -31,10 +32,12 @@ from possfit import (
     StudyError,
     build_model,
     empirical_cdf,
+    fit_scalar,
     fit_vector,
     gaussian_contour_object,
     grid_eval,
     hypothesis_calibration,
+    make_exact_contour,
     make_mc_contour,
     models,
     poisson_study_design,
@@ -50,6 +53,10 @@ def _sa(**kw):
                 max_iter=10)
     base.update(kw)
     return SAConfig(**base)
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _binomial_scenario(**kw):
@@ -443,6 +450,20 @@ def test_censored_validity_structural():
     assert np.array_equal(report.values, again.values)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_censored_validity_report_is_unchanged(threads):
+    """A censored study's report holds bit for bit: its data draws, the
+    censoring of each response and the contour at the truth."""
+    scn = Scenario(
+        model_id="lognormal-censored", truth=(0.3, 0.49), n=30, reps=12,
+        method="censored", seed=53, m=120,
+        model_kwargs={"limits": [0.9, 1.4]},
+    )
+    report = validity_study(scn, threads=threads)
+    assert _sha256(report.to_json_dict(include_timings=False)) == (
+        "d0d3e1db12ae2f56dd583adee39d7044b71733220a8f558bfb44111ae4f5b525")
+
+
 # ---------------------------------------------------------------------------
 # report I/O
 # ---------------------------------------------------------------------------
@@ -565,6 +586,15 @@ def test_hypothesis_poisson_curves_below_diagonal():
     assert np.median(res.values[0]) > 0.5
 
 
+def test_binomial_naive_hypothesis_report_is_unchanged():
+    res = hypothesis_calibration(
+        _binomial_scenario(reps=20),
+        [Hypothesis.half_space(np.array([1.0]), 0.3), Hypothesis.box([[0.3, 0.6]])],
+    )
+    assert _sha256(res.to_json_dict(include_timings=False)) == (
+        "71f725f1ec6b36449d48489d49e89e619eaeb013f6300a4c1dcd7d080dc77483")
+
+
 def test_hypothesis_result_io(tmp_path):
     scn = _binomial_scenario(reps=20, seed=31)
     res = hypothesis_calibration(
@@ -662,6 +692,35 @@ def test_timing_l1_matches_documented_streams():
     va = grid_eval(gaussian_contour_object(fam), axes).values.ravel()
     l1 = float(np.mean(np.abs(va - vn)) * 2.0)
     assert res.l1[0] == pytest.approx(l1, rel=1e-12)
+
+
+def test_timing_l1_is_unchanged():
+    """A vector fit whose sa.m_inner differs from the study's m is run at
+    m; the L1 distances hold bit for bit."""
+    naive, approx = _bvn_pair(n=45, reps=2, m=200, count=25)
+    approx = replace(approx, sa=_sa(m_inner=80, epsilon=0.005, max_iter=120))
+    res = timing_accuracy_study(naive, approx)
+    assert _sha256(res.to_json_dict()["l1"]) == (
+        "de238a5c15a3a636309cf2a536a5426ed7f9429b52817cdc4f33dce82364b0ac")
+
+
+def test_timing_naive_side_is_the_binomial_exact_contour():
+    """A model that declares an exact contour gets it as its naive side."""
+    grid = (AxisSpec(0.01, 0.99, 30),)
+    naive = Scenario(model_id="binomial", truth=(0.4,), n=20, reps=2,
+                     method="naive", seed=5, grid=grid, m=200)
+    approx = replace(naive, method="variational-scalar", sa=_sa())
+    res = timing_accuracy_study(naive, approx)
+    model = models.binomial()
+    for r in range(2):
+        data = model.sample(np.array([0.4]), 20, derive_rng(5, CAL_TAG, r, 1))
+        child = int(derive_rng(5, CAL_TAG, r, 3, METHODS.index("variational-scalar"))
+                    .integers(2 ** 63))
+        exact = grid_eval(make_exact_contour(model, data), grid).values.ravel()
+        fam, _ = fit_scalar(model, data, replace(approx.sa, seed=child, m_inner=200))
+        fitted = grid_eval(gaussian_contour_object(fam), grid).values.ravel()
+        l1 = float(np.mean(np.abs(fitted - exact)) * 0.98)
+        assert res.l1[r] == pytest.approx(l1, rel=1e-12)
 
 
 def test_timing_result_json(tmp_path):

@@ -173,6 +173,25 @@ class TestContour:
         assert not (tmp_path / "contour.json").exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["covariate-rows", "censor-flag", "responses-3d",
+                                      "csv-missing-column", "csv-non-numeric"])
+    def test_data_the_dataset_rejects_exit2_no_outputs(self, tmp_path, capsys, case):
+        """Inline data or a CSV file that cannot form a dataset is a config
+        error, not a traceback."""
+        data_path = tmp_path / "obs.csv"
+        data_path.write_text("y\n1\n0\nyes\n" if case == "csv-non-numeric" else "y\n1\n0\n",
+                             encoding="utf-8")
+        data = {
+            "covariate-rows": {"inline": {"responses": [1, 0, 1], "covariates": [[1.0]]}},
+            "censor-flag": {"inline": {"responses": [1, 0, 1], "censor": [2, 0, 1]}},
+            "responses-3d": {"inline": {"responses": [[[1], [0]], [[1], [0]]]}},
+            "csv-missing-column": {"csv": str(data_path), "response": "x"},
+            "csv-non-numeric": {"csv": str(data_path), "response": "y"},
+        }[case]
+        assert run(write_config(tmp_path, contour_config(tmp_path, data=data))) == 2
+        assert "config error: invalid data" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "run.json"]
+
     def test_failed_bootstrap_evaluation_exit3_no_outputs(self, tmp_path,
                                                           capsys):
         """Resamples of all-NaN values have no minimizer, so the contour's
@@ -379,12 +398,15 @@ class TestConfigHandling:
         "box-bounds", "half-space-a", "half-space-b", "finite-set-points",
         "lasso-sigma", "lasso-lam", "normal-means-sigma",
         "loss-value", "loss-linear-a", "loss-linear-b", "loss-indicator-outside",
-        "logistic-design", "poisson-design", "censored-limits", "inline-covariates"])
+        "logistic-design", "poisson-design", "censored-limits", "inline-covariates",
+        "bootstrap-tau", "design-seed-string", "design-seed-float"])
     def test_number_in_a_hypothesis_loss_or_model_block_exit2(self, tmp_path, capsys,
                                                               case):
         """A bool or numeric string in a hypothesis, a choquet loss, a
-        model's sigma, lam, design or detection limits, or inline covariates
-        is a config error; false is not read as 0.0, nor "0.9" as 0.9."""
+        model's sigma, lam, design or detection limits, inline covariates or
+        a bootstrap tau, and a Poisson design_seed that is not an integer,
+        is a config error; false is not read as 0.0, "0.9" as 0.9, nor 7.9
+        as 7."""
         def calibrate(hypothesis):
             return calibrate_config(tmp_path, hypotheses=[hypothesis])
 
@@ -425,9 +447,20 @@ class TestConfigHandling:
                 truth=[0.3, 0.49], model_kwargs={"limits": [True]}),
             "inline-covariates": lambda: contour_config(tmp_path, data={"inline": {
                 "responses": BINOM_RESPONSES, "covariates": [["0.5"]] + [[0.5]] * 14}}),
+            "bootstrap-tau": lambda: contour_config(
+                tmp_path, model="gamma", method="bootstrap", bootstrap={"tau": "0.25", "B": 50},
+                data={"inline": {"responses": [1.0, 2.0, 3.0, 4.0]}},
+                grid=[{"lo": 0.5, "hi": 2.0, "count": 5}]),
+            "design-seed-string": lambda: calibrate_config(
+                tmp_path, model="poisson-loglinear", truth=[0.5, 0.3, -0.2], n=20,
+                model_kwargs={"design_seed": "7"}),
+            "design-seed-float": lambda: calibrate_config(
+                tmp_path, model="poisson-loglinear", truth=[0.5, 0.3, -0.2], n=20,
+                model_kwargs={"design_seed": 7.9}),
         }[case]()
         assert run(write_config(tmp_path, cfg)) == 2
-        assert "must be a number" in capsys.readouterr().err
+        expected = "must be an integer" if case.startswith("design-seed") else "must be a number"
+        assert expected in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("case", [
@@ -728,9 +761,12 @@ class TestFit:
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_fit_requires_sa_block(self, tmp_path):
-        cfg = fit_config(tmp_path)
-        del cfg["sa"]
-        assert run(write_config(tmp_path, cfg)) == 2
+        """Only a variational method with an sa block can fit."""
+        for method in ("variational-scalar", "naive"):
+            cfg = fit_config(tmp_path, method=method)
+            del cfg["sa"]
+            assert run(write_config(tmp_path, cfg)) == 2
+            assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -135,15 +135,6 @@ def test_fit_trace_csv(tmp_path):
     assert float(first[1]) == pytest.approx(trace.xis[0][0])
 
 
-def test_rm_progress_lines_on_stderr(capfd):
-    cfg = _config(verbose=True)
-    trace = robbins_monro(lambda xi, t: 0.0, [1.0], cfg, sign=+1)
-    err = capfd.readouterr().err
-    lines = [l for l in err.strip().splitlines() if l]
-    assert len(lines) == len(trace.ts)
-    assert "t=1" in lines[0] and "xi=" in lines[0]
-
-
 # ---------------------------------------------------------------------------
 # credal-mass objective f_hat
 # ---------------------------------------------------------------------------
