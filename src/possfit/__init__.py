@@ -107,6 +107,7 @@ from .calibration import (  # noqa: F401
     empirical_cdf,
     hypothesis_calibration,
     poisson_study_design,
+    search_family,
     timing_accuracy_study,
     validity_study,
     variational_fit,

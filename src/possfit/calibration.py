@@ -31,7 +31,6 @@ methods sequentially in the same process so the ratio is meaningful.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 from typing import Optional, Sequence
@@ -50,6 +49,7 @@ from .contours import (
     grid_eval,
     make_exact_contour,
     make_mc_contour,
+    ordered_map,
 )
 from .families import (
     GaussianScalarFamily,
@@ -84,6 +84,7 @@ __all__ = [
     "TimingAccuracyResult",
     "build_model",
     "build_contour",
+    "search_family",
     "variational_fit",
     "model_from_id",
     "empirical_cdf",
@@ -246,6 +247,7 @@ class Scenario:
             raise ConfigError("reps must be at least 1")
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be at least 1")
+        model = model_from_id(self.model_id, self.n, self.model_kwargs)
         if self.method.startswith("variational"):
             if not isinstance(self.sa, SAConfig):
                 raise ConfigError(
@@ -264,9 +266,10 @@ class Scenario:
                     "bootstrap truth must be a single finite functional value"
                 )
         if self.method == "censored":
-            if self.model_id != "lognormal-censored":
+            if model.censored_sim is None:
                 raise ConfigError(
-                    "censored method requires the lognormal-censored model"
+                    "censored method needs a model that declares a censored "
+                    "simulator, such as lognormal-censored"
                 )
             limits = np.ravel(config_floats(self.model_kwargs.get("limits", ()), "limits"))
             if limits.size == 0 or not np.all(
@@ -288,7 +291,6 @@ class Scenario:
                 )
 
         target = self.data_params if self.method == "bootstrap" else self.truth
-        model = model_from_id(self.model_id, self.n, self.model_kwargs)
         msg = domain_violation(model, target, self.n)
         if msg is not None:
             raise ConfigError(
@@ -631,8 +633,9 @@ def variational_fit(method: str, model: ModelSpec, data: Dataset,
 
 def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
                   m: int, sa: Optional[SAConfig] = None, tau=None, B: int = 500):
-    """The contour ``method`` names for one dataset, and the family a
-    variational fit produced (None for the other methods).
+    """The contour ``method`` names for one dataset.  A variational
+    method's contour is the closed-form contour of its fitted family and
+    carries it (``contour.family``); the other contours carry none.
 
     What the model declares decides the construction: ``exact`` needs an
     ``exact_contour_for`` hook, and ``naive`` uses that hook when present,
@@ -647,20 +650,19 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     if m < 1:
         raise ConfigError(f"m must be at least 1, got {m}")
     if method in ("exact", "naive") and model.exact_contour_for is not None:
-        return make_exact_contour(model, data), None
+        return make_exact_contour(model, data)
     if method == "exact":
         raise ConfigError(
             f"the exact contour is not available for the {model.name} model"
         )
     if method == "naive":
-        return make_mc_contour(model, data, m, seed=seed), None
+        return make_mc_contour(model, data, m, seed=seed)
     if method in ("variational-scalar", "variational-vector"):
-        family, _ = variational_fit(method, model, data, sa, seed)
-        return gaussian_contour_object(family), family
+        return gaussian_contour_object(variational_fit(method, model, data, sa, seed)[0])
     if method == "bootstrap":
         spec = _bootstrap_spec(tau, B)
         try:
-            return make_empirical_risk_contour(data, spec, seed=seed), None
+            return make_empirical_risk_contour(data, spec, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"the bootstrap method: {exc}") from None
     if method == "censored":
@@ -670,7 +672,7 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
                 f"{model.name} model does not declare"
             )
         ghat = kaplan_meier_swapped(data)
-        return make_censored_contour(model, data, ghat, m, seed=seed), None
+        return make_censored_contour(model, data, ghat, m, seed=seed)
     raise ConfigError(
         f"unknown contour method {method!r}; expected exact, naive, "
         "variational-scalar, variational-vector, bootstrap, or censored"
@@ -679,24 +681,14 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
 
 def _run_replications(reps: int, threads: int, fn):
     """Index-ordered results; identical for any thread count."""
-    out = [None] * reps
-    threads = int(threads or 1)
-    if threads > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(fn, r): r for r in range(reps)}
-            for fut in as_completed(futures):
-                out[futures[fut]] = fut.result()
-    else:
-        for r in range(reps):
-            out[r] = fn(r)
-    return out
+    return ordered_map(fn, range(reps), int(threads or 1))
 
 
 def _replicate(scenario: Scenario, model: ModelSpec, threads: int, measure):
     """``(values, timings, failures)`` over the scenario's replications.
 
     Replication ``r`` simulates its data, builds the scenario's contour on
-    its child seed and returns ``measure(contour, family, data, r)``, timed
+    its child seed and returns ``measure(contour, data, r)``, timed
     with the contour; ``values`` lists the successful results in order.  A
     failure is recorded as ``(r, message)`` with a NaN timing; more than 5%
     of them raise :class:`StudyError`.  A :class:`ConfigError` is raised.
@@ -708,10 +700,10 @@ def _replicate(scenario: Scenario, model: ModelSpec, threads: int, measure):
             data = _simulate(scenario, model, derive_rng(scenario.seed, CAL_TAG, r, 1))
             child = _child_seed(scenario.seed, r, 2)
             start = perf_counter()
-            contour, family = build_contour(
+            contour = build_contour(
                 scenario.method, model, data, child, m=scenario.m,
                 sa=scenario.sa, tau=kw.get("tau"), B=kw.get("B", 500))
-            value = measure(contour, family, data, r)
+            value = measure(contour, data, r)
             return value, perf_counter() - start, None
         except ConfigError:
             raise
@@ -746,7 +738,7 @@ def validity_study(
         DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
     )
 
-    def measure(contour, family, data, r):
+    def measure(contour, data, r):
         value = float(contour(scenario.truth_eval))
         if np.isnan(value):  # a Monte Carlo evaluation whose kernel raised
             raise RuntimeError("contour evaluation at the truth failed")
@@ -764,13 +756,20 @@ def validity_study(
     )
 
 
-def _proposal_family(model: ModelSpec, data: Dataset):
-    theta_hat, info = mle_and_information(model, data)
-    if theta_hat.size == 1:
-        return GaussianScalarFamily(theta_hat=theta_hat, info=info, xi=1.0)
-    return GaussianVectorFamily(
-        theta_hat=theta_hat, info=info, xi=np.ones(theta_hat.size)
-    )
+def search_family(method: str, contour, model: ModelSpec, data: Dataset):
+    """The proposal family of a search over ``method``'s ``contour``: the
+    family the contour carries, else the model's Gaussian at the MLE and
+    observed information (xi = 1).  A :class:`ConfigError` names
+    ``method`` when its dimension is not the contour's."""
+    family = contour.family
+    if family is None:
+        theta_hat, info = mle_and_information(model, data)
+        family = (GaussianScalarFamily(theta_hat=theta_hat, info=info)
+                  if theta_hat.size == 1 else
+                  GaussianVectorFamily(theta_hat=theta_hat, info=info,
+                                       xi=np.ones(theta_hat.size)))
+    _check_search_dim(method, family.dim, contour.dim)
+    return family
 
 
 def _check_search_dim(method: str, family_dim: int, contour_dim: int) -> None:
@@ -822,9 +821,8 @@ def hypothesis_calibration(
         DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
     )
 
-    def measure(contour, family, data, r):
-        if family is None:
-            family = _proposal_family(model, data)
+    def measure(contour, data, r):
+        family = search_family(scenario.method, contour, model, data)
         vals = np.empty(len(hyps))
         for k, h in enumerate(hyps):
             result = upper_probability(
@@ -902,7 +900,7 @@ def timing_accuracy_study(
             child = _child_seed(naive_scenario.seed, r, 3, METHODS.index(scn.method))
             start = perf_counter()
             sa = None if scn.sa is None else replace(scn.sa, m_inner=scn.m)
-            contour, _ = build_contour(scn.method, model, data, child, m=scn.m, sa=sa)
+            contour = build_contour(scn.method, model, data, child, m=scn.m, sa=sa)
             sides.append(grid_eval(contour, axes).values.ravel())
             seconds[j, r] = perf_counter() - start
         l1[r] = float(np.mean(np.abs(sides[1] - sides[0])) * volume)

@@ -43,11 +43,10 @@ from ._rng import CLI_TAG, derive_rng
 from .calibration import (
     Scenario,
     StudyError,
-    _check_search_dim,
-    _proposal_family,
     build_contour,
     hypothesis_calibration,
     model_from_id,
+    search_family,
     validity_study,
     variational_fit,
 )
@@ -266,7 +265,7 @@ def _model_and_data(config: dict, seed: int):
 
 
 def _contour_from_config(config: dict, model, data, seed: int):
-    """(contour, fitted family or None) for single-dataset commands."""
+    """The config's contour of one dataset, for single-dataset commands."""
     boot = config.get("bootstrap") or {}
     if not isinstance(boot, dict):
         raise ConfigError("the 'bootstrap' block must be an object")
@@ -280,15 +279,6 @@ def _contour_from_config(config: dict, model, data, seed: int):
         tau=boot.get("tau"),
         B=boot.get("B", 500),
     )
-
-
-def _search_family(config: dict, model, data, contour, family):
-    """The fitted family, else the model's Gaussian proposal, for a search
-    over the contour; a config error when their dimensions differ."""
-    if family is None:
-        family = _proposal_family(model, data)
-    _check_search_dim(config.get("method", "naive"), family.dim, contour.dim)
-    return family
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +302,7 @@ def _cmd_contour(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
     axes = _parse_grid(config)
     model, data = _model_and_data(config, seed)
-    contour, _ = _contour_from_config(config, model, data, seed)
+    contour = _contour_from_config(config, model, data, seed)
     grid = grid_eval(contour, axes, parallelism=threads)
     texts = _grid_texts(grid, "contour", cfg_hash, seed)
     _write_outputs(texts, paths, verbose)
@@ -368,13 +358,13 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
         raise ConfigError("hypothesis command needs a non-empty 'hypotheses' list")
     hyps = [Hypothesis.from_dict(h) for h in specs]
     model, data = _model_and_data(config, seed)
-    contour, family = _contour_from_config(config, model, data, seed)
+    contour = _contour_from_config(config, model, data, seed)
     for k, h in enumerate(hyps):
         if h.dim != contour.dim:
             raise ConfigError(
                 f"hypothesis {k + 1} has dimension {h.dim}, expected {contour.dim}"
             )
-    family = _search_family(config, model, data, contour, family)
+    family = search_family(config.get("method", "naive"), contour, model, data)
 
     entries = []
     rows = []
@@ -436,10 +426,10 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
             "marginal feature must be {'component': i} or {'linear': [...]}"
         )
     model, data = _model_and_data(config, seed)
-    contour, family = _contour_from_config(config, model, data, seed)
+    contour = _contour_from_config(config, model, data, seed)
     if not (0 <= g < contour.dim if np.ndim(g) == 0 else g.shape == (contour.dim,)):
         raise ConfigError(f"marginal feature {doc} does not fit dimension {contour.dim}")
-    family = _search_family(config, model, data, contour, family)
+    family = search_family(config.get("method", "naive"), contour, model, data)
     search_seed = int(derive_rng(seed, CLI_TAG, 3).integers(2 ** 63))
     grid = marginal_contour(
         contour,
@@ -457,8 +447,8 @@ def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     paths = _parse_output(config)
     spec = ChoquetSpec.from_dict(config.get("choquet"))
     model, data = _model_and_data(config, seed)
-    contour, family = _contour_from_config(config, model, data, seed)
-    family = _search_family(config, model, data, contour, family)
+    contour = _contour_from_config(config, model, data, seed)
+    family = search_family(config.get("method", "naive"), contour, model, data)
     child = int(derive_rng(seed, CLI_TAG, 4).integers(2 ** 63))
     result = choquet_upper_expectation(contour, spec, family=family, seed=child)
     print(f"choquet upper expectation: {float(result.value)!r}")

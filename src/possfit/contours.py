@@ -75,6 +75,7 @@ __all__ = [
     "make_exact_binomial",
     "make_mc_contour",
     "grid_eval",
+    "ordered_map",
     "alpha_cut",
 ]
 
@@ -109,6 +110,10 @@ class PossibilityContour:
     made early by the sequential test carries the band and risk stated in
     the README's "Determinism" section.  The credal-mass criterion of the
     stochastic-approximation fits uses it for every contour that has one.
+
+    ``family`` is the approximation family a contour is the contour of (a
+    Gaussian or Dirichlet contour), None for the others.  Inference reads
+    its exact answers off it and searches with it by default.
     """
 
     kind: str
@@ -119,6 +124,7 @@ class PossibilityContour:
     exceeds_batch: Optional[
         Callable[[np.ndarray, float, Optional[np.random.Generator]], np.ndarray]
     ] = None
+    family: object = None
 
     def __post_init__(self):
         # a closure over the constructor's function, not the attribute, so a
@@ -521,19 +527,9 @@ def grid_eval(
         vals = np.asarray(contour.evaluate_batch(nodes, None), dtype=float).ravel()
         if vals.size != n_nodes:
             raise ValueError("batch evaluation returned a wrong-sized array")
-    elif parallelism > 1:
-        with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
-            vals = np.fromiter(
-                pool.map(contour.eval_at_node, nodes, range(n_nodes)),
-                dtype=float,
-                count=n_nodes,
-            )
     else:
-        vals = np.fromiter(
-            (contour.eval_at_node(nodes[i], i) for i in range(n_nodes)),
-            dtype=float,
-            count=n_nodes,
-        )
+        vals = np.array(ordered_map(lambda i: contour.eval_at_node(nodes[i], i),
+                                    range(n_nodes), parallelism), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))
@@ -547,6 +543,15 @@ def grid_eval(
         seed=contour.meta.get("seed", contour.seed),
         meta=dict(contour.meta),
     )
+
+
+def ordered_map(fn, items, threads: int = 1) -> list:
+    """``[fn(x) for x in items]``, run on a pool of ``threads`` worker
+    threads when ``threads > 1``; the list is in item order either way."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------

@@ -302,12 +302,13 @@ def _dirichlet_log_density_kernel(conc: np.ndarray, thetas: np.ndarray) -> np.nd
 
 
 def gaussian_contour_object(family: GaussianFamily) -> PossibilityContour:
-    """Deterministic closed-form contour, evaluated in one vectorized batch."""
+    """Deterministic closed-form contour of the family, evaluated in one
+    vectorized batch; it carries the family."""
     return PossibilityContour(
         kind="closed-form-gaussian",
         dim=family.dim,
         evaluate_batch=lambda thetas, rng: _gaussian_contour_batch(family, thetas),
-        meta={"family": family_to_json(family)},
+        family=family,
     )
 
 
@@ -321,6 +322,7 @@ def dirichlet_contour_object(
     K-1 coordinates and completes the last as 1 - sum; embedded points off
     the open simplex evaluate to 0.  Its m draws of Theta are made once, on
     the stream ``(seed, REF_TAG)``, so the contour is a deterministic lookup.
+    The contour carries the family.
     """
     m = int(m)
     if m < 1:
@@ -337,7 +339,8 @@ def dirichlet_contour_object(
         kind="dirichlet-mc",
         dim=family.dim - 1,
         evaluate_batch=_lookup_batch(statistic, _dirichlet_log_density_kernel(conc, draws)),
-        meta={"family": family_to_json(family), "m": m, "seed": int(seed)},
+        meta={"m": m, "seed": int(seed)},
+        family=family,
     )
 
 

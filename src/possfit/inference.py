@@ -4,31 +4,24 @@ upper expectations of loss functions.
 
 Everything here is an optimization of the contour.  Closed-form Gaussian
 contours admit exact answers for box and half-space hypotheses and for
-linear features (projections of a quadratic form); everything else goes
-through a common sampling-plus-refinement search whose budget is carried on
-the result, since the search supremum is approximate.
+linear features (projections of a quadratic form), read off the family the
+contour carries (``contour.family``); everything else goes through a common
+sampling-plus-refinement search whose budget is carried on the result, since
+the search supremum is approximate.  The search draws its candidates from a
+proposal family: the ``family=`` argument, by default the contour's own.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .contours import AxisSpec, ContourGrid, PossibilityContour
+from .contours import AxisSpec, ContourGrid, PossibilityContour, ordered_map
 from .contours import ConfigError, config_float, config_floats, config_int
-from .families import (
-    GaussianScalarFamily,
-    GaussianVectorFamily,
-    chi2_sf,
-    family_from_json,
-    gaussian_cov_matrix,
-    gaussian_info_matrix,
-    sample,
-)
+from .families import chi2_sf, gaussian_cov_matrix, gaussian_info_matrix, sample
 
 __all__ = [
     "NoComplementError",
@@ -220,15 +213,6 @@ class ProbabilityResult:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_family(contour: PossibilityContour, family):
-    if family is not None:
-        return family
-    doc = contour.meta.get("family")
-    if doc is not None:
-        return family_from_json(doc)
-    return None
-
-
 def _family_center(family) -> np.ndarray:
     if hasattr(family, "theta_hat"):
         return np.asarray(family.theta_hat, dtype=float)
@@ -240,12 +224,6 @@ def _contour_values(contour: PossibilityContour, pts: np.ndarray) -> np.ndarray:
     if contour.seed is None:
         return np.asarray(contour.evaluate_batch(pts, None), dtype=float)
     return np.array([contour(p) for p in pts], dtype=float)
-
-
-def _is_closed_form_gaussian(contour, family) -> bool:
-    return contour.kind == "closed-form-gaussian" and isinstance(
-        family, (GaussianScalarFamily, GaussianVectorFamily)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +396,10 @@ def upper_probability(
     """sup of the contour over the hypothesis.
 
     Exact for box/half-space/box-complement hypotheses on closed-form
-    Gaussian contours and for finite point sets; otherwise a candidate
-    search (draws from the proposal family restricted to the hypothesis)
-    followed by a local derivative-free refinement.
+    Gaussian contours (from the contour's own family, whatever ``family``
+    is) and for finite point sets; otherwise a candidate search (draws from
+    the proposal ``family``, by default ``contour.family``, restricted to
+    the hypothesis) followed by a local derivative-free refinement.
     """
     budget = budget or SearchBudget()
     if contour.dim is not None and hypothesis.dim != contour.dim:
@@ -431,19 +410,18 @@ def upper_probability(
     if hypothesis.kind == "finite":
         vals = _contour_values(contour, hypothesis.points)
         return ProbabilityResult(float(np.max(vals)), "finite")
-    fam = _resolve_family(contour, family)
-    if _is_closed_form_gaussian(contour, fam) and hypothesis.kind in (
+    if contour.kind == "closed-form-gaussian" and hypothesis.kind in (
         "box",
         "half-space",
         "box-complement",
     ):
-        return _exact_gaussian_upper(fam, hypothesis)
+        return _exact_gaussian_upper(contour.family, hypothesis)
     if hypothesis.kind == "box" and np.all(
         hypothesis.bounds[:, 0] == hypothesis.bounds[:, 1]
     ):
         value = float(contour(hypothesis.bounds[:, 0]))
         return ProbabilityResult(value, "degenerate-fiber")
-    return _search_upper(contour, hypothesis, fam, budget, seed)
+    return _search_upper(contour, hypothesis, family or contour.family, budget, seed)
 
 
 def lower_probability(
@@ -500,13 +478,13 @@ def marginal_contour(
 
     Linear features of a closed-form Gaussian contour are exact: the marginal
     is the one-dimensional Gaussian contour with mean g(theta_hat) and
-    variance g' J(xi)^{-1} g (the delta-method projection of the family).
+    variance g' J(xi)^{-1} g (the delta-method projection of the contour's
+    family).
     Anything else is the literal supremum over the fiber {g(theta) = phi},
     found by a penalty search seeded at the candidate closest to the fiber;
     unreachable phi values get contour 0 and are listed in meta["infeasible"].
     """
     budget = budget or SearchBudget()
-    fam = _resolve_family(contour, family)
     a = _as_linear_feature(g, contour.dim)
     axis = (
         dataclasses.replace(phi_axis, name="phi") if phi_axis.name is None
@@ -514,9 +492,9 @@ def marginal_contour(
     )
     phis = axis.points()
 
-    if a is not None and _is_closed_form_gaussian(contour, fam):
-        center = float(a @ _family_center(fam))
-        v = float(a @ gaussian_cov_matrix(fam) @ a)
+    if a is not None and contour.kind == "closed-form-gaussian":
+        center = float(a @ _family_center(contour.family))
+        v = float(a @ gaussian_cov_matrix(contour.family) @ a)
         values = chi2_sf((phis - center) ** 2 / v, 1)
         return ContourGrid(
             axes=(axis,),
@@ -525,6 +503,7 @@ def marginal_contour(
             meta={"method": "exact-linear", "center": center, "variance": v},
         )
 
+    fam = family or contour.family
     if fam is None:
         raise ValueError(
             "marginal_contour over a general fiber needs a proposal family: "
@@ -561,11 +540,7 @@ def marginal_contour(
             return 0.0, True
         return float(np.clip(contour(x), 0.0, 1.0)), False
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            solved = list(ex.map(solve, phis))
-    else:
-        solved = [solve(p) for p in phis]
+    solved = ordered_map(solve, phis, parallelism)
     values = np.array([v for v, _ in solved])
     infeasible = [i for i, (_, bad) in enumerate(solved) if bad]
     return ContourGrid(
@@ -655,7 +630,7 @@ def choquet_upper_expectation(
     supremum beyond 1e12 aborts the integral: the loss is effectively
     unbounded on the contour's support.
     """
-    fam = _resolve_family(contour, family)
+    fam = family or contour.family
     if fam is None:
         raise ValueError(
             "choquet_upper_expectation needs a proposal family: pass family=..."

@@ -134,6 +134,8 @@ class Dataset:
 
     def __post_init__(self):
         self.responses = np.asarray(self.responses)
+        if not np.issubdtype(self.responses.dtype, np.number):
+            raise ValueError(f"responses must be numbers, got dtype {self.responses.dtype}")
         if self.responses.ndim not in (1, 2):
             raise ValueError("responses must be a vector or an (n, k) array")
         n = self.responses.shape[0]

@@ -25,6 +25,7 @@ from possfit import (
     calibration,
     CalibrationReport,
     Dataset,
+    GaussianScalarFamily,
     Hypothesis,
     SAConfig,
     Scenario,
@@ -545,6 +546,36 @@ def test_hypothesis_bootstrap_checked_against_the_contour(monkeypatch, bounds,
     monkeypatch.setattr(calibration, "_run_replications", no_replications)
     with pytest.raises(ConfigError, match=message):
         hypothesis_calibration(scn, [Hypothesis.box(bounds)])
+
+
+def test_variational_contour_carries_its_fitted_family():
+    model = models.bvn_correlation()
+    data = model.sample(np.array([0.4]), 30, np.random.default_rng(3))
+    sa = _sa(m_inner=50, max_iter=5)
+    contour = calibration.build_contour("variational-scalar", model, data, 5, m=50, sa=sa)
+    family, _ = fit_scalar(model, data, replace(sa, seed=5))
+    assert isinstance(contour.family, GaussianScalarFamily)
+    assert contour.family.xi == family.xi
+    assert np.array_equal(contour.family.theta_hat, family.theta_hat)
+    assert np.array_equal(contour.family.info, family.info)
+    assert calibration.build_contour("naive", model, data, 5, m=50).family is None
+
+
+def test_search_family_is_the_contour_family_without_a_refit(monkeypatch):
+    data = Dataset(responses=np.array([1, 0, 1, 1, 0]))
+    model = models.binomial()
+    proposal = calibration.search_family("exact", make_exact_contour(model, data),
+                                         model, data)
+    assert isinstance(proposal, GaussianScalarFamily) and proposal.xi == 1.0
+    assert proposal.theta_hat[0] == pytest.approx(0.6)
+
+    def no_mle(*args):
+        raise AssertionError("search_family fitted the model")
+
+    monkeypatch.setattr(calibration, "mle_and_information", no_mle)
+    fam = GaussianScalarFamily(np.array([0.4]), np.array([[62.5]]), xi=1.3)
+    contour = gaussian_contour_object(fam)
+    assert calibration.search_family("variational-scalar", contour, model, data) is fam
 
 
 @pytest.mark.parametrize("model_id, kwargs", [

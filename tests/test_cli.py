@@ -174,7 +174,8 @@ class TestContour:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["covariate-rows", "censor-flag", "responses-3d",
-                                      "csv-missing-column", "csv-non-numeric"])
+                                      "responses-strings", "csv-missing-column",
+                                      "csv-non-numeric"])
     def test_data_the_dataset_rejects_exit2_no_outputs(self, tmp_path, capsys, case):
         """Inline data or a CSV file that cannot form a dataset is a config
         error, not a traceback."""
@@ -185,6 +186,7 @@ class TestContour:
             "covariate-rows": {"inline": {"responses": [1, 0, 1], "covariates": [[1.0]]}},
             "censor-flag": {"inline": {"responses": [1, 0, 1], "censor": [2, 0, 1]}},
             "responses-3d": {"inline": {"responses": [[[1], [0]], [[1], [0]]]}},
+            "responses-strings": {"inline": {"responses": ["a", "b", "c"]}},
             "csv-missing-column": {"csv": str(data_path), "response": "x"},
             "csv-non-numeric": {"csv": str(data_path), "response": "y"},
         }[case]

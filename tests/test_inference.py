@@ -290,6 +290,20 @@ def test_dim_mismatch_rejected():
         upper_probability(contour, Hypothesis.box([[0, 1], [0, 1]]))
 
 
+def test_exact_paths_read_the_contour_family_not_the_proposal():
+    """A proposal family N(5, 1) passed to the N(0, 1) contour steers only
+    the search: the exact box and linear-marginal answers are A's."""
+    contour, _ = _scalar_contour()
+    _, other = _scalar_contour(theta_hat=5.0)
+    res = upper_probability(contour, Hypothesis.box([[4.0, 6.0]]), family=other)
+    assert res.method == "exact-box"
+    assert res.value == pytest.approx(chi2.sf(16.0, 1), rel=1e-12)  # 6.3e-5
+    axis = AxisSpec(-2.0, 6.0, 9)
+    grid = marginal_contour(contour, 0, axis, family=other)
+    assert grid.meta["method"] == "exact-linear"
+    assert np.allclose(grid.values, chi2.sf(axis.points() ** 2, 1), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # marginal contours
 # ---------------------------------------------------------------------------
