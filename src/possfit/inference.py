@@ -219,6 +219,16 @@ def _family_center(family) -> np.ndarray:
     return np.asarray(family.mean, dtype=float)
 
 
+def _proposal_pool(contour: PossibilityContour, family, size: int, rng) -> np.ndarray:
+    """The family's center and ``size`` draws from it, one per row, cut to the
+    contour's coordinates: a Dirichlet contour reads the first K-1 of the K
+    simplex coordinates its family draws."""
+    pool = np.vstack(
+        [_family_center(family)[None, :], np.atleast_2d(sample(family, size, rng))]
+    )
+    return pool if contour.dim is None else pool[:, : contour.dim]
+
+
 def _contour_values(contour: PossibilityContour, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if contour.seed is None:
@@ -356,9 +366,8 @@ def _search_upper(
             "search-based upper_probability needs a proposal family: pass "
             "family=... or use a contour that carries one"
         )
-    center = _family_center(family)
-    rng = np.random.default_rng(seed)
-    pool = np.atleast_2d(sample(family, budget.candidates, rng))
+    pool = _proposal_pool(contour, family, budget.candidates, np.random.default_rng(seed))
+    center, pool = pool[0], pool[1:]
     cand = [p for p in _seed_points(hypothesis, center) if hypothesis.contains(p)[0]]
     cand = np.vstack(cand + [pool[hypothesis.contains(pool)]]) if cand else pool[
         hypothesis.contains(pool)
@@ -514,11 +523,7 @@ def marginal_contour(
     gf = (lambda th: float(th @ a)) if a is not None else (
         lambda th: float(g(np.asarray(th, dtype=float)))
     )
-    center = _family_center(fam)
-    rng = np.random.default_rng(seed)
-    pool = np.vstack(
-        [center[None, :], np.atleast_2d(sample(fam, budget.candidates, rng))]
-    )
+    pool = _proposal_pool(contour, fam, budget.candidates, np.random.default_rng(seed))
     g_pool = np.array([gf(p) for p in pool])
 
     def solve(phi: float):
@@ -635,11 +640,7 @@ def choquet_upper_expectation(
         raise ValueError(
             "choquet_upper_expectation needs a proposal family: pass family=..."
         )
-    rng = np.random.default_rng(seed)
-    center = _family_center(fam)
-    pool = np.vstack(
-        [center[None, :], np.atleast_2d(sample(fam, spec.budget.candidates, rng))]
-    )
+    pool = _proposal_pool(contour, fam, spec.budget.candidates, np.random.default_rng(seed))
     pi_pool = _contour_values(contour, pool)
     loss_pool = np.array([float(spec.loss(p)) for p in pool])
     levels = (np.arange(spec.resolution) + 0.5) / spec.resolution

@@ -494,46 +494,53 @@ def _bvn_loglik_stats(a, b, n, rho):
     return -n * np.log(2 * np.pi) - 0.5 * n * np.log(one) - (a - 2 * rho * b) / (2 * one)
 
 
-def _bvn_score_roots(a, b, n):
-    """Real roots of the score cubic n r^3 - b r^2 + (a - n) r - b, as (m, 3).
+def _bvn_score_roots(c2, p, q):
+    """Trigonometric roots of the score cubic n r^3 - b r^2 + (a - n) r - b, as (k, 3).
 
-    Closed form on the depressed cubic t^3 + p t + q (r = t + b / 3n): the
-    trigonometric form when all three roots are real, otherwise Cardano's
-    formula for the one real root, repeated three times.  The triple root of
-    p = q = 0 (b = 0, a = n) is the trigonometric form's h = 0 case.
+    Only for rows with three real roots (disc <= 0, hence p <= 0).  Written on
+    the depressed cubic t^3 + p t + q, r = t - c2 / 3, with c2 = -b / n.  The
+    triple root of p = q = 0 (b = 0, a = n) is the h = 0 case.
     """
-    c2, c1 = -b / n, (a - n) / n  # monic coefficients; c0 = c2
-    p = c1 - c2 * c2 / 3.0
-    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
-    disc = q * q / 4.0 + p**3 / 27.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # three real roots (disc <= 0, hence p <= 0)
         h = np.sqrt(np.maximum(-p / 3.0, 0.0))
         phi = np.arccos(np.clip(np.where(h > 0.0, -q / (2.0 * h**3), 0.0), -1.0, 1.0))
         three = 2.0 * h[:, None] * np.cos(
             (phi[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0
         )
-        # one real root (disc > 0, so u != 0); the sign choice keeps u free
-        # of cancellation
-        u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
-        one = u - p / (3.0 * u)
-    t = np.where((disc <= 0.0)[:, None], three, one[:, None])
-    return t - (c2 / 3.0)[:, None]
+    return three - (c2 / 3.0)[:, None]
 
 
 def _bvn_mle_from_stats(a, b, n):
-    """Vectorized MLE of the correlation: argmax over real cubic roots.
+    """Vectorized MLE of the correlation: the likelihood's best real score root.
 
     The score equation is n r^3 - b r^2 + (a - n) r - b = 0; the root in
     (-1, 1) maximizing the likelihood is the MLE (the likelihood decreases
-    into both endpoints, so an interior maximizer always exists).  One
-    function serves observed and simulated data, so ties at the MLE are exact.
+    into both endpoints, so an interior maximizer always exists).  A row with
+    one real root (disc > 0, or NaN) takes Cardano's root; only the rows with
+    disc <= 0 take the trigonometric roots and the likelihood argmax over them.
+    One function serves observed and simulated data, so ties at the MLE are
+    exact.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    cand = np.clip(_bvn_score_roots(a, b, n), -1.0 + 1e-10, 1.0 - 1e-10)
-    ll = _bvn_loglik_stats(a[:, None], b[:, None], n, cand)
-    return cand[np.arange(a.size), np.argmax(ll, axis=1)]
+    c2, c1 = -b / n, (a - n) / n  # monic coefficients; c0 = c2
+    p = c1 - c2 * c2 / 3.0
+    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
+    disc = q * q / 4.0 + p**3 / 27.0
+    three = disc <= 0.0
+    any_three = three.any()
+    # NaN rows take Cardano's root; an all-one-root batch is not copied out
+    one = ~three if any_three else slice(None)
+    lo, hi = -1.0 + 1e-10, 1.0 - 1e-10
+    rhat = np.empty_like(a)
+    # disc > 0, so u != 0; the sign choice keeps u free of cancellation
+    u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
+    rhat[one] = np.clip(u - p[one] / (3.0 * u) - c2[one] / 3.0, lo, hi)
+    if any_three:
+        cand = np.clip(_bvn_score_roots(c2[three], p[three], q[three]), lo, hi)
+        ll = _bvn_loglik_stats(a[three, None], b[three, None], n, cand)
+        rhat[three] = cand[np.arange(cand.shape[0]), np.argmax(ll, axis=1)]
+    return rhat
 
 
 def _open_correlation(thetas):

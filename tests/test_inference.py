@@ -13,8 +13,10 @@ from scipy.stats import chi2, norm
 
 from possfit.contours import AxisSpec, PossibilityContour, make_exact_binomial
 from possfit.families import (
+    DirichletFamily,
     GaussianScalarFamily,
     GaussianVectorFamily,
+    dirichlet_contour_object,
     gaussian_contour_object,
     gaussian_cov_matrix,
     gaussian_info_matrix,
@@ -440,6 +442,21 @@ def test_choquet_unbounded_loss_raises():
 def test_choquet_spec_validation():
     with pytest.raises(ValueError):
         ChoquetSpec(loss=lambda th: 0.0, resolution=1)
+
+
+def test_searches_run_on_a_dirichlet_contour_of_k_minus_1_coordinates():
+    # the contour reads the first K-1 coordinates; its family draws all K
+    contour = dirichlet_contour_object(DirichletFamily(mean=[0.2, 0.3, 0.5], n=20), 200, seed=1)
+    box = Hypothesis.box([[0.1, 0.3], [0.2, 0.4]])
+    budget = SearchBudget(candidates=200, refine=40)
+    up = upper_probability(contour, box, budget=budget).value
+    marg = marginal_contour(contour, 0, AxisSpec(0.05, 0.6, 5), budget=budget).values
+    spec = ChoquetSpec(loss=lambda th: float(box.contains(np.atleast_2d(th))[0]),
+                       resolution=20, budget=budget)
+    choq = choquet_upper_expectation(contour, spec).value
+    assert 0.0 <= up <= 1.0
+    assert np.all((marg >= 0.0) & (marg <= 1.0)) and marg.max() > 0.5
+    assert 0.0 <= choq <= 1.0
 
 
 def test_search_budget_defaults():

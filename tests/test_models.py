@@ -10,6 +10,7 @@ Oracle conventions used below:
 """
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -230,7 +231,33 @@ def _bvn_mle_eigvals(a, b, n):
     return cand[np.arange(m), np.argmax(ll, axis=1)]
 
 
-@pytest.mark.parametrize("n", [3, 5, 10, 40, 100, 500])
+def _bvn_mle_three_roots(a, b, n):
+    """Reference correlation MLE: all three closed-form score roots on every row.
+
+    The trigonometric roots where disc <= 0, Cardano's root three times
+    elsewhere, then the likelihood argmax; returns the MLE and disc.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    c2, c1 = -b / n, (a - n) / n
+    p = c1 - c2 * c2 / 3.0
+    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
+    disc = q * q / 4.0 + p**3 / 27.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.sqrt(np.maximum(-p / 3.0, 0.0))
+        phi = np.arccos(np.clip(np.where(h > 0.0, -q / (2.0 * h**3), 0.0), -1.0, 1.0))
+        three = 2.0 * h[:, None] * np.cos(
+            (phi[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0
+        )
+        u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+        one = u - p / (3.0 * u)
+    t = np.where((disc <= 0.0)[:, None], three, one[:, None])
+    cand = np.clip(t - (c2 / 3.0)[:, None], -1.0 + 1e-10, 1.0 - 1e-10)
+    ll = _bvn_loglik_stats(a[:, None], b[:, None], n, cand)
+    return cand[np.arange(a.size), np.argmax(ll, axis=1)], disc
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 40, 100, 500])
 def test_bvn_closed_form_mle_matches_eigvals(n):
     rng = np.random.default_rng(n)
     for rho in (-0.999, -0.99, -0.8, -0.3, 0.0, 0.3, 0.8, 0.99, 0.999):
@@ -253,6 +280,59 @@ def test_bvn_closed_form_mle_degenerate_stats(a, b, n):
     got = _bvn_mle_from_stats(a, b, n)
     assert np.all(np.isfinite(got))
     assert got[0] == pytest.approx(_bvn_mle_eigvals(a, b, n)[0], abs=1e-12)
+    assert np.array_equal(got, _bvn_mle_three_roots(a, b, n)[0])
+
+
+def _bvn_draw_stats(n, rho, size, seed):
+    z = np.random.default_rng(seed).standard_normal((size, n, 2))
+    x1 = z[..., 0]
+    x2 = rho * x1 + np.sqrt(1.0 - rho * rho) * z[..., 1]
+    return np.sum(x1 * x1 + x2 * x2, axis=1), np.sum(x1 * x2, axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
+def test_bvn_split_refit_is_bit_identical_to_three_roots(n):
+    # rows of one and three real roots in one batch; RuntimeWarning is an error
+    parts = [_bvn_draw_stats(n, rho, 2000, n * 10 + i)
+             for i, rho in enumerate((-0.99, -0.5, 0.0, 0.5, 0.99))]
+    a = np.concatenate([p[0] for p in parts])
+    b = np.concatenate([p[1] for p in parts])
+    want, disc = _bvn_mle_three_roots(a, b, n)
+    if n == 2:
+        assert 0.05 < np.mean(disc <= 0.0) < 0.5
+    assert np.array_equal(_bvn_mle_from_stats(a, b, n), want, equal_nan=True)
+    # every row alone, and the three-root rows as a batch of their own
+    alone = np.array([_bvn_mle_from_stats(a[i], b[i], n)[0] for i in range(0, a.size, 97)])
+    assert np.array_equal(alone, want[::97])
+    three = disc <= 0.0
+    if three.any():
+        got = _bvn_mle_from_stats(a[three], b[three], n)
+        assert np.array_equal(got, want[three])
+
+
+def test_bvn_split_refit_bit_identical_on_edge_stats():
+    a = np.array([5.0, 100.0, 0.0, 0.0, 3.0, np.nan, 2.0, np.nan,
+                  np.inf, np.inf, -np.inf, 4.0, 4.0, np.inf, 1.0])
+    b = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, np.nan, np.nan,
+                  1.0, 0.0, 1.0, np.inf, -np.inf, np.inf, -1.0])
+    for n in (2, 5, 100):
+        with np.errstate(all="ignore"):
+            want, _ = _bvn_mle_three_roots(a, b, n)
+            got = _bvn_mle_from_stats(a, b, n)
+            alone = np.array([_bvn_mle_from_stats(x, y, n)[0] for x, y in zip(a, b)])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(alone, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (3, "65a190cbb96f1a036649072b0da00694ea3ec0f9e637714a61c919e961b46de2"),
+    (100, "8e9c15288d9cff181eb9cba8ae21e809e5af199302c373150b02ab77f7ce62ac"),
+])
+def test_bvn_kernel_bytes_pinned(n, digest):
+    # frozen from the kernel that solved every score-cubic branch per dataset
+    thetas = np.array([[-0.99], [-0.5], [0.0], [0.5], [0.99]])
+    out = bvn_correlation().sim_log_rel_lik(thetas, n, 500, np.random.default_rng(5))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 _LAM_50 = float(np.sqrt(np.log(50)))  # sqrt(sigma^2 log n) at sigma = 1
