@@ -104,6 +104,7 @@ from .calibration import (  # noqa: F401
     TimingAccuracyResult,
     build_contour,
     build_model,
+    check_support,
     empirical_cdf,
     hypothesis_calibration,
     poisson_study_design,

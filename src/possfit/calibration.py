@@ -84,6 +84,7 @@ __all__ = [
     "TimingAccuracyResult",
     "build_model",
     "build_contour",
+    "check_support",
     "search_family",
     "variational_fit",
     "model_from_id",
@@ -621,14 +622,24 @@ def variational_fit(method: str, model: ModelSpec, data: Dataset,
                     sa: Optional[SAConfig], seed: int):
     """``(family, trace)`` of ``fit_scalar`` for ``variational-scalar`` or
     ``fit_vector`` for ``variational-vector``, run with ``sa`` reseeded by
-    ``seed``; any other method, or no ``sa``, raises :class:`ConfigError`."""
+    ``seed``; any other method, no ``sa``, or responses off the model's
+    sample space raise :class:`ConfigError`."""
     if method not in ("variational-scalar", "variational-vector"):
         raise ConfigError("fit method must be variational-scalar or "
                           f"variational-vector, got {method!r}")
     if sa is None:
         raise ConfigError(f"method {method!r} requires an 'sa' block (SAConfig)")
+    check_support(model, data)
     fit = fit_scalar if method == "variational-scalar" else fit_vector
     return fit(model, data, replace(sa, seed=seed))
+
+
+def check_support(model: ModelSpec, data: Dataset) -> None:
+    """A :class:`ConfigError` unless the data's responses lie in the
+    model's sample space (``model.support``)."""
+    ok, rule = model.support(data.responses)
+    if not ok:
+        raise ConfigError(f"responses outside the {model.name} sample space: needs {rule}")
 
 
 def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
@@ -645,10 +656,14 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     ``B`` resamples) and a vector of responses, and the variational methods
     an ``sa`` config.
     ``seed`` seeds the contour's streams or the fit.  A method the model
-    cannot serve, or ``m`` below 1, raises :class:`ConfigError`.
+    cannot serve, ``m`` below 1, or responses off the model's sample space
+    (:func:`check_support`; not for ``bootstrap``, whose contour reads the
+    responses alone) raise :class:`ConfigError`.
     """
     if m < 1:
         raise ConfigError(f"m must be at least 1, got {m}")
+    if method != "bootstrap":
+        check_support(model, data)
     if method in ("exact", "naive") and model.exact_contour_for is not None:
         return make_exact_contour(model, data)
     if method == "exact":

@@ -3,15 +3,17 @@
 The central object is :class:`PossibilityContour`, a thin wrapper around one
 batch evaluator ``evaluate_batch(thetas, rng) -> values`` and metadata; its
 point evaluator ``evaluate(theta, rng)`` is a batch of one.  A batch
-evaluates its points in order on the one Generator its caller derives and
-gives NaN for a point whose evaluation failed.  Stochastic contours carry a
-seed.  A point evaluated on its own derives its own Generator from that seed
-and either the grid-node index (:meth:`PossibilityContour.eval_at_node`) or
-the bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
-so values never depend on evaluation order or thread scheduling.  The
-stochastic-approximation fits evaluate all points of an iteration as one
-batch on one stream per iteration, keyed ``(t, 0)`` (see :mod:`possfit.sa`).
-The profile contour simulates the fiber probes of a batch as one batch.
+evaluates its points in order on ``rng`` (one Generator for every row, or
+a list of one per row) and gives NaN for a point whose evaluation failed.
+Stochastic contours carry a seed; a set of keyed points is one batch
+(:meth:`PossibilityContour.evaluate_keyed`), each row on a Generator derived
+from that seed and its key, the grid-node index (:func:`grid_eval`) or the
+bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
+so values never depend on batching, evaluation order or thread scheduling.
+The stochastic-approximation fits evaluate all points of an iteration as
+one batch on one shared stream per iteration, keyed ``(t, 0)`` (see
+:mod:`possfit.sa`).  The profile contour simulates the fiber probes of a
+batch as one batch, each probe on its point's Generator.
 The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
@@ -93,13 +95,13 @@ class PossibilityContour:
     """A possibility contour theta -> pi(theta) in [0, 1].
 
     ``evaluate_batch(thetas, rng)`` does the work: it evaluates an (N, dim)
-    array of points in order on the one ``rng``, None for deterministic
-    contours (seed None) and a derived Generator otherwise, and gives NaN
-    for a point whose evaluation failed.  ``evaluate(theta, rng)`` is its
-    batch of one, set at construction.  Grids and pointwise inference
-    evaluate a deterministic contour as one batch and a stochastic one point
-    by point, each point on its own derived stream; the stochastic-
-    approximation fits pass every point of an iteration as one batch.
+    array of points in order on ``rng``, None for deterministic contours
+    (seed None) and otherwise one Generator or a list of one per row, and
+    gives NaN for a point whose evaluation failed.  ``evaluate(theta, rng)``
+    is its batch of one, set at construction.  Grids and pointwise inference
+    evaluate their points with ``evaluate_keyed``, one batch with one
+    derived stream per row; the stochastic-approximation fits pass every
+    point of an iteration as one batch on one shared stream.
 
     ``exceeds_batch(thetas, alpha, rng)``, when present, returns for each
     row 1.0 where the contour exceeds ``alpha``, 0.0 where it does not and
@@ -133,27 +135,25 @@ class PossibilityContour:
         self.evaluate = lambda theta, rng: float(
             batch(np.asarray(theta, dtype=float).reshape(1, -1), rng)[0])
 
-    def _point(self, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float).ravel()
-        if self.dim is not None and th.size != self.dim:
+    def evaluate_keyed(self, thetas, keys) -> np.ndarray:
+        """Evaluate the points as one batch, row i on the Generator
+        ``derive_rng(seed, *keys[i])`` (a deterministic contour gets None)."""
+        thetas = np.asarray(thetas, dtype=float).reshape(len(keys), -1)
+        if self.dim is not None and thetas.shape[1] != self.dim:
             raise ValueError(
                 f"{self.kind} contour expects a point of dimension {self.dim}, "
-                f"got {th.size}"
+                f"got {thetas.shape[1]}"
             )
-        return th
-
-    def _on_stream(self, th: np.ndarray, *key: int) -> float:
-        rng = None if self.seed is None else derive_rng(self.seed, *key)
-        return float(self.evaluate(th, rng))
+        rng = None if self.seed is None else [derive_rng(self.seed, *k) for k in keys]
+        return np.asarray(self.evaluate_batch(thetas, rng), dtype=float).ravel()
 
     def __call__(self, theta) -> float:
         """Evaluate at one point; stochastic streams keyed by the point itself."""
-        th = self._point(theta)
-        return self._on_stream(th, THETA_TAG, *theta_key(th))
+        return float(self.evaluate_keyed(theta, [(THETA_TAG, *theta_key(theta))])[0])
 
     def eval_at_node(self, theta, index: int) -> float:
         """Evaluate at a grid node; stochastic streams keyed by the node index."""
-        return self._on_stream(self._point(theta), NODE_TAG, int(index))
+        return float(self.evaluate_keyed(theta, [(NODE_TAG, int(index))])[0])
 
 
 def _lookup_batch(statistic, reference):
@@ -273,25 +273,35 @@ def _decision_bounds(m: int, alpha: float, risk: float) -> tuple:
     return tuple(lo.tolist()) + (need,), tuple(hi.tolist()) + (need + 1,)
 
 
+def _calls(live: np.ndarray, rngs: list, step: int):
+    """(start, stop) of each kernel call over the live rows: runs of
+    consecutive rows on one Generator, cut into calls of ``step`` rows."""
+    cuts = [i for i in range(1, live.size) if rngs[live[i]] is not rngs[live[i - 1]]]
+    for lo, hi in zip([0] + cuts, cuts + [live.size]):
+        for start in range(lo, hi, step):
+            yield start, min(start + step, hi)
+
+
 def _mc_batch(
     model: ModelSpec,
     data: Dataset,
     thetas: np.ndarray,
     m: int,
-    rng: np.random.Generator,
+    rng,
     observed: Callable[[np.ndarray], np.ndarray],
     alpha: Optional[float] = None,
 ) -> np.ndarray:
-    """Monte Carlo contour at each row of a (k, d) array, on one generator.
+    """Monte Carlo contour at each row of a (k, d) array, on one generator
+    or a list of one per row.
 
     Rows off the domain are 0 and rows whose observed value fails are 1,
     both without simulating, so a kernel only sees rows on the domain.  The
     other rows are simulated chunk by chunk of datasets, the live rows of a
-    chunk in order, at most ``_DATASETS_PER_CALL`` datasets per kernel call,
-    or all live rows in one call for a model that declares
-    ``sim_whole_batch``.  Every row of a call that raises comes back NaN and
-    leaves the live set, so for such a model one failure fails every live
-    row of its chunk.
+    chunk in order, consecutive rows on one generator together: at most
+    ``_DATASETS_PER_CALL`` datasets per kernel call, or all such rows in one
+    call for a model that declares ``sim_whole_batch``.  Every row of a call
+    that raises comes back NaN and leaves the live set, so for such a model
+    one failure fails every live row of its chunk on that generator.
     Without ``alpha`` the one chunk is all m datasets, and a row's value is
     its count of included datasets over m.  With ``alpha`` the rows are
     decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
@@ -301,6 +311,7 @@ def _mc_batch(
     outside its indifference band).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    rngs = rng if isinstance(rng, list) else [rng] * thetas.shape[0]
     obs = _observed_rows(observed, thetas)
     out = np.where(np.isnan(obs), 1.0, 0.0)
     live = np.flatnonzero(np.isfinite(obs))
@@ -317,13 +328,13 @@ def _mc_batch(
         step = max(1, live.size if model.sim_whole_batch
                    else _DATASETS_PER_CALL // chunk)
         ok = np.ones(live.size, dtype=bool)
-        for start in range(0, live.size, step):
-            rows = live[start:start + step]
+        for start, stop in _calls(live, rngs, step):
+            rows = live[start:stop]
             try:
-                sim = _simulate(model, data, thetas[rows], chunk, rng)
+                sim = _simulate(model, data, thetas[rows], chunk, rngs[rows[0]])
             except Exception:
                 out[rows] = np.nan
-                ok[start:start + step] = False
+                ok[start:stop] = False
                 continue
             include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
             counts[rows] += np.count_nonzero(include, axis=1)
@@ -350,9 +361,10 @@ def make_mc_contour(
 
     The observed data's statistics are computed once, for all evaluations.
     ``evaluate_batch(thetas, rng)`` evaluates a (k, d) array of points on
-    one generator.  ``exceeds_batch(thetas, alpha, rng)`` decides value >
-    alpha at each point by exact curtailment or, at a stated risk outside
-    an indifference band, by a sequential test (see the module docstring).
+    one generator or a list of one per row.  ``exceeds_batch(thetas, alpha,
+    rng)`` decides value > alpha at each point by exact curtailment or, at a
+    stated risk outside an indifference band, by a sequential test (see the
+    module docstring).
     Off the domain (observed relative likelihood 0) the contour is exactly
     0, since data simulated under theta have a positive likelihood there,
     and nothing is simulated.  Replicates whose refitting machinery fails
@@ -523,13 +535,15 @@ def grid_eval(
         )
     nodes = _product_nodes(axes)
     n_nodes = nodes.shape[0]
-    if contour.seed is None:
-        vals = np.asarray(contour.evaluate_batch(nodes, None), dtype=float).ravel()
-        if vals.size != n_nodes:
-            raise ValueError("batch evaluation returned a wrong-sized array")
-    else:
-        vals = np.array(ordered_map(lambda i: contour.eval_at_node(nodes[i], i),
-                                    range(n_nodes), parallelism), dtype=float)
+    # a deterministic contour is one batch; a seeded one a keyed batch per
+    # slice, each node on its own stream, so any slicing gives the same values
+    parts = np.array_split(np.arange(n_nodes),
+                           1 if contour.seed is None else max(1, min(parallelism, n_nodes)))
+    vals = np.concatenate(ordered_map(
+        lambda idx: contour.evaluate_keyed(nodes[idx], [(NODE_TAG, int(i)) for i in idx]),
+        parts, len(parts)))
+    if vals.size != n_nodes:
+        raise ValueError("batch evaluation returned a wrong-sized array")
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._rng import THETA_TAG, theta_key
 from .contours import AxisSpec, ContourGrid, PossibilityContour, ordered_map
 from .contours import ConfigError, config_float, config_floats, config_int
 from .families import chi2_sf, gaussian_cov_matrix, gaussian_info_matrix, sample
@@ -230,10 +231,12 @@ def _proposal_pool(contour: PossibilityContour, family, size: int, rng) -> np.nd
 
 
 def _contour_values(contour: PossibilityContour, pts: np.ndarray) -> np.ndarray:
+    """``[contour(p) for p in pts]`` as one keyed batch; a deterministic
+    contour needs no keys."""
     pts = np.atleast_2d(pts)
     if contour.seed is None:
-        return np.asarray(contour.evaluate_batch(pts, None), dtype=float)
-    return np.array([contour(p) for p in pts], dtype=float)
+        return contour.evaluate_keyed(pts, [()] * len(pts))
+    return contour.evaluate_keyed(pts, [(THETA_TAG, *theta_key(p)) for p in pts])
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,37 @@ def _inside(domain, theta) -> bool:
     return bool(domain(np.asarray(theta, dtype=float).reshape(1, -1))[0][0])
 
 
+def _finite_responses(responses):
+    """The default sample space: every finite response."""
+    return bool(np.all(np.isfinite(responses))), "finite responses"
+
+
+def _binary(responses):
+    return bool(np.all(np.isin(responses, (0, 1)))), "responses 0 or 1"
+
+
+def _counts(responses):
+    ok = np.isfinite(responses) & (responses >= 0) & (responses == np.floor(responses))
+    return bool(np.all(ok)), "nonnegative integer responses"
+
+
+def _positive(responses):
+    return bool(np.all(np.isfinite(responses) & (responses > 0))), "finite positive responses"
+
+
+def _finite_pairs(responses):
+    ok = responses.ndim == 2 and responses.shape[1] == 2 and np.all(np.isfinite(responses))
+    return bool(ok), "an (n, 2) array of finite response pairs"
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """A parametric model as the contour machinery sees it."""
+    """A parametric model as the contour machinery sees it.
+
+    ``domain(thetas) -> (mask, rule)`` says which parameter points the model
+    takes and ``support(responses) -> (ok, rule)`` whether a dataset's
+    responses lie in its sample space, each with a description of the rule.
+    """
 
     name: str
     dim: Optional[int]  # None: parameter dimension equals the sample size
@@ -209,6 +237,7 @@ class ModelSpec:
     mle: Callable[[Dataset], np.ndarray]
     information: Callable[[Dataset], np.ndarray]
     domain: Callable[[np.ndarray], tuple] = _finite
+    support: Callable[[np.ndarray], tuple] = _finite_responses
     boundary_mle: Optional[Callable[[Dataset], bool]] = None
     log_rel_lik_for: Optional[
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
@@ -471,6 +500,7 @@ def binomial() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_unit_interval,
+        support=_binary,
         boundary_mle=boundary,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
@@ -519,13 +549,15 @@ def _bvn_mle_from_stats(a, b, n):
     one real root (disc > 0, or NaN) takes Cardano's root; only the rows with
     disc <= 0 take the trigonometric roots and the likelihood argmax over them.
     One function serves observed and simulated data, so ties at the MLE are
-    exact.
+    exact.  The cube of c2 is a product, not ``c2**3``: IEEE products give
+    the same bits on every CPU and cost a tenth of numpy's ``power``, which
+    sends negative bases to scalar libm ``pow``.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     c2, c1 = -b / n, (a - n) / n  # monic coefficients; c0 = c2
     p = c1 - c2 * c2 / 3.0
-    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
+    q = (2.0 * (c2 * c2 * c2) - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
     disc = q * q / 4.0 + p**3 / 27.0
     three = disc <= 0.0
     any_three = three.any()
@@ -600,6 +632,7 @@ def bvn_correlation() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_open_correlation,
+        support=_finite_pairs,
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
     )
@@ -754,6 +787,7 @@ def _make_glm(design, kind):
         sample=sample,
         mle=mle,
         information=information,
+        support=_counts if kind == "poisson" else _binary,
         boundary_mle=boundary,
         sim_log_rel_lik=sim_log_rel,
     )
@@ -988,6 +1022,7 @@ def gamma_shape_scale() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_positive_pair,
+        support=_positive,
         boundary_mle=boundary,
         sim_log_rel_lik=_gamma_sim_log_rel,
     )
@@ -1045,6 +1080,7 @@ def gamma_mean_shape() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_positive_pair,
+        support=_positive,
         boundary_mle=boundary,
         sim_log_rel_lik=_gamma_sim_log_rel,
     )
@@ -1364,6 +1400,7 @@ def lognormal() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_positive_variance,
+        support=_positive,
         sim_log_rel_lik=sim_log_rel,
     )
 
@@ -1597,6 +1634,7 @@ def lognormal_censored() -> ModelSpec:
         mle=mle,
         information=information,
         domain=_positive_variance,
+        support=_positive,
         boundary_mle=boundary,
         # the model's own sampler draws uncensored log-normal responses
         sim_log_rel_lik=lognormal().sim_log_rel_lik,

@@ -160,10 +160,12 @@ def _profile_model(model: ModelSpec, spec: ProfileSpec) -> ModelSpec:
 def _probe_values(model, data, spec, phis, m, rng) -> list:
     """Per-probe Monte Carlo values at each phi, as a list of arrays: the
     probes of all phis are one batch of the Monte Carlo contour loop, in
-    order on ``rng``.  A phi whose fiber maximizer or probe points fail
-    gets no probes and draws nothing."""
-    obs, points, sizes = [], [], []
-    for phi in phis:
+    order, every probe of a phi on that phi's Generator (``rng``, or its
+    row of a list of one per phi).  A phi whose fiber maximizer or probe
+    points fail gets no probes and draws nothing."""
+    rngs = rng if isinstance(rng, list) else [rng] * len(phis)
+    obs, points, sizes, gens = [], [], [], []
+    for phi, phi_rng in zip(phis, rngs):
         try:
             o = _profile_log_rel(model, data, spec, phi)
             p = np.atleast_2d(np.asarray(
@@ -174,10 +176,11 @@ def _probe_values(model, data, spec, phis, m, rng) -> list:
         except Exception:
             p = []
         sizes.append(len(p))
+        gens += [phi_rng] * len(p)
     values = np.empty(0)
     if points:
         values = _mc_batch(_profile_model(model, spec), data, np.array(points), int(m),
-                           rng, lambda thetas: np.array(obs))
+                           gens, lambda thetas: np.array(obs))
     return np.split(values, np.cumsum(sizes)[:-1])
 
 

@@ -437,6 +437,39 @@ def test_bootstrap_on_paired_responses_is_a_scenario_error():
             validity_study(scn, threads=threads)
 
 
+# registry id -> (model kwargs, a truth, responses off the sample space)
+_OFF_SUPPORT = {
+    "binomial": ({}, [0.4], [0.5, 1.0, 0.0, 1.0]),
+    "bvn-correlation": ({}, [0.3], [[0.1, 0.2], [np.nan, 0.3], [0.5, -0.4], [1.0, 1.0]]),
+    "gamma": ({}, [2.0, 1.0], [-1.0, 2.0, 3.0, 1.0]),
+    "gamma-mean-shape": ({}, [2.0, 1.5], [0.0, 2.0, 3.0, 1.0]),
+    "lognormal": ({}, [0.0, 1.0], [1.0, -2.0, 3.0, 1.0]),
+    "lognormal-censored": ({}, [0.0, 1.0], [1.0, np.inf, 3.0, 1.0]),
+    "normal-means": ({}, [0.0] * 4, [0.1, np.inf, -0.3, 0.0]),
+    "normal-means-lasso": ({"lam": 0.5}, [0.0] * 4, [0.1, np.nan, -0.3, 0.0]),
+    "poisson-loglinear": ({}, [0.1, 0.2, -0.1], [1.0, 2.5, 0.0, 3.0]),
+    "logistic": ({"design": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]},
+                 [0.1, -0.2], [0.0, 1.0, 2.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(calibration._REGISTRY))
+def test_build_contour_rejects_responses_off_the_sample_space(model_id):
+    """Every registry model declares its sample space: the sampler's draws
+    lie in it, and responses outside it are a ConfigError for a contour or
+    a fit, where a gamma contour of negative responses was once all zeros
+    and a binomial one of 0.5s peaked at 0.5."""
+    kwargs, truth, responses = _OFF_SUPPORT[model_id]
+    model = calibration.model_from_id(model_id, n=4, model_kwargs=kwargs)
+    draw = model.sample(np.array(truth), 4, np.random.default_rng(2))
+    assert model.support(draw.responses)[0]
+    bad = Dataset(responses=np.array(responses))
+    with pytest.raises(ConfigError, match=f"outside the {model_id} sample space"):
+        calibration.build_contour("naive", model, bad, 3, m=10)
+    with pytest.raises(ConfigError, match=f"outside the {model_id} sample space"):
+        calibration.variational_fit("variational-scalar", model, bad, SAConfig(seed=0), 3)
+
+
 def test_censored_validity_structural():
     scn = Scenario(
         model_id="lognormal-censored", truth=(0.3, 0.49), n=30, reps=40,

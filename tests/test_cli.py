@@ -531,6 +531,25 @@ class TestConfigHandling:
         assert "config error" in err and f"outside the {model} domain" in err and message in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("model,method,responses,message", [
+        ("gamma", "naive", [-1.0, 2.0, 3.0], "finite positive responses"),
+        ("binomial", "exact", [0.5, 1, 0], "responses 0 or 1"),
+    ], ids=["gamma-negative", "binomial-half"])
+    def test_responses_off_the_sample_space_exit2(self, tmp_path, capsys, model,
+                                                  method, responses, message):
+        """Inline responses off the model's sample space once gave a gamma
+        grid of all zeros and a binomial contour peaked at 0.5; now they are
+        a config error and nothing is written."""
+        cfg = contour_config(
+            tmp_path, model=model, method=method, m=20,
+            data={"inline": {"responses": responses}},
+            grid=[{"lo": 0.1, "hi": 0.5, "count": 3}] * (2 if model == "gamma" else 1),
+        )
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"outside the {model} sample space" in err and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("case", [{"tau": 1.5}, {"tau": 0.25, "B": 0},
                                       {"tau": 0.25, "B": 2.5}, {"tau": "x"},
                                       "calibrate-B"],

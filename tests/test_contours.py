@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from possfit.calibration import _REGISTRY, Scenario, ConfigError, model_from_id
+from possfit._rng import NODE_TAG
 from possfit.contours import (
     AxisSpec,
+    NonFiniteContourError,
     PossibilityContour,
     alpha_cut,
     exact_binomial_contour,
@@ -747,6 +749,29 @@ def test_grid_eval_equals_seeded_pointwise_calls():
     nodes = grid.nodes()
     for i in range(len(nodes)):
         assert grid.values.ravel()[i] == contour.eval_at_node(nodes[i], i)
+
+
+def test_keyed_batch_isolates_the_rows_of_a_raising_kernel():
+    """With one stream per row each node is its own kernel call: a kernel
+    that raises only above 0.7 makes NaN exactly those nodes of a keyed
+    batch, the other nodes equal their own evaluations, and the grid names
+    the first failed node."""
+    base = binomial()
+
+    def fragile(thetas, n, m, rng):
+        if np.any(thetas[:, 0] > 0.7):
+            raise FloatingPointError("kernel failure")
+        return base.sim_log_rel_lik(thetas, n, m, rng)
+
+    model = dataclasses.replace(base, sim_log_rel_lik=fragile)
+    contour = make_mc_contour(model, _binom_data(6, 15), m=100, seed=3)
+    axes = [AxisSpec(0.05, 0.95, 10)]
+    nodes = axes[0].points()[:, None]
+    vals = contour.evaluate_keyed(nodes, [(NODE_TAG, i) for i in range(10)])
+    assert np.flatnonzero(np.isnan(vals)).tolist() == [7, 8, 9]
+    assert vals[:7].tolist() == [contour.eval_at_node(nodes[i], i) for i in range(7)]
+    with pytest.raises(NonFiniteContourError, match="at node 7 "):
+        grid_eval(contour, axes, parallelism=3)
 
 
 def _factory_case(name):

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from possfit.contours import AxisSpec, PossibilityContour, make_exact_binomial
+from possfit.contours import (
+    AxisSpec,
+    PossibilityContour,
+    make_exact_binomial,
+    make_mc_contour,
+)
 from possfit.families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -26,13 +31,14 @@ from possfit.inference import (
     Hypothesis,
     NoComplementError,
     SearchBudget,
+    _contour_values,
     _qf_min_box,
     choquet_upper_expectation,
     lower_probability,
     marginal_contour,
     upper_probability,
 )
-from possfit.models import Dataset
+from possfit.models import Dataset, binomial
 
 
 def _scalar_contour(theta_hat=0.0, info=1.0, xi=1.0):
@@ -284,6 +290,15 @@ def test_partially_degenerate_box_on_search_path():
     H = Hypothesis.box([[0.5, 0.5], [-3.0, 3.0]])
     res = upper_probability(contour, H, family=fam, seed=3)
     assert res.value == pytest.approx(np.exp(-0.25), abs=1e-5)
+
+
+def test_contour_values_of_a_seeded_contour_equal_pointwise_calls():
+    """The search's points are one keyed batch, each point on the stream its
+    own bits key, so the batch equals the point calls, duplicates included."""
+    y = np.array([1] * 6 + [0] * 9)
+    contour = make_mc_contour(binomial(), Dataset(responses=y), m=200, seed=11)
+    pts = np.array([[0.3], [0.45], [0.3], [0.6], [0.45], [1.5]])
+    assert _contour_values(contour, pts).tolist() == [contour(p) for p in pts]
 
 
 def test_dim_mismatch_rejected():

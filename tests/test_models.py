@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import possfit.models as models_module
 from possfit.contours import make_mc_contour
 from possfit.models import (
     Dataset,
@@ -231,17 +232,19 @@ def _bvn_mle_eigvals(a, b, n):
     return cand[np.arange(m), np.argmax(ll, axis=1)]
 
 
-def _bvn_mle_three_roots(a, b, n):
+def _bvn_mle_three_roots(a, b, n, cube=lambda c: c * c * c):
     """Reference correlation MLE: all three closed-form score roots on every row.
 
     The trigonometric roots where disc <= 0, Cardano's root three times
     elsewhere, then the likelihood argmax; returns the MLE and disc.
+    ``cube`` computes c2^3 (``c2**3`` gives the refit before it cubed by
+    multiplication).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     c2, c1 = -b / n, (a - n) / n
     p = c1 - c2 * c2 / 3.0
-    q = (2.0 * c2**3 - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
+    q = (2.0 * cube(c2) - 9.0 * c2 * c1 + 27.0 * c2) / 27.0
     disc = q * q / 4.0 + p**3 / 27.0
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.sqrt(np.maximum(-p / 3.0, 0.0))
@@ -324,15 +327,38 @@ def test_bvn_split_refit_bit_identical_on_edge_stats():
         assert np.array_equal(alone, want, equal_nan=True)
 
 
+_BVN_PINNED_THETAS = np.array([[-0.99], [-0.5], [0.0], [0.5], [0.99]])
+
+
 @pytest.mark.parametrize("n,digest", [
+    (3, "613144f3ceb31376cb878a336dcf487c27d0293c1f6f1b629bc1e9b5d9498cea"),
+    (100, "c4bf903739936840cdf187812bdb9223e11436fb8c15dd295e5493645c60f669"),
+])
+def test_bvn_kernel_bytes_pinned(n, digest):
+    # frozen from the refit that cubes c2 by multiplication
+    out = bvn_correlation().sim_log_rel_lik(_BVN_PINNED_THETAS, n, 500,
+                                            np.random.default_rng(5))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,old_digest", [
     (3, "65a190cbb96f1a036649072b0da00694ea3ec0f9e637714a61c919e961b46de2"),
     (100, "8e9c15288d9cff181eb9cba8ae21e809e5af199302c373150b02ab77f7ce62ac"),
 ])
-def test_bvn_kernel_bytes_pinned(n, digest):
-    # frozen from the kernel that solved every score-cubic branch per dataset
-    thetas = np.array([[-0.99], [-0.5], [0.0], [0.5], [0.99]])
-    out = bvn_correlation().sim_log_rel_lik(thetas, n, 500, np.random.default_rng(5))
-    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+def test_bvn_product_cube_moves_the_kernel_by_at_most_1e12(n, old_digest, monkeypatch):
+    """Cubing c2 by multiplication changes the last bit of some refits; on
+    the pinned inputs the kernel moves by at most 1e-12 from the ``c2**3``
+    refit, which still gives the bytes pinned before the change."""
+    def kernel():
+        return bvn_correlation().sim_log_rel_lik(_BVN_PINNED_THETAS, n, 500,
+                                                 np.random.default_rng(5))
+
+    new = kernel()
+    monkeypatch.setattr(models_module, "_bvn_mle_from_stats", lambda a, b, n: (
+        _bvn_mle_three_roots(a, b, n, cube=lambda c: c**3)[0]))
+    old = kernel()
+    assert hashlib.sha256(old.tobytes()).hexdigest() == old_digest
+    assert 0.0 < np.max(np.abs(new - old)) <= 1e-12
 
 
 _LAM_50 = float(np.sqrt(np.log(50)))  # sqrt(sigma^2 log n) at sigma = 1

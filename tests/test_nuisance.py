@@ -547,6 +547,19 @@ def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
     assert np.isnan(contour(-1.0)) and np.isnan(contour.eval_at_node([0.0], 0))
 
 
+def test_profile_grid_equals_node_by_node_evaluations():
+    """A profile grid is one keyed batch per slice, every probe of a node on
+    that node's stream: at one and at three slices it equals the nodes
+    evaluated one at a time."""
+    model, data, spec = gamma_mean_shape(), _gamma_data(), gamma_mean_profile()
+    contour = make_profile_contour(model, data, spec, m=60, seed=5)
+    axes = [AxisSpec(1.4, 2.8, 7)]
+    nodes = axes[0].points()
+    want = [contour.eval_at_node([phi], i) for i, phi in enumerate(nodes)]
+    for parallelism in (1, 3):
+        assert grid_eval(contour, axes, parallelism).values.tolist() == want
+
+
 def test_profile_kernel_below_shape_one_matches_the_loop():
     """Below shape 1 the profile kernel draws log x, as the model kernel
     does: at shape 0.001, where a gamma draw underflows to 0, every ratio is
