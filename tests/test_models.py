@@ -330,34 +330,32 @@ def test_bvn_split_refit_bit_identical_on_edge_stats():
 _BVN_PINNED_THETAS = np.array([[-0.99], [-0.5], [0.0], [0.5], [0.99]])
 
 
+# the kernel's bytes since c2 is cubed by multiplication
+_BVN_KERNEL_DIGESTS = {
+    3: "613144f3ceb31376cb878a336dcf487c27d0293c1f6f1b629bc1e9b5d9498cea",
+    100: "c4bf903739936840cdf187812bdb9223e11436fb8c15dd295e5493645c60f669",
+}
+
+
 @pytest.mark.parametrize("n,digest", [
-    (3, "613144f3ceb31376cb878a336dcf487c27d0293c1f6f1b629bc1e9b5d9498cea"),
-    (100, "c4bf903739936840cdf187812bdb9223e11436fb8c15dd295e5493645c60f669"),
-])
-def test_bvn_kernel_bytes_pinned(n, digest):
-    # frozen from the refit that cubes c2 by multiplication
-    out = bvn_correlation().sim_log_rel_lik(_BVN_PINNED_THETAS, n, 500,
-                                            np.random.default_rng(5))
-    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("n,old_digest", [
     (3, "65a190cbb96f1a036649072b0da00694ea3ec0f9e637714a61c919e961b46de2"),
     (100, "8e9c15288d9cff181eb9cba8ae21e809e5af199302c373150b02ab77f7ce62ac"),
 ])
-def test_bvn_product_cube_moves_the_kernel_by_at_most_1e12(n, old_digest, monkeypatch):
-    """Cubing c2 by multiplication changes the last bit of some refits; on
-    the pinned inputs the kernel moves by at most 1e-12 from the ``c2**3``
-    refit, which still gives the bytes pinned before the change."""
+def test_bvn_kernel_bytes_pinned(n, digest, monkeypatch):
+    """The kernel's bytes are pinned in ``_BVN_KERNEL_DIGESTS``. ``digest`` is
+    the kernel frozen before c2 was cubed by multiplication: the ``c2**3``
+    refit still gives it, and the kernel moves from that refit by at most
+    1e-12, in the last bit of some values."""
     def kernel():
         return bvn_correlation().sim_log_rel_lik(_BVN_PINNED_THETAS, n, 500,
                                                  np.random.default_rng(5))
 
     new = kernel()
+    assert hashlib.sha256(new.tobytes()).hexdigest() == _BVN_KERNEL_DIGESTS[n]
     monkeypatch.setattr(models_module, "_bvn_mle_from_stats", lambda a, b, n: (
         _bvn_mle_three_roots(a, b, n, cube=lambda c: c**3)[0]))
     old = kernel()
-    assert hashlib.sha256(old.tobytes()).hexdigest() == old_digest
+    assert hashlib.sha256(old.tobytes()).hexdigest() == digest
     assert 0.0 < np.max(np.abs(new - old)) <= 1e-12
 
 
