@@ -59,9 +59,7 @@ from .families import (  # noqa: F401
     GaussianScalarFamily,
     GaussianVectorFamily,
     boundary_points,
-    credible_ellipsoid_membership,
     dirichlet_contour_object,
-    family_from_json,
     family_to_json,
     gaussian_contour,
     gaussian_contour_object,
@@ -121,7 +119,6 @@ from .nuisance import (  # noqa: F401
     RiskSpec,
     censored_model,
     empirical_risk,
-    empirical_risk_rel,
     gamma_mean_profile,
     kaplan_meier_swapped,
     make_censored_contour,

@@ -1,4 +1,7 @@
-"""Text renderings shared by every artifact writer.
+"""Text renderings shared by every artifact renderer, and the one file writer.
+
+Grids, traces and reports render themselves as text with these functions;
+only the command line (:mod:`possfit.cli`) calls :func:`write_text`.
 
 CSV: an optional block of ``#`` comment lines, one header row, data rows,
 ``\\n`` line ends.  JSON: indented two spaces, with an optional block of

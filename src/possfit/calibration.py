@@ -26,6 +26,10 @@ contours (and an exactly zero L1 distance).
 Wall-clock figures cover contour construction and evaluation only — dataset
 generation and process startup are excluded — and the timing study runs both
 methods sequentially in the same process so the ratio is meaningful.
+
+Reports render text, never files: ``to_json_dict`` and ``csv_text`` hold what
+a rerun reproduces, so the wall-clock ``timings`` stay on the object, and the
+command line (:mod:`possfit.cli`) writes the files.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._render import csv_text, json_text, write_text
+from ._render import csv_text
 from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
@@ -420,7 +424,8 @@ class CalibrationReport:
 
     ``values`` holds the sorted contour-at-truth draws from the successful
     replications; ``timings`` has one wall-clock entry per replication (NaN
-    where the replication failed).
+    where the replication failed), which the renderings leave out so that a
+    rerun reproduces them byte for byte.
     """
 
     scenario: dict
@@ -429,7 +434,6 @@ class CalibrationReport:
     cdf: np.ndarray
     timings: np.ndarray
     failures: tuple = ()
-    l1: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
@@ -439,8 +443,6 @@ class CalibrationReport:
         self.failures = tuple(
             (int(i), str(msg)) for i, msg in self.failures
         )
-        if self.l1 is not None:
-            self.l1 = np.asarray(self.l1, dtype=float).ravel()
         if np.any(np.diff(self.values) < 0):
             raise ValueError("contour-at-truth values must be sorted")
         if self.alphas.shape != self.cdf.shape:
@@ -456,8 +458,8 @@ class CalibrationReport:
             np.searchsorted(self.values, float(alpha), side="right")
         ) / self.values.size
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "report": "validity",
             "scenario": self.scenario,
             "alphas": [float(a) for a in self.alphas],
@@ -465,27 +467,17 @@ class CalibrationReport:
             "values": [float(v) for v in self.values],
             "failures": [[i, msg] for i, msg in self.failures],
         }
-        if include_timings:
-            doc["timings"] = _json_floats(self.timings)
-        if self.l1 is not None:
-            doc["l1"] = _json_floats(self.l1)
-        return doc
 
     def csv_text(self, header=()) -> str:
         """alpha,cdf rows after the ``header`` comment lines."""
         rows = [f"{float(a)!r},{float(c)!r}" for a, c in zip(self.alphas, self.cdf)]
         return csv_text(header, ["alpha", "cdf"], rows)
 
-    def write_json(self, path, include_timings: bool = True) -> None:
-        write_text(path, json_text(self.to_json_dict(include_timings)))
-
-    def write_csv(self, path) -> None:
-        write_text(path, self.csv_text())
-
 
 @dataclass
 class HypothesisCalibrationResult:
-    """Per-hypothesis CDF curves of the assigned possibility at the truth."""
+    """Per-hypothesis CDF curves of the assigned possibility at the truth;
+    like :class:`CalibrationReport`, its renderings leave out ``timings``."""
 
     scenario: dict
     hypotheses: tuple
@@ -512,8 +504,8 @@ class HypothesisCalibrationResult:
         if np.any(np.diff(self.curves, axis=1) < 0):
             raise ValueError("empirical CDF must be nondecreasing in alpha")
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "report": "hypothesis-calibration",
             "scenario": self.scenario,
             "hypotheses": list(self.hypotheses),
@@ -522,9 +514,6 @@ class HypothesisCalibrationResult:
             "values": [[float(v) for v in vals] for vals in self.values],
             "failures": [[i, msg] for i, msg in self.failures],
         }
-        if include_timings:
-            doc["timings"] = _json_floats(self.timings)
-        return doc
 
     def csv_text(self, header=()) -> str:
         """One row per level: alpha, then each hypothesis's CDF value,
@@ -535,12 +524,6 @@ class HypothesisCalibrationResult:
             for a, col in zip(self.alphas, self.curves.T)
         ]
         return csv_text(header, columns, rows)
-
-    def write_json(self, path, include_timings: bool = True) -> None:
-        write_text(path, json_text(self.to_json_dict(include_timings)))
-
-    def write_csv(self, path) -> None:
-        write_text(path, self.csv_text())
 
 
 @dataclass
@@ -575,9 +558,6 @@ class TimingAccuracyResult:
             "approx_seconds": _json_floats(self.approx_seconds),
         }
 
-    def write_json(self, path) -> None:
-        write_text(path, json_text(self.to_json_dict()))
-
 
 # ---------------------------------------------------------------------------
 # replication machinery
@@ -591,19 +571,23 @@ def _child_seed(master: int, *key: int) -> int:
 def _simulate(scenario: Scenario, model: ModelSpec,
               rng: np.random.Generator) -> Dataset:
     """One dataset of the scenario, censored at the detection limits for the
-    censored method."""
+    censored method.  Responses off the model's sample space (a sampler
+    that underflows, say) raise a RuntimeError, a failure of this
+    replication; bootstrap data are not checked, as in :func:`build_contour`."""
     if scenario.method == "bootstrap":
-        theta = np.asarray(scenario.data_params, dtype=float)
-    else:
-        theta = scenario.truth_eval
-    data = model.sample(theta, scenario.n, rng)
-    if scenario.method != "censored":
-        return data
-    y = data.responses
-    limits = np.resize(
-        np.asarray(scenario.model_kwargs["limits"], dtype=float), scenario.n
-    )
-    return Dataset(responses=np.maximum(y, limits), censor=(y >= limits).astype(int))
+        return model.sample(np.asarray(scenario.data_params, dtype=float), scenario.n, rng)
+    data = model.sample(scenario.truth_eval, scenario.n, rng)
+    if scenario.method == "censored":
+        y = data.responses
+        limits = np.resize(
+            np.asarray(scenario.model_kwargs["limits"], dtype=float), scenario.n
+        )
+        data = Dataset(responses=np.maximum(y, limits), censor=(y >= limits).astype(int))
+    ok, rule = model.support(data.responses)
+    if not ok:
+        raise RuntimeError(
+            f"simulated responses outside the {model.name} sample space: needs {rule}")
+    return data
 
 
 def _bootstrap_spec(tau, B):

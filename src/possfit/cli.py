@@ -11,11 +11,19 @@ overrides or supplies the master seed, which is otherwise mandatory — no run
 ever takes a default from the wall clock.  Exit codes: 0 success, 2
 configuration error, 3 numerical failure; diagnostics go to standard error.
 
-Every output file is written to a temporary name and atomically renamed into
-place, so failed runs leave no partial outputs.  Each file carries a header
-block with the SHA-256 hash of the effective config and the master seed;
-rerunning the same config reproduces every output byte-for-byte except for
-the single ``generated`` timestamp line.
+This module is the only code that writes files.  A command computes its
+result and returns one pair of renderers, CSV and JSON (a grid's or report's
+own ``csv_text`` and ``json_text``/``to_json_dict``); :func:`main` renders
+both under one header built once per run (:func:`_headers`) and writes the
+files the config's ``output`` block names.  Every output file is written to
+a temporary name and atomically renamed into place, so failed runs leave no
+partial outputs.  Each file carries a header block with the SHA-256 hash of
+the effective config, the master seed and one ``generated`` timestamp, the
+same in both files; no artifact holds a wall-clock timing, so rerunning the
+same config reproduces every output byte-for-byte except for that line.
+A grid's JSON (``contour``, ``marginal``) holds its ``kind``, ``seed`` and
+``meta`` (a marginal's ``method`` and its ``infeasible`` node indices) before
+``axes``, ``shape`` and ``values``.
 
 Randomness contract: with master seed ``s``, simulated datasets draw from
 ``derive_rng(s, CLI_TAG, 0)``; the contour/fit child seed is
@@ -136,25 +144,26 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _header_comments(command: str, cfg_hash: str, seed: int) -> list:
-    return [
+def _headers(command: str, cfg_hash: str, seed: int):
+    """(CSV comment lines, JSON header keys) of one run's artifacts, both
+    with the same ``generated`` stamp."""
+    generated = _now_iso()
+    lines = [
         f"# possfit {command}",
         f"# config-sha256: {cfg_hash}",
         f"# seed: {seed}",
-        f"# generated: {_now_iso()}",
+        f"# generated: {generated}",
     ]
-
-
-def _json_header(command: str, cfg_hash: str, seed: int) -> dict:
-    return {
+    header = {
         "header": {
             "tool": "possfit",
             "command": command,
             "config_sha256": cfg_hash,
             "seed": seed,
-            "generated": _now_iso(),
+            "generated": generated,
         }
     }
+    return lines, header
 
 
 def _parse_output(config: dict) -> dict:
@@ -282,34 +291,19 @@ def _contour_from_config(config: dict, model, data, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# grid rendering
-# ---------------------------------------------------------------------------
-
-
-def _grid_texts(grid, command, cfg_hash, seed):
-    return {
-        "csv": grid.csv_text(_header_comments(command, cfg_hash, seed)),
-        "json": grid.json_text(_json_header(command, cfg_hash, seed)),
-    }
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_contour(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_contour(config, seed, threads):
     axes = _parse_grid(config)
     model, data = _model_and_data(config, seed)
     contour = _contour_from_config(config, model, data, seed)
     grid = grid_eval(contour, axes, parallelism=threads)
-    texts = _grid_texts(grid, "contour", cfg_hash, seed)
-    _write_outputs(texts, paths, verbose)
+    return grid.csv_text, grid.json_text
 
 
-def _cmd_fit(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_fit(config, seed, threads):
     model, data = _model_and_data(config, seed)
     child = int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63))
     family, trace = variational_fit(config.get("method", "variational-scalar"),
@@ -323,15 +317,10 @@ def _cmd_fit(config, seed, cfg_hash, threads, verbose):
 
     doc = family_to_json(family, iterations=len(trace.ts), termination=trace.reason,
                          failures=trace.failures)
-    texts = {
-        "json": json_text(doc, _json_header("fit", cfg_hash, seed)),
-        "csv": trace.csv_text(_header_comments("fit", cfg_hash, seed)),
-    }
-    _write_outputs(texts, paths, verbose)
+    return trace.csv_text, lambda header: json_text(doc, header)
 
 
-def _cmd_calibrate(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_calibrate(config, seed, threads):
     scenario = Scenario.from_config(config)
     alphas = None if config.get("alphas") is None else config_floats(config["alphas"], "alphas")
     if "hypotheses" in config:
@@ -341,18 +330,10 @@ def _cmd_calibrate(config, seed, cfg_hash, threads, verbose):
         )
     else:
         result = validity_study(scenario, alphas=alphas, threads=threads)
-    texts = {
-        "json": json_text(
-            result.to_json_dict(include_timings=False),
-            _json_header("calibrate", cfg_hash, seed),
-        ),
-        "csv": result.csv_text(_header_comments("calibrate", cfg_hash, seed)),
-    }
-    _write_outputs(texts, paths, verbose)
+    return result.csv_text, lambda header: json_text(result.to_json_dict(), header)
 
 
-def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_hypothesis(config, seed, threads):
     specs = config.get("hypotheses")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("hypothesis command needs a non-empty 'hypotheses' list")
@@ -393,21 +374,11 @@ def _cmd_hypothesis(config, seed, cfg_hash, threads, verbose):
         rows.append(f"{k + 1},{upper!r},{lower!r}")
         print(f"H{k + 1}: upper={upper:.6f} lower={lower:.6f}")
 
-    texts = {
-        "json": json_text(
-            {"hypotheses": entries}, _json_header("hypothesis", cfg_hash, seed)
-        ),
-        "csv": csv_text(
-            _header_comments("hypothesis", cfg_hash, seed),
-            ["hypothesis", "upper", "lower"],
-            rows,
-        ),
-    }
-    _write_outputs(texts, paths, verbose)
+    return (lambda header: csv_text(header, ["hypothesis", "upper", "lower"], rows),
+            lambda header: json_text({"hypotheses": entries}, header))
 
 
-def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_marginal(config, seed, threads):
     axes = _parse_grid(config)
     if len(axes) != 1:
         raise ConfigError("marginal command needs exactly one grid axis")
@@ -439,12 +410,10 @@ def _cmd_marginal(config, seed, cfg_hash, threads, verbose):
         seed=search_seed,
         parallelism=threads,
     )
-    texts = _grid_texts(grid, "marginal", cfg_hash, seed)
-    _write_outputs(texts, paths, verbose)
+    return grid.csv_text, grid.json_text
 
 
-def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
-    paths = _parse_output(config)
+def _cmd_choquet(config, seed, threads):
     spec = ChoquetSpec.from_dict(config.get("choquet"))
     model, data = _model_and_data(config, seed)
     contour = _contour_from_config(config, model, data, seed)
@@ -453,15 +422,8 @@ def _cmd_choquet(config, seed, cfg_hash, threads, verbose):
     result = choquet_upper_expectation(contour, spec, family=family, seed=child)
     print(f"choquet upper expectation: {float(result.value)!r}")
     out = {"value": float(result.value), "flags": list(result.flags)}
-    texts = {
-        "json": json_text(out, _json_header("choquet", cfg_hash, seed)),
-        "csv": csv_text(
-            _header_comments("choquet", cfg_hash, seed),
-            ["value"],
-            [repr(float(result.value))],
-        ),
-    }
-    _write_outputs(texts, paths, verbose)
+    return (lambda header: csv_text(header, ["value"], [repr(float(result.value))]),
+            lambda header: json_text(out, header))
 
 
 _HANDLERS = {
@@ -527,9 +489,12 @@ def main(argv=None) -> int:
                 f"threads {threads}, config {cfg_hash[:12]})",
                 file=sys.stderr,
             )
-        _HANDLERS[command](
-            config, config["seed"], cfg_hash, threads, args.verbose
-        )
+        paths = _parse_output(config)
+        # each command returns its (CSV, JSON) renderers; one header heads both
+        render_csv, render_json = _HANDLERS[command](config, config["seed"], threads)
+        lines, header = _headers(command, cfg_hash, config["seed"])
+        _write_outputs({"csv": render_csv(lines), "json": render_json(header)},
+                       paths, args.verbose)
     except ConfigError as exc:
         print(f"possfit: config error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,9 @@ The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
 The factories here are :func:`make_exact_contour` (with
-:func:`make_exact_binomial`) and :func:`make_mc_contour`.
+:func:`make_exact_binomial`) and :func:`make_mc_contour`.  A
+:class:`ContourGrid` renders itself as CSV and JSON text under a header the
+caller gives; the command line writes the files.
 
 A Monte Carlo contour also carries a batch decision evaluator,
 ``exceeds_batch(thetas, alpha, rng)``, for callers that read only the
@@ -51,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._render import csv_text, json_text, write_text
+from ._render import csv_text, json_text
 from ._rng import NODE_TAG, THETA_TAG, derive_rng, theta_key
 from .models import (
     TIE_EPS,
@@ -150,10 +152,6 @@ class PossibilityContour:
     def __call__(self, theta) -> float:
         """Evaluate at one point; stochastic streams keyed by the point itself."""
         return float(self.evaluate_keyed(theta, [(THETA_TAG, *theta_key(theta))])[0])
-
-    def eval_at_node(self, theta, index: int) -> float:
-        """Evaluate at a grid node; stochastic streams keyed by the node index."""
-        return float(self.evaluate_keyed(theta, [(NODE_TAG, int(index))])[0])
 
 
 def _lookup_batch(statistic, reference):
@@ -481,19 +479,10 @@ class ContourGrid:
     def nodes(self) -> np.ndarray:
         return _product_nodes(self.axes)
 
-    def csv_text(self, header=None) -> str:
+    def csv_text(self, header=()) -> str:
         """One column per axis and a value column, first axis slowest,
-        after the ``header`` comment lines (by default the grid's kind,
-        seed and axes)."""
+        after the ``header`` comment lines."""
         names = _axis_names(self.axes)
-        if header is None:
-            header = ["# possibility contour grid", f"# kind={self.kind}"]
-            if self.seed is not None:
-                header.append(f"# seed={self.seed}")
-            header += [
-                f"# axis {name}: lo={a.lo!r} hi={a.hi!r} count={a.count}"
-                for name, a in zip(names, self.axes)
-            ]
         rows = [
             ",".join([repr(float(c)) for c in node] + [repr(float(v))])
             for node, v in zip(self.nodes(), self.values.ravel())
@@ -501,22 +490,17 @@ class ContourGrid:
         return csv_text(header, names + ["value"], rows)
 
     def json_text(self, header=None) -> str:
-        """Axes, shape and C-order values after the ``header`` keys (by
-        default the grid's kind, seed and metadata)."""
-        if header is None:
-            header = {"kind": self.kind, "seed": self.seed, "meta": self.meta}
+        """The grid's kind, seed and metadata, then its axes, shape and
+        C-order values, after the ``header`` keys."""
         doc = {
+            "kind": self.kind,
+            "seed": self.seed,
+            "meta": self.meta,
             "axes": [asdict(a) for a in self.axes],
             "shape": list(self.values.shape),
             "values": [float(v) for v in self.values.ravel()],
         }
         return json_text(doc, header)
-
-    def to_csv(self, path) -> None:
-        write_text(path, self.csv_text())
-
-    def to_json(self, path) -> None:
-        write_text(path, self.json_text())
 
 
 def grid_eval(

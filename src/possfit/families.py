@@ -40,12 +40,10 @@ __all__ = [
     "gaussian_contour",
     "gaussian_info_matrix",
     "gaussian_cov_matrix",
-    "credible_ellipsoid_membership",
     "boundary_points",
     "gaussian_contour_object",
     "dirichlet_contour_object",
     "family_to_json",
-    "family_from_json",
 ]
 
 
@@ -258,12 +256,6 @@ def _gaussian_contour_batch(family: GaussianFamily, thetas) -> np.ndarray:
     return chi2_sf(_quadratic_forms(family, thetas), family.dim)
 
 
-def credible_ellipsoid_membership(family: GaussianFamily, alpha: float, theta) -> bool:
-    """True iff theta lies in the (1-alpha)-credible ellipsoid of the family."""
-    q = _quadratic_forms(family, np.reshape(theta, (1, -1)))[0]
-    return bool(q <= chi2_ppf(1.0 - alpha, family.dim))
-
-
 def boundary_points(family: GaussianVectorFamily, alpha: float) -> np.ndarray:
     """The 2d ellipsoid-boundary representatives, shaped (d, 2, d).
 
@@ -376,26 +368,3 @@ def family_to_json(family, **extra) -> dict:
         raise TypeError(f"unknown family type {type(family).__name__}")
     doc.update(extra)
     return doc
-
-
-def family_from_json(doc: dict):
-    kind = doc.get("family")
-    if kind == "gaussian-scalar":
-        return GaussianScalarFamily(
-            theta_hat=np.array(doc["theta_hat"], dtype=float),
-            info=np.array(doc["info"], dtype=float),
-            xi=float(doc["xi"]),
-        )
-    if kind == "gaussian-vector":
-        return GaussianVectorFamily(
-            theta_hat=np.array(doc["theta_hat"], dtype=float),
-            info=np.array(doc["info"], dtype=float),
-            xi=np.array(doc["xi"], dtype=float),
-        )
-    if kind == "dirichlet":
-        return DirichletFamily(
-            mean=np.array(doc["mean"], dtype=float),
-            n=int(doc["n"]),
-            xi=float(doc["xi"]),
-        )
-    raise ValueError(f"unknown family kind {kind!r}")

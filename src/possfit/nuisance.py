@@ -51,7 +51,6 @@ __all__ = [
     "RiskSpec",
     "censored_model",
     "empirical_risk",
-    "empirical_risk_rel",
     "gamma_mean_profile",
     "kaplan_meier_swapped",
     "make_censored_contour",
@@ -365,17 +364,6 @@ def empirical_risk(spec: RiskSpec, values, theta) -> float:
     """Mean loss of theta over the observations (last axis)."""
     out = np.mean(spec.loss(np.asarray(values, dtype=float), theta), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def empirical_risk_rel(spec: RiskSpec, values, theta) -> float:
-    """exp[-{rho(theta) - rho(theta_hat)}], the risk analogue of a relative
-    likelihood; equals 1 exactly at the empirical-risk minimizer."""
-    v = np.asarray(values, dtype=float)
-    theta_hat = spec.erm(v)
-    if np.any(np.isnan(theta_hat)):
-        raise RiskMinimizationError("empirical-risk minimizer failed on the data")
-    gap = empirical_risk(spec, v, float(theta)) - empirical_risk(spec, v, float(theta_hat))
-    return float(np.exp(min(-gap, 0.0)))
 
 
 def make_empirical_risk_contour(

@@ -50,7 +50,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._render import csv_text, write_text
+from ._render import csv_text
 from ._rng import SA_TAG, derive_rng
 from .contours import ConfigError, PossibilityContour, config_float, config_int, make_mc_contour
 from .families import (
@@ -160,9 +160,6 @@ class FitTrace:
             for t, xi, obj in zip(self.ts, self.xis, self.objectives)
         ]
         return csv_text(header, columns, rows)
-
-    def to_csv(self, path) -> None:
-        write_text(path, self.csv_text())
 
 
 def robbins_monro(

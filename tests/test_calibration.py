@@ -46,6 +46,7 @@ from possfit import (
     validity_study,
 )
 from possfit.calibration import DEFAULT_ALPHA_GRID, METHODS
+from possfit._render import json_text
 from possfit._rng import CAL_TAG, derive_rng
 
 
@@ -470,6 +471,21 @@ def test_build_contour_rejects_responses_off_the_sample_space(model_id):
         calibration.variational_fit("variational-scalar", model, bad, SAConfig(seed=0), 3)
 
 
+def test_simulated_responses_off_the_sample_space_fail_their_replication():
+    """A truth whose sampler underflows to 0 gives responses the user never
+    gave: each replication records a failure naming the simulated
+    responses, and more than 5% of them stop the study."""
+    scn = Scenario(model_id="gamma", truth=(1e-300, 1.0), n=10, reps=4,
+                   method="naive", seed=3, m=20)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(StudyError) as info:
+        validity_study(scn)
+    assert len(info.value.failures) == 4
+    assert info.value.failures[0][1] == (
+        "RuntimeError: simulated responses outside the gamma sample space: "
+        "needs finite positive responses")
+
+
 def test_censored_validity_structural():
     scn = Scenario(
         model_id="lognormal-censored", truth=(0.3, 0.49), n=30, reps=40,
@@ -494,7 +510,7 @@ def test_censored_validity_report_is_unchanged(threads):
         model_kwargs={"limits": [0.9, 1.4]},
     )
     report = validity_study(scn, threads=threads)
-    assert _sha256(report.to_json_dict(include_timings=False)) == (
+    assert _sha256(report.to_json_dict()) == (
         "d0d3e1db12ae2f56dd583adee39d7044b71733220a8f558bfb44111ae4f5b525")
 
 
@@ -503,28 +519,21 @@ def test_censored_validity_report_is_unchanged(threads):
 # ---------------------------------------------------------------------------
 
 
-def test_report_json_and_csv_io(tmp_path):
+def test_report_json_and_csv_io():
     scn = _binomial_scenario(reps=30, seed=19)
     report = validity_study(scn)
 
-    jpath = tmp_path / "report.json"
-    report.write_json(jpath)
-    doc = json.loads(jpath.read_text())
+    doc = json.loads(json_text(report.to_json_dict()))
     assert doc["scenario"]["model"] == "binomial"
     assert len(doc["values"]) == 30
     assert len(doc["alphas"]) == len(DEFAULT_ALPHA_GRID)
     assert doc["cdf"] == [float(v) for v in report.cdf]
-    assert len(doc["timings"]) == 30
+    assert report.timings.shape == (30,)
     assert doc["failures"] == []
-
-    # timing values are wall-clock noise; reproducible artifacts omit them
-    report.write_json(jpath, include_timings=False)
-    doc = json.loads(jpath.read_text())
+    # timing values are wall-clock noise; the rendering omits them
     assert "timings" not in doc
 
-    cpath = tmp_path / "report.csv"
-    report.write_csv(cpath)
-    lines = cpath.read_text().strip().splitlines()
+    lines = report.csv_text().strip().splitlines()
     assert lines[0] == "alpha,cdf"
     assert len(lines) == 1 + len(DEFAULT_ALPHA_GRID)
     first = lines[1].split(",")
@@ -655,11 +664,11 @@ def test_binomial_naive_hypothesis_report_is_unchanged():
         _binomial_scenario(reps=20),
         [Hypothesis.half_space(np.array([1.0]), 0.3), Hypothesis.box([[0.3, 0.6]])],
     )
-    assert _sha256(res.to_json_dict(include_timings=False)) == (
+    assert _sha256(res.to_json_dict()) == (
         "71f725f1ec6b36449d48489d49e89e619eaeb013f6300a4c1dcd7d080dc77483")
 
 
-def test_hypothesis_result_io(tmp_path):
+def test_hypothesis_result_io():
     scn = _binomial_scenario(reps=20, seed=31)
     res = hypothesis_calibration(
         scn,
@@ -667,18 +676,15 @@ def test_hypothesis_result_io(tmp_path):
          Hypothesis.half_space(np.array([-1.0]), -0.9)],  # theta < 0.9
         alphas=[0.25, 0.5, 1.0],
     )
-    cpath = tmp_path / "curves.csv"
-    res.write_csv(cpath)
-    lines = cpath.read_text().strip().splitlines()
+    lines = res.csv_text().strip().splitlines()
     assert lines[0] == "alpha,cdf_1,cdf_2"
     assert len(lines) == 4
 
-    jpath = tmp_path / "curves.json"
-    res.write_json(jpath)
-    doc = json.loads(jpath.read_text())
+    doc = json.loads(json_text(res.to_json_dict()))
     assert len(doc["hypotheses"]) == 2
     assert len(doc["curves"]) == 2
     assert doc["alphas"] == [0.25, 0.5, 1.0]
+    assert "timings" not in doc
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +793,10 @@ def test_timing_naive_side_is_the_binomial_exact_contour():
         assert res.l1[r] == pytest.approx(l1, rel=1e-12)
 
 
-def test_timing_result_json(tmp_path):
+def test_timing_result_json():
     naive, approx = _bvn_pair(n=40, reps=2, m=200, count=20)
     res = timing_accuracy_study(naive, approx)
-    path = tmp_path / "timing.json"
-    res.write_json(path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(json_text(res.to_json_dict()))
     assert doc["naive_scenario"]["method"] == "naive"
     assert doc["approx_scenario"]["method"] == "variational-vector"
     assert len(doc["l1"]) == 2

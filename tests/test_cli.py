@@ -38,6 +38,7 @@ from possfit import (
     make_mc_contour,
     models,
 )
+from possfit import cli
 from possfit._rng import CLI_TAG, derive_rng
 from possfit.cli import main
 
@@ -114,6 +115,33 @@ class TestContour:
         assert len(doc["header"]["config_sha256"]) == 64
         assert doc["axes"][0]["count"] == 200
         assert doc["values"] == [float(v) for v in grid.values]
+
+    def test_grid_json_records_kind_seed_and_meta(self, tmp_path):
+        """A contour's JSON says what was computed: the contour's kind, its
+        seed and its metadata come between the header and the axes."""
+        cfg = contour_config(
+            tmp_path, model="gamma", method="naive", m=20,
+            data={"simulate": {"theta": [7.0, 3.0], "n": 25}},
+            grid=[{"lo": 4.0, "hi": 10.0, "count": 3}, {"lo": 2.0, "hi": 4.0, "count": 2}],
+        )
+        assert run(write_config(tmp_path, cfg)) == 0
+        doc = json.loads((tmp_path / "contour.json").read_text())
+        assert list(doc) == ["header", "kind", "seed", "meta", "axes", "shape", "values"]
+        assert doc["kind"] == "monte-carlo"
+        assert doc["seed"] == int(derive_rng(11, CLI_TAG, 1).integers(2 ** 63))
+        assert doc["meta"] == {"model": "gamma", "m": 20}
+        assert doc["shape"] == [3, 2]
+
+    def test_both_files_of_a_run_carry_one_generated_stamp(self, tmp_path, monkeypatch):
+        """The header is built once per run: with a clock that moves at
+        every call, the CSV and the JSON still carry the same stamp."""
+        stamps = (f"2026-01-01T00:00:{s:02d}Z" for s in range(60))
+        monkeypatch.setattr(cli, "_now_iso", lambda: next(stamps))
+        assert run(write_config(tmp_path, contour_config(tmp_path))) == 0
+        comments, _, _ = csv_sections(tmp_path / "contour.csv")
+        doc = json.loads((tmp_path / "contour.json").read_text())
+        assert doc["header"]["generated"] == "2026-01-01T00:00:00Z"
+        assert comments[-1] == "# generated: 2026-01-01T00:00:00Z"
 
     @pytest.mark.parametrize("method", ["exact", "naive"])
     def test_binomial_log_params_grid_is_exact_contour_at_exp_eta(
@@ -1002,6 +1030,23 @@ class TestMarginal:
         assert run(write_config(tmp_path, cfg)) == 2
         assert "does not fit dimension 2" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_marginal_json_records_the_search_and_its_infeasible_nodes(self, tmp_path):
+        """A searched marginal's JSON names its method and lists the nodes
+        whose fiber the search could not reach (their value 0 is not a
+        computed 0): none on the binomial's exact contour."""
+        cfg = contour_config(
+            tmp_path, command="marginal", marginal={"component": 0},
+            grid=[{"lo": 0.2, "hi": 0.6, "count": 3, "name": "p"}],
+        )
+        assert run(write_config(tmp_path, cfg)) == 0
+        doc = json.loads((tmp_path / "contour.json").read_text())
+        assert list(doc) == ["header", "kind", "seed", "meta", "axes", "shape", "values"]
+        assert doc["kind"] == "marginal" and doc["seed"] is None
+        assert doc["meta"]["method"] == "penalty-search"
+        assert doc["meta"]["infeasible"] == []
+        assert doc["meta"]["budget"] == {"candidates": 2000, "refine": 100}
+        assert len(doc["values"]) == 3
 
     def test_component_marginal_grid(self, tmp_path):
         cfg = {

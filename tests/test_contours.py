@@ -748,7 +748,7 @@ def test_grid_eval_equals_seeded_pointwise_calls():
     grid = grid_eval(contour, axes, parallelism=2)
     nodes = grid.nodes()
     for i in range(len(nodes)):
-        assert grid.values.ravel()[i] == contour.eval_at_node(nodes[i], i)
+        assert grid.values.ravel()[i] == contour.evaluate_keyed(nodes[i], [(NODE_TAG, i)])[0]
 
 
 def test_keyed_batch_isolates_the_rows_of_a_raising_kernel():
@@ -769,7 +769,8 @@ def test_keyed_batch_isolates_the_rows_of_a_raising_kernel():
     nodes = axes[0].points()[:, None]
     vals = contour.evaluate_keyed(nodes, [(NODE_TAG, i) for i in range(10)])
     assert np.flatnonzero(np.isnan(vals)).tolist() == [7, 8, 9]
-    assert vals[:7].tolist() == [contour.eval_at_node(nodes[i], i) for i in range(7)]
+    assert vals[:7].tolist() == [contour.evaluate_keyed(nodes[i], [(NODE_TAG, i)])[0]
+                                 for i in range(7)]
     with pytest.raises(NonFiniteContourError, match="at node 7 "):
         grid_eval(contour, axes, parallelism=3)
 
@@ -912,24 +913,22 @@ def test_alpha_cuts_are_nested():
 # ---------------------------------------------------------------------------
 
 
-def test_grid_csv_and_json_round_trip(tmp_path):
+def test_grid_csv_and_json_round_trip():
     contour = make_exact_binomial(_binom_data(6, 15))
     grid = grid_eval(contour, [AxisSpec(0.2, 0.8, 7)])
 
-    csv_path = tmp_path / "grid.csv"
-    grid.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
+    lines = grid.csv_text(["# possibility contour grid"]).strip().splitlines()
     header_meta = [l for l in lines if l.startswith("#")]
     rows = [l for l in lines if not l.startswith("#")]
-    assert any("kind=exact-discrete" in l for l in header_meta)
+    assert header_meta == ["# possibility contour grid"]
     assert rows[0] == "theta_1,value"
     assert len(rows) == 1 + 7
     back = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.allclose(back, grid.values.ravel())
 
-    json_path = tmp_path / "grid.json"
-    grid.to_json(json_path)
-    doc = json.loads(json_path.read_text())
+    doc = json.loads(grid.json_text({"header": {"tool": "possfit"}}))
+    assert list(doc) == ["header", "kind", "seed", "meta", "axes", "shape", "values"]
     assert doc["kind"] == "exact-discrete"
+    assert doc["seed"] is None and doc["meta"] == {"model": "binomial"}
     assert np.allclose(np.array(doc["values"]), grid.values.ravel())
     assert doc["axes"][0]["count"] == 7

@@ -20,9 +20,7 @@ from possfit.families import (
     boundary_points,
     chi2_ppf,
     chi2_sf,
-    credible_ellipsoid_membership,
     dirichlet_contour_object,
-    family_from_json,
     family_to_json,
     gaussian_contour,
     gaussian_contour_object,
@@ -143,25 +141,8 @@ def test_chi2_ppf_bit_identical_to_scipy_stats(d):
 
 
 # ---------------------------------------------------------------------------
-# credible ellipsoid + boundary points
+# boundary points
 # ---------------------------------------------------------------------------
-
-
-def test_membership_boundary_d1():
-    fam = GaussianVectorFamily(theta_hat=np.zeros(1), info=np.eye(1), xi=np.ones(1))
-    assert credible_ellipsoid_membership(fam, 0.1, np.array([1.6448]))
-    assert not credible_ellipsoid_membership(fam, 0.1, np.array([1.6450]))
-    assert credible_ellipsoid_membership(fam, 0.1, np.zeros(1))
-
-
-def test_membership_matches_contour_cut():
-    J = _spd(2, 5)
-    fam = GaussianVectorFamily(theta_hat=np.ones(2), info=J, xi=np.array([0.8, 1.4]))
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        th = fam.theta_hat + rng.standard_normal(2) * 1.5
-        inside = credible_ellipsoid_membership(fam, 0.1, th)
-        assert inside == (gaussian_contour(fam, th) > 0.1)
 
 
 def test_boundary_points_d1():
@@ -377,21 +358,18 @@ def test_gaussian_point_values_equal_grid_values():
     ).with_xi(0.7),
 ])
 def test_family_json_round_trip(maker):
+    """family_to_json names the family and holds its defining fields as
+    plain JSON, with the extras passed through."""
     fam = maker()
     doc = family_to_json(fam, alpha=0.1, seed=99, iterations=17)
-    text = json.dumps(doc)  # must be JSON-serializable as-is
-    back = family_from_json(json.loads(text))
-    assert type(back) is type(fam)
+    assert json.loads(json.dumps(doc)) == doc  # JSON-serializable as-is
     assert doc["alpha"] == 0.1 and doc["seed"] == 99 and doc["iterations"] == 17
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        if isinstance(fam, DirichletFamily):
-            th = rng.dirichlet(np.ones(3))
-            m = 500
-            a = dirichlet_contour_object(fam, m, seed=1)(th[:-1])
-            b = dirichlet_contour_object(back, m, seed=1)(th[:-1])
-        else:
-            th = fam.theta_hat + rng.standard_normal(fam.theta_hat.size)
-            a = gaussian_contour(fam, th)
-            b = gaussian_contour(back, th)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+    if isinstance(fam, DirichletFamily):
+        fields = {"family": "dirichlet", "mean": fam.mean.tolist(), "n": fam.n,
+                  "xi": fam.xi}
+    else:
+        scalar = isinstance(fam, GaussianScalarFamily)
+        fields = {"family": "gaussian-scalar" if scalar else "gaussian-vector",
+                  "theta_hat": fam.theta_hat.tolist(), "info": fam.info.tolist(),
+                  "xi": fam.xi if scalar else fam.xi.tolist()}
+    assert doc == {**fields, "alpha": 0.1, "seed": 99, "iterations": 17}

@@ -46,7 +46,6 @@ from possfit.nuisance import (
     RiskSpec,
     censored_model,
     empirical_risk,
-    empirical_risk_rel,
     gamma_mean_profile,
     kaplan_meier_swapped,
     make_censored_contour,
@@ -60,7 +59,7 @@ from possfit.nuisance import (
     quantile_risk_spec,
     relative_profile_likelihood,
 )
-from possfit._rng import SA_TAG, derive_rng
+from possfit._rng import NODE_TAG, SA_TAG, derive_rng
 from possfit.sa import SAConfig, fit_scalar_anchored, fit_vector
 
 
@@ -544,7 +543,8 @@ def test_profile_batch_equals_sequential_points_and_isolates_a_failed_fiber():
         assert np.array_equal(batch[~bad], kept)
     # a batch of one is the contour's own point evaluation
     assert np.isnan(contour.evaluate([-1.0], np.random.default_rng(8)))
-    assert np.isnan(contour(-1.0)) and np.isnan(contour.eval_at_node([0.0], 0))
+    assert np.isnan(contour(-1.0))
+    assert np.isnan(contour.evaluate_keyed([0.0], [(NODE_TAG, 0)])[0])
 
 
 def test_profile_grid_equals_node_by_node_evaluations():
@@ -555,7 +555,7 @@ def test_profile_grid_equals_node_by_node_evaluations():
     contour = make_profile_contour(model, data, spec, m=60, seed=5)
     axes = [AxisSpec(1.4, 2.8, 7)]
     nodes = axes[0].points()
-    want = [contour.eval_at_node([phi], i) for i, phi in enumerate(nodes)]
+    want = [contour.evaluate_keyed([phi], [(NODE_TAG, i)])[0] for i, phi in enumerate(nodes)]
     for parallelism in (1, 3):
         assert grid_eval(contour, axes, parallelism).values.tolist() == want
 
@@ -688,15 +688,6 @@ def test_quantile_erm_is_order_statistic():
     grid = np.linspace(0.0, 10.0, 5001)
     rho_grid = np.array([empirical_risk(spec, x, g) for g in grid])
     assert rho_hat <= np.min(rho_grid) + 1e-12
-
-
-def test_empirical_risk_rel_is_one_at_erm():
-    rng = np.random.default_rng(23)
-    x = rng.gamma(4.0, 1.0, size=60)
-    spec = quantile_risk_spec(0.25)
-    theta_hat = spec.erm(x)
-    assert empirical_risk_rel(spec, x, theta_hat) == pytest.approx(1.0)
-    assert empirical_risk_rel(spec, x, theta_hat + 1.0) < 1.0
 
 
 def test_empirical_risk_contour_one_at_erm_every_seed():

@@ -122,12 +122,10 @@ def test_rm_vector_iterates_and_stopping():
     assert trace.xi_final[1] == pytest.approx(2.0, abs=1e-15)
 
 
-def test_fit_trace_csv(tmp_path):
+def test_fit_trace_csv():
     obj = lambda xi, t: np.array([3.0 - xi[0], 0.0])
     trace = robbins_monro(obj, [1.0, 2.0], _config(), sign=+1)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    lines = trace.csv_text().strip().splitlines()
     assert lines[0] == "t,xi_0,xi_1,objective_0,objective_1"
     assert len(lines) == 1 + len(trace.ts)
     first = lines[1].split(",")
