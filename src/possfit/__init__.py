@@ -37,7 +37,6 @@ from .models import (  # noqa: F401
     normal_means_lasso,
     poisson_loglinear,
     read_dataset_csv,
-    relative_likelihood,
     soft_threshold,
 )
 from .contours import (  # noqa: F401

@@ -128,10 +128,8 @@ class StudyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def poisson_study_design(
-    n: int, seed: int = POISSON_DESIGN_SEED, correlation: float = 0.6
-) -> np.ndarray:
-    """Intercept plus two correlated covariates, generated once per (n, seed).
+def poisson_study_design(n: int, seed: int = POISSON_DESIGN_SEED) -> np.ndarray:
+    """Intercept plus two columns of correlation 0.6, generated once per (n, seed).
 
     Each covariate column is scaled to sum zero and mean square one, then held
     fixed across every replication of a study; regenerating with the same
@@ -141,7 +139,7 @@ def poisson_study_design(
     if n < 3:
         raise ValueError("the study design needs at least 3 observations")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n)))
-    cov = np.array([[1.0, correlation], [correlation, 1.0]])
+    cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     z = rng.multivariate_normal(np.zeros(2), cov, size=n)
     z = z - z.mean(axis=0)
     z = z / np.sqrt(np.mean(z * z, axis=0))
@@ -193,6 +191,17 @@ _REGISTRY = {
         config_floats(kw["design"], "design")),
 }
 
+#: the model_kwargs keys each model reads; :func:`model_from_id` rejects others
+_MODEL_KEYS = {
+    "normal-means": ("sigma",),
+    "normal-means-lasso": ("sigma", "lam"),
+    "poisson-loglinear": ("design", "design_seed"),
+    "logistic": ("design",),
+}
+
+#: the model_kwargs keys a study's contour method reads, kept from the model
+_METHOD_KEYS = {"bootstrap": ("tau", "B"), "censored": ("limits",)}
+
 
 # ---------------------------------------------------------------------------
 # scenarios
@@ -210,7 +219,8 @@ class Scenario:
     censored contour evaluations (and of the inner evaluations in the timing
     study); the variational methods read their own ``sa.m_inner``.  With
     ``log_params`` the model is refit on log-parameters and the contour is
-    evaluated at ``log(truth)``.
+    evaluated at ``log(truth)``.  ``model_kwargs`` holds only keys the model
+    or the method reads (``_MODEL_KEYS``, ``_METHOD_KEYS``).
     """
 
     model_id: str
@@ -252,7 +262,7 @@ class Scenario:
             raise ConfigError("reps must be at least 1")
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be at least 1")
-        model = model_from_id(self.model_id, self.n, self.model_kwargs)
+        model = model_from_id(self.model_id, self.n, _model_kwargs(self))
         if self.method.startswith("variational"):
             if not isinstance(self.sa, SAConfig):
                 raise ConfigError(
@@ -375,11 +385,15 @@ def model_from_id(
     model_kwargs: Optional[dict] = None,
     log_params: bool = False,
 ) -> ModelSpec:
-    """Instantiate a registered model outside of any scenario; a factory
-    that rejects its settings raises :class:`ConfigError`."""
+    """Instantiate a registered model outside of any scenario; a key the
+    model does not read, or settings it rejects, raise :class:`ConfigError`."""
     _check_model_id(model_id)
+    kw, reads = dict(model_kwargs or {}), _MODEL_KEYS.get(model_id, ())
+    if set(kw) - set(reads):
+        raise ConfigError(f"the {model_id} model reads no model_kwargs "
+                          f"{sorted(set(kw) - set(reads))}; it reads {list(reads)}")
     try:
-        base = _REGISTRY[model_id](None if n is None else int(n), dict(model_kwargs or {}))
+        base = _REGISTRY[model_id](None if n is None else int(n), kw)
     except KeyError as exc:
         raise ConfigError(f"the {model_id} model needs model_kwargs[{exc}]") from None
     except (TypeError, ValueError) as exc:
@@ -389,12 +403,18 @@ def model_from_id(
     return log_reparam(base) if log_params else base
 
 
+def _model_kwargs(scenario: Scenario) -> dict:
+    """The scenario's model_kwargs without the keys its method reads."""
+    method_keys = _METHOD_KEYS.get(scenario.method, ())
+    return {k: v for k, v in scenario.model_kwargs.items() if k not in method_keys}
+
+
 def build_model(scenario: Scenario) -> ModelSpec:
     """The scenario's model, wrapped to log-parameters when requested."""
     return model_from_id(
         scenario.model_id,
         scenario.n,
-        scenario.model_kwargs,
+        _model_kwargs(scenario),
         scenario.log_params,
     )
 

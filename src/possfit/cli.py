@@ -25,6 +25,10 @@ A grid's JSON (``contour``, ``marginal``) holds its ``kind``, ``seed`` and
 ``meta`` (a marginal's ``method`` and its ``infeasible`` node indices) before
 ``axes``, ``shape`` and ``values``.
 
+A data source reads only its keys in ``_DATA_KEYS``; any other is a config
+error.  A regression's design comes only from ``model_kwargs.design`` or the
+Poisson study design, never from the data.
+
 Randomness contract: with master seed ``s``, simulated datasets draw from
 ``derive_rng(s, CLI_TAG, 0)``; the contour/fit child seed is
 ``derive_rng(s, CLI_TAG, 1).integers(2**63)``; the search seed for hypothesis
@@ -204,6 +208,11 @@ def _parse_sa(config: dict):
     return None if config.get("sa") is None else SAConfig.from_dict(config["sa"])
 
 
+#: the keys each data source reads; a csv source's sit in the data block itself
+_DATA_KEYS = {"inline": ("responses", "censor"), "csv": ("csv", "response", "censor"),
+              "simulate": ("theta", "n")}
+
+
 def _model_and_data(config: dict, seed: int):
     """Resolve (model, data) from the config's model and data-source fields."""
     model_id = config.get("model")
@@ -214,7 +223,7 @@ def _model_and_data(config: dict, seed: int):
         raise ConfigError(
             "config needs a 'data' source: inline | csv | simulate"
         )
-    kinds = [k for k in ("inline", "csv", "simulate") if k in spec]
+    kinds = [k for k in _DATA_KEYS if k in spec]
     if len(kinds) != 1:
         raise ConfigError(
             "data source must be exactly one of inline | csv | simulate"
@@ -223,36 +232,33 @@ def _model_and_data(config: dict, seed: int):
 
     data = None
     try:
+        doc = spec if kind == "csv" else spec[kind]
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{kind} data must be an object")
+        unread = set(doc) - set(_DATA_KEYS[kind]) | (set() if doc is spec else set(spec) - {kind})
+        if unread:
+            hint = "; a regression's design is model_kwargs.design"
+            raise ConfigError(f"{kind} data reads only {', '.join(_DATA_KEYS[kind])}, "
+                              f"not {sorted(unread)}{hint if 'covariates' in unread else ''}")
         if kind == "inline":
-            doc = spec["inline"]
-            if not isinstance(doc, dict) or "responses" not in doc:
+            if "responses" not in doc:
                 raise ConfigError("inline data needs a 'responses' array")
-            covariates = doc.get("covariates")
             censor = doc.get("censor")
             data = Dataset(
                 responses=np.asarray(doc["responses"]),
-                covariates=None
-                if covariates is None
-                else config_floats(covariates, "covariates"),
                 censor=None if censor is None else np.asarray(censor),
             )
             n = len(doc["responses"])
         elif kind == "csv":
-            path = str(spec["csv"])
+            path = str(doc["csv"])
             if not os.path.isfile(path):
                 raise ConfigError(f"data file not found: {path}")
-            if "response" not in spec:
+            if "response" not in doc:
                 raise ConfigError("csv data needs a 'response' column name")
-            data = read_dataset_csv(
-                path,
-                response=spec["response"],
-                covariates=tuple(spec.get("covariates", ())),
-                censor=spec.get("censor"),
-            )
+            data = read_dataset_csv(path, response=doc["response"], censor=doc.get("censor"))
             n = len(data.responses)
         else:
-            doc = spec["simulate"]
-            if not isinstance(doc, dict) or "theta" not in doc or "n" not in doc:
+            if "theta" not in doc or "n" not in doc:
                 raise ConfigError("simulate data needs 'theta' and 'n'")
             n = config_int(doc["n"], "n")
     except ValueError as exc:  # the ConfigErrors above, and data Dataset rejects
@@ -265,11 +271,15 @@ def _model_and_data(config: dict, seed: int):
         log_params=config_bool(config.get("log_params", False), "log_params"),
     )
     if data is None:
-        theta = np.ravel(config_floats(spec["simulate"]["theta"], "theta"))
+        theta = np.ravel(config_floats(doc["theta"], "theta"))
         msg = domain_violation(model, theta, n)
         if msg is not None:
             raise ConfigError(f"simulate theta outside the {model.name} domain: needs {msg}")
         data = model.sample(theta, n, derive_rng(seed, CLI_TAG, 0))
+        ok, rule = model.support(data.responses)
+        if not ok:
+            raise ConfigError(f"simulate theta {theta.tolist()} draws responses outside "
+                              f"the {model.name} sample space: needs {rule}")
     return model, data
 
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,7 +73,6 @@ __all__ = [
     "DegenerateMLEError",
     "MLEConvergenceError",
     "SingularInformationError",
-    "relative_likelihood",
     "log_relative_likelihood",
     "observed_log_rel_lik",
     "where_on_domain",
@@ -121,7 +120,8 @@ class SingularInformationError(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Observed data: responses, optional covariates, optional censor flags.
+    """Observed data: responses and optional censor flags; a regression's
+    design belongs to its model (``poisson_loglinear(design)``), not here.
 
     ``responses`` is an (n,) vector, or an (n, 2) array for paired-response
     models.  ``censor`` entries are 1 for an exactly observed response and 0
@@ -129,7 +129,6 @@ class Dataset:
     """
 
     responses: np.ndarray
-    covariates: Optional[np.ndarray] = None
     censor: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -139,10 +138,6 @@ class Dataset:
         if self.responses.ndim not in (1, 2):
             raise ValueError("responses must be a vector or an (n, k) array")
         n = self.responses.shape[0]
-        if self.covariates is not None:
-            self.covariates = np.asarray(self.covariates, dtype=float)
-            if self.covariates.ndim != 2 or self.covariates.shape[0] != n:
-                raise ValueError("covariates must be an (n, p) matrix")
         if self.censor is not None:
             self.censor = np.asarray(self.censor)
             if self.censor.shape != (n,):
@@ -156,12 +151,11 @@ class Dataset:
         return self.responses.shape[0]
 
 
-def read_dataset_csv(path, response, covariates=(), censor=None) -> Dataset:
+def read_dataset_csv(path, response, censor=None) -> Dataset:
     """Load a Dataset from a headered CSV file.
 
     ``response`` is a column name, or a sequence of names for paired
-    responses; ``covariates`` an optional sequence of column names; ``censor``
-    an optional 0/1 column name.
+    responses; ``censor`` an optional 0/1 column name.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -178,9 +172,8 @@ def read_dataset_csv(path, response, covariates=(), censor=None) -> Dataset:
         resp = column(response)
     else:
         resp = np.column_stack([column(c) for c in response])
-    cov = np.column_stack([column(c) for c in covariates]) if covariates else None
     cen = column(censor).astype(int) if censor else None
-    return Dataset(responses=resp, covariates=cov, censor=cen)
+    return Dataset(responses=resp, censor=cen)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +246,6 @@ class ModelSpec:
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
     sim_whole_batch: bool = False
-    meta: dict = field(default_factory=dict)
 
 
 def where_on_domain(model: ModelSpec, fn, thetas, off: float) -> np.ndarray:
@@ -322,10 +314,6 @@ def log_relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
     """log of L(theta)/L(thetahat); -inf when theta is off the domain."""
     point = np.asarray(theta, dtype=float).ravel()[None, :]
     return float(observed_log_rel_lik(model, data)(point)[0])
-
-
-def relative_likelihood(model: ModelSpec, data: Dataset, theta) -> float:
-    return float(np.exp(log_relative_likelihood(model, data, theta)))
 
 
 def mle_and_information(model: ModelSpec, data: Dataset):
@@ -742,7 +730,7 @@ def _make_glm(design, kind):
             y = rng.poisson(np.exp(eta))
         else:
             y = (rng.random(n) < special.expit(eta)).astype(int)
-        return Dataset(responses=y, covariates=design)
+        return Dataset(responses=y)
 
     def mle(data):
         th = _glm_mle_batch(design, data.responses[None, :].astype(float), kind)[0]
@@ -1331,7 +1319,6 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         log_rel_lik_for=log_rel_for,
         sim_log_rel_lik=sim_log_rel,
         sim_whole_batch=True,
-        meta={"sigma": sigma, "lam": lam},
     )
 
 
@@ -1734,6 +1721,4 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         exact_contour_for=at_theta(base.exact_contour_for),
         sim_log_rel_lik=sim,
         censored_sim=censored_sim,
-        meta=dict(base.meta, reparam_base=base.name,
-                  reparam_log_indices=[int(i) for i in np.where(logged)[0]]),
     )

@@ -25,8 +25,7 @@ value, fitted to a contour by :func:`possfit.sa.fit_scalar_anchored`.
 """
 
 import dataclasses
-from dataclasses import field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -100,7 +99,6 @@ class ProfileSpec:
     fiber_probes: Optional[Callable] = None
     g_grad: Optional[Callable] = None
     sim_profile_log_rel: Optional[Callable] = None
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if int(self.probes) < 1:
@@ -321,7 +319,6 @@ class RiskSpec:
     loss: Callable
     erm: Callable
     B: int = 500
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if int(self.B) < 1:
@@ -356,7 +353,6 @@ def quantile_risk_spec(tau: float, B: int = 500) -> RiskSpec:
         loss=lambda values, theta: quantile_loss(values, theta, tau),
         erm=lambda values: quantile_erm(values, tau),
         B=int(B),
-        meta={"tau": tau},
     )
 
 
@@ -501,13 +497,6 @@ class CensoringEstimate:
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.support, size=size, p=self.sampling_probs)
 
-    def cdf(self, u):
-        """Sub-distribution function (residual mass excluded)."""
-        idx = np.searchsorted(self.support, np.asarray(u, dtype=float), side="right")
-        csum = np.concatenate([[0.0], np.cumsum(self.masses)])
-        out = csum[idx]
-        return float(out) if np.ndim(out) == 0 else out
-
 
 def kaplan_meier_swapped(data: Dataset) -> CensoringEstimate:
     """Product-limit estimate of the censoring distribution, treating the
@@ -567,7 +556,6 @@ def censored_model(model: ModelSpec, ghat: CensoringEstimate) -> ModelSpec:
         sim_log_rel_lik=sim,
         sim_whole_batch=False,
         censored_sim=None,  # its sampler already applies this censoring
-        meta=dict(model.meta, censoring="product-limit-plugin"),
     )
 
 

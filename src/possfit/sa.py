@@ -368,10 +368,7 @@ def fit_dirichlet(
     n * xi * mean — so the update direction is flipped.
     """
     theta_hat, _ = mle_and_information(model, data)
-    n = model.meta.get("sample_size", None)
-    if n is None:
-        n = data.n
     if contour is None:
         contour = _default_contour(model, data, config)
-    base = DirichletFamily(mean=theta_hat, n=float(n), xi=1.0)
+    base = DirichletFamily(mean=theta_hat, n=float(data.n), xi=1.0)
     return _fit_credal(base, contour, config, sign=-1)

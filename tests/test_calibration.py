@@ -116,6 +116,20 @@ def test_scenario_censored_requirements():
                  reps=5, method="censored", seed=1)
 
 
+def test_model_kwargs_nothing_reads_are_config_errors():
+    """A misspelt sigma once built sigma = 1, and a naive study took a
+    bootstrap tau; a method's keys pass only with that method."""
+    with pytest.raises(ConfigError, match="sigmaa"):
+        calibration.model_from_id("normal-means", 5, {"sigmaa": 3.0})
+    with pytest.raises(ConfigError, match="tau"):
+        Scenario(model_id="gamma", truth=(7.0, 3.0), n=20, reps=5,
+                 method="naive", seed=1, model_kwargs={"tau": 0.5})
+    assert calibration.model_from_id("normal-means", 5, {"sigma": 3.0}).name == "normal-means"
+    scn = Scenario(model_id="lognormal-censored", truth=(0.3, 0.5), n=20, reps=5,
+                   method="censored", seed=1, model_kwargs={"limits": [0.9]})
+    assert build_model(scn).name == "lognormal-censored"
+
+
 def test_scenario_truth_domain_checks():
     with pytest.raises(ConfigError, match="domain"):
         _binomial_scenario(truth=(1.5,))

@@ -428,13 +428,11 @@ class TestConfigHandling:
         "box-bounds", "half-space-a", "half-space-b", "finite-set-points",
         "lasso-sigma", "lasso-lam", "normal-means-sigma",
         "loss-value", "loss-linear-a", "loss-linear-b", "loss-indicator-outside",
-        "logistic-design", "poisson-design", "censored-limits", "inline-covariates",
-        "bootstrap-tau", "design-seed-string", "design-seed-float"])
+        "logistic-design", "poisson-design", "censored-limits", "bootstrap-tau", "design-seed-string", "design-seed-float"])
     def test_number_in_a_hypothesis_loss_or_model_block_exit2(self, tmp_path, capsys,
                                                               case):
         """A bool or numeric string in a hypothesis, a choquet loss, a
-        model's sigma, lam, design or detection limits, inline covariates or
-        a bootstrap tau, and a Poisson design_seed that is not an integer,
+        model's sigma, lam, design or detection limits or a bootstrap tau, and a Poisson design_seed that is not an integer,
         is a config error; false is not read as 0.0, "0.9" as 0.9, nor 7.9
         as 7."""
         def calibrate(hypothesis):
@@ -475,8 +473,6 @@ class TestConfigHandling:
             "censored-limits": lambda: calibrate_config(
                 tmp_path, model="lognormal-censored", method="censored",
                 truth=[0.3, 0.49], model_kwargs={"limits": [True]}),
-            "inline-covariates": lambda: contour_config(tmp_path, data={"inline": {
-                "responses": BINOM_RESPONSES, "covariates": [["0.5"]] + [[0.5]] * 14}}),
             "bootstrap-tau": lambda: contour_config(
                 tmp_path, model="gamma", method="bootstrap", bootstrap={"tau": "0.25", "B": 50},
                 data={"inline": {"responses": [1.0, 2.0, 3.0, 4.0]}},
@@ -645,6 +641,19 @@ class TestConfigHandling:
         cfg["log_params"] = False
         assert run(write_config(tmp_path, cfg)) == 0
 
+    def test_simulate_draws_off_the_sample_space_exit2(self, tmp_path, capsys):
+        """A gamma shape of 1e-300 draws zeros; the error names the simulate
+        theta, where it once blamed responses the config never gave."""
+        cfg = contour_config(
+            tmp_path, model="gamma", method="naive", m=20,
+            data={"simulate": {"theta": [1e-300, 1.0], "n": 10}},
+            grid=[{"lo": 0.5, "hi": 3.0, "count": 3}] * 2)
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error: simulate theta" in err
+        assert "outside the gamma sample space" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_logistic_without_design_exit2(self, tmp_path, capsys):
         cfg = contour_config(
             tmp_path, model="logistic", method="naive", m=50,
@@ -808,6 +817,27 @@ class TestFit:
         assert run(write_config(tmp_path, cfg)) == 3
         assert "boundary" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("source", ["inline", "csv"])
+    def test_poisson_covariates_in_the_data_exit2(self, tmp_path, capsys, source):
+        """A design given as data covariates was once ignored: the fit ran on
+        the Poisson study design and wrote a 3-coordinate estimate.  It is a
+        config error that points to model_kwargs.design."""
+        responses = [0, 1, 2, 5, 9, 14]
+        covariates = [[1.0, float(x)] for x in range(6)]
+        data_path = tmp_path / "obs.csv"
+        data_path.write_text("y,x\n" + "".join(f"{y},{x}\n" for x, y in enumerate(responses)),
+                             encoding="utf-8")
+        data = {
+            "inline": {"inline": {"responses": responses, "covariates": covariates}},
+            "csv": {"csv": str(data_path), "response": "y", "covariates": ["x"]},
+        }[source]
+        cfg = fit_config(tmp_path, model="poisson-loglinear", method="variational-vector",
+                         data=data)
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error: invalid data" in err and "model_kwargs.design" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "run.json"]
 
     def test_fit_requires_sa_block(self, tmp_path):
         """Only a variational method with an sa block can fit."""

@@ -228,7 +228,7 @@ def test_censoring_estimate_validates():
         CensoringEstimate(support=np.array([2.0, 1.0]), masses=np.array([0.3, 0.3]))
     est = CensoringEstimate(support=np.array([1.0, 2.0]), masses=np.array([0.25, 0.25]))
     assert est.residual == pytest.approx(0.5)
-    assert np.allclose(est.cdf([0.5, 1.0, 5.0]), [0.0, 0.25, 0.5])
+    assert np.allclose(np.cumsum(est.masses), [0.25, 0.5])
 
 
 # ---------------------------------------------------------------------------
