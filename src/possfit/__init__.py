@@ -52,6 +52,7 @@ from .contours import (  # noqa: F401
     make_exact_binomial,
     make_exact_contour,
     make_mc_contour,
+    naive_contour,
 )
 from .families import (  # noqa: F401
     DirichletFamily,

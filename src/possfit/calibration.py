@@ -52,7 +52,7 @@ from .contours import (
     config_int,
     grid_eval,
     make_exact_contour,
-    make_mc_contour,
+    naive_contour,
     ordered_map,
 )
 from .families import (
@@ -153,6 +153,9 @@ def poisson_study_design(n: int, seed: int = POISSON_DESIGN_SEED) -> np.ndarray:
 
 def _poisson_design_for(n, kw) -> np.ndarray:
     if "design" in kw:
+        if "design_seed" in kw:
+            raise ConfigError("design_seed seeds the study design, which an "
+                              "explicit design replaces; give one or the other")
         design = config_floats(kw["design"], "design")
         if np.ndim(design) != 2 or (n is not None and design.shape[0] != n):
             raise ConfigError("design must be an (n, p) matrix")
@@ -215,11 +218,12 @@ class Scenario:
     ``truth`` is the parameter the data are generated from and the contour is
     evaluated at; for the ``bootstrap`` method it is instead the functional
     value under scrutiny (e.g. the target quantile) and ``data_params`` names
-    the generating parameter.  ``m`` is the Monte Carlo size of naive and
-    censored contour evaluations (and of the inner evaluations in the timing
-    study); the variational methods read their own ``sa.m_inner``.  With
-    ``log_params`` the model is refit on log-parameters and the contour is
-    evaluated at ``log(truth)``.  ``model_kwargs`` holds only keys the model
+    the generating parameter; no other method reads ``data_params``, and
+    giving it to one is a :class:`ConfigError`.  ``m`` is the Monte Carlo
+    size of naive and censored contour evaluations (and of the inner
+    evaluations in the timing study); the variational methods read their
+    own ``sa.m_inner``.  With ``log_params`` the model is refit on
+    log-parameters and the contour is evaluated at ``log(truth)``.  ``model_kwargs`` holds only keys the model
     or the method reads (``_MODEL_KEYS``, ``_METHOD_KEYS``).
     """
 
@@ -268,6 +272,11 @@ class Scenario:
                 raise ConfigError(
                     f"method {self.method!r} requires an SAConfig"
                 )
+        if self.data_params is not None and self.method != "bootstrap":
+            raise ConfigError(
+                f"data_params is read only by the bootstrap method; the "
+                f"{self.method} method draws its data at truth"
+            )
         if self.method == "bootstrap":
             kw = self.model_kwargs
             _bootstrap_spec(kw.get("tau"), kw.get("B", 500))
@@ -653,9 +662,9 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
     carries it (``contour.family``); the other contours carry none.
 
     What the model declares decides the construction: ``exact`` needs an
-    ``exact_contour_for`` hook, and ``naive`` uses that hook when present,
-    since Monte Carlo would only add noise around it; otherwise ``naive``
-    is the Monte Carlo contour of size ``m``.  ``censored`` needs a
+    ``exact_contour_for`` hook, and ``naive`` is :func:`naive_contour`, the
+    exact contour where the model declares one and otherwise the Monte
+    Carlo contour of size ``m``.  ``censored`` needs a
     ``censored_sim`` hook, ``bootstrap`` a quantile level ``tau`` (with
     ``B`` resamples) and a vector of responses, and the variational methods
     an ``sa`` config.
@@ -668,14 +677,14 @@ def build_contour(method: str, model: ModelSpec, data: Dataset, seed: int, *,
         raise ConfigError(f"m must be at least 1, got {m}")
     if method != "bootstrap":
         check_support(model, data)
-    if method in ("exact", "naive") and model.exact_contour_for is not None:
-        return make_exact_contour(model, data)
     if method == "exact":
-        raise ConfigError(
-            f"the exact contour is not available for the {model.name} model"
-        )
+        if model.exact_contour_for is None:
+            raise ConfigError(
+                f"the exact contour is not available for the {model.name} model"
+            )
+        return make_exact_contour(model, data)
     if method == "naive":
-        return make_mc_contour(model, data, m, seed=seed)
+        return naive_contour(model, data, m, seed)
     if method in ("variational-scalar", "variational-vector"):
         return gaussian_contour_object(variational_fit(method, model, data, sa, seed)[0])
     if method == "bootstrap":
@@ -884,9 +893,11 @@ def timing_accuracy_study(
     Replications run sequentially so the wall times stay comparable.
 
     Each side is :func:`build_contour` of its method, so the naive side is
-    the model's exact contour when it declares one (``exact_contour_for``;
-    the binomial does) and the Monte Carlo contour of size ``m`` otherwise;
-    a variational side fits with its ``sa.m_inner`` set to ``m``.
+    :func:`naive_contour`: the model's exact contour when it declares one
+    (``exact_contour_for``; the binomial does) and the Monte Carlo contour
+    of size ``m`` otherwise.  A variational side fits against that same
+    contour, with its ``sa.m_inner`` set to ``m``, so for a model with an
+    exact contour both sides read it by value and neither simulates.
     """
     pair = (naive_scenario, approx_scenario)
     for scn in pair:

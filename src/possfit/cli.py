@@ -26,8 +26,9 @@ A grid's JSON (``contour``, ``marginal``) holds its ``kind``, ``seed`` and
 ``axes``, ``shape`` and ``values``.
 
 A data source reads only its keys in ``_DATA_KEYS``; any other is a config
-error.  A regression's design comes only from ``model_kwargs.design`` or the
-Poisson study design, never from the data.
+error, and so is a ``bootstrap`` block next to any method but
+``bootstrap``.  A regression's design comes only from
+``model_kwargs.design`` or the Poisson study design, never from the data.
 
 Randomness contract: with master seed ``s``, simulated datasets draw from
 ``derive_rng(s, CLI_TAG, 0)``; the contour/fit child seed is
@@ -285,11 +286,15 @@ def _model_and_data(config: dict, seed: int):
 
 def _contour_from_config(config: dict, model, data, seed: int):
     """The config's contour of one dataset, for single-dataset commands."""
+    method = config.get("method", "naive")
+    if "bootstrap" in config and method != "bootstrap":
+        raise ConfigError(f"the 'bootstrap' block is read only by the bootstrap "
+                          f"method, not by {method!r}")
     boot = config.get("bootstrap") or {}
     if not isinstance(boot, dict):
         raise ConfigError("the 'bootstrap' block must be an object")
     return build_contour(
-        config.get("method", "naive"),
+        method,
         model,
         data,
         int(derive_rng(seed, CLI_TAG, 1).integers(2 ** 63)),

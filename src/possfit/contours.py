@@ -18,7 +18,9 @@ The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
 The factories here are :func:`make_exact_contour` (with
-:func:`make_exact_binomial`) and :func:`make_mc_contour`.  A
+:func:`make_exact_binomial`) and :func:`make_mc_contour`;
+:func:`naive_contour` is the rule between them, the exact contour where
+the model declares one and the Monte Carlo contour otherwise.  A
 :class:`ContourGrid` renders itself as CSV and JSON text under a header the
 caller gives; the command line writes the files.
 
@@ -78,6 +80,7 @@ __all__ = [
     "make_exact_contour",
     "make_exact_binomial",
     "make_mc_contour",
+    "naive_contour",
     "grid_eval",
     "ordered_map",
     "alpha_cut",
@@ -382,6 +385,17 @@ def make_mc_contour(
         exceeds_batch=lambda thetas, alpha, rng: _mc_batch(
             model, data, thetas, m, rng, observed, alpha),
     )
+
+
+def naive_contour(model: ModelSpec, data: Dataset, m: int, seed: int) -> PossibilityContour:
+    """The model's contour of ``data``: the exact contour when the model
+    declares one (``exact_contour_for``), since Monte Carlo would only add
+    noise around it, and otherwise the Monte Carlo contour of size ``m`` on
+    ``seed``.  The ``naive`` method builds it, and the variational fits
+    target it by default."""
+    if model.exact_contour_for is not None:
+        return make_exact_contour(model, data)
+    return make_mc_contour(model, data, m, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ implemented:
 driver serves families whose spread grows with xi (Gaussian) and families
 whose spread shrinks with it (Dirichlet precision).
 
+A fit given no target contour targets the one the ``naive`` method builds
+(:func:`possfit.contours.naive_contour`): the model's exact contour where
+it declares one (the binomial does), read by value with no dataset
+simulated, and otherwise its Monte Carlo contour of size
+``config.m_inner`` on ``config.seed``.
+
 The credal-mass criterion reads only the indicator 1{pi(theta) > alpha}
 at each draw.  A contour with a decision evaluator (``exceeds_batch``, which
 the Monte Carlo contour has) decides it early: a draw stops simulating once
@@ -52,7 +58,7 @@ import numpy as np
 
 from ._render import csv_text
 from ._rng import SA_TAG, derive_rng
-from .contours import ConfigError, PossibilityContour, config_float, config_int, make_mc_contour
+from .contours import ConfigError, PossibilityContour, config_float, config_int, naive_contour
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -254,12 +260,6 @@ def f_hat(
     return float(np.mean(np.isnan(vals) | (vals > alpha)) - (1.0 - alpha))
 
 
-def _default_contour(
-    model: ModelSpec, data: Dataset, config: SAConfig
-) -> PossibilityContour:
-    return make_mc_contour(model, data, m=config.m_inner, seed=config.seed)
-
-
 def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
     failures = [0]
 
@@ -289,13 +289,15 @@ def fit_scalar(
 ) -> Tuple[GaussianScalarFamily, FitTrace]:
     """Fit the single-spread Gaussian family to a model's contour.
 
-    When ``contour`` is omitted the target is the model's Monte-Carlo contour
-    with m = config.m_inner simulations per evaluation, seeded from the
-    config so the whole fit is reproducible.
+    When ``contour`` is omitted the target is the contour the ``naive``
+    method builds (:func:`possfit.contours.naive_contour`): the model's
+    exact contour, read by value, when it declares one, and otherwise its
+    Monte Carlo contour with m = config.m_inner simulations per evaluation,
+    seeded from the config so the whole fit is reproducible.
     """
     theta_hat, info = mle_and_information(model, data)
     if contour is None:
-        contour = _default_contour(model, data, config)
+        contour = naive_contour(model, data, config.m_inner, config.seed)
     return fit_scalar_anchored(theta_hat, info, contour, config)
 
 
@@ -338,10 +340,11 @@ def fit_vector(
 
     Each iteration costs exactly 2d contour evaluations, which is what makes
     this variant usable when every evaluation is itself a Monte-Carlo run.
+    Without ``contour`` the target is the one :func:`fit_scalar` takes.
     """
     theta_hat, info = mle_and_information(model, data)
     if contour is None:
-        contour = _default_contour(model, data, config)
+        contour = naive_contour(model, data, config.m_inner, config.seed)
     return fit_vector_anchored(theta_hat, info, contour, config)
 
 
@@ -365,10 +368,11 @@ def fit_dirichlet(
 ) -> Tuple[DirichletFamily, FitTrace]:
     """Fit the Dirichlet family (mean fixed at the observed proportions) to a
     multinomial contour.  Spread *shrinks* as xi grows — the concentration is
-    n * xi * mean — so the update direction is flipped.
+    n * xi * mean — so the update direction is flipped.  Without
+    ``contour`` the target is the one :func:`fit_scalar` takes.
     """
     theta_hat, _ = mle_and_information(model, data)
     if contour is None:
-        contour = _default_contour(model, data, config)
+        contour = naive_contour(model, data, config.m_inner, config.seed)
     base = DirichletFamily(mean=theta_hat, n=float(data.n), xi=1.0)
     return _fit_credal(base, contour, config, sign=-1)

@@ -130,6 +130,25 @@ def test_model_kwargs_nothing_reads_are_config_errors():
     assert build_model(scn).name == "lognormal-censored"
 
 
+def test_poisson_design_seed_next_to_a_design_is_a_config_error():
+    """An explicit design replaces the study design, so its seed was never
+    read: any design_seed once built the same model."""
+    design = calibration.poisson_study_design(5).tolist()
+    with pytest.raises(ConfigError, match="design_seed"):
+        calibration.model_from_id("poisson-loglinear", 5,
+                                  {"design": design, "design_seed": 2})
+    assert calibration.model_from_id("poisson-loglinear", 5, {"design": design}).dim == 3
+    assert calibration.model_from_id("poisson-loglinear", 5, {"design_seed": 2}).dim == 3
+
+
+def test_data_params_without_the_bootstrap_method_is_a_config_error():
+    """Only the bootstrap method draws at data_params: a naive study given
+    data_params 0.9 once built and drew its data at the truth 0.4."""
+    with pytest.raises(ConfigError, match="data_params"):
+        Scenario(model_id="binomial", truth=(0.4,), n=15, reps=3,
+                 method="naive", seed=1, data_params=(0.9,))
+
+
 def test_scenario_truth_domain_checks():
     with pytest.raises(ConfigError, match="domain"):
         _binomial_scenario(truth=(1.5,))
@@ -316,7 +335,8 @@ def test_variational_mc_target_thread_count_invariant(method, model_id, truth, n
 def test_variational_scalar_study_decisions_are_thread_count_invariant(monkeypatch):
     """The credal-mass fits of a variational-scalar study decide each
     indicator on the decision path (chunked, curtailed simulation); the
-    study's values still depend on the seed alone."""
+    study's values still depend on the seed alone.  The bvn correlation
+    declares no exact contour, so its fits target the Monte Carlo one."""
     import possfit.contours as contours
 
     alphas = []
@@ -327,7 +347,7 @@ def test_variational_scalar_study_decisions_are_thread_count_invariant(monkeypat
         return batch(*args)
 
     monkeypatch.setattr(contours, "_mc_batch", recording)
-    scn = Scenario(model_id="binomial", truth=(0.4,), n=30, reps=6,
+    scn = Scenario(model_id="bvn-correlation", truth=(0.5,), n=40, reps=6,
                    method="variational-scalar", seed=31,
                    sa=_sa(k_outer=60, m_inner=500, max_iter=8))
     r1 = validity_study(scn, threads=1)

@@ -574,6 +574,14 @@ class TestConfigHandling:
         assert f"outside the {model} sample space" in err and message in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    def test_bootstrap_block_with_another_method_exit2(self, tmp_path, capsys):
+        """A bootstrap block is read only by the bootstrap method: next to
+        the exact method it was once ignored and both files written."""
+        cfg = contour_config(tmp_path, bootstrap={"tau": 0.5, "B": 7})
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "'bootstrap' block is read only" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("case", [{"tau": 1.5}, {"tau": 0.25, "B": 0},
                                       {"tau": 0.25, "B": 2.5}, {"tau": "x"},
                                       "calibrate-B"],

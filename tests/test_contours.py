@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from possfit.calibration import _REGISTRY, Scenario, ConfigError, model_from_id
+from possfit.calibration import (
+    _REGISTRY,
+    ConfigError,
+    Scenario,
+    build_contour,
+    model_from_id,
+)
 from possfit._rng import NODE_TAG
 from possfit.contours import (
     AxisSpec,
@@ -59,6 +65,7 @@ from possfit.models import (
     log_reparam,
     logistic_regression,
     lognormal_censored,
+    mle_and_information,
     multinomial,
     normal_means,
     normal_means_lasso,
@@ -66,6 +73,7 @@ from possfit.models import (
     poisson_loglinear,
 )
 from possfit.nuisance import censored_model, kaplan_meier_swapped
+from possfit.sa import SAConfig
 
 
 def _binom_data(s, n):
@@ -310,6 +318,55 @@ def test_mc_batch_is_zero_far_from_the_domain(model_id):
     assert values[0] > 0.5  # the MLE row was simulated
     kept = contour.evaluate_batch(mixed[on_domain], np.random.default_rng(7))
     assert np.array_equal(values[on_domain], kept)
+
+
+# ---------------------------------------------------------------------------
+# shape: a flat contour passes the validity test, so check the shape itself
+# ---------------------------------------------------------------------------
+
+
+def _at_the_sampler_draw(model_id):
+    """The registry model, its data drawn at the table's truth, the MLE and
+    the standard error of each coordinate."""
+    kwargs, truth, _, _ = _FAR_POINTS[model_id]
+    model = model_from_id(model_id, _N_FAR, kwargs)
+    data = model.sample(np.asarray(truth, dtype=float), _N_FAR, np.random.default_rng(3))
+    theta_hat, info = mle_and_information(model, data)
+    return model, data, theta_hat, np.sqrt(np.diag(np.linalg.inv(info)))
+
+
+@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
+def test_naive_contour_peaks_at_the_mle_and_vanishes_far_from_it(model_id):
+    """The naive contour reads 1 at the MLE (no simulated relative likelihood
+    exceeds the observed 1) and at most alpha = 0.1 eight standard errors
+    away along each coordinate, wherever that point is on the domain."""
+    model, data, theta_hat, se = _at_the_sampler_draw(model_id)
+    contour = build_contour("naive", model, data, 5, m=200)
+    steps = 8.0 * np.vstack([np.diag(se), -np.diag(se)])
+    far = theta_hat + steps[model.domain(theta_hat + steps)[0]]
+    values = contour.evaluate_keyed(np.vstack([theta_hat, far]),
+                                    [(i,) for i in range(1 + len(far))])
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(values[1:] <= 0.1), values[1:]
+
+
+@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
+def test_variational_contour_peaks_at_the_mle_and_falls_along_rays(model_id):
+    """The variational-scalar contour reads 1 at the MLE and does not
+    increase along rays from it: the coordinate axes, both ways, and a few
+    random directions, out to eight standard errors."""
+    model, data, theta_hat, se = _at_the_sampler_draw(model_id)
+    sa = SAConfig(seed=1, k_outer=40, m_inner=100, max_iter=6)
+    contour = build_contour("variational-scalar", model, data, 5, m=100, sa=sa)
+    d = theta_hat.size
+    rays = np.vstack([np.eye(d), -np.eye(d),
+                      np.random.default_rng(2).standard_normal((3, d))])
+    steps = np.linspace(0.0, 8.0, 33)
+    for ray in rays * se:
+        values = contour.evaluate_batch(theta_hat + steps[:, None] * ray, None)
+        assert values[0] == 1.0
+        assert np.all(np.diff(values) <= 0.0), values
+        assert values[-1] < 0.1
 
 
 def test_count_kernel_contour_tracks_exact():

@@ -12,7 +12,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from possfit.contours import PossibilityContour, make_exact_binomial
+from possfit.contours import (
+    PossibilityContour,
+    make_exact_binomial,
+    make_mc_contour,
+    naive_contour,
+)
 from possfit.families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -27,6 +32,7 @@ from possfit.models import (
     DegenerateMLEError,
     binomial,
     bvn_correlation,
+    log_reparam,
     multinomial,
     normal_means_lasso,
 )
@@ -498,14 +504,64 @@ def test_stock_lasso_vector_fit_makes_one_kernel_call_per_iteration():
 
 def test_raising_kernel_adds_its_rows_to_the_failures():
     """The rows of every kernel call that raises are failed evaluations:
-    each leaves the live set and is tallied once in FitTrace.failures."""
+    each leaves the live set and is tallied once in FitTrace.failures.  The
+    binomial declares an exact contour, which a fit would read by value, so
+    the Monte Carlo target is given explicitly."""
     model, log = _counting(binomial(), raise_if=lambda th: np.any(th[:, 0] > 0.62))
     data = _binom_data(6, 15)
     config = _config(seed=5, k_outer=100, m_inner=200, max_iter=8)
-    _, trace = fit_scalar(model, data, config)
+    contour = make_mc_contour(model, data, m=config.m_inner, seed=config.seed)
+    _, trace = fit_scalar(model, data, config, contour=contour)
     failed_rows = sum(rows for rows, _, failed in log if failed)
     assert 0 < failed_rows < len(trace.ts) * config.k_outer
     assert trace.failures == failed_rows
+
+
+# ---------------------------------------------------------------------------
+# the default target: the contour the naive method builds
+# ---------------------------------------------------------------------------
+
+
+def _same_fit(a, b):
+    (fam_a, tr_a), (fam_b, tr_b) = a, b
+    assert np.array_equal(np.atleast_1d(fam_a.xi), np.atleast_1d(fam_b.xi))
+    assert tr_a.csv_text() == tr_b.csv_text()
+
+
+@pytest.mark.parametrize("fit", [fit_scalar, fit_vector])
+@pytest.mark.parametrize("log_params", [False, True], ids=["binomial", "log-binomial"])
+def test_binomial_fit_targets_the_exact_contour_by_default(fit, log_params):
+    """A model that declares an exact contour is fitted against it: with no
+    contour given, the fit equals the one given naive_contour explicitly,
+    which is the exact contour."""
+    model = log_reparam(binomial()) if log_params else binomial()
+    data = _binom_data(6, 15)
+    config = _config(seed=7, max_iter=30)
+    target = naive_contour(model, data, config.m_inner, config.seed)
+    assert target.kind == "exact-discrete"
+    _same_fit(fit(model, data, config), fit(model, data, config, contour=target))
+
+
+def test_binomial_fit_simulates_no_datasets():
+    """The exact target is read by value: a binomial fit whose simulation
+    kernel raises still fits, with no failed evaluation."""
+    def broken(thetas, n, m, rng):
+        raise RuntimeError("the fit simulated a dataset")
+
+    model = dataclasses.replace(binomial(), sim_log_rel_lik=broken)
+    fam, trace = fit_scalar(model, _binom_data(6, 15), _config())
+    assert trace.failures == 0 and trace.reason == "converged"
+    assert 0.85 <= fam.xi <= 1.35
+
+
+def test_bvn_fit_targets_the_monte_carlo_contour_by_default():
+    """A model without an exact contour is fitted against its Monte Carlo
+    contour of size m_inner on the config's seed."""
+    model, data = bvn_correlation(), _bvn_data(n=40)
+    config = _config(seed=3, k_outer=50, m_inner=100, max_iter=6)
+    target = make_mc_contour(model, data, m=config.m_inner, seed=config.seed)
+    _same_fit(fit_scalar(model, data, config),
+              fit_scalar(model, data, config, contour=target))
 
 
 @pytest.mark.parametrize("doc", [{"k_outer": 2.5}, {"m_inner": True},
