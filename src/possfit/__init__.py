@@ -5,7 +5,7 @@ Core layers:
 * :mod:`possfit.models` — parametric models (likelihood, sampler, MLE,
   observed information) behind a uniform :class:`~possfit.models.ModelSpec`;
 * :mod:`possfit.contours` — exact and Monte Carlo possibility contours,
-  grids, alpha-cuts;
+  grids;
 * :mod:`possfit.families` — Gaussian and Dirichlet variational families;
 * :mod:`possfit.sa` — stochastic-approximation fitting of those families;
 * :mod:`possfit.inference` — upper/lower probabilities, marginal contours,
@@ -40,13 +40,11 @@ from .models import (  # noqa: F401
     soft_threshold,
 )
 from .contours import (  # noqa: F401
-    AlphaCut,
     AxisSpec,
     ConfigError,
     ContourGrid,
     PossibilityContour,
     TIE_EPS,
-    alpha_cut,
     exact_binomial_contour,
     grid_eval,
     make_exact_binomial,

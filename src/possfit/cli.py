@@ -328,10 +328,12 @@ def _cmd_fit(config, seed, threads):
     xi_repr = repr(float(xi[0])) if xi.size == 1 else [float(v) for v in xi]
     print(f"xi_hat: {xi_repr}")
     print(f"termination: {trace.reason}")
+    evaluations = sum(trace.evaluations)
     print(f"failures: {trace.failures}")
+    print(f"evaluations: {evaluations}")
 
     doc = family_to_json(family, iterations=len(trace.ts), termination=trace.reason,
-                         failures=trace.failures)
+                         failures=trace.failures, evaluations=evaluations)
     return trace.csv_text, lambda header: json_text(doc, header)
 
 

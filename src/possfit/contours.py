@@ -1,4 +1,4 @@
-"""Possibility contours: exact enumeration, Monte Carlo, grids, alpha-cuts.
+"""Possibility contours: exact enumeration, Monte Carlo, grids.
 
 The central object is :class:`PossibilityContour`, a thin wrapper around one
 batch evaluator ``evaluate_batch(thetas, rng) -> values`` and metadata; its
@@ -75,7 +75,6 @@ __all__ = [
     "PossibilityContour",
     "AxisSpec",
     "ContourGrid",
-    "AlphaCut",
     "exact_binomial_contour",
     "make_exact_contour",
     "make_exact_binomial",
@@ -83,7 +82,6 @@ __all__ = [
     "naive_contour",
     "grid_eval",
     "ordered_map",
-    "alpha_cut",
 ]
 
 # ---------------------------------------------------------------------------
@@ -564,26 +562,3 @@ def ordered_map(fn, items, threads: int = 1) -> list:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
-
-
-# ---------------------------------------------------------------------------
-# alpha-cuts
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlphaCut:
-    """Grid nodes where the contour exceeds alpha (a confidence region)."""
-
-    alpha: float
-    points: np.ndarray  # (k, d)
-    values: np.ndarray  # (k,)
-
-
-def alpha_cut(grid: ContourGrid, alpha: float) -> AlphaCut:
-    """{theta on the grid : pi(theta) > alpha}."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    flat = grid.values.ravel()
-    mask = flat > alpha
-    return AlphaCut(alpha=float(alpha), points=grid.nodes()[mask], values=flat[mask])

@@ -7,7 +7,7 @@ The driver solves f(xi) = 0 by the Robbins-Monro recursion
 where f_hat is a noisy evaluation of the criterion.  Two criteria are
 implemented:
 
-* the credal-mass criterion (scalar spread): draw K parameters from the
+* the credal-mass criterion (scalar spread): take K parameters from the
   candidate family and compare the fraction landing inside the target
   contour's alpha-cut against 1 - alpha;
 * the boundary-matching criterion (per-axis spread): push the 2d points where
@@ -32,26 +32,43 @@ it, at the indifference band and risk stated in the README's "Determinism"
 section.  Other contours are read by value.  The boundary-matching
 criterion always reads values.
 
-Random streams of iteration t, all derived from ``config.seed``: key
-``(SA_TAG, t)`` draws the family's parameters, and key ``(SA_TAG, t, 0)``
-seeds one batch evaluation of all of the iteration's points (its k draws or
-its 2d boundary points) for a seeded contour.  The decision evaluator
-consumes that stream chunk by chunk of datasets, for the draws still
-undecided, so the credal-mass fits of a Monte Carlo contour draw different
-datasets than a full-m evaluation of each point would; their traces changed
-by design when curtailment came in, again when the sequential test did,
-and again when it gained its indifference band.
+A Gaussian credal-mass fit solves the criterion on one sample (sample
+average approximation): a pool of K offsets from theta_hat, drawn once per
+fit on key ``(SA_TAG, 0)`` of ``config.seed``, one per ChiSq(d) stratum of
+the squared radius (:func:`possfit.families.stratified_offsets`), so that
+the pool's own share inside the family's level sets is exact to 1/K.
+Iteration t's draws are theta_hat + xi_{t-1} * offset_i.  Each draw keeps
+the largest xi at which it was decided inside and the smallest at which it
+was decided outside; the alpha-cut is assumed star-shaped about theta_hat
+along each draw's ray (true of a unimodal contour, approximately of the
+exact contour of a discrete model), so a draw inside at xi' is inside for
+every xi <= xi', one outside at xi' outside for every xi >= xi', and only
+the draws between their two bounds are decided afresh.  A Dirichlet draw is
+not an offset scaled by xi, so the Dirichlet fit draws K fresh parameters
+at each iteration, on key ``(SA_TAG, t)``.
+
+Key ``(SA_TAG, t, 0)`` seeds one batch evaluation of the iteration's
+points (the draws it decides afresh, or its 2d boundary points) for a
+seeded contour.  The decision evaluator consumes that stream chunk by chunk
+of datasets, for the draws still undecided, so the credal-mass fits of a
+Monte Carlo contour draw different datasets than a full-m evaluation of
+each point would; their traces changed by design when curtailment came in,
+again when the sequential test did, again when it gained its indifference
+band, and again when the Gaussian fits took their pool.
+``FitTrace.evaluations`` counts the points each iteration evaluated or
+decided afresh.
 An evaluation that fails (a NaN value) counts as inside the cut, as a
 Monte Carlo replicate whose refit fails counts as included, and is tallied
-in ``FitTrace.failures``.  This raises the credal mass, so failures widen
-the fitted spread, the conservative direction, never shrink it.  The
+in ``FitTrace.failures``; a pool draw that fails is not remembered, so the
+next iteration decides it again.  This raises the credal mass, so failures
+widen the fitted spread, the conservative direction, never shrink it.  The
 boundary-matching criterion reads a failed point as 0 and takes the larger
 value of each pair, so one failure of a pair is absorbed by its partner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +82,7 @@ from .families import (
     GaussianVectorFamily,
     boundary_points,
     sample,
+    stratified_offsets,
 )
 from .models import Dataset, ModelSpec, mle_and_information
 
@@ -95,6 +113,9 @@ class SAConfig:
 
     ``seed`` is mandatory: every random draw inside a fit is derived from it,
     so two runs with the same config produce bit-identical traces.
+    ``k_outer`` is the size of the one draw pool of a Gaussian credal-mass
+    fit, and the number of fresh draws per iteration of a Dirichlet fit;
+    the boundary-matching fits do not read it.
     """
 
     seed: int
@@ -144,6 +165,8 @@ class FitTrace:
 
     Row t stores the iterate *after* update t together with the objective
     estimate that produced the update (evaluated at the previous iterate).
+    A fit also records ``failures``, its failed contour evaluations, and
+    ``evaluations``, the points each iteration evaluated or decided afresh.
     """
 
     ts: List[int]
@@ -152,6 +175,7 @@ class FitTrace:
     xi_final: np.ndarray
     reason: str  # "converged" | "max-iterations"
     failures: int = 0
+    evaluations: List[int] = field(default_factory=list)
 
     def csv_text(self, header=()) -> str:
         """One row per iteration: t, the iterate, then the objective
@@ -238,7 +262,8 @@ def f_hat(
     eval_rng: Optional[np.random.Generator] = None,
     failure_count: Optional[list] = None,
 ) -> float:
-    """Monte-Carlo credal-mass criterion at the current family.
+    """Monte-Carlo credal-mass criterion at the current family, on fresh
+    draws (the Dirichlet fit's criterion; the Gaussian fits use one pool).
 
     Draws k parameters from the family and returns
     mean(contour > alpha) - (1 - alpha).  A contour with a decision
@@ -260,24 +285,53 @@ def f_hat(
     return float(np.mean(np.isnan(vals) | (vals > alpha)) - (1.0 - alpha))
 
 
-def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
-    failures = [0]
+def _pooled_mass(base: GaussianScalarFamily, contour: PossibilityContour,
+                 config: SAConfig, failures: list, evaluations: list):
+    """The credal-mass objective on one stratified pool of k_outer offsets,
+    deciding afresh only the draws that lie strictly between ``inside_to``
+    (decided inside at that xi, so inside below it) and ``outside_from``
+    (decided outside at that xi, so outside above it); see the module
+    docstring.  A failed draw counts as inside and is not remembered."""
+    alpha = config.alpha
+    offsets = stratified_offsets(base, config.k_outer, derive_rng(config.seed, SA_TAG, 0))
+    inside_to = np.zeros(config.k_outer)
+    outside_from = np.full(config.k_outer, np.inf)
 
     def objective(xi: np.ndarray, t: int) -> float:
-        fam = base.with_xi(float(xi[0]))
-        draw_rng = derive_rng(config.seed, SA_TAG, t)
-        return f_hat(
-            fam,
-            contour,
-            config.alpha,
-            config.k_outer,
-            draw_rng,
-            eval_rng=derive_rng(config.seed, SA_TAG, t, 0),
-            failure_count=failures,
-        )
+        xi = float(xi[0])
+        live = np.flatnonzero((inside_to < xi) & (xi < outside_from))
+        failed = np.zeros(config.k_outer, dtype=bool)
+        if live.size:
+            vals = _evaluate(contour, base.theta_hat + xi * offsets[live],
+                             derive_rng(config.seed, SA_TAG, t, 0), failures, alpha)
+            failed[live] = np.isnan(vals)
+            inside_to[live[vals > alpha]] = xi
+            outside_from[live[vals <= alpha]] = xi
+        evaluations.append(int(live.size))
+        return float(np.mean(failed | (xi <= inside_to)) - (1.0 - alpha))
+
+    return objective
+
+
+def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
+    failures, evaluations = [0], []
+    if isinstance(base, GaussianScalarFamily):
+        objective = _pooled_mass(base, contour, config, failures, evaluations)
+    else:
+        def objective(xi: np.ndarray, t: int) -> float:
+            evaluations.append(config.k_outer)
+            return f_hat(
+                base.with_xi(float(xi[0])),
+                contour,
+                config.alpha,
+                config.k_outer,
+                derive_rng(config.seed, SA_TAG, t),
+                eval_rng=derive_rng(config.seed, SA_TAG, t, 0),
+                failure_count=failures,
+            )
 
     trace = robbins_monro(objective, [1.0], config, sign=sign)
-    trace.failures = failures[0]
+    trace.failures, trace.evaluations = failures[0], evaluations
     return base.with_xi(float(trace.xi_final[0])), trace
 
 
@@ -325,7 +379,7 @@ def _fit_boundary(base, contour: PossibilityContour, config: SAConfig):
         return np.max(pair, axis=1) - config.alpha
 
     trace = robbins_monro(objective, np.ones(d), config, sign=+1)
-    trace.failures = failures[0]
+    trace.failures, trace.evaluations = failures[0], [2 * d] * len(trace.ts)
     return base.with_xi(trace.xi_final), trace
 
 

@@ -762,9 +762,10 @@ class TestFit:
 
     def test_fit_reports_what_it_did_and_reruns_byte_identically(self, tmp_path,
                                                                  capsys):
-        """A fit prints its termination and failures and records them, with
-        its iteration count, in the family JSON; a rerun prints the same
-        lines and writes the same bytes apart from the ``generated`` line."""
+        """A fit prints its termination, failures and evaluations and
+        records them, with its iteration count, in the family JSON; a rerun
+        prints the same lines and writes the same bytes apart from the
+        ``generated`` line."""
         path = write_config(tmp_path, fit_config(tmp_path))
         names = ("family.json", "trace.csv")
         assert run(path) == 0
@@ -774,7 +775,8 @@ class TestFit:
         assert doc["iterations"] == len(csv_sections(tmp_path / "trace.csv")[2])
         assert doc["termination"] in ("converged", "max-iterations")
         assert doc["failures"] == 0
-        assert out[1:] == [f"termination: {doc['termination']}", "failures: 0"]
+        assert out[1:] == [f"termination: {doc['termination']}", "failures: 0",
+                           f"evaluations: {doc['evaluations']}"]
 
         assert run(path) == 0
         assert capsys.readouterr().out.splitlines() == out
@@ -784,6 +786,23 @@ class TestFit:
             diff = [(x, y) for x, y in zip(first[name], again) if x != y]
             assert len(diff) <= 1
             assert all("generated" in x and "generated" in y for x, y in diff)
+
+    @pytest.mark.parametrize("method", ["variational-scalar", "variational-vector"])
+    def test_fit_json_records_its_evaluations(self, tmp_path, method):
+        """The family JSON records, next to ``failures``, the contour
+        evaluations and decisions the fit made: 2d per iteration for
+        boundary matching, and for the pooled scalar fit the whole pool at
+        the first iteration and at most the pool at each later one."""
+        cfg = fit_config(tmp_path, method=method)
+        assert run(write_config(tmp_path, cfg)) == 0
+        doc = json.loads((tmp_path / "family.json").read_text())
+        keys = list(doc)
+        assert keys.index("evaluations") == keys.index("failures") + 1
+        k, iterations = cfg["sa"]["k_outer"], doc["iterations"]
+        if method == "variational-vector":
+            assert doc["evaluations"] == 2 * iterations
+        else:
+            assert k <= doc["evaluations"] <= k * iterations
 
     def test_gamma_vector_family_schema(self, tmp_path):
         cfg = fit_config(

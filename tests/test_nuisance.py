@@ -18,7 +18,6 @@ from scipy import optimize, special, stats
 
 from possfit.contours import (
     AxisSpec,
-    alpha_cut,
     grid_eval,
     log_relative_likelihood,
     make_mc_contour,
@@ -29,6 +28,7 @@ from possfit.families import (
     gaussian_contour,
     gaussian_cov_matrix,
     sample,
+    stratified_offsets,
 )
 from possfit.models import (
     Dataset,
@@ -826,8 +826,8 @@ def test_quantile_companion_fit_matches_the_bootstrap_cut():
     assert trace.reason in ("converged", "max-iterations")
     assert trace.failures == 0
     center, sd = _center_sd(fam)
-    cut = alpha_cut(grid_eval(contour, [AxisSpec(center - 6.0 * sd, center + 6.0 * sd,
-                                                 2001)]), cfg.alpha).points[:, 0]
+    grid = grid_eval(contour, [AxisSpec(center - 6.0 * sd, center + 6.0 * sd, 2001)])
+    cut = grid.nodes()[grid.values.ravel() > cfg.alpha][:, 0]
     cut_half_width = 0.5 * (cut.max() - cut.min())
     fitted_half_width = np.sqrt(chi2_ppf(1.0 - cfg.alpha, 1)) * _center_sd(fitted)[1]
     assert fitted_half_width == pytest.approx(cut_half_width, rel=0.10)
@@ -857,9 +857,11 @@ def test_companion_fits_rerun_bit_identically():
 
 def test_companion_fit_tallies_each_raising_row_once():
     """A draw whose observed risk raises is NaN in the batch and one
-    failure in the trace: the tally equals the draws past the cut point.
-    The loss raises on the observed data (not the resamples) for any theta
-    past the cut, scalar or a column of a batch."""
+    failure in the trace: the tally equals the pool draws past the cut
+    point that each iteration decided afresh.  The loss raises on the
+    observed data (not the resamples) for any theta past the cut, scalar or
+    a column of a batch.  The oracle replays the pool and its ray rule, with
+    the decisions of the same contour whose loss never raises."""
     data = _gamma_data(seed=77)
     base = quantile_risk_spec(0.25, B=50)
     fam = quantile_companion_family(data, 0.25)
@@ -873,14 +875,21 @@ def test_companion_fit_tallies_each_raising_row_once():
 
     contour = make_empirical_risk_contour(
         data, dataclasses.replace(base, loss=loss), seed=3)
+    plain = make_empirical_risk_contour(data, base, seed=3)
     cfg = _config(seed=19, k_outer=40, max_iter=6, epsilon=1e-9)
     _, trace = _fit(fam, contour, cfg)
-    xis = [1.0] + [float(x[0]) for x in trace.xis[:-1]]
-    past = sum(
-        int(np.sum(sample(fam.with_xi(xi), cfg.k_outer,
-                          derive_rng(cfg.seed, SA_TAG, t)) > cut))
-        for t, xi in zip(trace.ts, xis)
-    )
+    offsets = stratified_offsets(fam.with_xi(1.0), cfg.k_outer,
+                                 derive_rng(cfg.seed, SA_TAG, 0))
+    inside_to, outside_from = np.zeros(cfg.k_outer), np.full(cfg.k_outer, np.inf)
+    past = 0
+    for xi in [1.0] + [float(x[0]) for x in trace.xis[:-1]]:
+        draws = fam.theta_hat + xi * offsets
+        live = (inside_to < xi) & (xi < outside_from)
+        failing = live & (draws[:, 0] > cut)
+        past += int(np.sum(failing))
+        above = plain.evaluate_batch(draws, None) > cfg.alpha
+        inside_to[live & ~failing & above] = xi
+        outside_from[live & ~failing & ~above] = xi
     assert past > 0
     assert trace.failures == past
 
