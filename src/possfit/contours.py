@@ -9,11 +9,12 @@ Stochastic contours carry a seed; a set of keyed points is one batch
 (:meth:`PossibilityContour.evaluate_keyed`), each row on a Generator derived
 from that seed and its key, the grid-node index (:func:`grid_eval`) or the
 bit pattern of the point itself (:meth:`PossibilityContour.__call__`),
-so values never depend on batching, evaluation order or thread scheduling.
-The stochastic-approximation fits evaluate all points of an iteration as
-one batch on one shared stream per iteration, keyed ``(t, 0)`` (see
-:mod:`possfit.sa`).  The profile contour simulates the fiber probes of a
-batch as one batch, each probe on its point's Generator.
+so values never depend on batching, evaluation order or thread scheduling:
+a kernel call packs the rows of several streams and gives each the values
+of its own call (:mod:`possfit.models`).  The stochastic-approximation
+fits evaluate an iteration's points as one batch on one stream, keyed
+``(t, 0)`` (:mod:`possfit.sa`); the profile contour simulates the fiber
+probes of a batch as one batch, each on its point's Generator.
 The bootstrap and Dirichlet contours, whose reference law does not depend
 on theta, draw one reference sample from their seed and are deterministic
 lookups in it (:func:`_lookup_batch`), with seed None and the seed in meta.
@@ -61,6 +62,7 @@ from .models import (
     TIE_EPS,
     Dataset,
     ModelSpec,
+    _runs,
     binomial,
     exact_binomial_contour,
     log_relative_likelihood,
@@ -213,8 +215,7 @@ def _observed_rows(observed, thetas: np.ndarray) -> np.ndarray:
         return np.concatenate([_observed_rows(observed, th[None, :]) for th in thetas])
 
 
-def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
-              rng: np.random.Generator) -> np.ndarray:
+def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int, rng) -> np.ndarray:
     """(k, m) simulated log relative likelihoods, one row per point."""
     if model.sim_log_rel_lik is not None:
         return np.asarray(model.sim_log_rel_lik(thetas, data.n, m, rng), dtype=float)
@@ -227,6 +228,30 @@ def _simulate(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int,
             except Exception:
                 sim[i, j] = np.nan
     return sim
+
+
+def _simulate_isolated(model: ModelSpec, data: Dataset, thetas: np.ndarray, m: int, rng):
+    """(sim, ok): one kernel call on ``rng``, a Generator or the rows' list,
+    each run's Generator state saved first when there are several.  If it
+    raises, the states are put back and each run is called alone, as a
+    model without a kernel always is; the rows of a run that raises alone
+    are NaN and False in ``ok``."""
+    runs, ok = _runs(rng, thetas.shape[0]), np.ones(thetas.shape[0], dtype=bool)
+    if len(runs) > 1 and model.sim_log_rel_lik is not None:
+        states = [g.bit_generator.state for _, g in runs]
+        try:
+            return _simulate(model, data, thetas, m, rng), ok
+        except Exception:
+            for (_, g), state in zip(runs, states):
+                g.bit_generator.state = state
+    sims = []
+    for run, g in runs:
+        try:
+            sims.append(_simulate(model, data, thetas[run], m, g))
+        except Exception:
+            sims.append(np.full((run.stop - run.start, m), np.nan))
+            ok[run] = False
+    return (sims[0] if len(sims) == 1 else np.concatenate(sims)), ok
 
 
 # the risk of a wrong early decision: a row whose datasets are each included
@@ -272,13 +297,18 @@ def _decision_bounds(m: int, alpha: float, risk: float) -> tuple:
     return tuple(lo.tolist()) + (need,), tuple(hi.tolist()) + (need + 1,)
 
 
-def _calls(live: np.ndarray, rngs: list, step: int):
-    """(start, stop) of each kernel call over the live rows: runs of
-    consecutive rows on one Generator, cut into calls of ``step`` rows."""
-    cuts = [i for i in range(1, live.size) if rngs[live[i]] is not rngs[live[i - 1]]]
-    for lo, hi in zip([0] + cuts, cuts + [live.size]):
-        for start in range(lo, hi, step):
-            yield start, min(start + step, hi)
+def _calls(rng, k: int, step: int):
+    """(start, stop) of each kernel call over k rows on ``rng``: each run
+    of rows on one Generator cut into pieces of ``step`` rows from its first
+    row, as alone, and the pieces packed into calls of <= ``step`` rows."""
+    begin = 0
+    for run, _ in _runs(rng, k):
+        for start in range(run.start, run.stop, step):
+            if min(start + step, run.stop) - begin > step:
+                yield begin, start
+                begin = start
+    if k:
+        yield begin, k
 
 
 def _mc_batch(
@@ -296,11 +326,13 @@ def _mc_batch(
     Rows off the domain are 0 and rows whose observed value fails are 1,
     both without simulating, so a kernel only sees rows on the domain.  The
     other rows are simulated chunk by chunk of datasets, the live rows of a
-    chunk in order, consecutive rows on one generator together: at most
-    ``_DATASETS_PER_CALL`` datasets per kernel call, or all such rows in one
-    call for a model that declares ``sim_whole_batch``.  Every row of a call
-    that raises comes back NaN and leaves the live set, so for such a model
-    one failure fails every live row of its chunk on that generator.
+    chunk in order, the rows of one or several generators per kernel call
+    (:func:`_calls`): at most ``_DATASETS_PER_CALL`` datasets, or all live
+    rows for a model that declares ``sim_whole_batch``.  A call of several
+    generators that raises is undone and made again generator by generator
+    (:func:`_simulate_isolated`).  Every row of a generator whose call
+    raises comes back NaN and leaves the live set, so one failure fails
+    every live row of its call on that generator.
     Without ``alpha`` the one chunk is all m datasets, and a row's value is
     its count of included datasets over m.  With ``alpha`` the rows are
     decided instead (1.0 for a value > alpha, 0.0 otherwise) on the chunks
@@ -310,7 +342,10 @@ def _mc_batch(
     outside its indifference band).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    rngs = rng if isinstance(rng, list) else [rng] * thetas.shape[0]
+
+    def rngs(rows):  # the one Generator, or the rows' list
+        return [rng[i] for i in rows] if isinstance(rng, list) else rng
+
     obs = _observed_rows(observed, thetas)
     out = np.where(np.isnan(obs), 1.0, 0.0)
     live = np.flatnonzero(np.isfinite(obs))
@@ -327,16 +362,13 @@ def _mc_batch(
         step = max(1, live.size if model.sim_whole_batch
                    else _DATASETS_PER_CALL // chunk)
         ok = np.ones(live.size, dtype=bool)
-        for start, stop in _calls(live, rngs, step):
+        for start, stop in _calls(rngs(live), live.size, step):
             rows = live[start:stop]
-            try:
-                sim = _simulate(model, data, thetas[rows], chunk, rngs[rows[0]])
-            except Exception:
-                out[rows] = np.nan
-                ok[start:stop] = False
-                continue
+            sim, ok[start:stop] = _simulate_isolated(
+                model, data, thetas[rows], chunk, rngs(rows))
             include = np.isnan(sim) | (sim <= obs[rows, None] + TIE_EPS)
             counts[rows] += np.count_nonzero(include, axis=1)
+        out[live[~ok]] = np.nan
         live = live[ok]
         if bounds is None:
             out[live] = counts[live] / m

@@ -18,12 +18,17 @@ Monte Carlo contour engine:
     row, the distribution of ``log R(X, theta)`` for ``X`` drawn by
     ``sample``; it may draw the sufficient statistics directly (or, for a
     discrete statistic, the counts of its support points), so it need not
-    consume the random stream the way ``sample`` does.  A kernel draws its
-    batch as one broadcast draw where it can: kernels whose statistics are
-    small draw them for the whole batch, the GLMs draw all k * m response
-    vectors and refit them in one batched Newton iteration, and the lasso
-    kernel draws one term per distinct (coordinate, value) pair of the
-    batch, shared by the rows that hold it.  The engine bounds the datasets
+    consume the random stream the way ``sample`` does.  ``rng`` is one
+    Generator or a list of one per row, where rows sharing one are
+    consecutive, a run (:func:`_runs`); the result equals, bit for bit, one
+    call per run on its Generator, concatenated.  The binomial, bvn,
+    multinomial, normal-means, log-normal and censored kernels draw run by
+    run and compute the call at once.  Kernels whose arithmetic couples
+    the rows of a call make one call per run (:func:`_run_by_run`): the
+    GLMs' batched Newton refit stops on the batch's largest score, the
+    gamma kernels' shape root on its largest step, and the lasso kernel
+    draws one term per distinct (coordinate, value) pair of the batch,
+    shared by the rows that hold it.  The engine bounds the datasets
     of one call, and so a kernel's memory, unless the model declares
     ``sim_whole_batch``: its kernel shares draws across rows and bounds its
     own memory, so the engine passes it every live row at once (the
@@ -235,17 +240,40 @@ class ModelSpec:
     log_rel_lik_for: Optional[
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
-    sim_log_rel_lik: Optional[
-        Callable[[np.ndarray, int, int, np.random.Generator], np.ndarray]
+    sim_log_rel_lik: Optional[  # rng: a Generator, or a list of one per row
+        Callable[[np.ndarray, int, int, object], np.ndarray]
     ] = None
     censored_sim: Optional[
-        Callable[[object], Callable[[np.ndarray, int, int, np.random.Generator],
-                                    np.ndarray]]
+        Callable[[object], Callable[[np.ndarray, int, int, object], np.ndarray]]
     ] = None
     exact_contour_for: Optional[
         Callable[[Dataset], Callable[[np.ndarray], np.ndarray]]
     ] = None
     sim_whole_batch: bool = False
+
+
+def _runs(rng, k: int) -> list:
+    """(rows, Generator) of each run of a kernel call on k rows: the one
+    Generator, or each stretch of rows that share one in a list of k."""
+    if not isinstance(rng, list):
+        return [(slice(0, k), rng)]
+    starts = [i for i in range(k) if i == 0 or rng[i] is not rng[i - 1]]
+    return [(slice(a, b), rng[a]) for a, b in zip(starts, starts[1:] + [k])]
+
+
+def _draws(rng, rows, m: int, draw):
+    """The draws ``draw(g, rows[run], (run length, m))``, a tuple of arrays,
+    of each run of a call on ``rng``, stacked over the runs in row order."""
+    parts = [draw(g, rows[run], (run.stop - run.start, int(m)))
+             for run, g in _runs(rng, len(rows))]
+    return parts[0] if len(parts) == 1 else [np.concatenate(d) for d in zip(*parts)]
+
+
+def _run_by_run(kernel):
+    """A kernel whose arithmetic couples the rows of a call, called once
+    per run, so that each run's values are those of its own call."""
+    return lambda thetas, n, m, rng: _draws(
+        rng, np.asarray(thetas, dtype=float), m, lambda g, th, _: (kernel(th, n, m, g),))[0]
 
 
 def where_on_domain(model: ModelSpec, fn, thetas, off: float) -> np.ndarray:
@@ -473,7 +501,8 @@ def binomial() -> ModelSpec:
         s = np.arange(n + 1, dtype=float)
         table = _binom_log_rel(s, n, t)
         pmf = np.exp(_binom_log_pmf(s, n, table))
-        counts = rng.multinomial(int(m), pmf / pmf.sum(axis=1, keepdims=True))
+        counts, = _draws(rng, pmf / pmf.sum(axis=1, keepdims=True), m,
+                         lambda g, p, size: (g.multinomial(int(m), p),))
         return np.repeat(table.ravel(), counts.ravel()).reshape(t.shape[0], int(m))
 
     def exact_for(data):
@@ -594,9 +623,10 @@ def bvn_correlation() -> ModelSpec:
         # sum x x^T ~ Wishart_2(n, Sigma(r)), drawn by the Bartlett
         # decomposition: sum x x^T = (L B)(L B)^T with L = chol Sigma(r) and
         # B lower triangular, B11^2 ~ chi2_n, B22^2 ~ chi2_{n-1}, B21 ~ N(0, 1)
-        b11_sq = rng.chisquare(n, size=shape)
-        b22_sq = 2.0 * rng.standard_gamma(0.5 * (n - 1), size=shape)  # 0 at n = 1
-        b21 = rng.standard_normal(shape)
+        b11_sq, b22_sq, b21 = _draws(rng, r, m, lambda g, _, size: (
+            g.chisquare(n, size=size),
+            2.0 * g.standard_gamma(0.5 * (n - 1), size=size),  # 0 at n = 1
+            g.standard_normal(size)))
         s = np.sqrt(1.0 - r * r)
         b11 = np.sqrt(b11_sq)
         lb21 = r * b11 + s * b21
@@ -777,7 +807,7 @@ def _make_glm(design, kind):
         information=information,
         support=_counts if kind == "poisson" else _binary,
         boundary_mle=boundary,
-        sim_log_rel_lik=sim_log_rel,
+        sim_log_rel_lik=_run_by_run(sim_log_rel),
     )
 
 
@@ -835,8 +865,8 @@ def multinomial(k: int) -> ModelSpec:
 
     def sim_log_rel(thetas, n, m, rng):
         thetas = np.asarray(thetas, dtype=float)[:, None, :]
-        x = rng.multinomial(n, thetas, size=(thetas.shape[0], int(m))).astype(float)
-        return _log_rel_counts(x, n, thetas)
+        x, = _draws(rng, thetas, m, lambda g, th, size: (g.multinomial(n, th, size=size),))
+        return _log_rel_counts(x.astype(float), n, thetas)
 
     return ModelSpec(
         name="multinomial",
@@ -1012,7 +1042,7 @@ def gamma_shape_scale() -> ModelSpec:
         domain=_positive_pair,
         support=_positive,
         boundary_mle=boundary,
-        sim_log_rel_lik=_gamma_sim_log_rel,
+        sim_log_rel_lik=_run_by_run(_gamma_sim_log_rel),
     )
 
 
@@ -1070,7 +1100,7 @@ def gamma_mean_shape() -> ModelSpec:
         domain=_positive_pair,
         support=_positive,
         boundary_mle=boundary,
-        sim_log_rel_lik=_gamma_sim_log_rel,
+        sim_log_rel_lik=_run_by_run(_gamma_sim_log_rel),
     )
 
 
@@ -1120,7 +1150,8 @@ def normal_means(sigma: float) -> ModelSpec:
 
     def sim_log_rel(thetas, n, m, rng):
         # log R = -|x - theta|^2 / (2 sigma^2) = -chi2_n / 2 at every theta
-        return -0.5 * rng.chisquare(n, size=(np.shape(thetas)[0], int(m)))
+        chi2, = _draws(rng, np.asarray(thetas), m, lambda g, _, size: (g.chisquare(n, size=size),))
+        return -0.5 * chi2
 
     return ModelSpec(
         name="normal-means",
@@ -1317,7 +1348,7 @@ def normal_means_lasso(sigma: float, lam: float) -> ModelSpec:
         mle=mle,
         information=information,
         log_rel_lik_for=log_rel_for,
-        sim_log_rel_lik=sim_log_rel,
+        sim_log_rel_lik=_run_by_run(sim_log_rel),
         sim_whole_batch=True,
     )
 
@@ -1370,11 +1401,12 @@ def lognormal() -> ModelSpec:
     def sim_log_rel(thetas, n, m, rng):
         thetas = np.asarray(thetas, dtype=float)
         mu0, v0 = thetas[:, :1], thetas[:, 1:2]
-        shape = (thetas.shape[0], int(m))
         # the sufficient statistics of log Y are independent:
         # muhat ~ N(mu0, v0 / n) and n vhat ~ v0 chi2_{n-1}
-        muh = rng.normal(mu0, np.sqrt(v0 / n), size=shape)
-        vh = v0 * 2.0 * rng.standard_gamma(0.5 * (n - 1), size=shape) / n
+        muh, g2 = _draws(rng, thetas, m, lambda g, th, size: (
+            g.normal(th[:, :1], np.sqrt(th[:, 1:2] / n), size=size),
+            g.standard_gamma(0.5 * (n - 1), size=size)))
+        vh = v0 * 2.0 * g2 / n
         ll0 = -0.5 * n * np.log(v0) - (n * vh + n * (muh - mu0) ** 2) / (2 * v0)
         llh = -0.5 * n * np.log(vh) - 0.5 * n
         return ll0 - llh
@@ -1549,10 +1581,11 @@ def _lognormal_censored_sim(ghat):
         probs = ghat.sampling_probs
         bounds = np.log(ghat.support)
         parts = []  # only one row's (m, n) draws are held at a time
-        for mu, v in thetas[:, :2]:
-            w = rng.normal(mu, np.sqrt(v), size=(m, n))
-            idx = rng.choice(bounds.size, size=(m, n), p=probs)
-            parts.append(_CensStats.build(w, w >= bounds[idx], idx, bounds))
+        for run, g in _runs(rng, thetas.shape[0]):
+            for mu, v in thetas[run, :2]:
+                w = g.normal(mu, np.sqrt(v), size=(m, n))
+                idx = g.choice(bounds.size, size=(m, n), p=probs)
+                parts.append(_CensStats.build(w, w >= bounds[idx], idx, bounds))
         st = _CensStats.stack(parts)
         ll = _cens_normal_loglik(st, np.repeat(thetas[:, 0], m),
                                  np.repeat(thetas[:, 1], m))
@@ -1699,15 +1732,10 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         return for_data
 
     def sim_at_theta(kernel):
+        """A base kernel at exp(eta), its ``rng`` passed through unchanged."""
+        if kernel is None:
+            return None
         return lambda etas, n, m, rng: kernel(_to_theta(etas), n, m, rng)
-
-    sim = None
-    if base.sim_log_rel_lik is not None:
-        sim = sim_at_theta(base.sim_log_rel_lik)
-    censored_sim = None
-    if base.censored_sim is not None:
-        def censored_sim(ghat):  # noqa: F811
-            return sim_at_theta(base.censored_sim(ghat))
 
     return dataclasses.replace(
         base,
@@ -1719,6 +1747,7 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         domain=domain,
         log_rel_lik_for=at_theta(base.log_rel_lik_for),
         exact_contour_for=at_theta(base.exact_contour_for),
-        sim_log_rel_lik=sim,
-        censored_sim=censored_sim,
+        sim_log_rel_lik=sim_at_theta(base.sim_log_rel_lik),
+        censored_sim=None if base.censored_sim is None else (
+            lambda ghat: sim_at_theta(base.censored_sim(ghat))),
     )

@@ -38,6 +38,7 @@ from .models import (
     ModelSpec,
     _gamma_ms_loglik_stats,
     _gamma_shape_root,
+    _run_by_run,
     _scaled_log_gammas,
     _standard_gammas,
 )
@@ -187,9 +188,11 @@ def make_profile_contour(
     """Monte Carlo profile contour over the scalar interest value: at phi,
     the max over the fiber probes of the inner probability
     P_theta{R^pr(X, phi) <= R^pr(x, phi)}.  Its batch simulates the probes
-    of all phis together, so a phi whose fiber fails is NaN and a raising
-    kernel makes NaN every phi in its call.  Simulated replicates whose
-    refit fails count as included, as in the Monte Carlo contour.
+    of all phis together, so a phi whose fiber fails is NaN.  A raising
+    kernel makes NaN every phi in its call when the phis share one
+    generator, and only the phis whose own call raises in a keyed batch.
+    Simulated replicates whose refit fails count as included, as in the
+    Monte Carlo contour.
     """
     def batch(thetas, rng):
         phis = np.atleast_2d(np.asarray(thetas, dtype=float))[:, 0].tolist()
@@ -280,7 +283,7 @@ def gamma_mean_profile(probes: int = 5) -> ProfileSpec:
         probes=int(probes),
         fiber_probes=fiber_probes,
         g_grad=lambda th: np.array([0.0, 1.0]),
-        sim_profile_log_rel=sim_profile_log_rel,
+        sim_profile_log_rel=_run_by_run(sim_profile_log_rel),
     )
 
 

@@ -253,6 +253,11 @@ def _evaluate(
     return vals
 
 
+def _stream(contour: PossibilityContour, config: SAConfig, t: int):
+    """Iteration t's contour stream, key (t, 0); None for an unseeded contour."""
+    return None if contour.seed is None else derive_rng(config.seed, SA_TAG, t, 0)
+
+
 def f_hat(
     family,
     contour: PossibilityContour,
@@ -303,7 +308,7 @@ def _pooled_mass(base: GaussianScalarFamily, contour: PossibilityContour,
         failed = np.zeros(config.k_outer, dtype=bool)
         if live.size:
             vals = _evaluate(contour, base.theta_hat + xi * offsets[live],
-                             derive_rng(config.seed, SA_TAG, t, 0), failures, alpha)
+                             _stream(contour, config, t), failures, alpha)
             failed[live] = np.isnan(vals)
             inside_to[live[vals > alpha]] = xi
             outside_from[live[vals <= alpha]] = xi
@@ -326,7 +331,7 @@ def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
                 config.alpha,
                 config.k_outer,
                 derive_rng(config.seed, SA_TAG, t),
-                eval_rng=derive_rng(config.seed, SA_TAG, t, 0),
+                eval_rng=_stream(contour, config, t),
                 failure_count=failures,
             )
 
@@ -373,7 +378,7 @@ def _fit_boundary(base, contour: PossibilityContour, config: SAConfig):
     def objective(xi: np.ndarray, t: int) -> np.ndarray:
         fam = base.with_xi(xi)
         pts = boundary_points(fam, config.alpha).reshape(2 * d, d)
-        vals = _evaluate(contour, pts, derive_rng(config.seed, SA_TAG, t, 0), failures)
+        vals = _evaluate(contour, pts, _stream(contour, config, t), failures)
         vals = np.where(np.isnan(vals), 0.0, vals)
         pair = vals.reshape(d, 2)
         return np.max(pair, axis=1) - config.alpha

@@ -59,6 +59,7 @@ from possfit.models import (
     Dataset,
     ModelSpec,
     binomial,
+    bvn_correlation,
     gamma_mean_shape,
     gamma_shape_scale,
     log_reparam,
@@ -808,10 +809,10 @@ def test_grid_eval_equals_seeded_pointwise_calls():
 
 
 def test_keyed_batch_isolates_the_rows_of_a_raising_kernel():
-    """With one stream per row each node is its own kernel call: a kernel
-    that raises only above 0.7 makes NaN exactly those nodes of a keyed
-    batch, the other nodes equal their own evaluations, and the grid names
-    the first failed node."""
+    """With one stream per row a kernel call that raises is made again
+    stream by stream: a kernel that raises only above 0.7 makes NaN exactly
+    those nodes of a keyed batch, the other nodes equal their own
+    evaluations, and the grid names the first failed node."""
     base = binomial()
 
     def fragile(thetas, n, m, rng):
@@ -829,6 +830,133 @@ def test_keyed_batch_isolates_the_rows_of_a_raising_kernel():
                                  for i in range(7)]
     with pytest.raises(NonFiniteContourError, match="at node 7 "):
         grid_eval(contour, axes, parallelism=3)
+
+
+def _counting(kernel, calls):
+    """The kernel, counting its calls into ``calls[0]``."""
+    def counted(thetas, n, m, rng):
+        calls[0] += 1
+        return kernel(thetas, n, m, rng)
+
+    return counted
+
+
+def _keyed_identity_cases():
+    """(name, contour factory of a kernel wrapper, axes of at least 12
+    on-domain nodes): every registry model, the censored plug-in, the gamma
+    profile contour (5 probe rows per node) and a log_reparam model, at
+    m = 400, so a call holds at most 10 rows and a keyed batch of 12 rows
+    spans at least 2 calls; and the bvn grid of the benchmark."""
+    m = 400
+    cases = []
+    for model_id in sorted(_REGISTRY):
+        kwargs, truth, _, _ = _FAR_POINTS[model_id]
+        model = model_from_id(model_id, _N_FAR, kwargs)
+        data = model.sample(np.asarray(truth, dtype=float), _N_FAR, np.random.default_rng(3))
+        lo, hi = (0.8 * truth[0], 1.2 * truth[0]) if truth[0] else (-0.3, 0.3)
+        axes = [AxisSpec(lo, hi, 12)] + [AxisSpec(t, t, 1) for t in truth[1:]]
+        cases.append((model_id, lambda wrap, model=model, data=data: make_mc_contour(
+            dataclasses.replace(model, sim_log_rel_lik=wrap(model.sim_log_rel_lik)),
+            data, m=m, seed=4), axes))
+    censored, data, _ = _censored_case()
+    cases.append(("censored-plugin", lambda wrap: make_mc_contour(
+        dataclasses.replace(censored, sim_log_rel_lik=wrap(censored.sim_log_rel_lik)),
+        data, m=m, seed=4), [AxisSpec(0.0, 0.6, 4), AxisSpec(0.3, 0.8, 3)]))
+    gamma = gamma_mean_shape()
+    gdata = gamma.sample(np.array([3.0, 2.0]), 20, np.random.default_rng(3))
+    spec = gamma_mean_profile()
+    cases.append(("gamma-profile", lambda wrap: make_profile_contour(
+        gamma, gdata, dataclasses.replace(
+            spec, sim_profile_log_rel=wrap(spec.sim_profile_log_rel)), m=m, seed=4),
+        [AxisSpec(1.4, 2.8, 12)]))
+    logged = log_reparam(gamma_shape_scale())
+    ldata = logged.sample(np.log([3.0, 2.0]), _N_FAR, np.random.default_rng(3))
+    cases.append(("gamma-log", lambda wrap: make_mc_contour(
+        dataclasses.replace(logged, sim_log_rel_lik=wrap(logged.sim_log_rel_lik)),
+        ldata, m=m, seed=4), [AxisSpec(0.8, 1.4, 4), AxisSpec(0.4, 1.0, 3)]))
+    cases.append(("bvn-workload", lambda wrap: make_mc_contour(
+        dataclasses.replace(bvn := bvn_correlation(),
+                            sim_log_rel_lik=wrap(bvn.sim_log_rel_lik)),
+        bvn.sample(np.array([0.5]), 100, np.random.default_rng(0)), m=500, seed=3),
+        [AxisSpec(-0.99, 0.99, 100)]))
+    return cases
+
+
+@pytest.mark.parametrize("case", _keyed_identity_cases(), ids=lambda case: case[0])
+def test_keyed_batch_equals_each_node_alone(case):
+    """A keyed batch packs the rows of several streams into one kernel
+    call, and every kernel keeps each stream's draws and values those of
+    its own call: a grid of at least 12 on-domain nodes, at parallelism 1
+    and 3, equals each node evaluated alone bit for bit, and at
+    parallelism 1 it makes fewer kernel calls than it has nodes (the
+    lasso: one call)."""
+    _, factory, axes = case
+    calls = [0]
+    contour = factory(lambda kernel: _counting(kernel, calls))
+    grid = grid_eval(contour, axes, parallelism=1)
+    batch_calls, calls[0] = calls[0], 0
+    nodes = grid.nodes()
+    assert nodes.shape[0] >= 12
+    alone = [contour.evaluate_keyed(node, [(NODE_TAG, i)])[0] for i, node in enumerate(nodes)]
+    assert np.all(np.isfinite(alone))
+    assert 2 <= batch_calls < calls[0] or (batch_calls == 1 and calls[0] == nodes.shape[0])
+    assert grid.values.ravel().tolist() == alone
+    assert grid_eval(contour, axes, parallelism=3).values.ravel().tolist() == alone
+
+
+def test_bvn_grid_packs_8_nodes_per_kernel_call():
+    """The 100-node bvn grid at m = 500 makes ceil(100 / 8) = 13 kernel
+    calls of at most 4096 datasets, not one call per node."""
+    base = bvn_correlation()
+    sizes = []
+
+    def sized(thetas, n, m, rng):
+        sizes.append(len(thetas) * m)
+        return base.sim_log_rel_lik(thetas, n, m, rng)
+
+    data = base.sample(np.array([0.5]), 100, np.random.default_rng(0))
+    contour = make_mc_contour(dataclasses.replace(base, sim_log_rel_lik=sized), data,
+                              m=500, seed=3)
+    grid_eval(contour, [AxisSpec(-0.99, 0.99, 100)])
+    assert len(sizes) == 13 and max(sizes) <= contours._DATASETS_PER_CALL
+    assert sum(sizes) == 100 * 500
+
+
+def test_calls_pack_whole_runs_and_cut_long_runs_as_alone():
+    """A call packs consecutive runs of rows on one Generator up to step
+    rows and never splits a run shorter than step; a longer run is cut into
+    pieces of step rows from its first row, the cuts of its lone call."""
+    g = [np.random.default_rng(i) for i in range(4)]
+    rngs = [g[0]] * 5 + [g[1]] * 5 + [g[2]] * 3 + [g[3]] * 19
+    assert list(contours._calls(rngs, len(rngs), 8)) == [
+        (0, 5), (5, 13), (13, 21), (21, 29), (29, 32)]
+    assert list(contours._calls(g[0], 20, 8)) == [(0, 8), (8, 16), (16, 20)]
+    assert list(contours._calls([], 0, 8)) == []
+
+
+def test_keyed_batch_retries_a_raising_call_from_each_stream_state():
+    """A kernel that draws from each of its streams and then raises for a
+    row above 0.7 fails only the nodes above 0.7: the call is undone, each
+    stream put back to its state before the call, and made again stream by
+    stream, so every other node equals its own evaluation bit for bit."""
+    base = bvn_correlation()
+
+    def draws_then_raises(thetas, n, m, rng):
+        for g in rng if isinstance(rng, list) else [rng]:
+            g.random(3)
+        if np.any(thetas[:, 0] > 0.7):
+            raise FloatingPointError("kernel failure")
+        return base.sim_log_rel_lik(thetas, n, m, rng)
+
+    data = base.sample(np.array([0.5]), 100, np.random.default_rng(0))
+    contour = make_mc_contour(dataclasses.replace(base, sim_log_rel_lik=draws_then_raises),
+                              data, m=500, seed=3)
+    nodes = np.linspace(-0.9, 0.95, 24)[:, None]
+    vals = contour.evaluate_keyed(nodes, [(NODE_TAG, i) for i in range(24)])
+    bad = nodes[:, 0] > 0.7
+    assert np.array_equal(np.isnan(vals), bad) and bad.sum() == 4  # in the last call of 8
+    assert vals[~bad].tolist() == [contour.evaluate_keyed(nodes[i], [(NODE_TAG, i)])[0]
+                                   for i in np.flatnonzero(~bad)]
 
 
 def _factory_case(name):
