@@ -446,11 +446,19 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_keys(doc, keys) -> None:
+    """A ConfigError naming the keys of a run config object that its
+    reader, which reads only ``keys``, would ignore."""
+    unread = sorted(set(doc) - set(keys))
+    if unread:
+        raise ConfigError(f"it reads only {', '.join(keys)}, not {unread}")
+
+
 def config_float(value, key: str) -> float:
-    """A run config's real field: an int or float, never a bool, string or
-    null; a ConfigError naming ``key`` otherwise."""
+    """A run config's real field: an int or float, never a bool, string,
+    null or NaN; a ConfigError naming ``key`` otherwise."""
     if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
+            value, (int, float, np.integer, np.floating)) or np.isnan(value):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -491,6 +499,7 @@ class AxisSpec:
         """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
         describes; the name is optional.  A ConfigError names what is wrong."""
         try:
+            config_keys(doc, ("lo", "hi", "count", "name"))
             return cls(lo=config_float(doc["lo"], "lo"), hi=config_float(doc["hi"], "hi"),
                        count=config_int(doc["count"], "count"), name=doc.get("name"))
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import THETA_TAG, theta_key
 from .contours import AxisSpec, ContourGrid, PossibilityContour, ordered_map
-from .contours import ConfigError, config_float, config_floats, config_int
+from .contours import ConfigError, config_float, config_floats, config_int, config_keys
 from .families import chi2_sf, gaussian_cov_matrix, gaussian_info_matrix, sample
 
 __all__ = [
@@ -116,20 +116,25 @@ class Hypothesis:
     def from_dict(doc) -> "Hypothesis":
         """The hypothesis a run config's object describes: a half-space (a, b),
         box or box-complement (bounds; null is unbounded), whole-space (dim)
-        or finite-set (points); a ConfigError names what is wrong."""
+        or finite-set (points); a ConfigError names what is wrong, a key
+        its kind does not read too."""
         kind = doc.get("kind") if isinstance(doc, dict) else None
         try:
             if kind == "half-space":
+                config_keys(doc, ("kind", "a", "b"))
                 return Hypothesis.half_space(
                     config_floats(doc["a"], "a"), config_float(doc["b"], "b"))
             if kind in ("box", "box-complement"):
+                config_keys(doc, ("kind", "bounds"))
                 h = Hypothesis.box(config_floats(
                     [[-np.inf if lo is None else lo, np.inf if hi is None else hi]
                      for lo, hi in doc["bounds"]], "bounds"))
                 return h.complement() if kind == "box-complement" else h
             if kind == "whole-space":
+                config_keys(doc, ("kind", "dim"))
                 return Hypothesis.whole_space(config_int(doc.get("dim"), "dim"))
             if kind == "finite-set":
+                config_keys(doc, ("kind", "points"))
                 return Hypothesis.finite_set(config_floats(doc["points"], "points"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {kind} hypothesis: {exc}") from None
@@ -587,21 +592,25 @@ class ChoquetSpec:
         """The spec a run config's ``choquet`` object describes: a ``loss`` of
         kind constant (value), linear (a . theta + b; b = 0) or indicator (of
         a hypothesis; inside = 1, outside = 0), and a ``resolution`` (200); a
-        ConfigError names what is wrong."""
+        ConfigError names what is wrong, a key neither reads too."""
         loss = doc.get("loss") if isinstance(doc, dict) else None
         kind = loss.get("kind") if isinstance(loss, dict) else None
         if kind not in ("constant", "linear", "indicator"):
             raise ConfigError("the choquet block needs a loss of kind constant, "
                               f"linear, or indicator, got {kind!r}")
         try:
+            config_keys(doc, ("loss", "resolution"))
             if kind == "constant":
+                config_keys(loss, ("kind", "value"))
                 value = config_float(loss["value"], "value")
                 fn = lambda theta: value
             elif kind == "linear":
+                config_keys(loss, ("kind", "a", "b"))
                 a, b = config_floats(loss["a"], "a"), config_float(loss.get("b", 0.0), "b")
                 fn = lambda theta: float(
                     np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b)
             else:
+                config_keys(loss, ("kind", "hypothesis", "inside", "outside"))
                 h = Hypothesis.from_dict(loss["hypothesis"])
                 inside = config_float(loss.get("inside", 1.0), "inside")
                 outside = config_float(loss.get("outside", 0.0), "outside")

@@ -49,6 +49,9 @@ A model whose contour has a closed form declares it:
     Carlo, which would only add noise around it (the binomial declares
     its enumeration).
 
+A model in other coordinates is its base model wrapped by ``_reparam``,
+which carries every hook over (:func:`log_reparam`, :func:`gamma_mean_shape`).
+
 Conventions: a model states its parameter space once, as
 ``domain(thetas)``, which maps a ``(k, d)`` array to a ``(k,)`` bool mask
 and a short description of the rule (every finite point by default).
@@ -1046,61 +1049,15 @@ def gamma_shape_scale() -> ModelSpec:
     )
 
 
-def _gamma_ms_loglik_stats(t1, s, n, a, phi):
-    return (
-        (a - 1.0) * t1
-        - a * s / phi
-        - n * special.gammaln(a)
-        - n * a * np.log(phi)
-        + n * a * np.log(a)
-    )
-
-
 def gamma_mean_shape() -> ModelSpec:
-    """Gamma with parameters (shape, mean); mean = shape * scale."""
-
-    def log_lik(data, theta):
-        if not _inside(_positive_pair, theta):
-            return -np.inf
-        a, phi = float(theta[0]), float(theta[1])
-        x = np.asarray(data.responses, dtype=float)
-        return float(_gamma_ms_loglik_stats(np.sum(np.log(x)), np.sum(x), data.n, a, phi))
-
-    def sample(theta, n, rng):
-        a, phi = float(theta[0]), float(theta[1])
-        return Dataset(responses=rng.gamma(a, phi / a, size=n))
-
-    def mle(data):
-        x = np.asarray(data.responses, dtype=float)
-        c = float(np.log(np.mean(x)) - np.mean(np.log(x)))
-        return np.array([float(_gamma_shape_root(c)), float(np.mean(x))])
-
-    def information(data):
-        a, phi = mle(data)
-        s = float(np.sum(data.responses))
-        n = data.n
-        return np.array(
-            [
-                [n * (special.polygamma(1, a) - 1.0 / a), n / phi - s / phi**2],
-                [n / phi - s / phi**2, 2.0 * a * s / phi**3 - n * a / phi**2],
-            ]
-        )
-
-    def boundary(data):
-        x = np.asarray(data.responses, dtype=float)
-        return float(np.log(np.mean(x)) - np.mean(np.log(x))) < 1e-12
-
-    return ModelSpec(
-        name="gamma-mean-shape",
-        dim=2,
-        log_lik=log_lik,
-        sample=sample,
-        mle=mle,
-        information=information,
-        domain=_positive_pair,
-        support=_positive,
-        boundary_mle=boundary,
-        sim_log_rel_lik=_run_by_run(_gamma_sim_log_rel),
+    """Gamma with parameters (shape, mean): :func:`gamma_shape_scale` at
+    (a, mean / a)."""
+    return _reparam(
+        gamma_shape_scale(), "gamma-mean-shape",
+        lambda eta: np.stack([eta[..., 0], eta[..., 1] / eta[..., 0]], axis=-1),
+        lambda theta: np.array([theta[0], theta[0] * theta[1]]),
+        lambda theta: np.array([[1.0, 0.0], [-theta[1] / theta[0], 1.0 / theta[0]]]),
+        _positive_pair,
     )
 
 
@@ -1664,85 +1621,55 @@ def lognormal_censored() -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# log reparametrization wrapper
+# reparametrization
 # ---------------------------------------------------------------------------
 
 
-def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
-    """Work with eta_i = log(theta_i) on the given coordinates (all by
-    default) of a model whose corresponding parameters are positive.
+def _reparam(base: ModelSpec, name: str, to_theta, to_eta, jacobian,
+             domain=None) -> ModelSpec:
+    """``base`` in coordinates eta, where theta = to_theta(eta) maps arrays
+    of shape (..., d) and eta = to_eta(theta) one point.
 
-    The likelihood is invariant under the reparametrization, so relative
-    likelihoods, simulated and exact contour values carry over; the observed
-    information transforms as D J D with D diagonal, D_ii = theta_i on
-    logged coordinates and 1 elsewhere.  The domain is |eta_i| <= 690 on the
-    logged coordinates (beyond, exp overflows or underflows to 0) and the
-    base domain at exp(eta).
+    The likelihood is invariant under the change, so log-likelihoods, the
+    sampler, relative likelihoods, exact contour values and the simulation
+    kernels are the base model's at to_theta(eta), and the MLE is to_eta of
+    the base MLE.  The observed information transforms as J^T I J with
+    J = jacobian(theta_hat), d theta / d eta at the MLE, where the score
+    vanishes and with it the chain rule's second-derivative term.  The
+    domain is ``domain`` or else the base domain at to_theta(eta).
     """
-    if base.dim is None:
-        raise ValueError("log_reparam requires a model of fixed dimension")
-    logged = np.zeros(base.dim, dtype=bool)
-    logged[list(range(base.dim)) if indices is None else list(indices)] = True
-
-    def _to_theta(eta):
-        """theta for points eta of shape (..., d); clipped, so that off the
-        domain it stays free of overflow."""
-        theta = np.array(eta, dtype=float)
-        theta[..., logged] = np.exp(np.clip(theta[..., logged], -690.0, 690.0))
-        return theta
-
-    def _to_eta(theta):
-        theta = np.asarray(theta, dtype=float).copy()
-        if np.any(theta[logged] <= 0.0):
-            raise DegenerateMLEError(
-                "log reparametrization needs positive MLE coordinates"
-            )
-        theta[logged] = np.log(theta[logged])
-        return theta
-
-    def domain(etas):
-        inside, rule = base.domain(_to_theta(etas))
-        near = np.max(np.abs(etas[:, logged]), axis=1, initial=0.0) <= 690.0
-        return near & inside, f"|eta| <= 690 on the logged coordinates and {rule} at exp(eta)"
-
-    def log_lik(data, eta):
-        return base.log_lik(data, _to_theta(eta)) if _inside(domain, eta) else -np.inf
-
-    def sample(eta, n, rng):
-        return base.sample(_to_theta(eta), n, rng)
-
-    def mle(data):
-        return _to_eta(base.mle(data))
+    at = lambda eta: to_theta(np.asarray(eta, dtype=float))
+    if domain is None:
+        domain = lambda etas: base.domain(at(etas))
 
     def information(data):
-        theta = np.asarray(base.mle(data), dtype=float)
-        d = np.where(logged, theta, 1.0)
-        D = np.diag(d)
-        return D @ np.atleast_2d(np.asarray(base.information(data), dtype=float)) @ D
+        J = jacobian(np.asarray(base.mle(data), dtype=float))
+        return J.T @ np.atleast_2d(np.asarray(base.information(data), dtype=float)) @ J
 
     def at_theta(hook):
-        """An observed-data hook of the base model, evaluated at exp(eta)."""
+        """An observed-data hook of the base model, evaluated at to_theta(eta)."""
         if hook is None:
             return None
 
         def for_data(data):
-            base_values = hook(data)
-            return lambda etas: base_values(_to_theta(etas))
+            values = hook(data)
+            return lambda etas: values(at(etas))
 
         return for_data
 
     def sim_at_theta(kernel):
-        """A base kernel at exp(eta), its ``rng`` passed through unchanged."""
+        """A base kernel at to_theta(eta), its ``rng`` passed through unchanged."""
         if kernel is None:
             return None
-        return lambda etas, n, m, rng: kernel(_to_theta(etas), n, m, rng)
+        return lambda etas, n, m, rng: kernel(at(etas), n, m, rng)
 
     return dataclasses.replace(
         base,
-        name=base.name + "-log",
-        log_lik=log_lik,
-        sample=sample,
-        mle=mle,
+        name=name,
+        log_lik=lambda data, eta: (
+            base.log_lik(data, at(eta)) if _inside(domain, eta) else -np.inf),
+        sample=lambda eta, n, rng: base.sample(at(eta), n, rng),
+        mle=lambda data: to_eta(np.asarray(base.mle(data), dtype=float)),
         information=information,
         domain=domain,
         log_rel_lik_for=at_theta(base.log_rel_lik_for),
@@ -1751,3 +1678,42 @@ def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
         censored_sim=None if base.censored_sim is None else (
             lambda ghat: sim_at_theta(base.censored_sim(ghat))),
     )
+
+
+def log_reparam(base: ModelSpec, indices=None) -> ModelSpec:
+    """Work with eta_i = log(theta_i) on the given coordinates (all by
+    default) of a model whose corresponding parameters are positive.
+
+    A :func:`_reparam` of the base model with J = D, diagonal, D_ii =
+    theta_i on logged coordinates and 1 elsewhere.  The domain is |eta_i| <=
+    690 on the logged coordinates (beyond, exp overflows or underflows to
+    0) and the base domain at exp(eta).
+    """
+    if base.dim is None:
+        raise ValueError("log_reparam requires a model of fixed dimension")
+    logged = np.zeros(base.dim, dtype=bool)
+    logged[list(range(base.dim)) if indices is None else list(indices)] = True
+
+    def to_theta(eta):
+        """theta for points eta of shape (..., d); clipped, so that off the
+        domain it stays free of overflow."""
+        theta = np.array(eta, dtype=float)
+        theta[..., logged] = np.exp(np.clip(theta[..., logged], -690.0, 690.0))
+        return theta
+
+    def to_eta(theta):
+        if np.any(theta[logged] <= 0.0):
+            raise DegenerateMLEError(
+                "log reparametrization needs positive MLE coordinates"
+            )
+        theta = theta.copy()
+        theta[logged] = np.log(theta[logged])
+        return theta
+
+    def domain(etas):
+        inside, rule = base.domain(to_theta(etas))
+        near = np.max(np.abs(etas[:, logged]), axis=1, initial=0.0) <= 690.0
+        return near & inside, f"|eta| <= 690 on the logged coordinates and {rule} at exp(eta)"
+
+    return _reparam(base, base.name + "-log", to_theta, to_eta,
+                    lambda theta: np.diag(np.where(logged, theta, 1.0)), domain)

@@ -36,7 +36,6 @@ from .families import GaussianScalarFamily
 from .models import (
     Dataset,
     ModelSpec,
-    _gamma_ms_loglik_stats,
     _gamma_shape_root,
     _run_by_run,
     _scaled_log_gammas,
@@ -205,6 +204,16 @@ def make_profile_contour(
         evaluate_batch=batch,
         seed=int(seed),
         meta={"model": model.name, "spec": spec.name, "m": int(m), "probes": int(spec.probes)},
+    )
+
+
+def _gamma_ms_loglik_stats(t1, s, n, a, phi):
+    return (
+        (a - 1.0) * t1
+        - a * s / phi
+        - n * special.gammaln(a)
+        - n * a * np.log(phi)
+        + n * a * np.log(a)
     )
 
 

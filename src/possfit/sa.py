@@ -1,24 +1,23 @@
 """Stochastic-approximation fitting of variational possibility families.
 
-The driver solves f(xi) = 0 by the Robbins-Monro recursion
+A fit tunes the spread xi of a family until its 100(1-alpha)% credible set
+matches the target contour's alpha-cut.  One driver (``_fit``) solves
+f(xi) = 0 by the Robbins-Monro recursion
 
     xi_{t} = clamp( xi_{t-1} + sign * w_t * f_hat(xi_{t-1}) ),   w_t = 2/(1+t),
 
-where f_hat is a noisy evaluation of the criterion.  Two criteria are
-implemented:
+where f_hat is a noisy evaluation of the criterion the family calls for:
 
-* the credal-mass criterion (scalar spread): take K parameters from the
-  candidate family and compare the fraction landing inside the target
-  contour's alpha-cut against 1 - alpha;
-* the boundary-matching criterion (per-axis spread): push the 2d points where
-  the candidate's credal ellipsoid touches its principal axes through the
-  target contour and compare against alpha.
+* a scalar Gaussian: the credal mass, the share of K parameters from the
+  family inside the contour's alpha-cut, against 1 - alpha;
+* a per-axis Gaussian: boundary matching, the contour at the 2d points
+  where the credal ellipsoid touches its principal axes, against alpha;
+* a Dirichlet: the credal mass on fresh draws, with sign = -1, since its
+  spread shrinks as xi, a precision, grows.
 
-`sign` encodes the direction in which the criterion moves with xi so the same
-driver serves families whose spread grows with xi (Gaussian) and families
-whose spread shrinks with it (Dirichlet precision).
-
-A fit given no target contour targets the one the ``naive`` method builds
+The public ``fit_*`` functions build the family at xi = 1 about an anchor
+(the model's MLE and information, or one given) and call it.  A fit to a
+model given no target contour targets the one the ``naive`` method builds
 (:func:`possfit.contours.naive_contour`): the model's exact contour where
 it declares one (the binomial does), read by value with no dataset
 simulated, and otherwise its Monte Carlo contour of size
@@ -52,9 +51,7 @@ points (the draws it decides afresh, or its 2d boundary points) for a
 seeded contour.  The decision evaluator consumes that stream chunk by chunk
 of datasets, for the draws still undecided, so the credal-mass fits of a
 Monte Carlo contour draw different datasets than a full-m evaluation of
-each point would; their traces changed by design when curtailment came in,
-again when the sequential test did, again when it gained its indifference
-band, and again when the Gaussian fits took their pool.
+each point would.
 ``FitTrace.evaluations`` counts the points each iteration evaluated or
 decided afresh.
 An evaluation that fails (a NaN value) counts as inside the cut, as a
@@ -75,7 +72,8 @@ import numpy as np
 
 from ._render import csv_text
 from ._rng import SA_TAG, derive_rng
-from .contours import ConfigError, PossibilityContour, config_float, config_int, naive_contour
+from .contours import (
+    ConfigError, PossibilityContour, config_float, config_int, config_keys, naive_contour)
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -129,7 +127,7 @@ class SAConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.k_outer < 1 or self.m_inner < 1:
             raise ValueError("sample sizes must be at least 1")
@@ -141,11 +139,13 @@ class SAConfig:
     @classmethod
     def from_dict(cls, doc) -> "SAConfig":
         """The config a run config's ``sa`` object describes; absent fields
-        take their defaults.  A ConfigError names a non-object or a bad
-        field."""
+        take their defaults.  A ConfigError names a non-object, a key it
+        does not read, or a bad field."""
         if not isinstance(doc, dict):
             raise ConfigError(f"invalid sa block: it must be an object, got {doc!r}")
         try:
+            config_keys(doc, ("seed", "alpha", "k_outer", "m_inner", "epsilon", "min_iter",
+                              "max_iter"))
             return cls(
                 seed=config_int(doc.get("seed", 0), "seed"),
                 alpha=config_float(doc.get("alpha", 0.1), "alpha"),
@@ -267,23 +267,15 @@ def f_hat(
     eval_rng: Optional[np.random.Generator] = None,
     failure_count: Optional[list] = None,
 ) -> float:
-    """Monte-Carlo credal-mass criterion at the current family, on fresh
-    draws (the Dirichlet fit's criterion; the Gaussian fits use one pool).
-
-    Draws k parameters from the family and returns
-    mean(contour > alpha) - (1 - alpha).  A contour with a decision
-    evaluator (``exceeds_batch``) decides contour > alpha and stops
-    simulating each draw once its indicator is decided, by exact
-    curtailment or a sequential test (band and risk: README,
-    "Determinism").  It consumes the contour's stream chunk by chunk, so
-    these streams, and the draws and traces that follow from them, differ
-    by design from a full-m evaluation.  ``eval_rng`` is the contour's stream, on which all draws are
-    evaluated as one batch (see the module docstring); without it the
-    evaluation continues on ``rng``.  A draw whose contour evaluation fails
-    counts as *inside* the cut, which raises the criterion and so widens
-    the fitted spread, the conservative direction (see the module
-    docstring); failures are tallied into ``failure_count[0]`` when a
-    one-element list is supplied.
+    """Monte-Carlo credal-mass criterion at the current family, on k fresh
+    draws (the Dirichlet fit's; the Gaussian fits use one pool):
+    mean(contour > alpha) - (1 - alpha), decided early by a contour with a
+    decision evaluator (see the module docstring).  ``eval_rng`` is the
+    contour's stream, on which the draws are evaluated as one batch;
+    without it the evaluation continues on ``rng``.  A draw whose
+    evaluation fails counts as inside the cut, the conservative direction,
+    and is tallied into ``failure_count[0]`` when a one-element list is
+    supplied.
     """
     draws = np.atleast_2d(sample(family, k, rng))
     vals = _evaluate(contour, draws, rng if eval_rng is None else eval_rng, failure_count, alpha)
@@ -318,26 +310,42 @@ def _pooled_mass(base: GaussianScalarFamily, contour: PossibilityContour,
     return objective
 
 
-def _fit_credal(base, contour: PossibilityContour, config: SAConfig, sign: int):
+def _fit(base, contour: PossibilityContour, config: SAConfig):
+    """Fit the spread of ``base``, a family at xi = 1, to ``contour`` by
+    the criterion its type calls for (see the module docstring)."""
     failures, evaluations = [0], []
-    if isinstance(base, GaussianScalarFamily):
+    if isinstance(base, GaussianVectorFamily):
+        d = base.theta_hat.size
+
+        def objective(xi: np.ndarray, t: int) -> np.ndarray:
+            pts = boundary_points(base.with_xi(xi), config.alpha).reshape(2 * d, d)
+            vals = _evaluate(contour, pts, _stream(contour, config, t), failures)
+            evaluations.append(2 * d)
+            pair = np.where(np.isnan(vals), 0.0, vals).reshape(d, 2)
+            return np.max(pair, axis=1) - config.alpha
+    elif isinstance(base, GaussianScalarFamily):
         objective = _pooled_mass(base, contour, config, failures, evaluations)
     else:
         def objective(xi: np.ndarray, t: int) -> float:
             evaluations.append(config.k_outer)
-            return f_hat(
-                base.with_xi(float(xi[0])),
-                contour,
-                config.alpha,
-                config.k_outer,
-                derive_rng(config.seed, SA_TAG, t),
-                eval_rng=_stream(contour, config, t),
-                failure_count=failures,
-            )
+            return f_hat(base.with_xi(xi), contour, config.alpha, config.k_outer,
+                         derive_rng(config.seed, SA_TAG, t),
+                         eval_rng=_stream(contour, config, t), failure_count=failures)
 
-    trace = robbins_monro(objective, [1.0], config, sign=sign)
+    sign = -1 if isinstance(base, DirichletFamily) else +1
+    trace = robbins_monro(objective, np.ones(np.size(base.xi)), config, sign=sign)
     trace.failures, trace.evaluations = failures[0], evaluations
-    return base.with_xi(float(trace.xi_final[0])), trace
+    return base.with_xi(trace.xi_final), trace
+
+
+def _anchor_and_target(model: ModelSpec, data: Dataset, config: SAConfig,
+                       contour: Optional[PossibilityContour]):
+    """(theta_hat, information, target) of a fit to a model; the target is
+    ``contour`` or else the naive contour at m = config.m_inner."""
+    theta_hat, info = mle_and_information(model, data)
+    if contour is None:
+        contour = naive_contour(model, data, config.m_inner, config.seed)
+    return theta_hat, info, contour
 
 
 def fit_scalar(
@@ -346,7 +354,8 @@ def fit_scalar(
     config: SAConfig,
     contour: Optional[PossibilityContour] = None,
 ) -> Tuple[GaussianScalarFamily, FitTrace]:
-    """Fit the single-spread Gaussian family to a model's contour.
+    """Fit the single-spread Gaussian family to a model's contour by the
+    pooled credal mass.
 
     When ``contour`` is omitted the target is the contour the ``naive``
     method builds (:func:`possfit.contours.naive_contour`): the model's
@@ -354,10 +363,7 @@ def fit_scalar(
     Monte Carlo contour with m = config.m_inner simulations per evaluation,
     seeded from the config so the whole fit is reproducible.
     """
-    theta_hat, info = mle_and_information(model, data)
-    if contour is None:
-        contour = naive_contour(model, data, config.m_inner, config.seed)
-    return fit_scalar_anchored(theta_hat, info, contour, config)
+    return fit_scalar_anchored(*_anchor_and_target(model, data, config, contour), config)
 
 
 def fit_scalar_anchored(
@@ -367,25 +373,7 @@ def fit_scalar_anchored(
     config: SAConfig,
 ) -> Tuple[GaussianScalarFamily, FitTrace]:
     """fit_scalar against an explicit anchor and target (no model needed)."""
-    base = GaussianScalarFamily(theta_hat=theta_hat, info=info, xi=1.0)
-    return _fit_credal(base, contour, config, sign=+1)
-
-
-def _fit_boundary(base, contour: PossibilityContour, config: SAConfig):
-    d = base.theta_hat.size
-    failures = [0]
-
-    def objective(xi: np.ndarray, t: int) -> np.ndarray:
-        fam = base.with_xi(xi)
-        pts = boundary_points(fam, config.alpha).reshape(2 * d, d)
-        vals = _evaluate(contour, pts, _stream(contour, config, t), failures)
-        vals = np.where(np.isnan(vals), 0.0, vals)
-        pair = vals.reshape(d, 2)
-        return np.max(pair, axis=1) - config.alpha
-
-    trace = robbins_monro(objective, np.ones(d), config, sign=+1)
-    trace.failures, trace.evaluations = failures[0], [2 * d] * len(trace.ts)
-    return base.with_xi(trace.xi_final), trace
+    return _fit(GaussianScalarFamily(theta_hat=theta_hat, info=info, xi=1.0), contour, config)
 
 
 def fit_vector(
@@ -401,10 +389,7 @@ def fit_vector(
     this variant usable when every evaluation is itself a Monte-Carlo run.
     Without ``contour`` the target is the one :func:`fit_scalar` takes.
     """
-    theta_hat, info = mle_and_information(model, data)
-    if contour is None:
-        contour = naive_contour(model, data, config.m_inner, config.seed)
-    return fit_vector_anchored(theta_hat, info, contour, config)
+    return fit_vector_anchored(*_anchor_and_target(model, data, config, contour), config)
 
 
 def fit_vector_anchored(
@@ -416,7 +401,7 @@ def fit_vector_anchored(
     """fit_vector against an explicit anchor and target (no model needed)."""
     base = GaussianVectorFamily(theta_hat=theta_hat, info=info,
                                 xi=np.ones(np.size(theta_hat)))
-    return _fit_boundary(base, contour, config)
+    return _fit(base, contour, config)
 
 
 def fit_dirichlet(
@@ -426,12 +411,10 @@ def fit_dirichlet(
     contour: Optional[PossibilityContour] = None,
 ) -> Tuple[DirichletFamily, FitTrace]:
     """Fit the Dirichlet family (mean fixed at the observed proportions) to a
-    multinomial contour.  Spread *shrinks* as xi grows — the concentration is
-    n * xi * mean — so the update direction is flipped.  Without
-    ``contour`` the target is the one :func:`fit_scalar` takes.
+    multinomial contour by the credal mass on fresh draws.  Spread *shrinks*
+    as xi grows (the concentration is n * xi * mean), so the update
+    direction is flipped.  Without ``contour`` the target is the one
+    :func:`fit_scalar` takes.
     """
-    theta_hat, _ = mle_and_information(model, data)
-    if contour is None:
-        contour = naive_contour(model, data, config.m_inner, config.seed)
-    base = DirichletFamily(mean=theta_hat, n=float(data.n), xi=1.0)
-    return _fit_credal(base, contour, config, sign=-1)
+    theta_hat, _, contour = _anchor_and_target(model, data, config, contour)
+    return _fit(DirichletFamily(mean=theta_hat, n=float(data.n), xi=1.0), contour, config)

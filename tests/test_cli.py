@@ -489,6 +489,58 @@ class TestConfigHandling:
         assert expected in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("case", ["box-bound", "half-space-b", "sa-epsilon"])
+    def test_nan_where_a_number_belongs_exit2_without_outputs(self, tmp_path, capsys,
+                                                              case):
+        """Python's json reads NaN.  A NaN box bound or half-space offset once
+        wrote "upper": NaN, invalid JSON, and a NaN epsilon ran every
+        iteration; each exited 0."""
+        nan = float("nan")
+
+        def hypothesis(h):
+            return contour_config(tmp_path, command="hypothesis", hypotheses=[h],
+                                  output={"json": str(tmp_path / "probs.json")})
+
+        cfg = {
+            "box-bound": lambda: hypothesis({"kind": "box", "bounds": [[nan, 0.5]]}),
+            "half-space-b": lambda: hypothesis({"kind": "half-space", "a": [1.0], "b": nan}),
+            "sa-epsilon": lambda: fit_config(
+                tmp_path, sa={"epsilon": nan, "k_outer": 60, "m_inner": 100}),
+        }[case]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "must be a number, got nan" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("case, block, key", [
+        ("sa", "invalid sa block", "k_outr"),
+        ("grid", "invalid grid axis", "cout"),
+        ("half-space", "invalid half-space hypothesis", "bounds"),
+        ("choquet", "invalid choquet block", "resolutoin"),
+        ("choquet-loss", "invalid choquet block", "value"),
+    ])
+    def test_key_a_block_does_not_read_exit2_without_outputs(self, tmp_path, capsys,
+                                                             case, block, key):
+        """A misspelt or misplaced key once ran on the block's default:
+        k_outer 200, count 3, resolution 200; each exited 0."""
+        def choquet(**block):
+            return contour_config(tmp_path, command="choquet", choquet=block,
+                                  output={"json": str(tmp_path / "choquet.json")})
+
+        cfg = {
+            "sa": lambda: fit_config(tmp_path, sa={"k_outr": 50, "k_outer": 60, "m_inner": 100}),
+            "grid": lambda: contour_config(
+                tmp_path, grid=[{"lo": 0.0, "hi": 1.0, "count": 3, "cout": 9}]),
+            "half-space": lambda: contour_config(
+                tmp_path, command="hypothesis", output={"json": str(tmp_path / "probs.json")},
+                hypotheses=[{"kind": "half-space", "a": [1.0], "b": 0.2, "bounds": [[0.0, 1.0]]}]),
+            "choquet": lambda: choquet(loss={"kind": "constant", "value": 1.0}, resolutoin=10),
+            "choquet-loss": lambda: choquet(loss={"kind": "linear", "a": [1.0], "value": 2.0}),
+        }[case]()
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert block in err and f"not ['{key}']" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("case", [
         "alphas-string", "alphas-bool", "truth-string", "truth-bool",
         "data_params-string", "data_params-bool",

@@ -350,17 +350,22 @@ def test_naive_contour_peaks_at_the_mle_and_vanishes_far_from_it(model_id):
     assert np.all(values[1:] <= 0.1), values[1:]
 
 
-@pytest.mark.parametrize("model_id", sorted(_REGISTRY))
-def test_variational_contour_peaks_at_the_mle_and_falls_along_rays(model_id):
-    """The variational-scalar contour reads 1 at the MLE and does not
-    increase along rays from it: the coordinate axes, both ways, and a few
-    random directions, out to eight standard errors."""
+@pytest.mark.parametrize("model_id, method", [
+    pytest.param(model_id, method, id=model_id + suffix)
+    for suffix, method in (("", "variational-scalar"), ("-vector", "variational-vector"))
+    for model_id in sorted(_REGISTRY)])
+def test_variational_contour_peaks_at_the_mle_and_falls_along_rays(model_id, method):
+    """A variational contour reads 1 at the MLE and does not increase along
+    rays from it: the coordinate axes, both ways, and a few random
+    directions of unit length in standard errors, out to eight standard
+    errors."""
     model, data, theta_hat, se = _at_the_sampler_draw(model_id)
     sa = SAConfig(seed=1, k_outer=40, m_inner=100, max_iter=6)
-    contour = build_contour("variational-scalar", model, data, 5, m=100, sa=sa)
+    contour = build_contour(method, model, data, 5, m=100, sa=sa)
     d = theta_hat.size
+    random = np.random.default_rng(2).standard_normal((3, d))
     rays = np.vstack([np.eye(d), -np.eye(d),
-                      np.random.default_rng(2).standard_normal((3, d))])
+                      random / np.linalg.norm(random, axis=1, keepdims=True)])
     steps = np.linspace(0.0, 8.0, 33)
     for ray in rays * se:
         values = contour.evaluate_batch(theta_hat + steps[:, None] * ray, None)

@@ -86,3 +86,34 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.stem)
 def test_every_module_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _unreferenced_private_definitions():
+    """``module.name`` of each top-level private function, class or constant
+    of the package that no other top-level statement of the package reads."""
+    uses, defined = [], []
+    for path in sorted(Path(possfit.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            inner = list(ast.walk(node))
+            uses.append((node, {n.id for n in inner if isinstance(n, ast.Name)
+                                and isinstance(n.ctx, ast.Load)}
+                         | {n.attr for n in inner if isinstance(n, ast.Attribute)}
+                         | {a.name for n in inner if isinstance(n, ast.ImportFrom)
+                            for a in n.names}))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.stem, node, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}.{name}" for module, node, name in defined
+            if not any(name in read for other, read in uses if other is not node)]
+
+
+def test_every_private_definition_is_read():
+    """A private helper that nothing calls any more is deleted, not left
+    behind: each is read by some other top-level statement of the package."""
+    assert _unreferenced_private_definitions() == []

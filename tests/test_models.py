@@ -184,6 +184,23 @@ def test_gamma_mean_shape_matches_shape_scale_fit():
     assert t_ms[1] == pytest.approx(np.mean(x), rel=1e-10)
     # near-orthogonal parametrization: cross information ~ 0 at the MLE
     assert abs(info[0, 1]) <= 1e-6 * np.sqrt(info[0, 0] * info[1, 1])
+    # shape-scale in the coordinates (a, mean): the same likelihood at
+    # (a, mean / a), -inf off the domain
+    ms, ss = gamma_mean_shape(), gamma_shape_scale()
+    for a, mu in [(7.0, 3.0), (0.4, 2.5), (12.0, 0.1)]:
+        assert ms.log_lik(data, [a, mu]) == pytest.approx(ss.log_lik(data, [a, mu / a]), rel=1e-12)
+    for off in ([0.0, 3.0], [2.0, -1.0], [-1.0, -3.0]):
+        assert ms.log_lik(data, off) == -np.inf
+    # J^T I J at the MLE is the closed form of the (shape, mean) information
+    a, n = t_ms[0], data.n
+    closed = np.array([[n * (special.polygamma(1, a) - 1.0 / a), 0.0],
+                       [0.0, n * a / np.mean(x) ** 2]])
+    assert np.linalg.norm(ms.information(data) - closed) <= 1e-10 * np.linalg.norm(closed)
+    # the kernel at mapped rows draws the same bytes on equal Generators
+    rows = np.array([[7.0, 3.0], [0.4, 2.5], [2.0, 0.5]])
+    mapped = np.column_stack([rows[:, 0], rows[:, 1] / rows[:, 0]])
+    assert (ms.sim_log_rel_lik(rows, 25, 50, np.random.default_rng(8)).tobytes()
+            == ss.sim_log_rel_lik(mapped, 25, 50, np.random.default_rng(8)).tobytes())
 
 
 def test_lognormal_mle_closed_form():

@@ -712,3 +712,16 @@ def test_sa_config_validation():
         SAConfig(seed=1, epsilon=-0.1)
     with pytest.raises(ValueError):
         SAConfig(seed=1, max_iter=2, min_iter=5)
+
+
+def test_sa_config_rejects_a_nan_epsilon():
+    """A NaN epsilon once passed ``epsilon <= 0`` and ran every fit to
+    max_iter, since no update is below NaN."""
+    with pytest.raises(ValueError, match="epsilon"):
+        SAConfig(seed=1, epsilon=float("nan"))
+
+
+def test_sa_config_from_dict_rejects_a_key_it_does_not_read():
+    """{"k_outr": 50} once ran at the default k_outer = 200."""
+    with pytest.raises(ValueError, match=r"not \['k_outr'\]"):
+        SAConfig.from_dict({"k_outr": 50})
