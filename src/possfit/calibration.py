@@ -35,7 +35,7 @@ command line (:mod:`possfit.cli`) writes the files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -46,10 +46,11 @@ from ._rng import CAL_TAG, derive_rng
 from .contours import (
     AxisSpec,
     ConfigError,
-    config_bool,
+    config_fields,
     config_float,
     config_floats,
     config_int,
+    config_keys,
     grid_eval,
     make_exact_contour,
     naive_contour,
@@ -224,7 +225,9 @@ class Scenario:
     evaluations in the timing study); the variational methods read their
     own ``sa.m_inner``.  With ``log_params`` the model is refit on
     log-parameters and the contour is evaluated at ``log(truth)``.  ``model_kwargs`` holds only keys the model
-    or the method reads (``_MODEL_KEYS``, ``_METHOD_KEYS``).
+    or the method reads (``_MODEL_KEYS``, ``_METHOD_KEYS``).  ``n``, ``reps``,
+    ``seed`` and ``m`` must be integers and ``log_params`` a bool, as in a
+    run config.
     """
 
     model_id: str
@@ -248,8 +251,7 @@ class Scenario:
         if self.data_params is not None:
             object.__setattr__(self, "data_params", coerce(self.data_params))
         object.__setattr__(self, "model_kwargs", dict(self.model_kwargs))
-        for name in ("n", "reps", "seed", "m"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        config_fields(self)
         if self.grid is not None:
             axes = tuple(self.grid)
             if not axes or not all(isinstance(a, AxisSpec) for a in axes):
@@ -351,29 +353,24 @@ class Scenario:
 
     @classmethod
     def from_config(cls, config: dict) -> "Scenario":
+        """The scenario a run config describes: a field's key is its name,
+        but ``model`` is the model id, ``truth`` and ``data_params`` are
+        lists of numbers, and ``sa`` and ``grid`` are config blocks."""
         for key in ("model", "truth", "n", "reps", "method", "seed"):
             if key not in config:
                 raise ConfigError(f"run config missing required key {key!r}")
-        grid = None
         try:
-            sa = None if config.get("sa") is None else SAConfig.from_dict(config["sa"])
-            if config.get("grid") is not None:
-                grid = tuple(AxisSpec.from_dict(g) for g in config["grid"])
-            return cls(
+            doc = {f.name: config[f.name] for f in fields(cls) if f.name in config}
+            doc.update(
                 model_id=config["model"],
                 truth=tuple(config_floats(config["truth"], "truth")),
-                n=config_int(config["n"], "n"),
-                reps=config_int(config["reps"], "reps"),
-                method=config["method"],
-                seed=config_int(config["seed"], "seed"),
-                sa=sa,
-                grid=grid,
-                m=config_int(config.get("m", 500), "m"),
-                log_params=config_bool(config.get("log_params", False), "log_params"),
+                sa=None if config.get("sa") is None else SAConfig.from_dict(config["sa"]),
+                grid=None if config.get("grid") is None
+                else tuple(AxisSpec.from_dict(g) for g in config["grid"]),
                 data_params=None if config.get("data_params") is None
                 else tuple(config_floats(config["data_params"], "data_params")),
-                model_kwargs=dict(config.get("model_kwargs", {})),
             )
+            return cls(**doc)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -397,10 +394,8 @@ def model_from_id(
     """Instantiate a registered model outside of any scenario; a key the
     model does not read, or settings it rejects, raise :class:`ConfigError`."""
     _check_model_id(model_id)
-    kw, reads = dict(model_kwargs or {}), _MODEL_KEYS.get(model_id, ())
-    if set(kw) - set(reads):
-        raise ConfigError(f"the {model_id} model reads no model_kwargs "
-                          f"{sorted(set(kw) - set(reads))}; it reads {list(reads)}")
+    kw = model_kwargs or {}
+    config_keys(kw, _MODEL_KEYS.get(model_id, ()), f"the {model_id} model's model_kwargs")
     try:
         base = _REGISTRY[model_id](None if n is None else int(n), kw)
     except KeyError as exc:
@@ -752,6 +747,15 @@ def _replicate(scenario: Scenario, model: ModelSpec, threads: int, measure):
 # ---------------------------------------------------------------------------
 
 
+def _alpha_grid(alphas) -> np.ndarray:
+    """A study's alphas (``DEFAULT_ALPHA_GRID`` for None); a ConfigError
+    unless they are in nondecreasing order, as its CDF is read off them."""
+    grid = np.asarray(DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float).ravel()
+    if not np.all(np.diff(grid) >= 0.0):
+        raise ConfigError(f"alphas must be in nondecreasing order, got {grid.tolist()}")
+    return grid
+
+
 def validity_study(
     scenario: Scenario, alphas=None, threads: int = 1
 ) -> CalibrationReport:
@@ -761,10 +765,7 @@ def validity_study(
     more than 5% of them abort the study with :class:`StudyError`.  A
     :class:`ConfigError`, a scenario no replication can run, is raised.
     """
-    model = build_model(scenario)
-    alphas = np.asarray(
-        DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
-    )
+    model, alphas = build_model(scenario), _alpha_grid(alphas)
 
     def measure(contour, data, r):
         value = float(contour(scenario.truth_eval))
@@ -828,7 +829,7 @@ def hypothesis_calibration(
     hyps = tuple(hypotheses)
     if not hyps:
         raise ConfigError("needs at least one hypothesis")
-    model = build_model(scenario)
+    model, alphas = build_model(scenario), _alpha_grid(alphas)
     truth_pt = np.atleast_2d(scenario.truth_eval)
     dim = truth_pt.shape[1]
     for k, h in enumerate(hyps):
@@ -845,9 +846,6 @@ def hypothesis_calibration(
                 f"hypothesis {k + 1} ({h.describe()}) is not "
                 "true at the scenario truth"
             )
-    alphas = np.asarray(
-        DEFAULT_ALPHA_GRID if alphas is None else alphas, dtype=float
-    )
 
     def measure(contour, data, r):
         family = search_family(scenario.method, contour, model, data)

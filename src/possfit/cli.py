@@ -25,10 +25,14 @@ A grid's JSON (``contour``, ``marginal``) holds its ``kind``, ``seed`` and
 ``meta`` (a marginal's ``method`` and its ``infeasible`` node indices) before
 ``axes``, ``shape`` and ``values``.
 
-A data source reads only its keys in ``_DATA_KEYS``; any other is a config
-error, and so is a ``bootstrap`` block next to any method but
-``bootstrap``.  A regression's design comes only from
-``model_kwargs.design`` or the Poisson study design, never from the data.
+A command reads only the top-level keys ``_COMMANDS`` names for it, and
+each block (``output``, a data source, ``model_kwargs``, ``sa``, a grid
+axis, ``bootstrap``, ``marginal``, a hypothesis, ``choquet``) only its own;
+any other key is a config error, found by the one check
+``contours.config_keys`` before any work starts on that block, and so is a
+``bootstrap`` block next to any method but ``bootstrap``.  A regression's
+design comes only from ``model_kwargs.design`` or the Poisson study design,
+never from the data.
 
 Randomness contract: with master seed ``s``, simulated datasets draw from
 ``derive_rng(s, CLI_TAG, 0)``; the contour/fit child seed is
@@ -47,6 +51,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -70,6 +75,7 @@ from .contours import (
     config_bool,
     config_floats,
     config_int,
+    config_keys,
     grid_eval,
 )
 from .families import family_to_json
@@ -94,8 +100,6 @@ from .nuisance import FiberOptimizationError, RiskMinimizationError
 from .sa import SAConfig
 
 __all__ = ["main"]
-
-COMMANDS = ("contour", "fit", "calibrate", "hypothesis", "marginal", "choquet")
 
 _NUMERICAL_ERRORS = (
     DegenerateMLEError,
@@ -173,11 +177,7 @@ def _headers(command: str, cfg_hash: str, seed: int):
 
 def _parse_output(config: dict) -> dict:
     doc = config.get("output")
-    if not isinstance(doc, dict):
-        raise ConfigError(
-            "output must be an object naming at least one file path "
-            "(keys: csv, json)"
-        )
+    config_keys(doc, ("csv", "json"), "the output block")
     paths = {k: str(doc[k]) for k in ("csv", "json") if doc.get(k)}
     if not paths:
         raise ConfigError("output must name at least one of csv / json")
@@ -234,13 +234,12 @@ def _model_and_data(config: dict, seed: int):
     data = None
     try:
         doc = spec if kind == "csv" else spec[kind]
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{kind} data must be an object")
-        unread = set(doc) - set(_DATA_KEYS[kind]) | (set() if doc is spec else set(spec) - {kind})
-        if unread:
-            hint = "; a regression's design is model_kwargs.design"
-            raise ConfigError(f"{kind} data reads only {', '.join(_DATA_KEYS[kind])}, "
-                              f"not {sorted(unread)}{hint if 'covariates' in unread else ''}")
+        if any("covariates" in d for d in (spec, doc) if isinstance(d, dict)):
+            raise ConfigError("data reads no covariates; a regression's design is "
+                              "model_kwargs.design")
+        config_keys(doc, _DATA_KEYS[kind], f"{kind} data")
+        if doc is not spec:
+            config_keys(spec, (kind,), "the data block")
         if kind == "inline":
             if "responses" not in doc:
                 raise ConfigError("inline data needs a 'responses' array")
@@ -290,9 +289,8 @@ def _contour_from_config(config: dict, model, data, seed: int):
     if "bootstrap" in config and method != "bootstrap":
         raise ConfigError(f"the 'bootstrap' block is read only by the bootstrap "
                           f"method, not by {method!r}")
-    boot = config.get("bootstrap") or {}
-    if not isinstance(boot, dict):
-        raise ConfigError("the 'bootstrap' block must be an object")
+    boot = config.get("bootstrap", {})
+    config_keys(boot, ("tau", "B"), "the bootstrap block")
     return build_contour(
         method,
         model,
@@ -400,19 +398,12 @@ def _cmd_marginal(config, seed, threads):
     if len(axes) != 1:
         raise ConfigError("marginal command needs exactly one grid axis")
     doc = config.get("marginal")
-    if not isinstance(doc, dict):
-        raise ConfigError(
-            "marginal command needs a 'marginal' block with the feature: "
-            "{'component': i} or {'linear': [...]}"
-        )
-    if "component" in doc:
-        g = config_int(doc["component"], "component")
-    elif "linear" in doc:
-        g = np.atleast_1d(config_floats(doc["linear"], "linear"))
-    else:
-        raise ConfigError(
-            "marginal feature must be {'component': i} or {'linear': [...]}"
-        )
+    config_keys(doc, ("component", "linear"), "the marginal block")
+    if len(doc) != 1:
+        raise ConfigError("the marginal block names one feature: "
+                          "{'component': i} or {'linear': [...]}")
+    g = (config_int(doc["component"], "component") if "component" in doc
+         else np.atleast_1d(config_floats(doc["linear"], "linear")))
     model, data = _model_and_data(config, seed)
     contour = _contour_from_config(config, model, data, seed)
     if not (0 <= g < contour.dim if np.ndim(g) == 0 else g.shape == (contour.dim,)):
@@ -434,6 +425,8 @@ def _cmd_choquet(config, seed, threads):
     spec = ChoquetSpec.from_dict(config.get("choquet"))
     model, data = _model_and_data(config, seed)
     contour = _contour_from_config(config, model, data, seed)
+    if spec.dim not in (None, contour.dim):
+        raise ConfigError(f"the choquet loss has dimension {spec.dim}, expected {contour.dim}")
     family = search_family(config.get("method", "naive"), contour, model, data)
     child = int(derive_rng(seed, CLI_TAG, 4).integers(2 ** 63))
     result = choquet_upper_expectation(contour, spec, family=family, seed=child)
@@ -443,14 +436,23 @@ def _cmd_choquet(config, seed, threads):
             lambda header: json_text(out, header))
 
 
-_HANDLERS = {
-    "contour": _cmd_contour,
-    "fit": _cmd_fit,
-    "calibrate": _cmd_calibrate,
-    "hypothesis": _cmd_hypothesis,
-    "marginal": _cmd_marginal,
-    "choquet": _cmd_choquet,
+#: the top-level keys a data source and a contour of one dataset read
+_SOURCE = ("model", "model_kwargs", "log_params", "data")
+_CONTOUR = _SOURCE + ("method", "m", "sa", "bootstrap")
+
+#: each command's handler and the top-level keys it reads besides command,
+#: seed and output; a calibrate run's are a Scenario's fields (model for
+#: model_id), its alphas and its hypotheses
+_COMMANDS = {
+    "contour": (_cmd_contour, _CONTOUR + ("grid",)),
+    "fit": (_cmd_fit, _SOURCE + ("method", "sa")),
+    "calibrate": (_cmd_calibrate, tuple("model" if f.name == "model_id" else f.name
+                                        for f in fields(Scenario)) + ("alphas", "hypotheses")),
+    "hypothesis": (_cmd_hypothesis, _CONTOUR + ("hypotheses",)),
+    "marginal": (_cmd_marginal, _CONTOUR + ("grid", "marginal")),
+    "choquet": (_cmd_choquet, _CONTOUR + ("choquet",)),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +501,8 @@ def main(argv=None) -> int:
                 f"unknown command {command!r}; expected one of "
                 f"{', '.join(COMMANDS)}"
             )
+        handler, reads = _COMMANDS[command]
+        config_keys(config, ("command", "seed", "output") + reads, f"the {command} command")
         cfg_hash = _config_hash(config)
         if args.verbose:
             print(
@@ -508,7 +512,7 @@ def main(argv=None) -> int:
             )
         paths = _parse_output(config)
         # each command returns its (CSV, JSON) renderers; one header heads both
-        render_csv, render_json = _HANDLERS[command](config, config["seed"], threads)
+        render_csv, render_json = handler(config, config["seed"], threads)
         lines, header = _headers(command, cfg_hash, config["seed"])
         _write_outputs({"csv": render_csv(lines), "json": render_json(header)},
                        paths, args.verbose)

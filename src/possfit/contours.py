@@ -50,7 +50,7 @@ replicates whose refitting failed) as included — the conservative direction.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -446,12 +446,16 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
-def config_keys(doc, keys) -> None:
-    """A ConfigError naming the keys of a run config object that its
-    reader, which reads only ``keys``, would ignore."""
+def config_keys(doc, keys, name: str = "it") -> None:
+    """A ConfigError unless ``doc``, the run config object the message calls
+    ``name``, is an object whose every key is one of ``keys``, those its
+    reader reads."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
     unread = sorted(set(doc) - set(keys))
     if unread:
-        raise ConfigError(f"it reads only {', '.join(keys)}, not {unread}")
+        reads = f"only {', '.join(keys)}" if keys else "no keys"
+        raise ConfigError(f"{name} reads {reads}, not {unread}")
 
 
 def config_float(value, key: str) -> float:
@@ -479,9 +483,20 @@ def config_bool(value, key: str) -> bool:
     return value
 
 
+def config_fields(obj) -> None:
+    """Read each int, float and bool field of the dataclass ``obj`` in place
+    with the strict reader its annotation names; a ConfigError names a
+    field of the wrong type."""
+    readers = {"int": config_int, "float": config_float, "bool": config_bool}
+    for f in fields(obj):
+        if f.type in readers:
+            object.__setattr__(obj, f.name, readers[f.type](getattr(obj, f.name), f.name))
+
+
 @dataclass(frozen=True)
 class AxisSpec:
-    """One grid axis: `count` equally spaced points on [lo, hi]."""
+    """One grid axis: `count` equally spaced points on [lo, hi].  Its fields
+    are read as a run config's are: real bounds, an integer count."""
 
     lo: float
     hi: float
@@ -489,6 +504,7 @@ class AxisSpec:
     name: Optional[str] = None
 
     def __post_init__(self):
+        config_fields(self)
         if self.count < 1:
             raise ValueError("axis count must be >= 1")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi < self.lo:
@@ -499,10 +515,9 @@ class AxisSpec:
         """The axis a run config's ``{"lo", "hi", "count", "name"}`` object
         describes; the name is optional.  A ConfigError names what is wrong."""
         try:
-            config_keys(doc, ("lo", "hi", "count", "name"))
-            return cls(lo=config_float(doc["lo"], "lo"), hi=config_float(doc["hi"], "hi"),
-                       count=config_int(doc["count"], "count"), name=doc.get("name"))
-        except (KeyError, TypeError, ValueError) as exc:
+            config_keys(doc, [f.name for f in fields(cls)])
+            return cls(**doc)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid grid axis: {exc}") from None
 
     def points(self) -> np.ndarray:

@@ -575,11 +575,13 @@ def marginal_contour(
 
 @dataclass(frozen=True)
 class ChoquetSpec:
-    """Loss and discretization for the Choquet upper expectation."""
+    """Loss and discretization for the Choquet upper expectation; ``dim``
+    is the dimension the loss is defined on, None for any."""
 
     loss: Callable[[np.ndarray], float]
     resolution: int = 200
     budget: SearchBudget = field(default_factory=SearchBudget)
+    dim: Optional[int] = None
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -600,6 +602,7 @@ class ChoquetSpec:
                               f"linear, or indicator, got {kind!r}")
         try:
             config_keys(doc, ("loss", "resolution"))
+            dim = None
             if kind == "constant":
                 config_keys(loss, ("kind", "value"))
                 value = config_float(loss["value"], "value")
@@ -609,13 +612,16 @@ class ChoquetSpec:
                 a, b = config_floats(loss["a"], "a"), config_float(loss.get("b", 0.0), "b")
                 fn = lambda theta: float(
                     np.dot(a, np.atleast_1d(np.asarray(theta, dtype=float))) + b)
+                dim = np.size(a)
             else:
                 config_keys(loss, ("kind", "hypothesis", "inside", "outside"))
                 h = Hypothesis.from_dict(loss["hypothesis"])
                 inside = config_float(loss.get("inside", 1.0), "inside")
                 outside = config_float(loss.get("outside", 0.0), "outside")
                 fn = lambda theta: inside if h.contains(np.atleast_2d(theta))[0] else outside
-            return cls(loss=fn, resolution=config_int(doc.get("resolution", 200), "resolution"))
+                dim = h.dim
+            return cls(loss=fn, resolution=config_int(doc.get("resolution", 200), "resolution"),
+                       dim=dim)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid choquet block: {exc}") from None
 

@@ -65,7 +65,7 @@ value of each pair, so one failure of a pair is absorbed by its partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +73,7 @@ import numpy as np
 from ._render import csv_text
 from ._rng import SA_TAG, derive_rng
 from .contours import (
-    ConfigError, PossibilityContour, config_float, config_int, config_keys, naive_contour)
+    ConfigError, PossibilityContour, config_fields, config_keys, naive_contour)
 from .families import (
     DirichletFamily,
     GaussianScalarFamily,
@@ -125,6 +125,7 @@ class SAConfig:
     max_iter: int = 500
 
     def __post_init__(self):
+        config_fields(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.epsilon > 0:
@@ -138,23 +139,13 @@ class SAConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "SAConfig":
-        """The config a run config's ``sa`` object describes; absent fields
-        take their defaults.  A ConfigError names a non-object, a key it
-        does not read, or a bad field."""
-        if not isinstance(doc, dict):
-            raise ConfigError(f"invalid sa block: it must be an object, got {doc!r}")
+        """The config a run config's ``sa`` object describes: its keys are
+        the fields, an absent one takes its default, an absent seed 0.  A
+        ConfigError names a non-object, a key it does not read, or a bad
+        field."""
         try:
-            config_keys(doc, ("seed", "alpha", "k_outer", "m_inner", "epsilon", "min_iter",
-                              "max_iter"))
-            return cls(
-                seed=config_int(doc.get("seed", 0), "seed"),
-                alpha=config_float(doc.get("alpha", 0.1), "alpha"),
-                k_outer=config_int(doc.get("k_outer", 200), "k_outer"),
-                m_inner=config_int(doc.get("m_inner", 500), "m_inner"),
-                epsilon=config_float(doc.get("epsilon", 0.005), "epsilon"),
-                min_iter=config_int(doc.get("min_iter", 5), "min_iter"),
-                max_iter=config_int(doc.get("max_iter", 500), "max_iter"),
-            )
+            config_keys(doc, [f.name for f in fields(cls)])
+            return cls(**{"seed": 0, **doc})
         except ValueError as exc:
             raise ConfigError(f"invalid sa block: {exc}") from None
 

@@ -217,6 +217,32 @@ def test_scenario_from_config_reads_integers_strictly(key, value):
         Scenario.from_config(dict(config, **{key: value}))
 
 
+@pytest.mark.parametrize("key,value", [("n", 20.7), ("log_params", "no")])
+def test_scenario_reads_its_fields_strictly(key, value):
+    """Scenario(n=20.7) once built n = 20, and log_params="no" evaluated the
+    contour on the log scale; the constructor reads its fields as a run
+    config does."""
+    base = dict(model_id="gamma", truth=(2.0, 1.5), n=20, reps=3, method="naive", seed=1)
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        Scenario(**dict(base, **{key: value}))
+
+
+@pytest.mark.parametrize("study", ["validity", "hypothesis"])
+def test_unsorted_alphas_are_a_config_error_before_any_replication(monkeypatch, study):
+    """Alphas [0.5, 0.3] once ran every replication and then raised
+    "empirical CDF must be nondecreasing in alpha"."""
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(calibration, "_run_replications", no_replications)
+    scn = _binomial_scenario()
+    with pytest.raises(ConfigError, match=r"nondecreasing order, got \[0.5, 0.3\]"):
+        if study == "validity":
+            validity_study(scn, alphas=[0.5, 0.3])
+        else:
+            hypothesis_calibration(scn, [Hypothesis.box([[0.0, 1.0]])], alphas=[0.5, 0.3])
+
+
 def test_build_model_names_follow_ids():
     for model_id, truth, n, kw in [
         ("binomial", (0.4,), 15, {}),

@@ -69,18 +69,21 @@ def csv_sections(path):
 
 
 def contour_config(tmp_path, **overrides):
+    """A run config of one binomial dataset; only the commands that read a
+    grid (contour, marginal) get one."""
     doc = {
         "command": "contour",
         "model": "binomial",
         "seed": 11,
         "data": {"inline": {"responses": BINOM_RESPONSES}},
         "method": "exact",
-        "grid": [{"lo": 0.0, "hi": 1.0, "count": 200, "name": "theta"}],
         "output": {
             "csv": str(tmp_path / "contour.csv"),
             "json": str(tmp_path / "contour.json"),
         },
     }
+    if overrides.get("command", "contour") in ("contour", "marginal"):
+        doc["grid"] = [{"lo": 0.0, "hi": 1.0, "count": 200, "name": "theta"}]
     doc.update(overrides)
     return doc
 
@@ -517,6 +520,8 @@ class TestConfigHandling:
         ("half-space", "invalid half-space hypothesis", "bounds"),
         ("choquet", "invalid choquet block", "resolutoin"),
         ("choquet-loss", "invalid choquet block", "value"),
+        ("output", "the output block reads only csv, json", "cvs"),
+        ("bootstrap", "the bootstrap block reads only tau, B", "taux"),
     ])
     def test_key_a_block_does_not_read_exit2_without_outputs(self, tmp_path, capsys,
                                                              case, block, key):
@@ -535,10 +540,61 @@ class TestConfigHandling:
                 hypotheses=[{"kind": "half-space", "a": [1.0], "b": 0.2, "bounds": [[0.0, 1.0]]}]),
             "choquet": lambda: choquet(loss={"kind": "constant", "value": 1.0}, resolutoin=10),
             "choquet-loss": lambda: choquet(loss={"kind": "linear", "a": [1.0], "value": 2.0}),
+            "output": lambda: contour_config(tmp_path, output={
+                "json": str(tmp_path / "contour.json"), "cvs": str(tmp_path / "contour.csv")}),
+            "bootstrap": lambda: contour_config(
+                tmp_path, model="gamma", method="bootstrap",
+                bootstrap={"tau": 0.5, "B": 50, "taux": 0.25},
+                data={"inline": {"responses": [1.0, 2.0, 3.0, 4.0]}},
+                grid=[{"lo": 0.5, "hi": 2.0, "count": 5}]),
         }[case]()
         assert run(write_config(tmp_path, cfg)) == 2
         err = capsys.readouterr().err
         assert block in err and f"not ['{key}']" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command, key", [
+        ("contour", "methd"), ("fit", "m"), ("calibrate", "alpha"),
+        ("hypothesis", "hypothesis"), ("marginal", "grids"), ("choquet", "loss"),
+    ])
+    def test_top_level_key_a_command_does_not_read_exit2_without_outputs(
+            self, tmp_path, capsys, command, key):
+        """A misspelt or misplaced top-level key once ran as if it were not
+        there and exited 0: a fit reads no m (its contour's size is
+        sa.m_inner), and a choquet loss belongs in the choquet block."""
+        cfg = {
+            "contour": lambda: contour_config(tmp_path),
+            "fit": lambda: fit_config(tmp_path),
+            "calibrate": lambda: calibrate_config(tmp_path),
+            "hypothesis": lambda: contour_config(
+                tmp_path, command="hypothesis", hypotheses=[{"kind": "box", "bounds": [[0.2, 0.6]]}]),
+            "marginal": lambda: contour_config(tmp_path, command="marginal",
+                                               marginal={"component": 0}),
+            "choquet": lambda: contour_config(
+                tmp_path, command="choquet", choquet={"loss": {"kind": "constant", "value": 1.0}}),
+        }[command]()
+        cfg[key] = {"loss": {"kind": "constant", "value": 2.0}} if command == "choquet" else 50
+        assert run(write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"the {command} command reads only command, seed, output" in err
+        assert f"not ['{key}']" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_marginal_naming_two_features_exit2_without_outputs(self, tmp_path, capsys):
+        """{"component": 0, "linear": [...]} once ran on the component and
+        ignored the linear feature."""
+        cfg = contour_config(tmp_path, command="marginal",
+                             marginal={"component": 0, "linear": [2.0]})
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "the marginal block names one feature" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_unsorted_alphas_exit2_without_outputs(self, tmp_path, capsys):
+        """Alphas [0.5, 0.3] once ran every replication, then exited 1 with
+        a traceback."""
+        cfg = calibrate_config(tmp_path, alphas=[0.5, 0.3])
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "alphas must be in nondecreasing order" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("case", [
@@ -1209,6 +1265,20 @@ class TestChoquet:
         doc = json.loads((tmp_path / "choquet.json").read_text())
         assert doc["value"] == pytest.approx(3.25, abs=1e-6)
         assert "3.25" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("loss", [
+        {"kind": "linear", "a": [1.0, 2.0]},
+        {"kind": "indicator", "hypothesis": {"kind": "half-space", "a": [1, 1], "b": 0.5}},
+        {"kind": "indicator", "hypothesis": {"kind": "box", "bounds": [[0, 1], [0, 1]]}},
+    ], ids=["linear", "indicator-half-space", "indicator-box"])
+    def test_loss_of_another_dimension_exit2_without_outputs(self, tmp_path, capsys, loss):
+        """On the 1-d binomial a 2-d linear or half-space loss once exited 1
+        with a shape error, and a 2-d box indicator exited 0 with its value
+        broadcast over the wrong dimension."""
+        cfg = contour_config(tmp_path, command="choquet", choquet={"loss": loss})
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "the choquet loss has dimension 2, expected 1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -1120,3 +1120,16 @@ def test_grid_csv_and_json_round_trip():
     assert doc["seed"] is None and doc["meta"] == {"model": "binomial"}
     assert np.allclose(np.array(doc["values"]), grid.values.ravel())
     assert doc["axes"][0]["count"] == 7
+
+
+def test_axis_spec_reads_its_fields_strictly():
+    """AxisSpec(0.0, 1.0, 3.0) was once accepted, and failed only later,
+    inside points(); the constructor reads its fields as a grid axis in a
+    run config is read."""
+    with pytest.raises(ConfigError, match="count must be an integer, got 3.0"):
+        AxisSpec(0.0, 1.0, 3.0)
+    with pytest.raises(ConfigError, match="hi must be a number"):
+        AxisSpec(0.0, True, 3)
+    axis = AxisSpec(0, 1, 3)
+    assert (type(axis.lo), type(axis.hi)) == (float, float)
+    assert axis.points().tolist() == [0.0, 0.5, 1.0]

@@ -15,6 +15,7 @@ from scipy import special
 
 from possfit._rng import SA_TAG, derive_rng
 from possfit.contours import (
+    ConfigError,
     PossibilityContour,
     make_exact_binomial,
     make_mc_contour,
@@ -725,3 +726,13 @@ def test_sa_config_from_dict_rejects_a_key_it_does_not_read():
     """{"k_outr": 50} once ran at the default k_outer = 200."""
     with pytest.raises(ValueError, match=r"not \['k_outr'\]"):
         SAConfig.from_dict({"k_outr": 50})
+
+
+@pytest.mark.parametrize("kw", [{"min_iter": 2.5}, {"epsilon": True}, {"k_outer": "60"}],
+                         ids=["min_iter-float", "epsilon-bool", "k_outer-string"])
+def test_sa_config_reads_its_fields_strictly(kw):
+    """SAConfig(min_iter=2.5) and SAConfig(epsilon=True) were once accepted;
+    the constructor reads its fields as the sa block does."""
+    with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be"):
+        SAConfig(seed=0, **kw)
+    assert type(SAConfig(seed=0, epsilon=1).epsilon) is float
